@@ -23,12 +23,10 @@ an explicit eta_det dependence.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .detection import conditional_error_rate
 from .infotheory import phi
@@ -44,9 +42,10 @@ PHI_MINUS = Ket(np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2))
 PSI_PLUS = Ket(np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2))
 PSI_MINUS = Ket(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2))
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+#: Pauli matrices.
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 
 #: Circular-polarization kets; together with |+->, these span the two
@@ -60,6 +59,42 @@ KET_L = Ket(np.array([1.0, -1.0j]) / math.sqrt(2))
 #: diagonal and circular bases.  (A universal machine, strategy A, is frame
 #: independent and works with any pair.)
 STRATEGY_B_BASES = ((KET_PLUS, KET_MINUS), (KET_R, KET_L))
+
+_BISECT_RTOL = 4.0 * sys.float_info.epsilon
+_BISECT_MAX_STEPS = 100
+
+
+# --------------------------------------------------------------------------
+# Root finding
+# --------------------------------------------------------------------------
+
+def bisect(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of f bracketed by [lo, hi], located by interval halving.
+
+    Each step halves the step width and moves lo to the midpoint whenever f
+    there has the sign of f at the original lo.  Stops when f vanishes at the
+    midpoint or the step falls below xtol + 4 eps |midpoint|, and returns the
+    midpoint.  Raises ValueError when f(lo) and f(hi) share a sign and
+    RuntimeError after 100 steps.
+    """
+    lo, hi = float(lo), float(hi)
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo * f_hi > 0.0:
+        raise ValueError(f"f({lo}) and f({hi}) must have different signs")
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    step = hi - lo
+    for _ in range(_BISECT_MAX_STEPS):
+        step *= 0.5
+        mid = lo + step
+        f_mid = f(mid)
+        if f_mid * f_lo >= 0.0:
+            lo = mid
+        if f_mid == 0.0 or abs(step) < xtol + _BISECT_RTOL * abs(mid):
+            return mid
+    raise RuntimeError(f"bisection did not converge in {_BISECT_MAX_STEPS} steps")
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +194,7 @@ def strategy_a_unitary(params: CloneAParams) -> Operator:
     left zero; the map is isometric on (symmetric subspace) (x) |00>.
     """
     alpha, beta = params.alpha, params.beta
-    tz, tx, ty = _sigma_tilde(_SZ), _sigma_tilde(_SX), _sigma_tilde(_SY)
+    tz, tx, ty = _sigma_tilde(SIGMA_Z), _sigma_tilde(SIGMA_X), _sigma_tilde(SIGMA_Y)
     u = np.zeros((16, 16), dtype=complex)
     for col_signal in range(4):
         s = np.zeros(4, dtype=complex)
@@ -315,7 +350,7 @@ def strategy_b_unitary(params: CloneBParams) -> Operator:
     machine is only defined on the symmetric subspace.
     """
     v = _v_images(params.gamma)
-    x3 = np.kron(np.kron(_SX, _SX), _SX).real
+    x3 = np.kron(np.kron(SIGMA_X, SIGMA_X), SIGMA_X).real
     vt = {"00": x3 @ v["11"], "psi+": x3 @ v["psi+"], "11": x3 @ v["00"]}
 
     outputs = {}
@@ -370,10 +405,20 @@ def strategy_b_coefficients(gamma: float) -> tuple[float, float, float, float, f
 def strategy_b_probe_states(gamma: float) -> tuple[Operator, Operator]:
     """Attacker probe states for the diagonal signals under strategy B.
 
-    Assembled from the closed-form coefficients in the ordered basis
-    (|++>, |+->, |-+>, |-->) but returned in the computational basis like
-    every other operator; the probe for |->|-> is the |+>|+> probe with
-    a <-> c and d <-> f exchanged.
+    The matrices of strategy_b_probe_matrices, divided by 16 and returned in
+    the computational basis like every other operator.
+    """
+    m_plus, m_minus = strategy_b_probe_matrices(gamma)
+    t = _diag_basis_matrix()
+    return (Operator(t @ (m_plus / 16.0) @ t.conj().T),
+            Operator(t @ (m_minus / 16.0) @ t.conj().T))
+
+
+def strategy_b_probe_matrices(gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sixteen times the two strategy-B probes in the (|++>,|+->,|-+>,|-->) basis.
+
+    Laid out from the closed-form coefficients; the |->|-> probe is the
+    |+>|+> probe with a <-> c and d <-> f exchanged.
     """
     a, b, c, d, e, f = strategy_b_coefficients(gamma)
     m_plus = np.array([
@@ -381,15 +426,14 @@ def strategy_b_probe_states(gamma: float) -> tuple[Operator, Operator]:
         [0.0, d, e, 0.0],
         [0.0, e, f, 0.0],
         [b, 0.0, 0.0, c],
-    ]) / 16.0
+    ])
     m_minus = np.array([
         [c, 0.0, 0.0, b],
         [0.0, f, e, 0.0],
         [0.0, e, d, 0.0],
         [b, 0.0, 0.0, a],
-    ]) / 16.0
-    t = _diag_basis_matrix()
-    return Operator(t @ m_plus @ t.conj().T), Operator(t @ m_minus @ t.conj().T)
+    ])
+    return m_plus, m_minus
 
 
 def _diag_basis_matrix() -> np.ndarray:
@@ -493,12 +537,10 @@ def _curve_point(eta_det: float, d: float) -> AttackCurvePoint:
     return AttackCurvePoint(disturbance=float(d), i_pns=i_pns, i_a=i_a, i_b=i_b)
 
 
-def information_curves(eta_det: float, d_grid=None, max_workers: int | None = None) -> list[AttackCurvePoint]:
+def information_curves(eta_det: float, d_grid=None) -> list[AttackCurvePoint]:
     """Sample the three information curves on a disturbance grid.
 
-    Points are independent, so the grid may be partitioned across threads;
-    max_workers defaults to the QEL_THREADS environment variable (serial when
-    unset or 1).  Output order always follows the input grid.
+    Output order follows the input grid.
     """
     if d_grid is None:
         d_grid = default_disturbance_grid()
@@ -506,9 +548,4 @@ def information_curves(eta_det: float, d_grid=None, max_workers: int | None = No
     for d in d_grid:
         if not 0.0 <= d <= 0.5:
             raise ValueError(f"grid disturbances must lie in [0, 1/2], got {d}")
-    if max_workers is None:
-        max_workers = int(os.environ.get("QEL_THREADS", "1"))
-    if max_workers > 1 and len(d_grid) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda d: _curve_point(eta_det, d), d_grid))
     return [_curve_point(eta_det, d) for d in d_grid]

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from . import attacks
 
@@ -286,7 +285,7 @@ def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: s
     left, right = grid[first - 1], grid[first]
     if not math.isfinite(gains[first - 1]):
         return float(right)
-    cross = bisect(gain, left, right, xtol=CROSSOVER_DB_TOL / 5.0)
+    cross = attacks.bisect(gain, left, right, xtol=CROSSOVER_DB_TOL / 5.0)
     return float(cross)
 
 

@@ -4,8 +4,7 @@ Subcommands produce plot-ready CSV or JSON only; there is no plotting here.
 All numeric output uses 12 significant digits with a period decimal separator
 regardless of locale, JSON records carry a "schema": "qel/1" field with a
 fixed key order, and identical configurations (including seeds) produce
-byte-identical files.  The QEL_THREADS environment variable caps the
-parallelism used for grid evaluation.
+byte-identical files.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 scenario
 outside the valid analysis regime.
@@ -231,8 +230,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="qel",
-        description="BB84 eavesdropping analysis: PNS process versus two-photon cloning attacks.",
-        epilog="QEL_THREADS caps the number of threads used for grid evaluation.")
+        description="BB84 eavesdropping analysis: PNS process versus two-photon cloning attacks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

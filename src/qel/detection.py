@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Ket, Operator
-from .optics import Basis, Bb84Signal, fock_from_symmetric
+from .optics import Basis, fock_from_symmetric
 
 COMPLETENESS_TOL = 1e-12
 
@@ -50,13 +50,6 @@ class DetectionOutcome(enum.Enum):
     CLICK0 = "click0"
     CLICK1 = "click1"
     DOUBLE = "double"
-
-
-class SiftResult(enum.Enum):
-    CORRECT = "correct"
-    ERROR = "error"
-    DISCARDED_VACUUM = "discarded_vacuum"
-    MISMATCHED_BASIS = "mismatched_basis"
 
 
 def outcome_probabilities(n: int, m: int, eta_det: float) -> dict[DetectionOutcome, float]:
@@ -118,27 +111,6 @@ def outcome_distribution(signal_input, basis, model: DetectorModel) -> dict[Dete
         for outcome, p in outcome_probabilities(n, m, model.eta_det).items():
             out[outcome] += w * p
     return out
-
-
-def sifted_outcome(outcome: DetectionOutcome, sent: Bb84Signal, measured_basis: Basis,
-                   rng: np.random.Generator) -> SiftResult:
-    """Classify one detection event during sifting.
-
-    Basis mismatches and vacuum events are discarded.  A double click is
-    assigned a uniformly random bit drawn from rng; single clicks are
-    compared against the sent bit.
-    """
-    if measured_basis != sent.basis:
-        return SiftResult.MISMATCHED_BASIS
-    if outcome is DetectionOutcome.VACUUM:
-        return SiftResult.DISCARDED_VACUUM
-    if outcome is DetectionOutcome.DOUBLE:
-        bit = int(rng.integers(0, 2))
-    elif outcome is DetectionOutcome.CLICK0:
-        bit = 0
-    else:
-        bit = 1
-    return SiftResult.CORRECT if bit == sent.bit else SiftResult.ERROR
 
 
 def conditional_error_rate(state, basis, eta_det: float, correct_bit: int = 0) -> float:

@@ -12,19 +12,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import attacks, channel
 from .detection import DetectionOutcome, conditional_error_rate, outcome_probabilities
 from .linalg import Operator, partial_trace
 from .optics import (SIGNALS, Basis, basis_kets, signal_ket, singlet_weight,
                      symmetric_encode, fock_from_symmetric)
-
-_PAULIS = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
 
 #: Equatorial signal set used by the phase-covariant machine: (ket, basis pair,
 #: bit) for each of the four BB84 signals of the diagonal and circular bases.
@@ -34,13 +27,16 @@ EQUATORIAL_SIGNALS = tuple(
 
 _DIAGONAL_PAIR_INDEX = 0
 
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
 
 # --------------------------------------------------------------------------
 # Measurement search
 # --------------------------------------------------------------------------
 
 def _bloch_vector(rho: np.ndarray) -> np.ndarray:
-    return np.array([np.real(np.trace(rho @ s)) for s in _PAULIS])
+    return np.array([np.real(np.trace(rho @ s))
+                     for s in (attacks.SIGMA_X, attacks.SIGMA_Y, attacks.SIGMA_Z)])
 
 
 def _h2(q: float) -> float:
@@ -56,9 +52,9 @@ def numeric_two_state_info(rho0: Operator, rho1: Operator, grid_size: int = 96) 
 
     The optimal projective measurement for two equiprobable qubit states lies
     in the plane spanned by their Bloch vectors, so the search is a scan over
-    a single angle followed by a bounded refinement around the best grid
-    point.  Returns a lower bound on the accessible information that is tight
-    for equal-determinant pairs.
+    a single angle followed by a golden-section refinement around the best
+    grid point.  Returns a lower bound on the accessible information that is
+    tight for equal-determinant pairs.
     """
     if rho0.dim != 2 or rho1.dim != 2:
         raise ValueError("measurement search expects qubit states")
@@ -89,10 +85,19 @@ def numeric_two_state_info(rho0: Operator, rho1: Operator, grid_size: int = 96) 
     best_idx = int(np.argmax(values))
     best = values[best_idx]
     step = math.pi / grid_size
-    res = minimize_scalar(lambda t: -mutual_information(t),
-                          bounds=(thetas[best_idx] - step, thetas[best_idx] + step),
-                          method="bounded", options={"xatol": 1e-11})
-    return max(best, -float(res.fun))
+    lo, hi = thetas[best_idx] - step, thetas[best_idx] + step
+    x1, x2 = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    f1, f2 = mutual_information(x1), mutual_information(x2)
+    while hi - lo > 1e-11:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_GOLDEN * (hi - lo)
+            f1 = mutual_information(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_GOLDEN * (hi - lo)
+            f2 = mutual_information(x2)
+    return max(best, f1, f2)
 
 
 def _block_matrix(rho: Operator, kets: list[np.ndarray]) -> np.ndarray:
@@ -159,6 +164,23 @@ def _eve_probe(u: np.ndarray, signal_vec: np.ndarray) -> tuple[Operator, Operato
     return rho_bob, rho_eve, defect
 
 
+def _symmetric_isometry_defect(u: np.ndarray, rng_seed: int) -> float:
+    """Largest norm defect of an attack isometry on eight random symmetric states.
+
+    Random superpositions inside the symmetric subspace must be preserved,
+    not only the four BB84 signals.
+    """
+    rng = np.random.default_rng(rng_seed)
+    defect = 0.0
+    for _ in range(8):
+        amp = rng.normal(size=3) + 1j * rng.normal(size=3)
+        vec = amp[0] * np.array([1, 0, 0, 0]) + amp[2] * np.array([0, 0, 0, 1]) \
+            + amp[1] * np.array([0, 1, 1, 0]) / math.sqrt(2)
+        vec = vec.astype(complex) / np.linalg.norm(vec)
+        defect = max(defect, _eve_probe(u, vec)[2])
+    return defect
+
+
 def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) -> SimulationReport:
     """Drive the universal cloner end to end and compare with the closed forms.
 
@@ -172,9 +194,8 @@ def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) ->
     """
     params = attacks.CloneAParams(beta=beta)
     u = attacks.strategy_a_unitary(params).entries
-    rng = np.random.default_rng(rng_seed)
 
-    isometry_defect = 0.0
+    isometry_defect = _symmetric_isometry_defect(u, rng_seed)
     singlet = 0.0
     errors = []
     probes = {}
@@ -185,14 +206,6 @@ def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) ->
         errors.append(conditional_error_rate(rho_bob, basis_kets(signal.basis),
                                              eta_det, correct_bit=signal.bit))
         probes[(signal.basis, signal.bit)] = rho_eve
-    # random superpositions inside the symmetric subspace must also be preserved
-    for _ in range(8):
-        amp = rng.normal(size=3) + 1j * rng.normal(size=3)
-        vec = amp[0] * np.array([1, 0, 0, 0]) + amp[2] * np.array([0, 0, 0, 1]) \
-            + amp[1] * np.array([0, 1, 1, 0]) / math.sqrt(2)
-        vec = vec.astype(complex) / np.linalg.norm(vec)
-        _, _, defect = _eve_probe(u, vec)
-        isometry_defect = max(isometry_defect, defect)
 
     disturbance = float(np.mean(errors))
     error_spread = max(errors) - min(errors)
@@ -263,9 +276,8 @@ def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -
     """
     params = attacks.CloneBParams(gamma=gamma)
     u = attacks.strategy_b_unitary(params).entries
-    rng = np.random.default_rng(rng_seed)
 
-    isometry_defect = 0.0
+    isometry_defect = _symmetric_isometry_defect(u, rng_seed)
     singlet = 0.0
     errors = []
     probes = {}
@@ -276,13 +288,6 @@ def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -
         singlet = max(singlet, singlet_weight(rho_bob))
         errors.append(conditional_error_rate(rho_bob, pair, eta_det, correct_bit=bit))
         probes[(sig_index // 2, bit)] = rho_eve
-    for _ in range(8):
-        amp = rng.normal(size=3) + 1j * rng.normal(size=3)
-        vec = amp[0] * np.array([1, 0, 0, 0]) + amp[2] * np.array([0, 0, 0, 1]) \
-            + amp[1] * np.array([0, 1, 1, 0]) / math.sqrt(2)
-        vec = vec.astype(complex) / np.linalg.norm(vec)
-        _, _, defect = _eve_probe(u, vec)
-        isometry_defect = max(isometry_defect, defect)
 
     disturbance = float(np.mean(errors))
     disturbance_delta = abs(disturbance - attacks.strategy_b_disturbance(gamma))
@@ -292,19 +297,7 @@ def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -
     rho_p_sim = probes[(_DIAGONAL_PAIR_INDEX, 0)]
     rho_m_sim = probes[(_DIAGONAL_PAIR_INDEX, 1)]
 
-    a, b, c, d, e, f = attacks.strategy_b_coefficients(gamma)
-    ref_plus = np.array([
-        [a, 0.0, 0.0, b],
-        [0.0, d, e, 0.0],
-        [0.0, e, f, 0.0],
-        [b, 0.0, 0.0, c],
-    ])
-    ref_minus = np.array([
-        [c, 0.0, 0.0, b],
-        [0.0, f, e, 0.0],
-        [0.0, e, d, 0.0],
-        [b, 0.0, 0.0, a],
-    ])
+    ref_plus, ref_minus = attacks.strategy_b_probe_matrices(gamma)
     m_plus = attacks.probe_matrix_in_diagonal_basis(rho_p_sim) * 16.0
     m_minus = attacks.probe_matrix_in_diagonal_basis(rho_m_sim) * 16.0
     coeff_delta = max(np.max(np.abs(m_plus - ref_plus)), np.max(np.abs(m_minus - ref_minus)))

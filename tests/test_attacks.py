@@ -281,6 +281,27 @@ def test_gamma_inversion_roundtrip():
         gamma_for_disturbance(0.3)
 
 
+def test_bisect_returns_an_endpoint_root():
+    assert attacks.bisect(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12) == 1.0
+    assert attacks.bisect(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12) == 3.0
+
+
+def test_bisect_rejects_a_same_sign_bracket():
+    with pytest.raises(ValueError):
+        attacks.bisect(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-12)
+
+
+@pytest.mark.parametrize("xtol", [1e-3, 1e-9, 1e-13])
+def test_bisect_finds_a_monotone_root_within_xtol(xtol):
+    root = attacks.bisect(lambda x: math.exp(x) - 2.0, 0.0, 3.0, xtol=xtol)
+    assert abs(root - math.log(2.0)) <= xtol
+
+
+def test_bisect_gives_up_after_100_steps():
+    with pytest.raises(RuntimeError):
+        attacks.bisect(lambda x: x - 1e-300, 0.0, 1.0, xtol=1e-310)
+
+
 # -- curves ------------------------------------------------------------------
 
 def test_curves_at_zero_disturbance():
@@ -327,13 +348,6 @@ def test_curves_default_grid_size():
     for p in points:
         for value in (p.i_pns, p.i_a, p.i_b):
             assert value is None or 0.0 <= value <= 1.0
-
-
-def test_curves_parallel_matches_serial():
-    grid = np.linspace(0.0, 0.5, 37)
-    serial = information_curves(0.4, grid, max_workers=1)
-    parallel = information_curves(0.4, grid, max_workers=4)
-    assert serial == parallel
 
 
 def test_curves_reject_bad_grid():

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,9 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def parse_csv(text):
@@ -203,15 +210,6 @@ def test_output_file_writing(tmp_path, capsys):
     assert record["schema"] == "qel/1"
 
 
-def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    argv = ["info-curves", "--eta-det", "0.25", "--steps", "30"]
-    monkeypatch.setenv("QEL_THREADS", "1")
-    _, serial, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("QEL_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, argv)
-    assert serial == threaded
-
-
 def test_verify_passes_and_reports_suites(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--pulses", "100000", "--seed", "7"])
     assert code == 0
@@ -240,3 +238,24 @@ def test_verify_detects_tampered_coefficient(capsys, monkeypatch):
     record = json.loads(out)
     assert record["passed"] is False
     assert "verification failed" in err
+
+
+@pytest.mark.parametrize("reference, argv", [
+    ("info-curves.csv", ["info-curves", "--eta-det", "0.2"]),
+    ("error-map.csv", ["error-map", "--mu", "0.1", "--eta-det", "0.2"]),
+    ("bounds.json", ["bounds", "--mu", "0.1", "--eta-det", "0.2"]),
+    ("crossover.json", ["crossover", "--mu", "0.1", "--eta-det", "0.2", "--error-rate", "0.01"]),
+    ("coefficients.csv", ["coefficients"]),
+])
+def test_reference_outputs_are_byte_identical(capsys, reference, argv):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out.encode() == (ROOT / "perfbench" / "reference" / reference).read_bytes()
+
+
+def test_cli_import_does_not_load_scipy():
+    probe = "import sys, qel.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True, timeout=60)
+    assert result.stdout.strip() == "False"

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel.detection import (DetectionOutcome, DetectorModel, SiftResult,
-                           conditional_error_rate, outcome_distribution,
-                           outcome_probabilities, povm_elements, sifted_outcome)
+from qel.detection import (DetectionOutcome, DetectorModel, conditional_error_rate,
+                           outcome_distribution, outcome_probabilities, povm_elements)
 from qel.optics import Basis, Bb84Signal, symmetric_encode
 
 
@@ -115,26 +114,6 @@ def test_outcome_probabilities_complete_for_any_occupation():
         for m in range(4):
             probs = outcome_probabilities(n, m, 0.77)
             assert abs(sum(probs.values()) - 1.0) < 1e-12
-
-
-def test_sifting_basic_cases():
-    rng = np.random.default_rng(0)
-    sent = Bb84Signal(Basis.RECTILINEAR, 0)
-    assert sifted_outcome(DetectionOutcome.CLICK0, sent, Basis.RECTILINEAR, rng) is SiftResult.CORRECT
-    assert sifted_outcome(DetectionOutcome.CLICK1, sent, Basis.RECTILINEAR, rng) is SiftResult.ERROR
-    assert sifted_outcome(DetectionOutcome.VACUUM, sent, Basis.RECTILINEAR, rng) is SiftResult.DISCARDED_VACUUM
-    assert sifted_outcome(DetectionOutcome.CLICK0, sent, Basis.DIAGONAL, rng) is SiftResult.MISMATCHED_BASIS
-
-
-def test_sifting_double_clicks_are_fair_coin():
-    rng = np.random.default_rng(1234)
-    sent = Bb84Signal(Basis.DIAGONAL, 1)
-    n = 10**6
-    correct = sum(
-        sifted_outcome(DetectionOutcome.DOUBLE, sent, Basis.DIAGONAL, rng) is SiftResult.CORRECT
-        for _ in range(n)
-    )
-    assert abs(correct / n - 0.5) < 0.002
 
 
 def test_conditional_error_rate_is_eta_independent():
