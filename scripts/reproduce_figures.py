@@ -18,7 +18,6 @@ Writes plot-ready CSV plus a JSON summary into the output directory:
 Run:  python scripts/reproduce_figures.py --outdir out
 """
 import argparse
-import json
 import os
 import sys
 
@@ -26,23 +25,11 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from qel import attacks, channel, verification  # noqa: E402
+from qel import attacks, channel, cli, verification  # noqa: E402
 
 MU = 0.1
 ETA_DET = 0.2
 OBSERVED_ERROR = 0.01
-
-
-def fmt(value):
-    return "" if value is None else f"{value:.12g}"
-
-
-def write_csv(path, columns, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
-    print(f"wrote {path}")
 
 
 def main():
@@ -53,14 +40,14 @@ def main():
     parser.add_argument("--skip-verification", action="store_true")
     args = parser.parse_args()
     os.makedirs(args.outdir, exist_ok=True)
+    tables = {}  # file name -> (columns, rows)
 
     # information vs disturbance for a family of detector efficiencies
     grid = np.linspace(0.0, 0.5, args.steps)
     for eta in np.arange(0.1, 0.95, 0.1):
         points = attacks.information_curves(float(eta), grid)
         rows = [(p.disturbance, p.i_pns, p.i_a, p.i_b) for p in points]
-        write_csv(os.path.join(args.outdir, f"information_curves_eta_{eta:.1f}.csv"),
-                  ("D", "i_pns", "i_a", "i_b"), rows)
+        tables[f"information_curves_eta_{eta:.1f}.csv"] = (("D", "i_pns", "i_a", "i_b"), rows)
 
     # observed error rate vs disturbance as a function of loss
     window = channel.eta_t_bounds(MU, ETA_DET)
@@ -74,8 +61,7 @@ def main():
             except channel.InvalidRegimeError:
                 e = None
             rows.append((float(loss), float(d), e, in_window))
-    write_csv(os.path.join(args.outdir, "observed_error_map.csv"),
-              ("loss_db", "D", "e", "in_window"), rows)
+    tables["observed_error_map.csv"] = (("loss_db", "D", "e", "in_window"), rows)
 
     # disturbance required to hold the observed error fixed, vs loss
     rows = []
@@ -86,20 +72,22 @@ def main():
         except channel.InvalidRegimeError:
             d = None
         rows.append((float(loss), d))
-    write_csv(os.path.join(args.outdir, "disturbance_vs_loss.csv"), ("loss_db", "D"), rows)
+    tables["disturbance_vs_loss.csv"] = (("loss_db", "D"), rows)
 
     # probe coefficients
     rows = []
     for gamma in np.linspace(0.0, np.pi, 50):
         a, b, c, d, e, f = attacks.strategy_b_coefficients(float(gamma))
         rows.append((float(gamma), a, b, c, d, e, f))
-    write_csv(os.path.join(args.outdir, "probe_coefficients.csv"),
-              ("gamma", "a", "b", "c", "d", "e", "f"), rows)
+    tables["probe_coefficients.csv"] = (("gamma", "a", "b", "c", "d", "e", "f"), rows)
+    for name, (columns, rows) in tables.items():
+        path = os.path.join(args.outdir, name)
+        cli.emit_table(columns, rows, "csv", path, {})
+        print(f"wrote {path}")
 
     # headline numbers
     crossing = channel.crossover_loss_best(MU, ETA_DET, OBSERVED_ERROR)
     headline = {
-        "schema": "qel/1",
         "kind": "headline",
         "mu": MU,
         "eta_det": ETA_DET,
@@ -112,9 +100,7 @@ def main():
         "best_strategy": crossing["best_strategy"],
     }
     path = os.path.join(args.outdir, "headline.json")
-    with open(path, "w") as fh:
-        json.dump(headline, fh, indent=2)
-        fh.write("\n")
+    cli.emit_record(headline, path)
     print(f"wrote {path}")
     print(f"  window: ({window.loss_db_lower:.3f} dB, {window.loss_db_upper:.3f} dB)")
     print(f"  crossover: {crossing['best']:.3f} dB via strategy {crossing['best_strategy']}")
@@ -122,9 +108,7 @@ def main():
     if not args.skip_verification:
         report = verification.run_verification(seed=args.seed)
         path = os.path.join(args.outdir, "verification.json")
-        with open(path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        cli.emit_record(report.to_dict(), path)
         print(f"wrote {path}")
         print(f"  verification {'passed' if report.passed else 'FAILED'}")
         return 0 if report.passed else 2

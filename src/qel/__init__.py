@@ -14,7 +14,6 @@ from .attacks import (
     AttackCurvePoint,
     CloneAParams,
     CloneBParams,
-    PnsProcess,
     information_curves,
     matched_two_photon_fraction,
     pns_information,
@@ -37,7 +36,6 @@ __all__ = [
     "CloneAParams",
     "CloneBParams",
     "InvalidRegimeError",
-    "PnsProcess",
     "crossover_loss",
     "eta_t_bounds",
     "fuchs_information",

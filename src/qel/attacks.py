@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import conditional_error_rate
-from .infotheory import phi
+from .infotheory import fuchs_information, phi
 from .linalg import Ket, Operator, partial_trace
 from .optics import KET_MINUS, KET_PLUS, SIGNALS, basis_kets, symmetric_encode
 
@@ -75,22 +75,24 @@ def bisect(f, lo: float, hi: float, xtol: float) -> float:
     there has the sign of f at the original lo.  Stops when f vanishes at the
     midpoint or the step falls below xtol + 4 eps |midpoint|, and returns the
     midpoint.  Raises ValueError when f(lo) and f(hi) share a sign and
-    RuntimeError after 100 steps.
+    RuntimeError after 100 steps.  Values of f are multiplied by the sign of
+    f(lo), not by f(lo), since the product of two tiny values underflows to 0.
     """
     lo, hi = float(lo), float(hi)
     f_lo, f_hi = f(lo), f(hi)
-    if f_lo * f_hi > 0.0:
-        raise ValueError(f"f({lo}) and f({hi}) must have different signs")
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
+    sign_lo = math.copysign(1.0, f_lo)
+    if f_hi * sign_lo > 0.0:
+        raise ValueError(f"f({lo}) and f({hi}) must have different signs")
     step = hi - lo
     for _ in range(_BISECT_MAX_STEPS):
         step *= 0.5
         mid = lo + step
         f_mid = f(mid)
-        if f_mid * f_lo >= 0.0:
+        if f_mid * sign_lo >= 0.0:
             lo = mid
         if f_mid == 0.0 or abs(step) < xtol + _BISECT_RTOL * abs(mid):
             return mid
@@ -101,35 +103,16 @@ def bisect(f, lo: float, hi: float, xtol: float) -> float:
 # PNS process
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PnsProcess:
-    """Two-photon fraction p and single-photon attack disturbance D."""
-
-    p: float
-    disturbance: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"two-photon fraction must lie in [0, 1], got {self.p}")
-        if not 0.0 <= self.disturbance <= 0.5:
-            raise ValueError(f"disturbance must lie in [0, 1/2], got {self.disturbance}")
-
-    def information(self) -> float:
-        return pns_information(self.p, self.disturbance)
-
-
 def pns_information(p: float, disturbance: float) -> float:
     """Attacker information of the PNS process.
 
     Splitting gives full information on the fraction p; the remaining pulses
     carry the optimal single-photon attack at disturbance D:
-    p + (1-p) Phi(2 sqrt(D(1-D)))/2.
+    p + (1-p) fuchs_information(D).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"two-photon fraction must lie in [0, 1], got {p}")
-    if not 0.0 <= disturbance <= 0.5:
-        raise ValueError(f"disturbance must lie in [0, 1/2], got {disturbance}")
-    return p + (1.0 - p) * 0.5 * phi(2.0 * math.sqrt(disturbance * (1.0 - disturbance)))
+    return p + (1.0 - p) * fuchs_information(disturbance)
 
 
 def matched_two_photon_fraction(eta_det: float) -> float:
@@ -144,17 +127,8 @@ def matched_two_photon_fraction(eta_det: float) -> float:
 
 
 def pns_information_matched(eta_det: float, disturbance: float) -> float:
-    """PNS information at the rate-matched two-photon fraction.
-
-    Equals {1 + (1-eta_det) Phi(2 sqrt(D(1-D)))/2} / (2-eta_det), which is
-    pns_information(matched_two_photon_fraction(eta_det), D) rearranged.
-    """
-    if not 0.0 <= eta_det <= 1.0:
-        raise ValueError(f"eta_det must lie in [0, 1], got {eta_det}")
-    if not 0.0 <= disturbance <= 0.5:
-        raise ValueError(f"disturbance must lie in [0, 1/2], got {disturbance}")
-    big_phi = phi(2.0 * math.sqrt(disturbance * (1.0 - disturbance)))
-    return (1.0 + (1.0 - eta_det) * 0.5 * big_phi) / (2.0 - eta_det)
+    """PNS information at the rate-matched two-photon fraction 1/(2 - eta_det)."""
+    return pns_information(matched_two_photon_fraction(eta_det), disturbance)
 
 
 # --------------------------------------------------------------------------
@@ -288,21 +262,15 @@ def clone_a_disturbance(params: CloneAParams, eta_det: float = 0.5) -> float:
 
 
 def clone_a_params_for_disturbance(disturbance: float) -> CloneAParams:
-    """Invert the measured beta -> disturbance map by bisection.
+    """Machine setting of the universal cloner for a target disturbance.
 
-    The machine-level map is monotone on beta in [0, sqrt(1/8)]; the inverse
-    is located to |D(beta) - D| <= 1e-10.
+    The machine-level map is D(beta) = 2 beta^2, so beta = sqrt(D/2).
+    clone_a_disturbance measures the map from the unitary; verification
+    checks this inverse against it.
     """
     if not 0.0 <= disturbance <= 0.25 + _DOMAIN_SLACK:
         raise ValueError(f"strategy A disturbance must lie in [0, 1/4], got {disturbance}")
-    beta_max = math.sqrt(1.0 / 8.0) * (1.0 - 1e-14)
-    if disturbance <= 0.0:
-        return CloneAParams(beta=0.0)
-    if disturbance >= clone_a_disturbance(CloneAParams(beta=beta_max)):
-        return CloneAParams(beta=beta_max)
-    beta = bisect(lambda b: clone_a_disturbance(CloneAParams(beta=b)) - disturbance,
-                  0.0, beta_max, xtol=1e-13)
-    return CloneAParams(beta=float(beta))
+    return CloneAParams(beta=math.sqrt(min(disturbance, 0.25) / 2.0))
 
 
 # --------------------------------------------------------------------------

@@ -119,6 +119,8 @@ def p_arr_single(mu: float, eta_det: float, eta_t: float) -> float:
 def error_disturbance_ratio(scenario: ChannelScenario) -> float:
     """Dilution factor e / D = P_single / P_expected for the scenario."""
     pe = p_exp(scenario.mu, scenario.eta_det, scenario.eta_t)
+    if pe == 0.0:
+        raise InvalidRegimeError(f"no clicks are expected at eta_t={scenario.eta_t}")
     return p_arr_single(scenario.mu, scenario.eta_det, scenario.eta_t) / pe
 
 
@@ -206,6 +208,8 @@ def eta_t_bounds(mu: float, eta_det: float, cutoff: int = PHOTON_CUTOFF) -> Tran
         raise ValueError(f"mean photon number must be positive, got {mu}")
     if not 0.0 < eta_det <= 1.0:
         raise ValueError(f"eta_det must lie in (0, 1], got {eta_det}")
+    if mu * eta_det == 0.0:
+        raise ValueError(f"mu * eta_det underflows to zero for mu={mu}, eta_det={eta_det}")
     p_multi = p_arr_multi(mu, eta_det, cutoff)
     p1_detected = eta_det * mu * math.exp(-mu)
 
@@ -243,6 +247,10 @@ def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: s
     the PNS information.  Returns the crossover loss in dB, the window's lower
     edge when the strategy already wins there, or None when it never wins
     inside the window.  Located by scan plus bisection to well below 0.01 dB.
+
+    The scan samples the window every 0.05 dB, so a winning interval narrower
+    than one step can be missed, and only the first sign change of the gain
+    is refined: a later crossing back to the PNS process is not reported.
     """
     if observed_error < 0.0:
         raise ValueError(f"observed error rate must be nonnegative, got {observed_error}")

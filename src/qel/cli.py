@@ -31,6 +31,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved options for one invocation: config-file values overridden by flags."""
@@ -41,14 +48,9 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        file_values = _load_config(args.config)
-        options = dict(file_values)
-        for name, value in vars(args).items():
-            if name in ("command", "config", "output", "func") or value is None:
-                continue
-            options[name] = value
-        output = args.output if args.output is not None else file_values.get("output")
-        return cls(subcommand=args.command, output=output, options=options)
+        options = {name: value for name, value in vars(args).items()
+                   if name not in ("command", "config", "output", "func") and value is not None}
+        return cls(subcommand=args.command, output=args.output, options=options)
 
     def get(self, name, default=None, required=False):
         value = self.options.get(name, default)
@@ -75,7 +77,8 @@ def _write_text(text: str, output: str | None):
             fh.write(text)
 
 
-def _emit_table(columns, rows, fmt, output, meta):
+def emit_table(columns, rows, fmt, output, meta):
+    """Write rows as 12-digit CSV, or as a qel/1 JSON record carrying meta."""
     if fmt == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -87,18 +90,23 @@ def _emit_table(columns, rows, fmt, output, meta):
         _write_text(json.dumps(record, indent=2) + "\n", output)
 
 
-def _emit_record(record: dict, output):
+def emit_record(record: dict, output):
+    """Write a qel/1 JSON record."""
     _write_text(json.dumps({"schema": SCHEMA, **record}, indent=2) + "\n", output)
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path) as fh:
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The values of the config file as flags of the chosen subcommand."""
+    with open(args.config) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return data
+        raise UsageError(f"config file {args.config} must hold a JSON object")
+    # The namespace holds every destination of the chosen subcommand.
+    unknown = sorted(set(data) - (set(vars(args)) - {"command", "config", "func"}))
+    if unknown:
+        raise UsageError(f"unknown option in config file {args.config}: {', '.join(unknown)}")
+    return [f"--{name.replace('_', '-')}={value}" for name, value in data.items()
+            if value is not None]
 
 
 def _grid(lo, hi, steps, what):
@@ -122,8 +130,8 @@ def cmd_info_curves(cfg: RunConfig) -> int:
     grid = _grid(d_min, d_max, steps, "disturbance")
     points = attacks.information_curves(eta_det, grid)
     rows = [(p.disturbance, p.i_pns, p.i_a, p.i_b) for p in points]
-    _emit_table(("D", "i_pns", "i_a", "i_b"), rows, cfg.get("format", "csv"), cfg.output,
-                {"kind": "info_curves", "eta_det": eta_det})
+    emit_table(("D", "i_pns", "i_a", "i_b"), rows, cfg.get("format", "csv"), cfg.output,
+               {"kind": "info_curves", "eta_det": eta_det})
     return 0
 
 
@@ -156,8 +164,8 @@ def cmd_error_map(cfg: RunConfig) -> int:
             except channel.InvalidRegimeError:
                 e = None
             rows.append((loss, d, e, in_window))
-    _emit_table(("loss_db", "D", "e", "in_window"), rows, cfg.get("format", "csv"),
-                cfg.output, {"kind": "error_map", "mu": mu, "eta_det": eta_det})
+    emit_table(("loss_db", "D", "e", "in_window"), rows, cfg.get("format", "csv"),
+               cfg.output, {"kind": "error_map", "mu": mu, "eta_det": eta_det})
     return 0
 
 
@@ -175,7 +183,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
         "loss_db_lower": None if window.empty else window.loss_db_lower,
         "loss_db_upper": None if window.empty else window.loss_db_upper,
     }
-    _emit_record(record, cfg.output)
+    emit_record(record, cfg.output)
     return 0
 
 
@@ -194,7 +202,7 @@ def cmd_crossover(cfg: RunConfig) -> int:
         "crossover_db_best": result["best"],
         "best_strategy": result["best_strategy"],
     }
-    _emit_record(record, cfg.output)
+    emit_record(record, cfg.output)
     return 0
 
 
@@ -206,16 +214,18 @@ def cmd_coefficients(cfg: RunConfig) -> int:
     for gamma in _grid(g_min, g_max, steps, "gamma"):
         a, b, c, d, e, f = attacks.strategy_b_coefficients(gamma)
         rows.append((gamma, a, b, c, d, e, f))
-    _emit_table(("gamma", "a", "b", "c", "d", "e", "f"), rows, cfg.get("format", "csv"),
-                cfg.output, {"kind": "coefficients"})
+    emit_table(("gamma", "a", "b", "c", "d", "e", "f"), rows, cfg.get("format", "csv"),
+               cfg.output, {"kind": "coefficients"})
     return 0
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     seed = int(cfg.get("seed", verification.DEFAULT_SEED))
     pulses = int(cfg.get("pulses", verification.DEFAULT_PULSES))
+    if seed < 0 or pulses < 1:
+        raise UsageError(f"verify needs --seed >= 0 and --pulses >= 1, got {seed} and {pulses}")
     report = verification.run_verification(seed=seed, n_pulses=pulses)
-    _write_text(json.dumps(report.to_dict(), indent=2) + "\n", cfg.output)
+    emit_record(report.to_dict(), cfg.output)
     if not report.passed:
         failing = ", ".join(report.failing_checks())
         print(f"verification failed: {failing}", file=sys.stderr)
@@ -239,45 +249,45 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("info-curves", help="information versus disturbance for all processes")
     common(p)
-    p.add_argument("--eta-det", dest="eta_det", type=float)
-    p.add_argument("--d-min", dest="d_min", type=float)
-    p.add_argument("--d-max", dest="d_max", type=float)
+    p.add_argument("--eta-det", dest="eta_det", type=_finite_float)
+    p.add_argument("--d-min", dest="d_min", type=_finite_float)
+    p.add_argument("--d-max", dest="d_max", type=_finite_float)
     p.add_argument("--steps", type=int)
     p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(func=cmd_info_curves)
 
     p = sub.add_parser("error-map", help="observed error rate versus disturbance and loss")
     common(p)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--eta-det", dest="eta_det", type=float)
-    p.add_argument("--eta-t", dest="eta_t", type=float)
-    p.add_argument("--loss-db", dest="loss_db", type=float)
-    p.add_argument("--loss-min", dest="loss_min", type=float)
-    p.add_argument("--loss-max", dest="loss_max", type=float)
+    p.add_argument("--mu", type=_finite_float)
+    p.add_argument("--eta-det", dest="eta_det", type=_finite_float)
+    p.add_argument("--eta-t", dest="eta_t", type=_finite_float)
+    p.add_argument("--loss-db", dest="loss_db", type=_finite_float)
+    p.add_argument("--loss-min", dest="loss_min", type=_finite_float)
+    p.add_argument("--loss-max", dest="loss_max", type=_finite_float)
     p.add_argument("--loss-steps", dest="loss_steps", type=int)
-    p.add_argument("--d-min", dest="d_min", type=float)
-    p.add_argument("--d-max", dest="d_max", type=float)
+    p.add_argument("--d-min", dest="d_min", type=_finite_float)
+    p.add_argument("--d-max", dest="d_max", type=_finite_float)
     p.add_argument("--d-steps", dest="d_steps", type=int)
     p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(func=cmd_error_map)
 
     p = sub.add_parser("bounds", help="valid transmission window for the comparison")
     common(p)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--eta-det", dest="eta_det", type=float)
+    p.add_argument("--mu", type=_finite_float)
+    p.add_argument("--eta-det", dest="eta_det", type=_finite_float)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("crossover", help="loss at which cloning overtakes the PNS process")
     common(p)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--eta-det", dest="eta_det", type=float)
-    p.add_argument("--error-rate", dest="error_rate", type=float)
+    p.add_argument("--mu", type=_finite_float)
+    p.add_argument("--eta-det", dest="eta_det", type=_finite_float)
+    p.add_argument("--error-rate", dest="error_rate", type=_finite_float)
     p.set_defaults(func=cmd_crossover)
 
     p = sub.add_parser("coefficients", help="closed-form probe coefficients on a gamma grid")
     common(p)
-    p.add_argument("--gamma-min", dest="gamma_min", type=float)
-    p.add_argument("--gamma-max", dest="gamma_max", type=float)
+    p.add_argument("--gamma-min", dest="gamma_min", type=_finite_float)
+    p.add_argument("--gamma-max", dest="gamma_max", type=_finite_float)
     p.add_argument("--steps", type=int)
     p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(func=cmd_coefficients)
@@ -292,17 +302,18 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # Config values are parsed as flags; the command line's come last and win.
+            args = parser.parse_args([argv[0], *_config_flags(args), *argv[1:]])
         return args.func(RunConfig.from_args(args))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except channel.InvalidRegimeError as exc:
         print(f"invalid regime: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

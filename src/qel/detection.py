@@ -28,8 +28,6 @@ import numpy as np
 from .linalg import Ket, Operator
 from .optics import Basis, fock_from_symmetric
 
-COMPLETENESS_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DetectorModel:

@@ -80,28 +80,3 @@ def levitin_information(ensemble: TwoStateEnsemble) -> float:
     arg_sq = max(0.0, min(1.0, arg_sq))
     return 0.5 * phi(math.sqrt(arg_sq))
 
-
-def blockwise_information(blocks, leftover_distinguishing: bool = False) -> float:
-    """Information of a two-step measurement: project onto blocks, then discriminate.
-
-    Args:
-        blocks: iterable of (weight, TwoStateEnsemble) pairs; weights must be
-            nonnegative and sum to at most 1.
-        leftover_distinguishing: if True, the weight not covered by the blocks
-            lands in a perfectly distinguishing subspace and contributes
-            weight * 1; otherwise it contributes nothing.
-    """
-    blocks = list(blocks)
-    total_weight = 0.0
-    info = 0.0
-    for weight, ensemble in blocks:
-        if weight < -1e-12:
-            raise ValueError(f"block weight must be nonnegative, got {weight}")
-        total_weight += weight
-        if weight > 0.0:
-            info += weight * levitin_information(ensemble)
-    if total_weight > 1.0 + 1e-9:
-        raise ValueError(f"block weights sum to {total_weight} > 1")
-    if leftover_distinguishing:
-        info += max(0.0, 1.0 - total_weight)
-    return info

@@ -11,9 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-9
-TRACE_TOL = 1e-9
-PSD_EIGENVALUE_FLOOR = -1e-9
-NORM_TOL = 1e-9
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -37,12 +34,6 @@ class Ket:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
 
     def overlap(self, other: "Ket") -> complex:
         """Inner product <self|other>."""
@@ -75,9 +66,6 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T)
-
     def expectation(self, ket: Ket) -> complex:
         """<ket| self |ket>."""
         if ket.dim != self.dim:
@@ -90,22 +78,6 @@ class Operator:
         if isinstance(other, Ket):
             return Ket(self.entries @ other.amplitudes)
         return NotImplemented
-
-
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=complex))
-
-
-def tensor(a, b):
-    """Kronecker product of two kets or two operators.
-
-    Dimension of the result is the product of the operand dimensions.
-    """
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.entries, b.entries))
-    raise TypeError("tensor requires two Kets or two Operators")
 
 
 def partial_trace(rho: Operator, keep: str, dims: tuple[int, int]) -> Operator:

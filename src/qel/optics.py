@@ -1,11 +1,9 @@
-"""BB84 signal states and weak-coherent-pulse photon statistics.
+"""BB84 signal states and their two-photon encoding.
 
 The sender encodes each bit in one of two mutually unbiased polarization
-bases.  A dim laser pulse with no external phase reference is an incoherent
-mixture of Fock states with Poissonian photon-number statistics of mean mu.
-Two-photon pulses carry both photons in the same polarization, so they live
-in the three-dimensional symmetric subspace of two qubits, spanned by
-|00>, (|01>+|10>)/sqrt(2) and |11>.
+bases.  Two-photon pulses carry both photons in the same polarization, so
+they live in the three-dimensional symmetric subspace of two qubits,
+spanned by |00>, (|01>+|10>)/sqrt(2) and |11>.
 """
 from __future__ import annotations
 
@@ -73,54 +71,6 @@ def signal_ket(signal: Bb84Signal) -> Ket:
     return basis_kets(signal.basis)[signal.bit]
 
 
-@dataclass(frozen=True)
-class PhotonDistribution:
-    """Truncated photon-number distribution with the truncated tail mass."""
-
-    mu: float
-    cutoff: int
-    probs: np.ndarray
-    tail: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-
-
-def poisson_photon_dist(mu: float, cutoff: int = 20) -> PhotonDistribution:
-    """Poissonian photon-number distribution of mean mu, truncated at cutoff.
-
-    probs[n] = exp(-mu) mu^n / n!.  The truncated mass is recorded as tail;
-    for mu <= 1 it is bounded by mu^(cutoff+1)/(cutoff+1)!.
-    """
-    if mu < 0:
-        raise ValueError(f"mean photon number must be nonnegative, got {mu}")
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    if mu == 0:
-        probs = np.zeros(cutoff + 1)
-        probs[0] = 1.0
-    else:
-        n = np.arange(cutoff + 1)
-        lgamma = np.array([math.lgamma(k + 1) for k in n])
-        probs = np.exp(-mu + n * np.log(mu) - lgamma)
-    # tail mass summed directly; avoids the cancellation in 1 - sum(probs)
-    tail = 0.0
-    term = float(probs[-1])
-    for k in range(cutoff + 1, cutoff + 200):
-        term *= mu / k
-        tail += term
-        if term < tail * 1e-18 + 1e-300:
-            break
-    return PhotonDistribution(mu=mu, cutoff=cutoff, probs=probs, tail=tail)
-
-
-# SymmetricTwoQubit states are plain dim-4 Kets constrained to the symmetric
-# subspace; singlet_weight quantifies any violation.
-SymmetricTwoQubit = Ket
-
-
 def singlet_weight(state) -> float:
     """Probability weight on the antisymmetric singlet component."""
     if isinstance(state, Ket):
@@ -130,7 +80,7 @@ def singlet_weight(state) -> float:
     raise TypeError(f"expected Ket or Operator, got {type(state).__name__}")
 
 
-def symmetric_encode(signal: Bb84Signal) -> SymmetricTwoQubit:
+def symmetric_encode(signal: Bb84Signal) -> Ket:
     """Two-photon encoding of a signal: both photons in the same polarization."""
     k = signal_ket(signal).amplitudes
     return Ket(np.kron(k, k))

@@ -148,10 +148,6 @@ class SimulationReport:
     info_measurement_search: float
     deltas: dict = field(default_factory=dict)
 
-    @property
-    def max_delta(self) -> float:
-        return max(self.deltas.values())
-
 
 def _eve_probe(u: np.ndarray, signal_vec: np.ndarray) -> tuple[Operator, Operator, float]:
     """Apply an attack isometry; return (receiver state, probe state, norm defect)."""

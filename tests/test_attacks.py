@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qel import attacks
-from qel.attacks import (CloneAParams, CloneBParams, PnsProcess,
+from qel.attacks import (CloneAParams, CloneBParams,
                          clone_a_disturbance, clone_a_params_for_disturbance,
                          gamma_for_disturbance, information_curves,
                          matched_two_photon_fraction, pns_information,
@@ -14,7 +14,7 @@ from qel.attacks import (CloneAParams, CloneBParams, PnsProcess,
                          strategy_a_unitary, strategy_b_coefficients,
                          strategy_b_disturbance, strategy_b_information,
                          strategy_b_probe_states, strategy_b_unitary)
-from qel.infotheory import fuchs_information
+from qel.infotheory import fuchs_information, phi
 from qel.linalg import Operator, check_density, partial_trace
 from qel.optics import SIGNALS, singlet_weight, symmetric_encode
 
@@ -25,15 +25,6 @@ def test_pns_information_limits():
     assert pns_information(0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
     assert pns_information(1.0, 0.37) == pytest.approx(1.0, abs=1e-15)
     assert pns_information(0.0, 0.2) == pytest.approx(fuchs_information(0.2), abs=1e-15)
-
-
-def test_pns_process_dataclass():
-    proc = PnsProcess(p=0.5, disturbance=0.1)
-    assert proc.information() == pytest.approx(pns_information(0.5, 0.1), abs=1e-15)
-    with pytest.raises(ValueError):
-        PnsProcess(p=1.1, disturbance=0.1)
-    with pytest.raises(ValueError):
-        PnsProcess(p=0.5, disturbance=0.6)
 
 
 def test_matched_fraction_values():
@@ -50,8 +41,10 @@ def test_pns_matched_value_at_zero_disturbance():
 @given(st.floats(0.0, 1.0), st.floats(0.0, 0.5))
 @settings(max_examples=200)
 def test_pns_matched_equals_composition(eta, d):
-    composed = pns_information(matched_two_photon_fraction(eta), d)
-    assert abs(pns_information_matched(eta, d) - composed) <= 1e-14
+    # the matched fraction 1/(2-eta) substituted and rearranged by hand
+    big_phi = phi(2.0 * math.sqrt(d * (1.0 - d)))
+    rearranged = (1.0 + (1.0 - eta) * big_phi / 2.0) / (2.0 - eta)
+    assert abs(pns_information_matched(eta, d) - rearranged) <= 1e-14
 
 
 def test_pns_matched_monotonicity():
@@ -295,6 +288,14 @@ def test_bisect_rejects_a_same_sign_bracket():
 def test_bisect_finds_a_monotone_root_within_xtol(xtol):
     root = attacks.bisect(lambda x: math.exp(x) - 2.0, 0.0, 3.0, xtol=xtol)
     assert abs(root - math.log(2.0)) <= xtol
+
+
+def test_bisect_compares_signs_of_tiny_values():
+    # f(mid) * f(lo) underflows to zero here; the root must still be found
+    root = attacks.bisect(lambda x: (x - 0.3) * 1e-200, 0.0, 1.0, xtol=1e-12)
+    assert abs(root - 0.3) <= 1e-12
+    with pytest.raises(ValueError):
+        attacks.bisect(lambda x: 1e-200, 0.0, 1.0, xtol=1e-12)
 
 
 def test_bisect_gives_up_after_100_steps():

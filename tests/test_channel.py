@@ -140,6 +140,9 @@ def test_disturbance_for_error_edge_cases():
         disturbance_for_error(scen, -0.01)
     with pytest.raises(InvalidRegimeError):
         disturbance_for_error(scen, 0.9)
+    # the expected click rate underflows to zero: e/D is undefined
+    with pytest.raises(InvalidRegimeError):
+        disturbance_for_error(ChannelScenario(mu=1e-200, eta_det=1.0, eta_t=1e-200), 0.01)
 
 
 def test_disturbance_grows_with_loss_at_fixed_error():
@@ -169,6 +172,11 @@ def test_window_at_unit_efficiency():
     assert window.eta_t_upper == pytest.approx(1.0, abs=1e-12)
     assert 0.0 < window.eta_t_lower < 1.0
     assert not window.empty
+
+
+def test_window_rejects_an_underflowing_click_rate():
+    with pytest.raises(ValueError):
+        eta_t_bounds(1e-200, 1e-200)
 
 
 def test_window_narrows_for_bright_source():

@@ -1,11 +1,14 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qel import attacks, cli
 
@@ -200,6 +203,77 @@ def test_config_file_missing_is_usage_error(capsys):
     assert code == 1
 
 
+def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"eta_det": 0.2, "stepz": 3}))
+    code, out, err = run_cli(capsys, ["info-curves", "--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert "stepz" in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["info-curves", "--eta-det", "1.5"], None),
+    (["info-curves", "--eta-det", "nan"], None),
+    (["bounds", "--mu", "nan", "--eta-det", "0.2"], None),
+    (["bounds", "--mu", "0.1", "--eta-det", "0"], None),
+    (["verify", "--pulses", "0"], None),
+    (["crossover", "--mu", "0.1", "--eta-det", "0.2", "--error-rate", "nan"], None),
+    (["coefficients", "--gamma-max", "4"], None),
+    (["info-curves"], {"eta_det": 0.2, "steps": "abc"}),
+    (["info-curves"], {"eta_det": 0.2, "steps": 2.5}),
+    (["info-curves"], {"eta_det": 0.2, "format": "xml"}),
+    (["bounds"], {"mu": [0.1], "eta_det": 0.2}),
+    (["bounds"], {"mu": 0.1, "eta_det": 0.2, "command": "verify"}),
+])
+def test_invalid_input_is_one_line_usage_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+_ANY_FLOAT = st.floats() | st.floats(0.0, 1.0) | st.floats(0.0, 20.0)
+_STEPS = st.integers(-3, 50)
+_FORMAT = st.sampled_from(["csv", "json", "xml"])
+_FLAGS = {
+    "info-curves": {"--eta-det": _ANY_FLOAT, "--d-min": _ANY_FLOAT, "--d-max": _ANY_FLOAT,
+                    "--steps": _STEPS, "--format": _FORMAT},
+    "error-map": {"--mu": _ANY_FLOAT, "--eta-det": _ANY_FLOAT, "--eta-t": _ANY_FLOAT,
+                  "--loss-db": _ANY_FLOAT, "--loss-min": _ANY_FLOAT, "--loss-max": _ANY_FLOAT,
+                  "--loss-steps": _STEPS, "--d-min": _ANY_FLOAT, "--d-max": _ANY_FLOAT,
+                  "--d-steps": _STEPS, "--format": _FORMAT},
+    "bounds": {"--mu": _ANY_FLOAT, "--eta-det": _ANY_FLOAT},
+    "crossover": {"--mu": _ANY_FLOAT, "--eta-det": _ANY_FLOAT, "--error-rate": _ANY_FLOAT},
+    "coefficients": {"--gamma-min": _ANY_FLOAT, "--gamma-max": _ANY_FLOAT,
+                     "--steps": _STEPS, "--format": _FORMAT},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_arbitrary_option_values_never_raise(command, data):
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        value = data.draw(st.none() | values, label=flag)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code in (1, 3)
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+
+
 def test_output_file_writing(tmp_path, capsys):
     path = tmp_path / "bounds.json"
     code, out, _ = run_cli(capsys, [
@@ -259,3 +333,19 @@ def test_cli_import_does_not_load_scipy():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=env, check=True, timeout=60)
     assert result.stdout.strip() == "False"
+
+
+def test_reproduce_figures_matches_reference_outputs(tmp_path):
+    reference = ROOT / "perfbench" / "reference"
+    before = {p.name: p.read_bytes() for p in reference.iterdir()}
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_figures.py"),
+                    "--outdir", str(tmp_path), "--skip-verification"],
+                   capture_output=True, check=True, timeout=120)
+    assert (tmp_path / "information_curves_eta_0.2.csv").read_bytes() == before["info-curves.csv"]
+    assert (tmp_path / "probe_coefficients.csv").read_bytes() == before["coefficients.csv"]
+    headline = json.loads((tmp_path / "headline.json").read_text())
+    crossover = json.loads(before["crossover.json"])
+    for key in ("mu", "eta_det", "observed_error", "crossover_db_a", "crossover_db_b",
+                "crossover_db_best", "best_strategy"):
+        assert headline[key] == crossover[key]
+    assert {p.name: p.read_bytes() for p in reference.iterdir()} == before

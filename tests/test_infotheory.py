@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel.infotheory import (TwoStateEnsemble, blockwise_information,
-                            fuchs_information, levitin_information, phi)
+from qel.infotheory import TwoStateEnsemble, fuchs_information, levitin_information, phi
 from qel.linalg import Operator
 
 
@@ -120,17 +119,6 @@ def test_levitin_unitary_invariance(seed):
     assert levitin_information(rotated) == pytest.approx(base, abs=1e-12)
 
 
-def test_blockwise_single_block_is_levitin():
-    ens = TwoStateEnsemble(pure([1, 0]), pure([1, 1]))
-    assert blockwise_information([(1.0, ens)]) == pytest.approx(levitin_information(ens), abs=1e-15)
-
-
-def test_blockwise_two_equal_blocks_degenerate():
-    ens = TwoStateEnsemble(pure([1, 0]), pure([1, 1]))
-    split = blockwise_information([(0.5, ens), (0.5, ens)])
-    assert split == pytest.approx(levitin_information(ens), abs=1e-14)
-
-
 @pytest.mark.parametrize("d", [0.01, 0.05, 0.1, 0.2, 0.24])
 def test_blockwise_reproduces_universal_cloner_information(d):
     # weight 2D perfectly distinguishing, weight 1-2D pure pair of overlap
@@ -139,13 +127,5 @@ def test_blockwise_reproduces_universal_cloner_information(d):
 
     x = strategy_a_probe_overlap(d)
     ens = TwoStateEnsemble(pure([1, 0]), pure([x, math.sqrt(1 - x * x)]))
-    total = blockwise_information([(1 - 2 * d, ens)], leftover_distinguishing=True)
+    total = 2 * d + (1 - 2 * d) * levitin_information(ens)
     assert total == pytest.approx(strategy_a_information(d), abs=1e-12)
-
-
-def test_blockwise_rejects_bad_weights():
-    ens = TwoStateEnsemble(pure([1, 0]), pure([0, 1]))
-    with pytest.raises(ValueError):
-        blockwise_information([(-0.1, ens)])
-    with pytest.raises(ValueError):
-        blockwise_information([(0.8, ens), (0.4, ens)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel.linalg import Ket, Operator, check_density, identity, partial_trace, tensor
+from qel.linalg import Ket, Operator, check_density, partial_trace
 
 
 def random_density(rng, dim):
@@ -11,52 +11,11 @@ def random_density(rng, dim):
     return Operator(m / np.trace(m))
 
 
-def test_tensor_identity_case():
-    i4 = tensor(identity(2), identity(2))
-    assert np.allclose(i4.entries, np.eye(4))
-
-
-def test_tensor_basis_kets():
-    k0 = Ket([1, 0])
-    k1 = Ket([0, 1])
-    k01 = tensor(k0, k1)
-    assert k01.dim == 4
-    assert np.allclose(k01.amplitudes, [0, 1, 0, 0])
-
-
-def test_tensor_mixed_types_rejected():
-    with pytest.raises(TypeError):
-        tensor(Ket([1, 0]), identity(2))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_tensor_trace_multiplicative(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    a, b = Operator(a + a.conj().T), Operator(b + b.conj().T)
-    t = tensor(a, b)
-    assert abs(t.trace() - a.trace() * b.trace()) < 1e-10
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_tensor_associative(seed):
-    rng = np.random.default_rng(seed)
-    ops = [Operator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-           for d in (2, 3, 2)]
-    left = tensor(tensor(ops[0], ops[1]), ops[2])
-    right = tensor(ops[0], tensor(ops[1], ops[2]))
-    assert left.dim == right.dim == 12
-    assert np.allclose(left.entries, right.entries, atol=1e-12)
-
-
 def test_partial_trace_product_state():
     rng = np.random.default_rng(7)
     rho_a = random_density(rng, 3)
     rho_b = random_density(rng, 4)
-    joint = tensor(rho_a, rho_b)
+    joint = Operator(np.kron(rho_a.entries, rho_b.entries))
     back = partial_trace(joint, keep="a", dims=(3, 4))
     assert np.max(np.abs(back.entries - rho_a.entries)) <= 1e-12
     back_b = partial_trace(joint, keep="b", dims=(3, 4))
@@ -112,10 +71,7 @@ def test_check_density_on_cloner_probe_states():
     assert check_density(report.probe_minus, tol=1e-9)
 
 
-def test_ket_normalization_helpers():
-    k = Ket([1, 1])
-    assert not k.is_normalized()
-    assert abs(k.norm() - np.sqrt(2)) < 1e-15
+def test_ket_overlap_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         Ket([1, 0]).overlap(Ket([1, 0, 0]))
 

@@ -6,39 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qel.linalg import Ket, Operator
 from qel.optics import (SIGNALS, Basis, Bb84Signal, basis_kets, fock_from_symmetric,
-                        poisson_photon_dist, signal_ket, singlet_weight, symmetric_encode)
+                        signal_ket, singlet_weight, symmetric_encode)
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-
-
-def test_poisson_zero_mean():
-    dist = poisson_photon_dist(0.0, cutoff=5)
-    assert dist.probs[0] == 1.0
-    assert np.all(dist.probs[1:] == 0.0)
-    assert dist.tail == 0.0
-
-
-def test_poisson_vacuum_probability():
-    dist = poisson_photon_dist(0.1, cutoff=20)
-    assert abs(dist.probs[0] - math.exp(-0.1)) < 1e-15
-
-
-def test_poisson_normalization_at_cutoff():
-    dist = poisson_photon_dist(1.0, cutoff=20)
-    assert abs(dist.probs.sum() - 1.0) < 1e-15
-
-
-@given(st.floats(min_value=1e-6, max_value=1.0), st.integers(5, 25))
-@settings(max_examples=50, deadline=None)
-def test_poisson_tail_bound(mu, cutoff):
-    dist = poisson_photon_dist(mu, cutoff=cutoff)
-    bound = mu ** (cutoff + 1) / math.factorial(cutoff + 1)
-    assert 0.0 <= dist.tail <= bound * (1.0 + 1e-9) + 1e-300
-
-
-def test_poisson_rejects_negative_mean():
-    with pytest.raises(ValueError):
-        poisson_photon_dist(-0.1, cutoff=5)
 
 
 def test_signal_kets():
