@@ -29,18 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import conditional_error_rate
-from .infotheory import fuchs_information, phi
-from .linalg import Ket, Operator, partial_trace
+from .infotheory import DOMAIN_SLACK, fuchs_information, phi
+from .linalg import Operator, _freeze, partial_trace
 from .optics import KET_MINUS, KET_PLUS, SIGNALS, basis_kets, symmetric_encode
 
 D_INVERSION_TOL = 1e-10
-_DOMAIN_SLACK = 1e-12
 
 # Bell states, computational ordering |00>, |01>, |10>, |11>.
-PHI_PLUS = Ket(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
-PHI_MINUS = Ket(np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2))
-PSI_PLUS = Ket(np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2))
-PSI_MINUS = Ket(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2))
+PHI_PLUS = _freeze(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
+PHI_MINUS = _freeze(np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2))
+PSI_PLUS = _freeze(np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2))
+PSI_MINUS = _freeze(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2))
 
 #: Pauli matrices.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -50,8 +49,8 @@ _I2 = np.eye(2, dtype=complex)
 
 #: Circular-polarization kets; together with |+->, these span the two
 #: equatorial bases that the phase-covariant machine treats symmetrically.
-KET_R = Ket(np.array([1.0, 1.0j]) / math.sqrt(2))
-KET_L = Ket(np.array([1.0, -1.0j]) / math.sqrt(2))
+KET_R = _freeze(np.array([1.0, 1.0j]) / math.sqrt(2))
+KET_L = _freeze(np.array([1.0, -1.0j]) / math.sqrt(2))
 
 #: BB84 basis pair for strategy B.  The phase-covariant machine is covariant
 #: under rotations about the z axis only, so the protocol's two mutually
@@ -142,7 +141,7 @@ class CloneAParams:
     beta: float
 
     def __post_init__(self):
-        if not 0.0 <= 8.0 * self.beta**2 <= 1.0 + _DOMAIN_SLACK:
+        if not 0.0 <= 8.0 * self.beta**2 <= 1.0 + DOMAIN_SLACK:
             raise ValueError(f"beta must satisfy 0 <= 8 beta^2 <= 1, got beta={self.beta}")
 
     @property
@@ -173,12 +172,19 @@ def strategy_a_unitary(params: CloneAParams) -> Operator:
     for col_signal in range(4):
         s = np.zeros(4, dtype=complex)
         s[col_signal] = 1.0
-        out = alpha * np.kron(s, PHI_PLUS.amplitudes)
-        out += beta * np.kron(tz @ s, PHI_MINUS.amplitudes)
-        out += beta * np.kron(tx @ s, PSI_PLUS.amplitudes)
-        out += 1.0j * beta * np.kron(ty @ s, PSI_MINUS.amplitudes)
+        out = alpha * np.kron(s, PHI_PLUS)
+        out += beta * np.kron(tz @ s, PHI_MINUS)
+        out += beta * np.kron(tx @ s, PSI_PLUS)
+        out += 1.0j * beta * np.kron(ty @ s, PSI_MINUS)
         u[:, col_signal * 4] = out  # probe input fixed to |00>
     return Operator(u)
+
+
+def _strategy_a_domain(disturbance: float) -> float:
+    """The disturbance clamped to 1/4, after checking it lies in [0, 1/4]."""
+    if not 0.0 <= disturbance <= 0.25 + DOMAIN_SLACK:
+        raise ValueError(f"strategy A disturbance must lie in [0, 1/4], got {disturbance}")
+    return min(disturbance, 0.25)
 
 
 def strategy_a_probe_states(disturbance: float) -> tuple[Operator, Operator]:
@@ -192,21 +198,17 @@ def strategy_a_probe_states(disturbance: float) -> tuple[Operator, Operator]:
     so a weight 2D lands in a perfectly distinguishing product block and the
     rest in a pure pair of overlap (1-6D)/(1-2D).  Requires D <= 1/4.
     """
-    d = disturbance
-    if not 0.0 <= d <= 0.25 + _DOMAIN_SLACK:
-        raise ValueError(f"strategy A disturbance must lie in [0, 1/4], got {d}")
-    d = min(d, 0.25)
+    d = _strategy_a_domain(disturbance)
     if d >= 0.25:
-        varphi_p = PSI_PLUS.amplitudes.copy()
-        varphi_m = -PSI_PLUS.amplitudes
+        varphi_p, varphi_m = PSI_PLUS, -PSI_PLUS
     else:
         scale = 1.0 / math.sqrt(1.0 - 2.0 * d)
-        varphi_p = scale * (math.sqrt(1.0 - 4.0 * d) * PHI_PLUS.amplitudes
-                            + math.sqrt(2.0 * d) * PSI_PLUS.amplitudes)
-        varphi_m = scale * (math.sqrt(1.0 - 4.0 * d) * PHI_PLUS.amplitudes
-                            - math.sqrt(2.0 * d) * PSI_PLUS.amplitudes)
-    minus_plus = np.kron(KET_MINUS.amplitudes, KET_PLUS.amplitudes)
-    plus_minus = np.kron(KET_PLUS.amplitudes, KET_MINUS.amplitudes)
+        varphi_p = scale * (math.sqrt(1.0 - 4.0 * d) * PHI_PLUS
+                            + math.sqrt(2.0 * d) * PSI_PLUS)
+        varphi_m = scale * (math.sqrt(1.0 - 4.0 * d) * PHI_PLUS
+                            - math.sqrt(2.0 * d) * PSI_PLUS)
+    minus_plus = np.kron(KET_MINUS, KET_PLUS)
+    plus_minus = np.kron(KET_PLUS, KET_MINUS)
     rho_p = 2.0 * d * np.outer(minus_plus, minus_plus.conj()) \
         + (1.0 - 2.0 * d) * np.outer(varphi_p, varphi_p.conj())
     rho_m = 2.0 * d * np.outer(plus_minus, plus_minus.conj()) \
@@ -216,9 +218,7 @@ def strategy_a_probe_states(disturbance: float) -> tuple[Operator, Operator]:
 
 def strategy_a_probe_overlap(disturbance: float) -> float:
     """Overlap <phi_+|phi_-> = (1-6D)/(1-2D) of the nonorthogonal probe pair."""
-    d = disturbance
-    if not 0.0 <= d <= 0.25 + _DOMAIN_SLACK:
-        raise ValueError(f"strategy A disturbance must lie in [0, 1/4], got {d}")
+    d = _strategy_a_domain(disturbance)
     return (1.0 - 6.0 * d) / (1.0 - 2.0 * d)
 
 
@@ -230,10 +230,7 @@ def strategy_a_information(disturbance: float) -> float:
     By universality of the machine this is also the average over all four
     signals.
     """
-    d = disturbance
-    if not 0.0 <= d <= 0.25 + _DOMAIN_SLACK:
-        raise ValueError(f"strategy A disturbance must lie in [0, 1/4], got {d}")
-    d = min(d, 0.25)
+    d = _strategy_a_domain(disturbance)
     arg = math.sqrt(max(0.0, 8.0 * d * (1.0 - 4.0 * d))) / (1.0 - 2.0 * d)
     return 2.0 * d + (1.0 - 2.0 * d) * 0.5 * phi(min(1.0, arg))
 
@@ -249,7 +246,7 @@ def clone_a_disturbance(params: CloneAParams, eta_det: float = 0.5) -> float:
     u = strategy_a_unitary(params).entries
     errors = []
     for signal in SIGNALS:
-        vec_in = np.kron(symmetric_encode(signal).amplitudes, [1.0, 0.0, 0.0, 0.0])
+        vec_in = np.kron(symmetric_encode(signal), [1.0, 0.0, 0.0, 0.0])
         out = u @ vec_in
         rho = np.outer(out, out.conj())
         rho_bob = partial_trace(Operator(rho), keep="a", dims=(4, 4))
@@ -268,9 +265,7 @@ def clone_a_params_for_disturbance(disturbance: float) -> CloneAParams:
     clone_a_disturbance measures the map from the unitary; verification
     checks this inverse against it.
     """
-    if not 0.0 <= disturbance <= 0.25 + _DOMAIN_SLACK:
-        raise ValueError(f"strategy A disturbance must lie in [0, 1/4], got {disturbance}")
-    return CloneAParams(beta=math.sqrt(min(disturbance, 0.25) / 2.0))
+    return CloneAParams(beta=math.sqrt(_strategy_a_domain(disturbance) / 2.0))
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +279,7 @@ class CloneBParams:
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= math.pi + _DOMAIN_SLACK:
+        if not 0.0 <= self.gamma <= math.pi + DOMAIN_SLACK:
             raise ValueError(f"gamma must lie in [0, pi], got {self.gamma}")
 
 
@@ -350,7 +345,7 @@ def strategy_b_coefficients(gamma: float) -> tuple[float, float, float, float, f
     the {|+->, |-+>} block.  The trace identity a + c + d + f = 16 holds for
     every gamma.
     """
-    if not 0.0 <= gamma <= math.pi + _DOMAIN_SLACK:
+    if not 0.0 <= gamma <= math.pi + DOMAIN_SLACK:
         raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
     c, s = math.cos(gamma), math.sin(gamma)
     c2g, s2g, c4g = math.cos(2 * gamma), math.sin(2 * gamma), math.cos(4 * gamma)
@@ -368,18 +363,6 @@ def strategy_b_coefficients(gamma: float) -> tuple[float, float, float, float, f
     e = 1.0 + shared_df - 8.0 * s * s / (3.0 + c2g)
     f = 1.0 + shared_df - 4.0 * s / r3 + 2.0 * s2g / (r3 * rs)
     return a, b, c_coef, d, e, f
-
-
-def strategy_b_probe_states(gamma: float) -> tuple[Operator, Operator]:
-    """Attacker probe states for the diagonal signals under strategy B.
-
-    The matrices of strategy_b_probe_matrices, divided by 16 and returned in
-    the computational basis like every other operator.
-    """
-    m_plus, m_minus = strategy_b_probe_matrices(gamma)
-    t = _diag_basis_matrix()
-    return (Operator(t @ (m_plus / 16.0) @ t.conj().T),
-            Operator(t @ (m_minus / 16.0) @ t.conj().T))
 
 
 def strategy_b_probe_matrices(gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -406,7 +389,7 @@ def strategy_b_probe_matrices(gamma: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _diag_basis_matrix() -> np.ndarray:
     """Columns are |++>, |+->, |-+>, |--> in the computational basis."""
-    cols = [np.kron(x.amplitudes, y.amplitudes)
+    cols = [np.kron(x, y)
             for x in (KET_PLUS, KET_MINUS) for y in (KET_PLUS, KET_MINUS)]
     return np.column_stack(cols)
 
@@ -423,7 +406,7 @@ def strategy_b_disturbance(gamma: float) -> float:
     D(gamma) = {1 - (cos(gamma) + 1/sqrt(1+sin^2 gamma)) / sqrt(2(1+cos^2 gamma))}/2,
     zero at gamma=0, 1/4 at gamma=pi/2 and 1/2 at gamma=pi, monotone on [0, pi].
     """
-    if not 0.0 <= gamma <= math.pi + _DOMAIN_SLACK:
+    if not 0.0 <= gamma <= math.pi + DOMAIN_SLACK:
         raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
     c, s = math.cos(gamma), math.sin(gamma)
     return 0.5 * (1.0 - (c + 1.0 / math.sqrt(1.0 + s * s)) / math.sqrt(2.0 * (1.0 + c * c)))
@@ -459,7 +442,7 @@ def gamma_for_disturbance(disturbance: float) -> float:
     through direct evaluation at gamma.
     """
     d = disturbance
-    if not 0.0 <= d <= STRATEGY_B_MAX_DISTURBANCE + _DOMAIN_SLACK:
+    if not 0.0 <= d <= STRATEGY_B_MAX_DISTURBANCE + DOMAIN_SLACK:
         raise ValueError(f"no gamma in [0, pi/2] reaches disturbance {d}")
     if d <= 0.0:
         return 0.0
@@ -497,8 +480,8 @@ def default_disturbance_grid() -> np.ndarray:
 
 def _curve_point(eta_det: float, d: float) -> AttackCurvePoint:
     i_pns = pns_information_matched(eta_det, d)
-    i_a = strategy_a_information(d) if d <= 0.25 + _DOMAIN_SLACK else None
-    if d <= STRATEGY_B_MAX_DISTURBANCE + _DOMAIN_SLACK:
+    i_a = strategy_a_information(d) if d <= 0.25 + DOMAIN_SLACK else None
+    if d <= STRATEGY_B_MAX_DISTURBANCE + DOMAIN_SLACK:
         i_b = strategy_b_information(gamma_for_disturbance(min(d, STRATEGY_B_MAX_DISTURBANCE)))
     else:
         i_b = None

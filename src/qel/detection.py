@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Ket, Operator
+from .linalg import Operator
 from .optics import Basis, fock_from_symmetric
 
 
@@ -82,26 +82,17 @@ def povm_elements(basis: Basis, model: DetectorModel) -> dict[DetectionOutcome, 
     return {outcome: Operator(np.diag(d).astype(complex)) for outcome, d in diags.items()}
 
 
-def outcome_distribution(signal_input, basis, model: DetectorModel) -> dict[DetectionOutcome, float]:
+def outcome_distribution(occupations: dict, model: DetectorModel) -> dict[DetectionOutcome, float]:
     """Distribution over detector outcomes for an arriving signal.
 
     Args:
-        signal_input: either an occupation distribution, as a mapping from
-            (n, m) photon occupations to probabilities, or a two-photon state
-            (dim-4 Ket or density Operator) which is first projected onto the
-            occupation states of the measurement basis.
-        basis: measurement basis (Basis value or explicit ket pair).
+        occupations: mapping from (n, m) photon occupations of the measurement
+            basis to probabilities; n counts photons in the bit-0 mode.
         model: detector model.
     """
-    if isinstance(signal_input, dict):
-        occupations = signal_input
-        total = sum(occupations.values())
-        if occupations and abs(total - 1.0) > 1e-9:
-            raise ValueError(f"occupation probabilities sum to {total}, expected 1")
-    elif isinstance(signal_input, (Ket, Operator)):
-        occupations = fock_from_symmetric(signal_input, basis)
-    else:
-        raise TypeError(f"unsupported input type {type(signal_input).__name__}")
+    total = sum(occupations.values())
+    if occupations and abs(total - 1.0) > 1e-9:
+        raise ValueError(f"occupation probabilities sum to {total}, expected 1")
     out = {outcome: 0.0 for outcome in DetectionOutcome}
     for (n, m), w in occupations.items():
         if w < -1e-12:
@@ -111,8 +102,8 @@ def outcome_distribution(signal_input, basis, model: DetectorModel) -> dict[Dete
     return out
 
 
-def conditional_error_rate(state, basis, eta_det: float, correct_bit: int = 0) -> float:
-    """Sifted error probability of a two-photon state, given a click.
+def conditional_error_rate(rho: Operator, basis, eta_det: float, correct_bit: int = 0) -> float:
+    """Sifted error probability of a two-photon density operator, given a click.
 
     Wrong-detector clicks count as errors and double clicks contribute 1/2.
     For total photon number two the click probability is 1 - (1-eta)^2
@@ -122,7 +113,7 @@ def conditional_error_rate(state, basis, eta_det: float, correct_bit: int = 0) -
     if eta_det <= 0.0:
         raise ValueError("conditional error rate undefined at zero efficiency")
     model = DetectorModel(eta_det=eta_det, cutoff=2)
-    dist = outcome_distribution(state, basis, model)
+    dist = outcome_distribution(fock_from_symmetric(rho, basis), model)
     p_click = 1.0 - dist[DetectionOutcome.VACUUM]
     wrong = DetectionOutcome.CLICK1 if correct_bit == 0 else DetectionOutcome.CLICK0
     p_err = dist[wrong] + 0.5 * dist[DetectionOutcome.DOUBLE]

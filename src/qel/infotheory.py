@@ -16,13 +16,14 @@ import numpy as np
 
 from .linalg import Operator, check_density
 
-_DOMAIN_SLACK = 1e-12
+#: Rounding slack allowed past the closed end of a parameter domain.
+DOMAIN_SLACK = 1e-12
 DETERMINANT_TOL = 1e-9
 
 
 def phi(x: float) -> float:
     """(1+x)log2(1+x) + (1-x)log2(1-x) with 0 log 0 = 0."""
-    if abs(x) > 1.0 + _DOMAIN_SLACK:
+    if abs(x) > 1.0 + DOMAIN_SLACK:
         raise ValueError(f"phi argument must lie in [-1, 1], got {x}")
     x = min(1.0, max(-1.0, x))
     out = 0.0

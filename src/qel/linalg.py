@@ -1,8 +1,9 @@
 """Minimal dense complex linear algebra for small Hilbert spaces.
 
-Kets and operators are immutable wrappers around complex numpy arrays.
-Everything here is sized for dimensions up to a few tens (four qubits in
-practice), so dense double-precision storage is used throughout.
+Kets are read-only 1-D complex numpy arrays and operators are immutable
+wrappers around square ones.  Everything here is sized for dimensions up to
+a few tens (four qubits in practice), so dense double-precision storage is
+used throughout.
 """
 from __future__ import annotations
 
@@ -13,38 +14,11 @@ import numpy as np
 HERMITICITY_TOL = 1e-9
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr) -> np.ndarray:
+    """Read-only complex copy of an array."""
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class Ket:
-    """State vector with explicit dimension."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        arr = _freeze(np.asarray(self.amplitudes).reshape(-1))
-        if arr.size == 0:
-            raise ValueError("ket must have positive dimension")
-        object.__setattr__(self, "amplitudes", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def overlap(self, other: "Ket") -> complex:
-        """Inner product <self|other>."""
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def density(self) -> "Operator":
-        """Projector |self><self| (states are assumed normalized)."""
-        a = self.amplitudes
-        return Operator(np.outer(a, a.conj()))
 
 
 @dataclass(frozen=True)
@@ -62,22 +36,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
-    def expectation(self, ket: Ket) -> complex:
-        """<ket| self |ket>."""
-        if ket.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {ket.dim} vs {self.dim}")
-        return complex(np.vdot(ket.amplitudes, self.entries @ ket.amplitudes))
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            return Operator(self.entries @ other.entries)
-        if isinstance(other, Ket):
-            return Ket(self.entries @ other.amplitudes)
-        return NotImplemented
 
 
 def partial_trace(rho: Operator, keep: str, dims: tuple[int, int]) -> Operator:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attacks, channel
-from .detection import DetectionOutcome, conditional_error_rate, outcome_probabilities
+from .detection import DetectionOutcome, DetectorModel, conditional_error_rate, outcome_distribution
 from .linalg import Operator, partial_trace
 from .optics import (SIGNALS, Basis, basis_kets, signal_ket, singlet_weight,
                      symmetric_encode, fock_from_symmetric)
@@ -134,13 +134,9 @@ class SimulationReport:
     """Simulation-versus-closed-form comparison for one cloning machine setting.
 
     deltas holds named absolute deviations; every value is finite and the
-    report is reproducible from (strategy, parameter, seed).
+    report is reproducible from the machine parameter and the seed.
     """
 
-    strategy: str
-    parameter: float
-    eta_det: float
-    seed: int
     disturbance: float
     probe_plus: Operator
     probe_minus: Operator
@@ -196,7 +192,7 @@ def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) ->
     errors = []
     probes = {}
     for signal in SIGNALS:
-        rho_bob, rho_eve, defect = _eve_probe(u, symmetric_encode(signal).amplitudes)
+        rho_bob, rho_eve, defect = _eve_probe(u, symmetric_encode(signal))
         isometry_defect = max(isometry_defect, defect)
         singlet = max(singlet, singlet_weight(rho_bob))
         errors.append(conditional_error_rate(rho_bob, basis_kets(signal.basis),
@@ -214,9 +210,9 @@ def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) ->
 
     # Overlap of the nonorthogonal probe components, extracted from the
     # simulated probes by diagonalizing their {phi+, psi+} block.
-    pure_block = [attacks.PHI_PLUS.amplitudes, attacks.PSI_PLUS.amplitudes]
-    prod_block = [np.kron(attacks.KET_MINUS.amplitudes, attacks.KET_PLUS.amplitudes),
-                  np.kron(attacks.KET_PLUS.amplitudes, attacks.KET_MINUS.amplitudes)]
+    pure_block = [attacks.PHI_PLUS, attacks.PSI_PLUS]
+    prod_block = [np.kron(attacks.KET_MINUS, attacks.KET_PLUS),
+                  np.kron(attacks.KET_PLUS, attacks.KET_MINUS)]
 
     def principal_vector(rho: Operator) -> np.ndarray:
         m = _block_matrix(rho, pure_block)
@@ -240,10 +236,6 @@ def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) ->
     info_numeric, _ = _blockwise_numeric_info(rho_p_sim, rho_m_sim, [prod_block, pure_block])
 
     return SimulationReport(
-        strategy="A",
-        parameter=beta,
-        eta_det=eta_det,
-        seed=rng_seed,
         disturbance=disturbance,
         probe_plus=rho_p_sim,
         probe_minus=rho_m_sim,
@@ -278,8 +270,7 @@ def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -
     errors = []
     probes = {}
     for sig_index, (ket, pair, bit) in enumerate(EQUATORIAL_SIGNALS):
-        vec = np.kron(ket.amplitudes, ket.amplitudes)
-        rho_bob, rho_eve, defect = _eve_probe(u, vec)
+        rho_bob, rho_eve, defect = _eve_probe(u, np.kron(ket, ket))
         isometry_defect = max(isometry_defect, defect)
         singlet = max(singlet, singlet_weight(rho_bob))
         errors.append(conditional_error_rate(rho_bob, pair, eta_det, correct_bit=bit))
@@ -299,17 +290,13 @@ def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -
     coeff_delta = max(np.max(np.abs(m_plus - ref_plus)), np.max(np.abs(m_minus - ref_minus)))
     swap_delta = np.max(np.abs(m_minus - m_plus[::-1, ::-1]))
 
-    kp, km = diag_pair[0].amplitudes, diag_pair[1].amplitudes
+    kp, km = diag_pair
     outer_block = [np.kron(kp, kp), np.kron(km, km)]
     inner_block = [np.kron(kp, km), np.kron(km, kp)]
     info_closed = attacks.strategy_b_information(gamma)
     info_numeric, _ = _blockwise_numeric_info(rho_p_sim, rho_m_sim, [outer_block, inner_block])
 
     return SimulationReport(
-        strategy="B",
-        parameter=gamma,
-        eta_det=eta_det,
-        seed=rng_seed,
         disturbance=disturbance,
         probe_plus=rho_p_sim,
         probe_minus=rho_m_sim,
@@ -347,8 +334,6 @@ class MonteCarloStats:
     double_clicks_mismatched: int
     expected_raw_click_rate: float
     expected_sifted_error_rate: float
-    expected_double_matched_rate: float
-    expected_double_mismatched_rate: float
 
     @property
     def raw_click_rate(self) -> float:
@@ -356,8 +341,7 @@ class MonteCarloStats:
 
     @property
     def raw_click_rate_se(self) -> float:
-        p = self.raw_click_rate
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.n_pulses)
+        return _binomial_se(self.raw_click_rate, self.n_pulses)
 
     @property
     def sifted_error_rate(self) -> float:
@@ -367,8 +351,7 @@ class MonteCarloStats:
     def sifted_error_rate_se(self) -> float:
         if not self.sifted_bits:
             return 0.0
-        p = self.sifted_error_rate
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.sifted_bits)
+        return _binomial_se(self.sifted_error_rate, self.sifted_bits)
 
     @property
     def double_matched_rate(self) -> float:
@@ -376,8 +359,7 @@ class MonteCarloStats:
 
     @property
     def double_matched_rate_se(self) -> float:
-        p = self.double_matched_rate
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.n_pulses)
+        return _binomial_se(self.double_matched_rate, self.n_pulses)
 
     @property
     def double_mismatched_rate(self) -> float:
@@ -385,8 +367,12 @@ class MonteCarloStats:
 
     @property
     def double_mismatched_rate_se(self) -> float:
-        p = self.double_mismatched_rate
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.n_pulses)
+        return _binomial_se(self.double_mismatched_rate, self.n_pulses)
+
+
+def _binomial_se(p: float, n: int) -> float:
+    """Standard error sqrt(p(1-p)/n) of a rate p estimated from n trials."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
 _OUTCOME_ORDER = (DetectionOutcome.VACUUM, DetectionOutcome.CLICK0,
@@ -403,15 +389,6 @@ def _single_photon_row(weight_mode0: float, eta: float) -> np.ndarray:
     ])
 
 
-def _two_photon_row(occupations: dict, eta: float) -> np.ndarray:
-    row = np.zeros(4)
-    for (n, m), w in occupations.items():
-        probs = outcome_probabilities(n, m, eta)
-        for k, outcome in enumerate(_OUTCOME_ORDER):
-            row[k] += w * probs[outcome]
-    return row
-
-
 def _attack_tables(attack: str, disturbance: float, eta: float):
     """Per-(pulse type, signal, measured basis) outcome tables and bit labels.
 
@@ -426,7 +403,7 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
         single_rows = np.zeros((4, 2, 4))
         for i, (ket, sig_basis, bit) in enumerate(signal_sets):
             for j, (b0, b1) in enumerate(bases):
-                w0 = abs(b0.overlap(ket)) ** 2
+                w0 = abs(np.vdot(b0, ket)) ** 2
                 # split pulse: one untouched photon forwarded
                 two_rows[i, j] = _single_photon_row(w0, eta)
                 if j == basis_index[sig_basis]:
@@ -443,7 +420,7 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
     if attack == "CloneA":
         params = attacks.clone_a_params_for_disturbance(disturbance)
         u = attacks.strategy_a_unitary(params).entries
-        signal_sets = [(signal_ket(s).amplitudes, s.basis, s.bit) for s in SIGNALS]
+        signal_sets = [(signal_ket(s), s.basis, s.bit) for s in SIGNALS]
         bases = [basis_kets(Basis.RECTILINEAR), basis_kets(Basis.DIAGONAL)]
         basis_index = {Basis.RECTILINEAR: 0, Basis.DIAGONAL: 1}
         bits = [bit for _, _, bit in signal_sets]
@@ -451,21 +428,22 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
     elif attack == "CloneB":
         gamma = attacks.gamma_for_disturbance(disturbance)
         u = attacks.strategy_b_unitary(attacks.CloneBParams(gamma=gamma)).entries
-        signal_sets = [(ket.amplitudes, pair, bit) for ket, pair, bit in EQUATORIAL_SIGNALS]
+        signal_sets = list(EQUATORIAL_SIGNALS)
         bases = list(attacks.STRATEGY_B_BASES)
         bits = [bit for _, _, bit in signal_sets]
         basis_of_signal = [0, 0, 1, 1]
     else:
         raise ValueError(f"attack must be 'PNS', 'CloneA' or 'CloneB', got {attack!r}")
 
+    model = DetectorModel(eta_det=eta)
     two_rows = np.zeros((4, 2, 4))
     single_rows = np.zeros((4, 2, 4))
     single_rows[:, :, 0] = 1.0  # single photons are blocked: vacuum
-    for i, (amps, _, _) in enumerate(signal_sets):
-        rho_bob, _, _ = _eve_probe(u, np.kron(amps, amps))
+    for i, (ket, _, _) in enumerate(signal_sets):
+        rho_bob, _, _ = _eve_probe(u, np.kron(ket, ket))
         for j, pair in enumerate(bases):
-            occ = fock_from_symmetric(rho_bob, pair)
-            two_rows[i, j] = _two_photon_row(occ, eta)
+            dist = outcome_distribution(fock_from_symmetric(rho_bob, pair), model)
+            two_rows[i, j] = [dist[outcome] for outcome in _OUTCOME_ORDER]
     return two_rows, single_rows, bits, basis_of_signal
 
 
@@ -532,12 +510,6 @@ def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
     weights[0] *= 1.0 - p_two
     weights[1] *= p_two
     exp_click = float(np.sum(weights[..., None] * table[..., 1:]))
-    match_mask = np.zeros((4, 2), dtype=bool)
-    for i, bi in enumerate(basis_of_signal):
-        match_mask[i, bi] = True
-    w_match = weights * match_mask[None, :, :]
-    exp_double_matched = float(np.sum(w_match[..., None] * table[..., 3:]))
-    exp_double_mismatched = float(np.sum((weights * ~match_mask[None, :, :])[..., None] * table[..., 3:]))
     wrong_click_col = np.where(np.array(bits) == 0, 2, 1)
     exp_sift = 0.0
     exp_err = 0.0
@@ -562,6 +534,4 @@ def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
         double_clicks_mismatched=int(np.count_nonzero(is_double & ~matched)),
         expected_raw_click_rate=exp_click,
         expected_sifted_error_rate=exp_error_rate,
-        expected_double_matched_rate=exp_double_matched,
-        expected_double_mismatched_rate=exp_double_mismatched,
     )

@@ -88,42 +88,28 @@ _GAMMA_GRID_COEFF = np.linspace(0.0, math.pi, 50)
 _GAMMA_GRID_FAST = np.linspace(0.0, math.pi, 13)
 
 
-def _suite_isometry(seed: int) -> SuiteResult:
-    defect_a = 0.0
-    singlet_a = 0.0
-    for i, beta in enumerate(_BETA_GRID):
-        rep = oracle.simulate_strategy_a(float(beta), eta_det=0.5, rng_seed=seed + i)
-        defect_a = max(defect_a, rep.deltas["isometry_defect"])
-        singlet_a = max(singlet_a, rep.deltas["bob_singlet_weight"])
-    defect_b = 0.0
-    singlet_b = 0.0
-    for i, gamma in enumerate(_GAMMA_GRID_FAST):
-        rep = oracle.simulate_strategy_b(float(gamma), eta_det=0.5, rng_seed=seed + i)
-        defect_b = max(defect_b, rep.deltas["isometry_defect"])
-        singlet_b = max(singlet_b, rep.deltas["bob_singlet_weight"])
+def _worst(reports, key: str) -> float:
+    """Largest value of one named delta over a list of simulation reports."""
+    return max(rep.deltas[key] for rep in reports)
+
+
+def _suite_isometry(reports_a, reports_b) -> SuiteResult:
     return SuiteResult("isometry", (
-        CheckResult("universal_cloner_norm_preservation", 1e-12, defect_a),
-        CheckResult("universal_cloner_symmetric_output", 1e-12, singlet_a),
-        CheckResult("phase_covariant_norm_preservation", 1e-12, defect_b),
-        CheckResult("phase_covariant_symmetric_output", 1e-12, singlet_b),
+        CheckResult("universal_cloner_norm_preservation", 1e-12, _worst(reports_a, "isometry_defect")),
+        CheckResult("universal_cloner_symmetric_output", 1e-12, _worst(reports_a, "bob_singlet_weight")),
+        CheckResult("phase_covariant_norm_preservation", 1e-12, _worst(reports_b, "isometry_defect")),
+        CheckResult("phase_covariant_symmetric_output", 1e-12, _worst(reports_b, "bob_singlet_weight")),
     ))
 
 
-def _suite_probe_a(seed: int) -> SuiteResult:
-    probe = overlap = weight = info = spread = 0.0
-    for i, beta in enumerate(_BETA_GRID):
-        rep = oracle.simulate_strategy_a(float(beta), eta_det=0.3, rng_seed=seed + i)
-        probe = max(probe, rep.deltas["probe_vs_closed_form"])
-        overlap = max(overlap, rep.deltas["overlap_vs_closed_form"])
-        weight = max(weight, rep.deltas["product_block_weight_vs_2d"])
-        info = max(info, rep.deltas["information_vs_measurement_search"])
-        spread = max(spread, rep.deltas["error_rate_spread"])
+def _suite_probe_a(reports_a) -> SuiteResult:
     return SuiteResult("probe_a", (
-        CheckResult("probe_states_vs_closed_form", 1e-9, probe),
-        CheckResult("probe_overlap_vs_closed_form", 1e-9, overlap),
-        CheckResult("product_block_weight_vs_2d", 1e-9, weight),
-        CheckResult("information_vs_measurement_search", 1e-6, info),
-        CheckResult("signal_independence_of_error_rate", 1e-10, spread),
+        CheckResult("probe_states_vs_closed_form", 1e-9, _worst(reports_a, "probe_vs_closed_form")),
+        CheckResult("probe_overlap_vs_closed_form", 1e-9, _worst(reports_a, "overlap_vs_closed_form")),
+        CheckResult("product_block_weight_vs_2d", 1e-9, _worst(reports_a, "product_block_weight_vs_2d")),
+        CheckResult("information_vs_measurement_search", 1e-6,
+                    _worst(reports_a, "information_vs_measurement_search")),
+        CheckResult("signal_independence_of_error_rate", 1e-10, _worst(reports_a, "error_rate_spread")),
     ))
 
 
@@ -142,11 +128,8 @@ def _suite_probe_b_coefficients(seed: int) -> SuiteResult:
     ))
 
 
-def _suite_disturbance_maps(seed: int) -> SuiteResult:
-    d_b = 0.0
-    for i, gamma in enumerate(_GAMMA_GRID_FAST):
-        rep = oracle.simulate_strategy_b(float(gamma), eta_det=0.6, rng_seed=seed + i)
-        d_b = max(d_b, rep.deltas["disturbance_vs_closed_form"])
+def _suite_disturbance_maps(seed: int, reports_b) -> SuiteResult:
+    d_b = _worst(reports_b, "disturbance_vs_closed_form")
     # strategy A calibration roundtrip: requested disturbance -> beta -> measured
     d_a = 0.0
     for d_target in np.linspace(0.01, 0.24, 9):
@@ -264,12 +247,22 @@ def _suite_error_map_identity(seed: int, n_scenarios: int = 1000) -> SuiteResult
 
 
 def run_verification(seed: int = DEFAULT_SEED, n_pulses: int = DEFAULT_PULSES) -> VerificationReport:
-    """Run every verification suite and collect the deltas."""
+    """Run every verification suite and collect the deltas.
+
+    Each cloner setting of the fast grids is simulated once and the suites
+    that read its deltas share the report.  The isometry suite reads the
+    reports made at eta_det 0.3 (strategy A) and 0.6 (strategy B): the norm
+    defect and the singlet weight do not depend on eta_det.
+    """
+    reports_a = [oracle.simulate_strategy_a(float(beta), eta_det=0.3, rng_seed=seed + i)
+                 for i, beta in enumerate(_BETA_GRID)]
+    reports_b = [oracle.simulate_strategy_b(float(gamma), eta_det=0.6, rng_seed=seed + i)
+                 for i, gamma in enumerate(_GAMMA_GRID_FAST)]
     suites = (
-        _suite_isometry(seed),
-        _suite_probe_a(seed),
+        _suite_isometry(reports_a, reports_b),
+        _suite_probe_a(reports_a),
         _suite_probe_b_coefficients(seed),
-        _suite_disturbance_maps(seed),
+        _suite_disturbance_maps(seed, reports_b),
         _suite_levitin(seed),
         _suite_double_click(seed, n_pulses),
         _suite_error_map_identity(seed),

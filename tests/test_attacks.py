@@ -13,7 +13,7 @@ from qel.attacks import (CloneAParams, CloneBParams,
                          strategy_a_probe_overlap, strategy_a_probe_states,
                          strategy_a_unitary, strategy_b_coefficients,
                          strategy_b_disturbance, strategy_b_information,
-                         strategy_b_probe_states, strategy_b_unitary)
+                         strategy_b_probe_matrices, strategy_b_unitary)
 from qel.infotheory import fuchs_information, phi
 from qel.linalg import Operator, check_density, partial_trace
 from qel.optics import SIGNALS, singlet_weight, symmetric_encode
@@ -61,16 +61,16 @@ def test_pns_matched_monotonicity():
 def test_strategy_a_unitary_no_disturbance_at_beta_zero():
     u = strategy_a_unitary(CloneAParams(beta=0.0)).entries
     for signal in SIGNALS:
-        pair = symmetric_encode(signal).amplitudes
+        pair = symmetric_encode(signal)
         out = u @ np.kron(pair, [1, 0, 0, 0])
-        expected = np.kron(pair, attacks.PHI_PLUS.amplitudes)
+        expected = np.kron(pair, attacks.PHI_PLUS)
         assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_strategy_a_unitary_norm_preservation():
     u = strategy_a_unitary(CloneAParams(beta=0.2)).entries
     for signal in SIGNALS:
-        out = u @ np.kron(symmetric_encode(signal).amplitudes, [1, 0, 0, 0])
+        out = u @ np.kron(symmetric_encode(signal), [1, 0, 0, 0])
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
@@ -79,7 +79,7 @@ def test_strategy_a_unitary_norm_preservation():
 def test_strategy_a_bob_marginal_stays_symmetric(beta):
     u = strategy_a_unitary(CloneAParams(beta=beta)).entries
     for signal in SIGNALS[:2]:
-        out = u @ np.kron(symmetric_encode(signal).amplitudes, [1, 0, 0, 0])
+        out = u @ np.kron(symmetric_encode(signal), [1, 0, 0, 0])
         rho = Operator(np.outer(out, out.conj()))
         bob = partial_trace(rho, keep="a", dims=(4, 4))
         assert singlet_weight(bob) <= 1e-12
@@ -93,7 +93,7 @@ def test_clone_a_params_validation():
 
 def test_strategy_a_probe_states_pure_at_zero():
     rho_p, rho_m = strategy_a_probe_states(0.0)
-    expected = attacks.PHI_PLUS.density().entries
+    expected = np.outer(attacks.PHI_PLUS, attacks.PHI_PLUS.conj())
     assert np.allclose(rho_p.entries, expected, atol=1e-12)
     assert np.allclose(rho_m.entries, expected, atol=1e-12)
 
@@ -114,10 +114,10 @@ def test_strategy_a_overlap_formula_vs_inner_product(d):
     if d == 0.0:
         return
     scale = 1 / math.sqrt(1 - 2 * d)
-    vp = scale * (math.sqrt(1 - 4 * d) * attacks.PHI_PLUS.amplitudes
-                  + math.sqrt(2 * d) * attacks.PSI_PLUS.amplitudes)
-    vm = scale * (math.sqrt(1 - 4 * d) * attacks.PHI_PLUS.amplitudes
-                  - math.sqrt(2 * d) * attacks.PSI_PLUS.amplitudes)
+    vp = scale * (math.sqrt(1 - 4 * d) * attacks.PHI_PLUS
+                  + math.sqrt(2 * d) * attacks.PSI_PLUS)
+    vm = scale * (math.sqrt(1 - 4 * d) * attacks.PHI_PLUS
+                  - math.sqrt(2 * d) * attacks.PSI_PLUS)
     direct = float(np.real(np.vdot(vp, vm)))
     assert abs(direct - strategy_a_probe_overlap(d)) <= 1e-12
 
@@ -152,7 +152,7 @@ def test_strategy_b_unitary_gamma_zero_is_identity_channel():
     for vec in (np.array([1, 0, 0, 0]), np.array([0, 0, 0, 1]),
                 np.array([0, 1, 1, 0]) / math.sqrt(2)):
         out = u @ np.kron(vec.astype(complex), [1, 0, 0, 0])
-        expected = np.kron(vec, attacks.PHI_PLUS.amplitudes)
+        expected = np.kron(vec, attacks.PHI_PLUS)
         assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -236,18 +236,17 @@ def test_strategy_b_trace_identity_on_grid():
         assert a + c + d + f == pytest.approx(16.0, abs=1e-12)
 
 
-def test_strategy_b_probe_states_structure():
-    rho_p, rho_m = strategy_b_probe_states(0.0)
-    # at gamma = 0 both probes are the pure Bell state (|00>+|11>)/sqrt(2),
-    # i.e. rank one inside the {|++>, |-->} block
-    assert np.linalg.matrix_rank(rho_p.entries, tol=1e-10) == 1
-    assert np.allclose(rho_p.entries, attacks.PHI_PLUS.density().entries, atol=1e-12)
+def test_strategy_b_probe_matrices_structure():
+    m_p, _ = strategy_b_probe_matrices(0.0)
+    # at gamma = 0 both probes are the pure Bell state (|00>+|11>)/sqrt(2)
+    # = (|++>+|-->)/sqrt(2), i.e. rank one inside the {|++>, |-->} block
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
+    assert np.linalg.matrix_rank(m_p, tol=1e-10) == 1
+    assert np.allclose(m_p / 16.0, np.outer(bell, bell), atol=1e-12)
     for gamma in np.linspace(0.0, math.pi, 15):
-        rho_p, rho_m = strategy_b_probe_states(float(gamma))
-        assert check_density(rho_p)
-        assert check_density(rho_m)
-        m_p = attacks.probe_matrix_in_diagonal_basis(rho_p)
-        m_m = attacks.probe_matrix_in_diagonal_basis(rho_m)
+        m_p, m_m = strategy_b_probe_matrices(float(gamma))
+        assert check_density(Operator(m_p / 16.0))
+        assert check_density(Operator(m_m / 16.0))
         assert np.allclose(m_m, m_p[::-1, ::-1], atol=1e-12)  # a<->c, d<->f swap
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qel import attacks, channel
 from qel.channel import (ChannelScenario, InvalidRegimeError, crossover_loss,
                          crossover_loss_best, disturbance_for_error,
                          error_disturbance_ratio, eta_t_bounds, eta_t_from_loss_db,
@@ -213,3 +214,31 @@ def test_crossover_unattainable_error_raises():
 def test_crossover_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         crossover_loss(0.1, 0.2, 0.01, "C")
+
+
+def test_crossover_misses_a_win_narrower_than_one_scan_step(monkeypatch):
+    # The scan samples every 0.05 dB from just above the window's lower edge.
+    # A strategy that wins only between two scan points is never seen.
+    mu, eta, error = 0.1, 0.2, 0.01
+    window = eta_t_bounds(mu, eta)
+    scan_point = window.loss_db_lower + 1e-9 + 100 * channel._SCAN_DB_STEP
+
+    def d_at(loss_db):
+        return disturbance_for_error(ChannelScenario.from_loss_db(mu, eta, loss_db), error)
+
+    def win_between(lo_db, hi_db):
+        d_lo, d_hi = d_at(lo_db), d_at(hi_db)
+
+        def info(strategy, d):
+            pns = attacks.pns_information_matched(eta, d)
+            return pns + 0.1 if d_lo <= d <= d_hi else 0.0
+        return info
+
+    monkeypatch.setattr(channel, "_strategy_information",
+                        win_between(scan_point + 0.02, scan_point + 0.03))
+    assert crossover_loss(mu, eta, error, "A") is None
+    # the same band widened over the next scan point is found
+    monkeypatch.setattr(channel, "_strategy_information",
+                        win_between(scan_point + 0.02, scan_point + 0.06))
+    loss = crossover_loss(mu, eta, error, "A")
+    assert scan_point + 0.02 - 0.01 <= loss <= scan_point + 0.02 + 0.01

@@ -57,7 +57,7 @@ def test_simulate_strategy_a_at_zero_beta():
     assert report.disturbance == pytest.approx(0.0, abs=1e-15)
     assert report.info_closed_form == 0.0
     assert report.info_measurement_search == pytest.approx(0.0, abs=1e-9)
-    assert np.allclose(report.probe_plus.entries, attacks.PHI_PLUS.density().entries, atol=1e-12)
+    assert np.allclose(report.probe_plus.entries, np.outer(attacks.PHI_PLUS, attacks.PHI_PLUS.conj()), atol=1e-12)
 
 
 def test_simulate_strategy_a_deltas_small():
