@@ -67,16 +67,26 @@ _BISECT_MAX_STEPS = 100
 # Root finding
 # --------------------------------------------------------------------------
 
-def bisect(f, lo: float, hi: float, xtol: float) -> float:
+def bisect(f, lo, hi, xtol: float):
     """Root of f bracketed by [lo, hi], located by interval halving.
 
     Each step halves the step width and moves lo to the midpoint whenever f
     there has the sign of f at the original lo.  Stops when f vanishes at the
     midpoint or the step falls below xtol + 4 eps |midpoint|, and returns the
-    midpoint.  Raises ValueError when f(lo) and f(hi) share a sign and
-    RuntimeError after 100 steps.  Values of f are multiplied by the sign of
-    f(lo), not by f(lo), since the product of two tiny values underflows to 0.
+    midpoint; an endpoint where f vanishes is returned as it is.  Raises
+    ValueError when f(lo) and f(hi) share a sign and RuntimeError after 100
+    steps.  Values of f are multiplied by the sign of f(lo), not by f(lo),
+    since the product of two tiny values underflows to 0.
+
+    lo and hi are floats, or numpy arrays of brackets (broadcast together) for
+    an f that maps arrays elementwise.  An array bracket is bisected in one
+    masked loop in which every element takes the steps of the float loop, so
+    the roots are bit-equal to those of one float call per element; the
+    errors are raised when any element fails.  The float loop avoids numpy's
+    per-call cost, which dominates a single bracket.
     """
+    if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
+        return _bisect_elementwise(f, lo, hi, xtol)
     lo, hi = float(lo), float(hi)
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
@@ -96,6 +106,37 @@ def bisect(f, lo: float, hi: float, xtol: float) -> float:
         if f_mid == 0.0 or abs(step) < xtol + _BISECT_RTOL * abs(mid):
             return mid
     raise RuntimeError(f"bisection did not converge in {_BISECT_MAX_STEPS} steps")
+
+
+def _bisect_elementwise(f, lo, hi, xtol: float) -> np.ndarray:
+    """The steps of bisect applied to every element of an array bracket.
+
+    f is evaluated on whole arrays; an element that has stopped keeps its
+    root while its midpoint, still inside its bracket, is carried along.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    f_lo, f_hi = f(lo), f(hi)
+    sign_lo = np.copysign(1.0, f_lo)
+    active = (f_lo != 0.0) & (f_hi != 0.0)
+    same_sign = active & (f_hi * sign_lo > 0.0)
+    if same_sign.any():
+        i = np.flatnonzero(same_sign)[0]
+        raise ValueError(f"f({lo.flat[i]}) and f({hi.flat[i]}) must have different signs")
+    root = np.where(f_lo == 0.0, lo, hi)
+    step = hi - lo
+    for _ in range(_BISECT_MAX_STEPS):
+        if not active.any():
+            return root
+        step = step * 0.5
+        mid = lo + step
+        f_mid = f(mid)
+        lo = np.where(f_mid * sign_lo >= 0.0, mid, lo)
+        done = active & ((f_mid == 0.0) | (np.abs(step) < xtol + _BISECT_RTOL * np.abs(mid)))
+        root[done] = mid[done]
+        active &= ~done
+    if active.any():
+        raise RuntimeError(f"bisection did not converge in {_BISECT_MAX_STEPS} steps")
+    return root
 
 
 # --------------------------------------------------------------------------
@@ -120,8 +161,8 @@ def matched_two_photon_fraction(eta_det: float) -> float:
     The PNS process clicks at rate p*eta + (1-p)*eta while the cloning
     processes click at p*eta*(2-eta); equality gives p = 1/(2 - eta_det).
     """
-    if not 0.0 <= eta_det <= 1.0:
-        raise ValueError(f"eta_det must lie in [0, 1], got {eta_det}")
+    if not 0.0 < eta_det <= 1.0:
+        raise ValueError(f"eta_det must lie in (0, 1], got {eta_det}")
     return 1.0 / (2.0 - eta_det)
 
 
@@ -400,16 +441,24 @@ def probe_matrix_in_diagonal_basis(rho: Operator) -> np.ndarray:
     return t.conj().T @ rho.entries @ t
 
 
-def strategy_b_disturbance(gamma: float) -> float:
+def strategy_b_disturbance(gamma):
     """Disturbance of strategy B on the equatorial signals.
 
     D(gamma) = {1 - (cos(gamma) + 1/sqrt(1+sin^2 gamma)) / sqrt(2(1+cos^2 gamma))}/2,
     zero at gamma=0, 1/4 at gamma=pi/2 and 1/2 at gamma=pi, monotone on [0, pi].
+    Takes a float, evaluated with math, or a numpy array, evaluated
+    elementwise with numpy; every gamma must lie in [0, pi].
     """
-    if not 0.0 <= gamma <= math.pi + DOMAIN_SLACK:
+    if isinstance(gamma, np.ndarray):
+        xp = np
+        in_range = np.all((0.0 <= gamma) & (gamma <= math.pi + DOMAIN_SLACK))
+    else:
+        xp = math
+        in_range = 0.0 <= gamma <= math.pi + DOMAIN_SLACK
+    if not in_range:
         raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
-    c, s = math.cos(gamma), math.sin(gamma)
-    return 0.5 * (1.0 - (c + 1.0 / math.sqrt(1.0 + s * s)) / math.sqrt(2.0 * (1.0 + c * c)))
+    c, s = xp.cos(gamma), xp.sin(gamma)
+    return 0.5 * (1.0 - (c + 1.0 / xp.sqrt(1.0 + s * s)) / xp.sqrt(2.0 * (1.0 + c * c)))
 
 
 def strategy_b_information(gamma: float) -> float:
@@ -434,19 +483,36 @@ def strategy_b_information(gamma: float) -> float:
 STRATEGY_B_MAX_DISTURBANCE = strategy_b_disturbance(math.pi / 2)
 
 
-def gamma_for_disturbance(disturbance: float) -> float:
+def gamma_for_disturbance(disturbance):
     """Invert D(gamma) on the monotone branch gamma in [0, pi/2].
 
-    Located by bisection to |D(gamma) - D| <= 1e-10.  Angles beyond pi/2
-    reach larger disturbances but lower information; they are exposed only
-    through direct evaluation at gamma.
+    Takes a float and returns a float, or takes a numpy array and returns an
+    array of the same shape from one elementwise bisection; each gamma is
+    bit-equal to the float result for its disturbance.  Every disturbance
+    must lie in [0, D(pi/2)]; the ends map to 0 and pi/2, the rest are located
+    by bisection to |D(gamma) - D| <= 1e-10.  Angles beyond pi/2 reach larger
+    disturbances but lower information; they are exposed only through direct
+    evaluation at gamma.
     """
+    top = STRATEGY_B_MAX_DISTURBANCE
+    if isinstance(disturbance, np.ndarray):
+        outside = ~((0.0 <= disturbance) & (disturbance <= top + DOMAIN_SLACK))
+        if outside.any():
+            raise ValueError(f"no gamma in [0, pi/2] reaches disturbance {disturbance[outside][0]}")
+        # D(0) = 0 and D(pi/2) = top hold exactly, so bisect returns the ends
+        # as endpoint roots.
+        d = np.minimum(disturbance, top)
+        edge = np.zeros(d.shape)
+        gamma = bisect(lambda g: strategy_b_disturbance(g) - d, edge, edge + math.pi / 2,
+                       xtol=1e-13)
+        assert np.all(np.abs(strategy_b_disturbance(gamma) - d) <= D_INVERSION_TOL)
+        return gamma
     d = disturbance
-    if not 0.0 <= d <= STRATEGY_B_MAX_DISTURBANCE + DOMAIN_SLACK:
+    if not 0.0 <= d <= top + DOMAIN_SLACK:
         raise ValueError(f"no gamma in [0, pi/2] reaches disturbance {d}")
     if d <= 0.0:
         return 0.0
-    if d >= STRATEGY_B_MAX_DISTURBANCE:
+    if d >= top:
         return math.pi / 2
     gamma = bisect(lambda g: strategy_b_disturbance(g) - d, 0.0, math.pi / 2, xtol=1e-13)
     assert abs(strategy_b_disturbance(gamma) - d) <= D_INVERSION_TOL
@@ -478,20 +544,13 @@ def default_disturbance_grid() -> np.ndarray:
     return np.linspace(0.0, 0.5, DEFAULT_CURVE_GRID_POINTS)
 
 
-def _curve_point(eta_det: float, d: float) -> AttackCurvePoint:
-    i_pns = pns_information_matched(eta_det, d)
-    i_a = strategy_a_information(d) if d <= 0.25 + DOMAIN_SLACK else None
-    if d <= STRATEGY_B_MAX_DISTURBANCE + DOMAIN_SLACK:
-        i_b = strategy_b_information(gamma_for_disturbance(min(d, STRATEGY_B_MAX_DISTURBANCE)))
-    else:
-        i_b = None
-    return AttackCurvePoint(disturbance=float(d), i_pns=i_pns, i_a=i_a, i_b=i_b)
-
-
 def information_curves(eta_det: float, d_grid=None) -> list[AttackCurvePoint]:
     """Sample the three information curves on a disturbance grid.
 
-    Output order follows the input grid.
+    d_grid is any iterable of disturbances in [0, 1/2], by default the
+    500-point grid; output order follows it.  The strategy-B angles of all
+    reachable points come from one array call of gamma_for_disturbance; the
+    informations are then evaluated point by point.
     """
     if d_grid is None:
         d_grid = default_disturbance_grid()
@@ -499,4 +558,13 @@ def information_curves(eta_det: float, d_grid=None) -> list[AttackCurvePoint]:
     for d in d_grid:
         if not 0.0 <= d <= 0.5:
             raise ValueError(f"grid disturbances must lie in [0, 1/2], got {d}")
-    return [_curve_point(eta_det, d) for d in d_grid]
+    d_arr = np.array(d_grid)
+    reach_b = d_arr <= STRATEGY_B_MAX_DISTURBANCE + DOMAIN_SLACK
+    gammas = iter(gamma_for_disturbance(d_arr[reach_b]).tolist())
+    points = []
+    for d, reachable in zip(d_grid, reach_b.tolist()):
+        i_pns = pns_information_matched(eta_det, d)
+        i_a = strategy_a_information(d) if d <= 0.25 + DOMAIN_SLACK else None
+        i_b = strategy_b_information(next(gammas)) if reachable else None
+        points.append(AttackCurvePoint(disturbance=d, i_pns=i_pns, i_a=i_a, i_b=i_b))
+    return points

@@ -15,6 +15,7 @@ it (lower bound on eta_t, below which plain splitting stays optimal).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,11 +71,13 @@ class ChannelScenario:
         return loss_db_from_eta_t(self.eta_t)
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def p_arr_multi(mu: float, eta_det: float, cutoff: int = PHOTON_CUTOFF) -> float:
     """Probability that a pulse is split and still detected.
 
     sum_{n>=2} P(n, mu) [1 - (1-eta_det)^(n-1)], truncated at cutoff with a
-    Poisson tail below mu^(cutoff+1)/(cutoff+1)!.
+    Poisson tail below mu^(cutoff+1)/(cutoff+1)!.  Cached, because a grid or a
+    crossover scan asks for the same (mu, eta_det) at every loss.
     """
     if mu < 0.0:
         raise ValueError(f"mean photon number must be nonnegative, got {mu}")

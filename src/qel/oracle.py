@@ -106,23 +106,25 @@ def _block_matrix(rho: Operator, kets: list[np.ndarray]) -> np.ndarray:
 
 
 def _blockwise_numeric_info(rho_plus: Operator, rho_minus: Operator,
-                            blocks: list[list[np.ndarray]]) -> tuple[float, list[float]]:
+                            blocks: list[list[np.ndarray]]) -> float:
     """Projection onto blocks followed by a per-block measurement search.
 
-    Returns the weighted total together with the block weights measured from
-    rho_plus (the weights from rho_minus must agree; the caller checks).
+    Returns the sum over blocks of the block weight times the two-state
+    information of the normalized block pair.  Both probes must give each
+    block the same weight; a difference above 1e-12 raises RuntimeError.
     """
     total = 0.0
-    weights = []
     for kets in blocks:
         m_p = _block_matrix(rho_plus, kets)
         m_m = _block_matrix(rho_minus, kets)
         w = float(np.real(np.trace(m_p)))
-        weights.append(w)
+        w_minus = float(np.real(np.trace(m_m)))
+        if abs(w - w_minus) > 1e-12:
+            raise RuntimeError(f"probe block weights differ: {w} for rho_plus, {w_minus} for rho_minus")
         if w < 1e-14:
             continue
-        total += w * numeric_two_state_info(Operator(m_p / w), Operator(m_m / np.real(np.trace(m_m))))
-    return total, weights
+        total += w * numeric_two_state_info(Operator(m_p / w), Operator(m_m / w_minus))
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -233,7 +235,7 @@ def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) ->
     block_weight_delta = abs(prod_weight - 2.0 * disturbance)
 
     info_closed = attacks.strategy_a_information(disturbance)
-    info_numeric, _ = _blockwise_numeric_info(rho_p_sim, rho_m_sim, [prod_block, pure_block])
+    info_numeric = _blockwise_numeric_info(rho_p_sim, rho_m_sim, [prod_block, pure_block])
 
     return SimulationReport(
         disturbance=disturbance,
@@ -294,7 +296,7 @@ def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -
     outer_block = [np.kron(kp, kp), np.kron(km, km)]
     inner_block = [np.kron(kp, km), np.kron(km, kp)]
     info_closed = attacks.strategy_b_information(gamma)
-    info_numeric, _ = _blockwise_numeric_info(rho_p_sim, rho_m_sim, [outer_block, inner_block])
+    info_numeric = _blockwise_numeric_info(rho_p_sim, rho_m_sim, [outer_block, inner_block])
 
     return SimulationReport(
         disturbance=disturbance,

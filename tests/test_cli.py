@@ -225,6 +225,7 @@ def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
     (["info-curves"], {"eta_det": 0.2, "format": "xml"}),
     (["bounds"], {"mu": [0.1], "eta_det": 0.2}),
     (["bounds"], {"mu": 0.1, "eta_det": 0.2, "command": "verify"}),
+    (["info-curves", "--eta-det", "0"], None),
 ])
 def test_invalid_input_is_one_line_usage_error(tmp_path, capsys, argv, config):
     if config is not None:

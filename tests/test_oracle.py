@@ -7,6 +7,7 @@ from qel import attacks
 from qel.channel import ChannelScenario
 from qel.infotheory import phi
 from qel.linalg import Operator
+from qel import oracle
 from qel.oracle import (monte_carlo_protocol, numeric_two_state_info,
                         simulate_strategy_a, simulate_strategy_b)
 
@@ -48,6 +49,16 @@ def test_numeric_info_complex_states():
     ov = abs(np.trace(rho0.entries @ rho1.entries))
     expected = 0.5 * phi(math.sqrt(1 - ov))
     assert got == pytest.approx(expected, abs=1e-6)
+
+
+def test_blockwise_info_rejects_probes_with_unequal_block_weights():
+    basis = np.eye(4)
+    blocks = [[basis[0], basis[1]], [basis[2], basis[3]]]
+    even = pure([1, 0, 1, 0])
+    assert oracle._blockwise_numeric_info(even, pure([0, 1, 0, 1]), blocks) == pytest.approx(
+        1.0, abs=1e-9)
+    with pytest.raises(RuntimeError):
+        oracle._blockwise_numeric_info(even, pure([1, 0, 0.9, 0]), blocks)
 
 
 # -- strategy simulations ----------------------------------------------------
