@@ -428,16 +428,14 @@ def strategy_b_probe_matrices(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return m_plus, m_minus
 
 
-def _diag_basis_matrix() -> np.ndarray:
-    """Columns are |++>, |+->, |-+>, |--> in the computational basis."""
-    cols = [np.kron(x, y)
-            for x in (KET_PLUS, KET_MINUS) for y in (KET_PLUS, KET_MINUS)]
-    return np.column_stack(cols)
+#: Columns are |++>, |+->, |-+>, |--> in the computational basis.
+_DIAG_BASIS_MATRIX = _freeze(np.column_stack(
+    [np.kron(x, y) for x in (KET_PLUS, KET_MINUS) for y in (KET_PLUS, KET_MINUS)]))
 
 
 def probe_matrix_in_diagonal_basis(rho: Operator) -> np.ndarray:
     """Rewrite a two-qubit operator in the ordered (|++>,|+->,|-+>,|-->) basis."""
-    t = _diag_basis_matrix()
+    t = _DIAG_BASIS_MATRIX
     return t.conj().T @ rho.entries @ t
 
 

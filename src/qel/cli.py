@@ -316,6 +316,11 @@ def main(argv=None) -> int:
     except (UsageError, OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # work is sized by --pulses (verify) and the grid step counts
+        print("usage error: out of memory; lower --pulses or the grid --steps, "
+              "--loss-steps or --d-steps", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ spanned by |00>, (|01>+|10>)/sqrt(2) and |11>.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,16 +83,21 @@ def symmetric_encode(signal: Bb84Signal) -> np.ndarray:
     return _freeze(np.kron(k, k))
 
 
-def _symmetric_occupation_kets(b0: np.ndarray, b1: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+@functools.lru_cache(maxsize=8)
+def _symmetric_occupation_kets(b0_bytes: bytes, b1_bytes: bytes) -> tuple[tuple[tuple[int, int], np.ndarray], ...]:
     """Symmetrized two-qubit kets for occupations (2,0), (1,1), (0,2).
 
-    The first occupation index counts photons in the bit-0 mode b0.
+    Takes the raw bytes of the complex (bit 0, bit 1) kets, so each basis is
+    built once and then served from the cache.  The first occupation index
+    counts photons in the bit-0 mode b0.
     """
-    return {
-        (2, 0): np.kron(b0, b0),
-        (1, 1): (np.kron(b0, b1) + np.kron(b1, b0)) / math.sqrt(2),
-        (0, 2): np.kron(b1, b1),
-    }
+    b0 = np.frombuffer(b0_bytes, dtype=complex)
+    b1 = np.frombuffer(b1_bytes, dtype=complex)
+    return (
+        ((2, 0), _freeze(np.kron(b0, b0))),
+        ((1, 1), _freeze((np.kron(b0, b1) + np.kron(b1, b0)) / math.sqrt(2))),
+        ((0, 2), _freeze(np.kron(b1, b1))),
+    )
 
 
 def fock_from_symmetric(rho: Operator, basis) -> dict[tuple[int, int], float]:
@@ -114,5 +120,6 @@ def fock_from_symmetric(rho: Operator, basis) -> dict[tuple[int, int], float]:
     if singlet_weight(rho) > SINGLET_TOL:
         raise ValueError("state has antisymmetric (singlet) component above tolerance")
     m = rho.entries
-    return {occ: float(np.real(np.vdot(v, m @ v)))
-            for occ, v in _symmetric_occupation_kets(b0, b1).items()}
+    kets = _symmetric_occupation_kets(np.asarray(b0, dtype=complex).tobytes(),
+                                      np.asarray(b1, dtype=complex).tobytes())
+    return {occ: float(np.real(np.vdot(v, m @ v))) for occ, v in kets}

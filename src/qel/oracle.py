@@ -15,17 +15,34 @@ import numpy as np
 
 from . import attacks, channel
 from .detection import DetectionOutcome, DetectorModel, conditional_error_rate, outcome_distribution
-from .linalg import Operator, partial_trace
+from .linalg import Operator, _freeze, partial_trace
 from .optics import (SIGNALS, Basis, basis_kets, signal_ket, singlet_weight,
                      symmetric_encode, fock_from_symmetric)
 
-#: Equatorial signal set used by the phase-covariant machine: (ket, basis pair,
-#: bit) for each of the four BB84 signals of the diagonal and circular bases.
+#: Equatorial signal set used by the phase-covariant machine: (two-photon
+#: ket, basis pair, bit) for each of the four BB84 signals of the diagonal and
+#: circular bases.
 EQUATORIAL_SIGNALS = tuple(
-    (pair[bit], pair, bit) for pair in attacks.STRATEGY_B_BASES for bit in (0, 1)
+    (_freeze(np.kron(pair[bit], pair[bit])), pair, bit)
+    for pair in attacks.STRATEGY_B_BASES for bit in (0, 1)
 )
 
 _DIAGONAL_PAIR_INDEX = 0
+
+
+def _two_photon_block(pairs) -> list[np.ndarray]:
+    return [_freeze(np.kron(x, y)) for x, y in pairs]
+
+
+# Subspace blocks of the blockwise measurement search; they depend only on
+# the diagonal basis.  Strategy A: the perfectly distinguishing product block
+# and the {phi+, psi+} block.  Strategy B: the outer and inner diagonal blocks.
+_PROD_BLOCK_A = _two_photon_block([(attacks.KET_MINUS, attacks.KET_PLUS),
+                                   (attacks.KET_PLUS, attacks.KET_MINUS)])
+_PURE_BLOCK_A = [attacks.PHI_PLUS, attacks.PSI_PLUS]
+_KP, _KM = attacks.STRATEGY_B_BASES[_DIAGONAL_PAIR_INDEX]
+_OUTER_BLOCK_B = _two_photon_block([(_KP, _KP), (_KM, _KM)])
+_INNER_BLOCK_B = _two_photon_block([(_KP, _KM), (_KM, _KP)])
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -47,21 +64,17 @@ def _h2(q: float) -> float:
     return out
 
 
-def numeric_two_state_info(rho0: Operator, rho1: Operator, grid_size: int = 96) -> float:
-    """Maximal mutual information over projective qubit measurements.
+def _h2_array(q: np.ndarray) -> np.ndarray:
+    """Binary entropy of each element of q, with 0 log 0 = 0 at q in {0, 1}."""
+    t = np.stack((q, 1.0 - q))
+    return -np.sum(t * np.log2(np.where(t > 0.0, t, 1.0)), axis=0)
 
-    The optimal projective measurement for two equiprobable qubit states lies
-    in the plane spanned by their Bloch vectors, so the search is a scan over
-    a single angle followed by a golden-section refinement around the best
-    grid point.  Returns a lower bound on the accessible information that is
-    tight for equal-determinant pairs.
+
+def _plane_frame(r0: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of a plane containing both Bloch vectors.
+
+    Collinear or vanishing vectors fall back to the z and then the x axis.
     """
-    if rho0.dim != 2 or rho1.dim != 2:
-        raise ValueError("measurement search expects qubit states")
-    r0 = _bloch_vector(rho0.entries)
-    r1 = _bloch_vector(rho1.entries)
-
-    # Orthonormal basis of a plane containing both Bloch vectors.
     frame = []
     for cand in (r0 - r1, r0 + r1, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])):
         v = cand.astype(float)
@@ -72,32 +85,57 @@ def numeric_two_state_info(rho0: Operator, rho1: Operator, grid_size: int = 96) 
             frame.append(v / norm)
         if len(frame) == 2:
             break
-    e1, e2 = frame
+    return frame[0], frame[1]
 
-    def mutual_information(theta: float) -> float:
-        n = math.cos(theta) * e1 + math.sin(theta) * e2
-        q0 = min(1.0, max(0.0, 0.5 * (1.0 + float(np.dot(n, r0)))))
-        q1 = min(1.0, max(0.0, 0.5 * (1.0 + float(np.dot(n, r1)))))
-        return _h2(0.5 * (q0 + q1)) - 0.5 * (_h2(q0) + _h2(q1))
+
+def numeric_two_state_info(rho0: Operator, rho1: Operator, grid_size: int = 96) -> float:
+    """Maximal mutual information over projective qubit measurements.
+
+    The optimal projective measurement for two equiprobable qubit states lies
+    in the plane spanned by their Bloch vectors.  Both vectors are projected
+    onto a frame (e1, e2) of that plane once, so the measurement direction
+    cos(theta) e1 + sin(theta) e2 sees them through four floats.  The
+    grid_size-angle scan over [0, pi) is one array expression; a golden-section
+    refinement on Python floats then brackets the best grid point.  Returns a
+    lower bound on the accessible information that is tight for
+    equal-determinant pairs.
+    """
+    if rho0.dim != 2 or rho1.dim != 2:
+        raise ValueError("measurement search expects qubit states")
+    r0 = _bloch_vector(rho0.entries)
+    r1 = _bloch_vector(rho1.entries)
+    e1, e2 = _plane_frame(r0, r1)
+    x0, y0 = float(np.dot(e1, r0)), float(np.dot(e2, r0))
+    x1, y1 = float(np.dot(e1, r1)), float(np.dot(e2, r1))
 
     thetas = np.linspace(0.0, math.pi, grid_size, endpoint=False)
-    values = [mutual_information(t) for t in thetas]
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    q0 = np.clip(0.5 * (1.0 + (cos * x0 + sin * y0)), 0.0, 1.0)
+    q1 = np.clip(0.5 * (1.0 + (cos * x1 + sin * y1)), 0.0, 1.0)
+    values = _h2_array(0.5 * (q0 + q1)) - 0.5 * (_h2_array(q0) + _h2_array(q1))
     best_idx = int(np.argmax(values))
-    best = values[best_idx]
+    best = float(values[best_idx])
+
+    def mutual_information(theta: float) -> float:
+        c, s = math.cos(theta), math.sin(theta)
+        p0 = min(1.0, max(0.0, 0.5 * (1.0 + (c * x0 + s * y0))))
+        p1 = min(1.0, max(0.0, 0.5 * (1.0 + (c * x1 + s * y1))))
+        return _h2(0.5 * (p0 + p1)) - 0.5 * (_h2(p0) + _h2(p1))
+
     step = math.pi / grid_size
-    lo, hi = thetas[best_idx] - step, thetas[best_idx] + step
-    x1, x2 = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = mutual_information(x1), mutual_information(x2)
+    lo, hi = float(thetas[best_idx]) - step, float(thetas[best_idx]) + step
+    a, b = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    fa, fb = mutual_information(a), mutual_information(b)
     while hi - lo > 1e-11:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = mutual_information(x1)
+        if fa >= fb:
+            hi, b, fb = b, a, fa
+            a = hi - _INV_GOLDEN * (hi - lo)
+            fa = mutual_information(a)
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = mutual_information(x2)
-    return max(best, f1, f2)
+            lo, a, fa = a, b, fb
+            b = lo + _INV_GOLDEN * (hi - lo)
+            fb = mutual_information(b)
+    return max(best, fa, fb)
 
 
 def _block_matrix(rho: Operator, kets: list[np.ndarray]) -> np.ndarray:
@@ -147,11 +185,19 @@ class SimulationReport:
     deltas: dict = field(default_factory=dict)
 
 
+def _apply_isometry(u: np.ndarray, signal_vec: np.ndarray) -> tuple[np.ndarray, float]:
+    """Output u @ kron(signal_vec, e0) of an attack unitary and its norm defect.
+
+    The probe starts in its first basis state e0, so only every fourth
+    column of u is read.
+    """
+    out = u[:, ::4] @ signal_vec
+    return out, abs(np.linalg.norm(out) - 1.0)
+
+
 def _eve_probe(u: np.ndarray, signal_vec: np.ndarray) -> tuple[Operator, Operator, float]:
     """Apply an attack isometry; return (receiver state, probe state, norm defect)."""
-    vec_in = np.kron(signal_vec, np.array([1.0, 0.0, 0.0, 0.0]))
-    out = u @ vec_in
-    defect = abs(np.linalg.norm(out) - 1.0)
+    out, defect = _apply_isometry(u, signal_vec)
     rho = Operator(np.outer(out, out.conj()))
     rho_bob = partial_trace(rho, keep="a", dims=(4, 4))
     rho_eve = partial_trace(rho, keep="b", dims=(4, 4))
@@ -171,7 +217,7 @@ def _symmetric_isometry_defect(u: np.ndarray, rng_seed: int) -> float:
         vec = amp[0] * np.array([1, 0, 0, 0]) + amp[2] * np.array([0, 0, 0, 1]) \
             + amp[1] * np.array([0, 1, 1, 0]) / math.sqrt(2)
         vec = vec.astype(complex) / np.linalg.norm(vec)
-        defect = max(defect, _eve_probe(u, vec)[2])
+        defect = max(defect, _apply_isometry(u, vec)[1])
     return defect
 
 
@@ -212,12 +258,8 @@ def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) ->
 
     # Overlap of the nonorthogonal probe components, extracted from the
     # simulated probes by diagonalizing their {phi+, psi+} block.
-    pure_block = [attacks.PHI_PLUS, attacks.PSI_PLUS]
-    prod_block = [np.kron(attacks.KET_MINUS, attacks.KET_PLUS),
-                  np.kron(attacks.KET_PLUS, attacks.KET_MINUS)]
-
     def principal_vector(rho: Operator) -> np.ndarray:
-        m = _block_matrix(rho, pure_block)
+        m = _block_matrix(rho, _PURE_BLOCK_A)
         w = np.real(np.trace(m))
         vals, vecs = np.linalg.eigh(m / w)
         v = vecs[:, -1]
@@ -231,11 +273,11 @@ def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) ->
     overlap_delta = abs(overlap_sim - attacks.strategy_a_probe_overlap(disturbance))
 
     # the perfectly distinguishing block must carry weight 2D
-    prod_weight = float(np.real(np.trace(_block_matrix(rho_p_sim, prod_block))))
+    prod_weight = float(np.real(np.trace(_block_matrix(rho_p_sim, _PROD_BLOCK_A))))
     block_weight_delta = abs(prod_weight - 2.0 * disturbance)
 
     info_closed = attacks.strategy_a_information(disturbance)
-    info_numeric = _blockwise_numeric_info(rho_p_sim, rho_m_sim, [prod_block, pure_block])
+    info_numeric = _blockwise_numeric_info(rho_p_sim, rho_m_sim, [_PROD_BLOCK_A, _PURE_BLOCK_A])
 
     return SimulationReport(
         disturbance=disturbance,
@@ -272,7 +314,7 @@ def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -
     errors = []
     probes = {}
     for sig_index, (ket, pair, bit) in enumerate(EQUATORIAL_SIGNALS):
-        rho_bob, rho_eve, defect = _eve_probe(u, np.kron(ket, ket))
+        rho_bob, rho_eve, defect = _eve_probe(u, ket)
         isometry_defect = max(isometry_defect, defect)
         singlet = max(singlet, singlet_weight(rho_bob))
         errors.append(conditional_error_rate(rho_bob, pair, eta_det, correct_bit=bit))
@@ -282,7 +324,6 @@ def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -
     disturbance_delta = abs(disturbance - attacks.strategy_b_disturbance(gamma))
     error_spread = max(errors) - min(errors)
 
-    diag_pair = attacks.STRATEGY_B_BASES[_DIAGONAL_PAIR_INDEX]
     rho_p_sim = probes[(_DIAGONAL_PAIR_INDEX, 0)]
     rho_m_sim = probes[(_DIAGONAL_PAIR_INDEX, 1)]
 
@@ -292,11 +333,8 @@ def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -
     coeff_delta = max(np.max(np.abs(m_plus - ref_plus)), np.max(np.abs(m_minus - ref_minus)))
     swap_delta = np.max(np.abs(m_minus - m_plus[::-1, ::-1]))
 
-    kp, km = diag_pair
-    outer_block = [np.kron(kp, kp), np.kron(km, km)]
-    inner_block = [np.kron(kp, km), np.kron(km, kp)]
     info_closed = attacks.strategy_b_information(gamma)
-    info_numeric = _blockwise_numeric_info(rho_p_sim, rho_m_sim, [outer_block, inner_block])
+    info_numeric = _blockwise_numeric_info(rho_p_sim, rho_m_sim, [_OUTER_BLOCK_B, _INNER_BLOCK_B])
 
     return SimulationReport(
         disturbance=disturbance,
@@ -422,7 +460,7 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
     if attack == "CloneA":
         params = attacks.clone_a_params_for_disturbance(disturbance)
         u = attacks.strategy_a_unitary(params).entries
-        signal_sets = [(signal_ket(s), s.basis, s.bit) for s in SIGNALS]
+        signal_sets = [(symmetric_encode(s), s.basis, s.bit) for s in SIGNALS]
         bases = [basis_kets(Basis.RECTILINEAR), basis_kets(Basis.DIAGONAL)]
         basis_index = {Basis.RECTILINEAR: 0, Basis.DIAGONAL: 1}
         bits = [bit for _, _, bit in signal_sets]
@@ -430,7 +468,7 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
     elif attack == "CloneB":
         gamma = attacks.gamma_for_disturbance(disturbance)
         u = attacks.strategy_b_unitary(attacks.CloneBParams(gamma=gamma)).entries
-        signal_sets = list(EQUATORIAL_SIGNALS)
+        signal_sets = EQUATORIAL_SIGNALS
         bases = list(attacks.STRATEGY_B_BASES)
         bits = [bit for _, _, bit in signal_sets]
         basis_of_signal = [0, 0, 1, 1]
@@ -441,8 +479,8 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
     two_rows = np.zeros((4, 2, 4))
     single_rows = np.zeros((4, 2, 4))
     single_rows[:, :, 0] = 1.0  # single photons are blocked: vacuum
-    for i, (ket, _, _) in enumerate(signal_sets):
-        rho_bob, _, _ = _eve_probe(u, np.kron(ket, ket))
+    for i, (two_photon_ket, _, _) in enumerate(signal_sets):
+        rho_bob, _, _ = _eve_probe(u, two_photon_ket)
         for j, pair in enumerate(bases):
             dist = outcome_distribution(fock_from_symmetric(rho_bob, pair), model)
             two_rows[i, j] = [dist[outcome] for outcome in _OUTCOME_ORDER]
@@ -459,6 +497,13 @@ def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
     (splitting, cloning, or blocking), the receiver picks a random basis and
     the four-outcome detector model fires; double clicks are assigned a
     random bit during sifting.
+
+    Five seeded draws of n_pulses each (pulse type, signal, basis, outcome
+    uniform, double-click bit) fix the stream.  Each pulse falls in one of 16
+    (pulse type, signal, measured basis) cells; its outcome is the number of
+    entries of the cell's outcome CDF below the uniform, capped at 3.  A single
+    bincount over (cell, outcome, double-click bit) gives 128 tallies, and
+    every count is a sum of tallies; no (n_pulses, 4) array is built.
 
     Exactly one of `disturbance` or `param` (beta for CloneA, gamma for
     CloneB) must be given.  Identical inputs and seed reproduce identical
@@ -490,22 +535,26 @@ def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
     u_outcome = rng.random(n_pulses)
     u_double_bit = rng.integers(0, 2, size=n_pulses)
 
-    # stack rows into a (2, 4, 2, 4) lookup and sample outcomes by inverse CDF
+    # inverse-CDF outcome per pulse from its (pulse type, signal, basis) cell
     table = np.stack([single_rows, two_rows])
-    cdf = np.cumsum(table, axis=-1)
-    pulse_cdf = cdf[is_two.astype(int), alice, bob]
-    outcome = (u_outcome[:, None] > pulse_cdf).sum(axis=1)
-    outcome = np.minimum(outcome, 3)
+    cdf = np.cumsum(table, axis=-1).reshape(16, 4)
+    cell = (is_two * 4 + alice) * 2 + bob
+    outcome = np.zeros(n_pulses, dtype=np.int64)
+    for k in range(4):
+        outcome += u_outcome > cdf[:, k][cell]
+    np.minimum(outcome, 3, out=outcome)
+    counts = np.bincount((cell * 4 + outcome) * 2 + u_double_bit, minlength=128)
+    counts = counts.reshape(2, 4, 2, 4, 2)
 
-    signal_basis = np.array(basis_of_signal)[alice]
-    signal_bit = np.array(bits)[alice]
-    matched = signal_basis == bob
+    # the sifting rules run on the 128 tally entries, not on the pulses
+    _, signal, basis, outcome, double_bit = np.indices(counts.shape)
+    matched = np.array(basis_of_signal)[signal] == basis
     clicked = outcome != 0
     is_double = outcome == 3
 
     sifted = matched & clicked
-    measured_bit = np.where(is_double, u_double_bit, np.where(outcome == 2, 1, 0))
-    errors = sifted & (measured_bit != signal_bit)
+    measured_bit = np.where(is_double, double_bit, np.where(outcome == 2, 1, 0))
+    errors = sifted & (measured_bit != np.array(bits)[signal])
 
     # analytic expectations from the same outcome tables
     weights = np.full((2, 4, 2), 0.125)  # uniform signal and basis choice
@@ -529,11 +578,11 @@ def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
         eta_det=eta,
         n_pulses=n_pulses,
         seed=seed,
-        raw_clicks=int(np.count_nonzero(clicked)),
-        sifted_bits=int(np.count_nonzero(sifted)),
-        sifted_errors=int(np.count_nonzero(errors)),
-        double_clicks_matched=int(np.count_nonzero(is_double & matched)),
-        double_clicks_mismatched=int(np.count_nonzero(is_double & ~matched)),
+        raw_clicks=int(counts[clicked].sum()),
+        sifted_bits=int(counts[sifted].sum()),
+        sifted_errors=int(counts[errors].sum()),
+        double_clicks_matched=int(counts[is_double & matched].sum()),
+        double_clicks_mismatched=int(counts[is_double & ~matched].sum()),
         expected_raw_click_rate=exp_click,
-        expected_sifted_error_rate=exp_error_rate,
+        expected_sifted_error_rate=float(exp_error_rate),
     )

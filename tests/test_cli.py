@@ -315,6 +315,22 @@ def test_verify_detects_tampered_coefficient(capsys, monkeypatch):
     assert "verification failed" in err
 
 
+@pytest.mark.parametrize("module, name, argv", [
+    (cli.verification, "run_verification", ["verify", "--pulses", "1000000000000"]),
+    (attacks, "information_curves", ["info-curves", "--eta-det", "0.2", "--steps", "5"]),
+])
+def test_out_of_memory_is_one_line_usage_error(capsys, monkeypatch, module, name, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(module, name, exhausted)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("usage error:") and "--pulses" in err and "--steps" in err
+
+
 @pytest.mark.parametrize("reference, argv", [
     ("info-curves.csv", ["info-curves", "--eta-det", "0.2"]),
     ("error-map.csv", ["error-map", "--mu", "0.1", "--eta-det", "0.2"]),
