@@ -25,7 +25,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from qel import attacks, channel, cli, verification  # noqa: E402
+from qel import channel, cli, verification  # noqa: E402
 
 MU = 0.1
 ETA_DET = 0.2
@@ -40,30 +40,25 @@ def main():
     parser.add_argument("--skip-verification", action="store_true")
     args = parser.parse_args()
     os.makedirs(args.outdir, exist_ok=True)
-    tables = {}  # file name -> (columns, rows)
+
+    def write(name, *argv):
+        """Write one figure file through the qel command line."""
+        path = os.path.join(args.outdir, name)
+        if cli.main([*argv, "-o", path]) != 0:
+            raise SystemExit(f"qel {' '.join(argv)} failed")
+        print(f"wrote {path}")
 
     # information vs disturbance for a family of detector efficiencies
-    grid = np.linspace(0.0, 0.5, args.steps)
     for eta in np.arange(0.1, 0.95, 0.1):
-        points = attacks.information_curves(float(eta), grid)
-        rows = [(p.disturbance, p.i_pns, p.i_a, p.i_b) for p in points]
-        tables[f"information_curves_eta_{eta:.1f}.csv"] = (("D", "i_pns", "i_a", "i_b"), rows)
+        write(f"information_curves_eta_{eta:.1f}.csv",
+              "info-curves", "--eta-det", str(float(eta)), "--steps", str(args.steps))
 
-    # observed error rate vs disturbance as a function of loss
-    window = channel.eta_t_bounds(MU, ETA_DET)
-    rows = []
-    for loss in np.arange(1.0, 13.5, 1.0):
-        scen = channel.ChannelScenario.from_loss_db(MU, ETA_DET, float(loss))
-        in_window = window.contains_eta_t(scen.eta_t)
-        for d in np.linspace(0.0, 0.5, 51):
-            try:
-                e = channel.observed_error_from_disturbance(scen, float(d))
-            except channel.InvalidRegimeError:
-                e = None
-            rows.append((float(loss), float(d), e, in_window))
-    tables["observed_error_map.csv"] = (("loss_db", "D", "e", "in_window"), rows)
+    # observed error rate vs disturbance as a function of loss (1 to 13 dB)
+    write("observed_error_map.csv", "error-map", "--mu", str(MU), "--eta-det", str(ETA_DET),
+          "--d-steps", "51")
 
     # disturbance required to hold the observed error fixed, vs loss
+    window = channel.eta_t_bounds(MU, ETA_DET)
     rows = []
     for loss in np.linspace(window.loss_db_lower + 0.01, window.loss_db_upper - 0.01, 200):
         scen = channel.ChannelScenario.from_loss_db(MU, ETA_DET, float(loss))
@@ -72,18 +67,12 @@ def main():
         except channel.InvalidRegimeError:
             d = None
         rows.append((float(loss), d))
-    tables["disturbance_vs_loss.csv"] = (("loss_db", "D"), rows)
+    path = os.path.join(args.outdir, "disturbance_vs_loss.csv")
+    cli.emit_table(("loss_db", "D"), rows, "csv", path, {})
+    print(f"wrote {path}")
 
     # probe coefficients
-    rows = []
-    for gamma in np.linspace(0.0, np.pi, 50):
-        a, b, c, d, e, f = attacks.strategy_b_coefficients(float(gamma))
-        rows.append((float(gamma), a, b, c, d, e, f))
-    tables["probe_coefficients.csv"] = (("gamma", "a", "b", "c", "d", "e", "f"), rows)
-    for name, (columns, rows) in tables.items():
-        path = os.path.join(args.outdir, name)
-        cli.emit_table(columns, rows, "csv", path, {})
-        print(f"wrote {path}")
+    write("probe_coefficients.csv", "coefficients")
 
     # headline numbers
     crossing = channel.crossover_loss_best(MU, ETA_DET, OBSERVED_ERROR)

@@ -31,7 +31,7 @@ import numpy as np
 from .detection import conditional_error_rate
 from .infotheory import DOMAIN_SLACK, fuchs_information, phi
 from .linalg import Operator, _freeze, partial_trace
-from .optics import KET_MINUS, KET_PLUS, SIGNALS, basis_kets, symmetric_encode
+from .optics import KET_MINUS, KET_PLUS, SIGNALS, Basis, Bb84Signal, symmetric_encode
 
 D_INVERSION_TOL = 1e-10
 
@@ -47,17 +47,13 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 
-#: Circular-polarization kets; together with |+->, these span the two
-#: equatorial bases that the phase-covariant machine treats symmetrically.
-KET_R = _freeze(np.array([1.0, 1.0j]) / math.sqrt(2))
-KET_L = _freeze(np.array([1.0, -1.0j]) / math.sqrt(2))
-
-#: BB84 basis pair for strategy B.  The phase-covariant machine is covariant
+#: BB84 signals for strategy B.  The phase-covariant machine is covariant
 #: under rotations about the z axis only, so the protocol's two mutually
 #: unbiased bases must both lie on the equator of the Bloch sphere: the
 #: diagonal and circular bases.  (A universal machine, strategy A, is frame
 #: independent and works with any pair.)
-STRATEGY_B_BASES = ((KET_PLUS, KET_MINUS), (KET_R, KET_L))
+STRATEGY_B_SIGNALS = tuple(Bb84Signal(basis, bit)
+                           for basis in (Basis.DIAGONAL, Basis.CIRCULAR) for bit in (0, 1))
 
 _BISECT_RTOL = 4.0 * sys.float_info.epsilon
 _BISECT_MAX_STEPS = 100
@@ -291,8 +287,8 @@ def clone_a_disturbance(params: CloneAParams, eta_det: float = 0.5) -> float:
         out = u @ vec_in
         rho = np.outer(out, out.conj())
         rho_bob = partial_trace(Operator(rho), keep="a", dims=(4, 4))
-        errors.append(conditional_error_rate(rho_bob, basis_kets(signal.basis),
-                                             eta_det, correct_bit=signal.bit))
+        errors.append(conditional_error_rate(rho_bob, signal.basis, eta_det,
+                                             correct_bit=signal.bit))
     spread = max(errors) - min(errors)
     if spread > 1e-10:
         raise RuntimeError(f"universal cloner produced signal-dependent disturbance, spread {spread}")

@@ -138,12 +138,31 @@ def observed_error_from_disturbance(scenario: ChannelScenario, disturbance: floa
     return error_disturbance_ratio(scenario) * disturbance
 
 
+def _expm1_minus_identity(z: float) -> float:
+    """E(z) = expm1(z) - z, summed as its Taylor series z^2/2! + z^3/3! + ... for |z| < 1/2."""
+    if abs(z) >= 0.5:
+        return math.expm1(z) - z
+    term = total = 0.5 * z * z
+    k = 2
+    while True:
+        k += 1
+        term *= z / k
+        if total + term == total:
+            return total
+        total += term
+
+
 def observed_error_closed_form(scenario: ChannelScenario, disturbance: float) -> float:
     """Closed form of the same map with the photon series summed analytically.
 
-    Written with expm1 to stay accurate at small click rates:
-    e/D = exp(x - mu) [expm1(mu(1-eta)) - (1-eta) expm1(mu - x)]
-          / [(1-eta) expm1(x)],  x = mu eta_det eta_t.
+    With x = mu eta_det eta_t and E(z) = expm1(z) - z,
+
+        e/D = exp(-mu) [x + E(mu(1-eta))/(1-eta) - E(mu-x)] / (-expm1(-x)).
+
+    The linear terms mu of expm1(mu(1-eta))/(1-eta) and expm1(mu-x) cancel
+    exactly, so only x and the two quadratic-and-higher remainders E are
+    summed; E is evaluated as its series for small arguments, where
+    expm1(z) - z would lose digits.
     """
     if not 0.0 <= disturbance <= 0.5:
         raise ValueError(f"disturbance must lie in [0, 1/2], got {disturbance}")
@@ -153,8 +172,9 @@ def observed_error_closed_form(scenario: ChannelScenario, disturbance: float) ->
         # limit directly.
         return observed_error_from_disturbance(scenario, disturbance)
     x = mu * eta * eta_t
-    ratio = math.exp(x - mu) * (math.expm1(mu * (1.0 - eta)) - (1.0 - eta) * math.expm1(mu - x)) \
-        / ((1.0 - eta) * math.expm1(x))
+    bracket = x + _expm1_minus_identity(mu * (1.0 - eta)) / (1.0 - eta) \
+        - _expm1_minus_identity(mu - x)
+    ratio = math.exp(-mu) * bracket / -math.expm1(-x)
     return ratio * disturbance
 
 

@@ -102,7 +102,7 @@ def outcome_distribution(occupations: dict, model: DetectorModel) -> dict[Detect
     return out
 
 
-def conditional_error_rate(rho: Operator, basis, eta_det: float, correct_bit: int = 0) -> float:
+def conditional_error_rate(rho: Operator, basis: Basis, eta_det: float, correct_bit: int = 0) -> float:
     """Sifted error probability of a two-photon density operator, given a click.
 
     Wrong-detector clicks count as errors and double clicks contribute 1/2.

@@ -16,18 +16,8 @@ import numpy as np
 from . import attacks, channel
 from .detection import DetectionOutcome, DetectorModel, conditional_error_rate, outcome_distribution
 from .linalg import Operator, _freeze, partial_trace
-from .optics import (SIGNALS, Basis, basis_kets, signal_ket, singlet_weight,
-                     symmetric_encode, fock_from_symmetric)
-
-#: Equatorial signal set used by the phase-covariant machine: (two-photon
-#: ket, basis pair, bit) for each of the four BB84 signals of the diagonal and
-#: circular bases.
-EQUATORIAL_SIGNALS = tuple(
-    (_freeze(np.kron(pair[bit], pair[bit])), pair, bit)
-    for pair in attacks.STRATEGY_B_BASES for bit in (0, 1)
-)
-
-_DIAGONAL_PAIR_INDEX = 0
+from .optics import (KET_MINUS, KET_PLUS, SIGNALS, Basis, Bb84Signal, basis_kets, signal_ket,
+                     singlet_weight, symmetric_encode, fock_from_symmetric)
 
 
 def _two_photon_block(pairs) -> list[np.ndarray]:
@@ -37,12 +27,10 @@ def _two_photon_block(pairs) -> list[np.ndarray]:
 # Subspace blocks of the blockwise measurement search; they depend only on
 # the diagonal basis.  Strategy A: the perfectly distinguishing product block
 # and the {phi+, psi+} block.  Strategy B: the outer and inner diagonal blocks.
-_PROD_BLOCK_A = _two_photon_block([(attacks.KET_MINUS, attacks.KET_PLUS),
-                                   (attacks.KET_PLUS, attacks.KET_MINUS)])
+_PROD_BLOCK_A = _two_photon_block([(KET_MINUS, KET_PLUS), (KET_PLUS, KET_MINUS)])
 _PURE_BLOCK_A = [attacks.PHI_PLUS, attacks.PSI_PLUS]
-_KP, _KM = attacks.STRATEGY_B_BASES[_DIAGONAL_PAIR_INDEX]
-_OUTER_BLOCK_B = _two_photon_block([(_KP, _KP), (_KM, _KM)])
-_INNER_BLOCK_B = _two_photon_block([(_KP, _KM), (_KM, _KP)])
+_OUTER_BLOCK_B = _two_photon_block([(KET_PLUS, KET_PLUS), (KET_MINUS, KET_MINUS)])
+_INNER_BLOCK_B = _two_photon_block([(KET_PLUS, KET_MINUS), (KET_MINUS, KET_PLUS)])
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -221,6 +209,28 @@ def _symmetric_isometry_defect(u: np.ndarray, rng_seed: int) -> float:
     return defect
 
 
+def _drive(u: np.ndarray, signals, eta_det: float, rng_seed: int):
+    """Send each signal's two-photon encoding through an attack unitary.
+
+    Returns the sifted error rate of the receiver pair for each signal, the
+    attacker probes keyed by signal, the largest norm defect (over the signals
+    and eight random symmetric states) and the largest singlet weight of a
+    receiver state.
+    """
+    isometry_defect = _symmetric_isometry_defect(u, rng_seed)
+    singlet = 0.0
+    errors = []
+    probes = {}
+    for signal in signals:
+        rho_bob, rho_eve, defect = _eve_probe(u, symmetric_encode(signal))
+        isometry_defect = max(isometry_defect, defect)
+        singlet = max(singlet, singlet_weight(rho_bob))
+        errors.append(conditional_error_rate(rho_bob, signal.basis, eta_det,
+                                             correct_bit=signal.bit))
+        probes[signal] = rho_eve
+    return errors, probes, isometry_defect, singlet
+
+
 def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) -> SimulationReport:
     """Drive the universal cloner end to end and compare with the closed forms.
 
@@ -235,23 +245,13 @@ def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) ->
     params = attacks.CloneAParams(beta=beta)
     u = attacks.strategy_a_unitary(params).entries
 
-    isometry_defect = _symmetric_isometry_defect(u, rng_seed)
-    singlet = 0.0
-    errors = []
-    probes = {}
-    for signal in SIGNALS:
-        rho_bob, rho_eve, defect = _eve_probe(u, symmetric_encode(signal))
-        isometry_defect = max(isometry_defect, defect)
-        singlet = max(singlet, singlet_weight(rho_bob))
-        errors.append(conditional_error_rate(rho_bob, basis_kets(signal.basis),
-                                             eta_det, correct_bit=signal.bit))
-        probes[(signal.basis, signal.bit)] = rho_eve
+    errors, probes, isometry_defect, singlet = _drive(u, SIGNALS, eta_det, rng_seed)
 
     disturbance = float(np.mean(errors))
     error_spread = max(errors) - min(errors)
 
-    rho_p_sim = probes[(Basis.DIAGONAL, 0)]
-    rho_m_sim = probes[(Basis.DIAGONAL, 1)]
+    rho_p_sim = probes[Bb84Signal(Basis.DIAGONAL, 0)]
+    rho_m_sim = probes[Bb84Signal(Basis.DIAGONAL, 1)]
     rho_p_cf, rho_m_cf = attacks.strategy_a_probe_states(disturbance)
     probe_delta = max(np.max(np.abs(rho_p_sim.entries - rho_p_cf.entries)),
                       np.max(np.abs(rho_m_sim.entries - rho_m_cf.entries)))
@@ -309,23 +309,15 @@ def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -
     params = attacks.CloneBParams(gamma=gamma)
     u = attacks.strategy_b_unitary(params).entries
 
-    isometry_defect = _symmetric_isometry_defect(u, rng_seed)
-    singlet = 0.0
-    errors = []
-    probes = {}
-    for sig_index, (ket, pair, bit) in enumerate(EQUATORIAL_SIGNALS):
-        rho_bob, rho_eve, defect = _eve_probe(u, ket)
-        isometry_defect = max(isometry_defect, defect)
-        singlet = max(singlet, singlet_weight(rho_bob))
-        errors.append(conditional_error_rate(rho_bob, pair, eta_det, correct_bit=bit))
-        probes[(sig_index // 2, bit)] = rho_eve
+    errors, probes, isometry_defect, singlet = _drive(u, attacks.STRATEGY_B_SIGNALS, eta_det,
+                                                      rng_seed)
 
     disturbance = float(np.mean(errors))
     disturbance_delta = abs(disturbance - attacks.strategy_b_disturbance(gamma))
     error_spread = max(errors) - min(errors)
 
-    rho_p_sim = probes[(_DIAGONAL_PAIR_INDEX, 0)]
-    rho_m_sim = probes[(_DIAGONAL_PAIR_INDEX, 1)]
+    rho_p_sim = probes[Bb84Signal(Basis.DIAGONAL, 0)]
+    rho_m_sim = probes[Bb84Signal(Basis.DIAGONAL, 1)]
 
     ref_plus, ref_minus = attacks.strategy_b_probe_matrices(gamma)
     m_plus = attacks.probe_matrix_in_diagonal_basis(rho_p_sim) * 16.0
@@ -419,71 +411,60 @@ _OUTCOME_ORDER = (DetectionOutcome.VACUUM, DetectionOutcome.CLICK0,
                   DetectionOutcome.CLICK1, DetectionOutcome.DOUBLE)
 
 
-def _single_photon_row(weight_mode0: float, eta: float) -> np.ndarray:
+def _outcome_row(occupations: dict, model: DetectorModel) -> np.ndarray:
+    """Detector outcome probabilities of an arriving state, in _OUTCOME_ORDER."""
+    dist = outcome_distribution(occupations, model)
+    return np.array([dist[outcome] for outcome in _OUTCOME_ORDER])
+
+
+def _single_photon_row(weight_mode0: float, model: DetectorModel) -> np.ndarray:
     """Outcome distribution for one photon with the given bit-0 mode weight."""
-    return np.array([
-        1.0 - eta,
-        eta * weight_mode0,
-        eta * (1.0 - weight_mode0),
-        0.0,
-    ])
+    return _outcome_row({(1, 0): weight_mode0, (0, 1): 1.0 - weight_mode0}, model)
 
 
 def _attack_tables(attack: str, disturbance: float, eta: float):
     """Per-(pulse type, signal, measured basis) outcome tables and bit labels.
 
     Returns (two_photon_rows, single_rows, signal_bits, signal_basis_index)
-    where rows are indexed [signal][basis] -> 4 outcome probabilities.
+    where rows are indexed [signal][basis] -> 4 outcome probabilities.  The
+    PNS process and strategy A use the rectilinear and diagonal signals,
+    strategy B the diagonal and circular ones.
     """
-    if attack == "PNS":
-        signal_sets = [(signal_ket(s), s.basis, s.bit) for s in SIGNALS]
-        bases = [basis_kets(Basis.RECTILINEAR), basis_kets(Basis.DIAGONAL)]
-        basis_index = {Basis.RECTILINEAR: 0, Basis.DIAGONAL: 1}
-        two_rows = np.zeros((4, 2, 4))
-        single_rows = np.zeros((4, 2, 4))
-        for i, (ket, sig_basis, bit) in enumerate(signal_sets):
-            for j, (b0, b1) in enumerate(bases):
-                w0 = abs(np.vdot(b0, ket)) ** 2
-                # split pulse: one untouched photon forwarded
-                two_rows[i, j] = _single_photon_row(w0, eta)
-                if j == basis_index[sig_basis]:
-                    # matching basis: the optimal single-photon attack flips
-                    # the bit with probability D
-                    w0_attacked = (1.0 - disturbance) if bit == 0 else disturbance
-                else:
-                    w0_attacked = 0.5
-                single_rows[i, j] = _single_photon_row(w0_attacked, eta)
-        bits = [bit for _, _, bit in signal_sets]
-        basis_of_signal = [basis_index[b] for _, b, _ in signal_sets]
-        return two_rows, single_rows, bits, basis_of_signal
-
-    if attack == "CloneA":
-        params = attacks.clone_a_params_for_disturbance(disturbance)
-        u = attacks.strategy_a_unitary(params).entries
-        signal_sets = [(symmetric_encode(s), s.basis, s.bit) for s in SIGNALS]
-        bases = [basis_kets(Basis.RECTILINEAR), basis_kets(Basis.DIAGONAL)]
-        basis_index = {Basis.RECTILINEAR: 0, Basis.DIAGONAL: 1}
-        bits = [bit for _, _, bit in signal_sets]
-        basis_of_signal = [basis_index[b] for _, b, _ in signal_sets]
-    elif attack == "CloneB":
-        gamma = attacks.gamma_for_disturbance(disturbance)
-        u = attacks.strategy_b_unitary(attacks.CloneBParams(gamma=gamma)).entries
-        signal_sets = EQUATORIAL_SIGNALS
-        bases = list(attacks.STRATEGY_B_BASES)
-        bits = [bit for _, _, bit in signal_sets]
-        basis_of_signal = [0, 0, 1, 1]
-    else:
+    if attack not in ("PNS", "CloneA", "CloneB"):
         raise ValueError(f"attack must be 'PNS', 'CloneA' or 'CloneB', got {attack!r}")
+    signals = attacks.STRATEGY_B_SIGNALS if attack == "CloneB" else SIGNALS
+    bases = list(dict.fromkeys(s.basis for s in signals))
+    bits = [s.bit for s in signals]
+    basis_of_signal = [bases.index(s.basis) for s in signals]
 
     model = DetectorModel(eta_det=eta)
     two_rows = np.zeros((4, 2, 4))
     single_rows = np.zeros((4, 2, 4))
+    if attack == "PNS":
+        for i, signal in enumerate(signals):
+            for j, basis in enumerate(bases):
+                w0 = abs(np.vdot(basis_kets(basis)[0], signal_ket(signal))) ** 2
+                # split pulse: one untouched photon forwarded
+                two_rows[i, j] = _single_photon_row(w0, model)
+                if j == basis_of_signal[i]:
+                    # matching basis: the optimal single-photon attack flips
+                    # the bit with probability D
+                    w0_attacked = (1.0 - disturbance) if signal.bit == 0 else disturbance
+                else:
+                    w0_attacked = 0.5
+                single_rows[i, j] = _single_photon_row(w0_attacked, model)
+        return two_rows, single_rows, bits, basis_of_signal
+
+    if attack == "CloneA":
+        u = attacks.strategy_a_unitary(attacks.clone_a_params_for_disturbance(disturbance))
+    else:
+        gamma = attacks.gamma_for_disturbance(disturbance)
+        u = attacks.strategy_b_unitary(attacks.CloneBParams(gamma=gamma))
     single_rows[:, :, 0] = 1.0  # single photons are blocked: vacuum
-    for i, (two_photon_ket, _, _) in enumerate(signal_sets):
-        rho_bob, _, _ = _eve_probe(u, two_photon_ket)
-        for j, pair in enumerate(bases):
-            dist = outcome_distribution(fock_from_symmetric(rho_bob, pair), model)
-            two_rows[i, j] = [dist[outcome] for outcome in _OUTCOME_ORDER]
+    for i, signal in enumerate(signals):
+        rho_bob, _, _ = _eve_probe(u.entries, symmetric_encode(signal))
+        for j, basis in enumerate(bases):
+            two_rows[i, j] = _outcome_row(fock_from_symmetric(rho_bob, basis), model)
     return two_rows, single_rows, bits, basis_of_signal
 
 

@@ -162,17 +162,18 @@ def _suite_disturbance_maps(seed: int, reports_b) -> SuiteResult:
     ))
 
 
+def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random 2x2 unitary: QR of a complex Gaussian matrix, phases fixed by R."""
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_equal_determinant_ensemble(rng: np.random.Generator) -> TwoStateEnsemble:
     """Random pair of qubit states with equal spectra, hence equal determinants."""
     lam = rng.uniform(0.5, 1.0)
     diag = np.diag([lam, 1.0 - lam]).astype(complex)
-
-    def haar_unitary() -> np.ndarray:
-        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, r = np.linalg.qr(z)
-        return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-
-    u0, u1 = haar_unitary(), haar_unitary()
+    u0, u1 = _haar_unitary(rng), _haar_unitary(rng)
     return TwoStateEnsemble(Operator(u0 @ diag @ u0.conj().T),
                             Operator(u1 @ diag @ u1.conj().T))
 
@@ -187,9 +188,7 @@ def _suite_levitin(seed: int, n_ensembles: int = 200) -> SuiteResult:
         numeric = oracle.numeric_two_state_info(ens.rho0, ens.rho1)
         worst = max(worst, abs(closed - numeric))
         if i % 20 == 0:
-            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q, r = np.linalg.qr(z)
-            u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+            u = _haar_unitary(rng)
             rotated = TwoStateEnsemble(Operator(u @ ens.rho0.entries @ u.conj().T),
                                        Operator(u @ ens.rho1.entries @ u.conj().T))
             invariance = max(invariance, abs(levitin_information(rotated) - closed))

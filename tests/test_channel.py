@@ -1,10 +1,11 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel import attacks, channel
+from qel import attacks, channel, verification
 from qel.channel import (ChannelScenario, InvalidRegimeError, crossover_loss,
                          crossover_loss_best, disturbance_for_error,
                          error_disturbance_ratio, eta_t_bounds, eta_t_from_loss_db,
@@ -119,6 +120,36 @@ def test_closed_form_matches_composition(seed):
     composed = observed_error_from_disturbance(scen, d)
     closed = observed_error_closed_form(scen, d)
     assert abs(closed - composed) <= 1e-12 * composed
+
+
+def _decimal_error_ratio(mu: float, eta: float, eta_t: float) -> float:
+    """P_single / P_expected from the photon-number series at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        m, e, t = Decimal(mu), Decimal(eta), Decimal(eta_t)
+        p_exp = 1 - (-(m * e * t)).exp()
+        p_n = (-m).exp()
+        p_multi = Decimal(0)
+        for n in range(1, 61):
+            p_n = p_n * m / n
+            if n >= 2:
+                p_multi += p_n * (1 - (1 - e) ** (n - 1))
+        return float((p_exp - p_multi) / p_exp)
+
+
+def test_closed_form_matches_a_decimal_series_reference():
+    # near the lower window edge (eta_t 0.0676), where P_single is a small
+    # difference of the click rates
+    scen = ChannelScenario(mu=0.142, eta_det=0.0518, eta_t=0.0701)
+    reference = _decimal_error_ratio(scen.mu, scen.eta_det, scen.eta_t)
+    closed = observed_error_closed_form(scen, 0.5) / 0.5
+    assert abs(closed - reference) <= 2e-13 * reference
+
+
+@pytest.mark.parametrize("seed", [25, 45])
+def test_error_map_identity_suite_passes_where_round_off_used_to_fail(seed):
+    suite = verification._suite_error_map_identity(seed)
+    assert suite.passed, suite.checks
 
 
 def test_closed_form_at_unit_efficiency():

@@ -26,7 +26,7 @@ def test_signal_kets():
 def test_kets_are_read_only_complex_vectors():
     kets = [optics.KET_0, optics.KET_1, optics.KET_PLUS, optics.KET_MINUS, optics.SINGLET,
             attacks.PHI_PLUS, attacks.PHI_MINUS, attacks.PSI_PLUS, attacks.PSI_MINUS,
-            attacks.KET_R, attacks.KET_L]
+            optics.KET_R, optics.KET_L]
     kets += [symmetric_encode(signal) for signal in SIGNALS]
     for ket in kets:
         assert ket.ndim == 1 and ket.dtype == complex
@@ -39,6 +39,19 @@ def test_signal_orthogonality_within_basis():
     for basis in Basis:
         b0, b1 = basis_kets(basis)
         assert abs(np.vdot(b0, b1)) < 1e-15
+
+
+def test_strategy_b_signals_are_equatorial_and_mutually_unbiased():
+    # the phase-covariant machine is covariant about the z axis only
+    for signal in attacks.STRATEGY_B_SIGNALS:
+        ket = signal_ket(signal)
+        assert abs(np.vdot(ket, attacks.SIGMA_Z @ ket)) <= 1e-15
+    diagonal, circular = basis_kets(Basis.DIAGONAL), basis_kets(Basis.CIRCULAR)
+    for b in diagonal:
+        for b_prime in circular:
+            assert abs(np.vdot(b, b_prime)) ** 2 == pytest.approx(0.5, abs=1e-15)
+    assert {s.basis for s in attacks.STRATEGY_B_SIGNALS} == {Basis.DIAGONAL, Basis.CIRCULAR}
+    assert len(set(attacks.STRATEGY_B_SIGNALS)) == 4
 
 
 def test_exactly_four_signals():
