@@ -272,13 +272,14 @@ def strategy_a_information(disturbance: float) -> float:
     return 2.0 * d + (1.0 - 2.0 * d) * 0.5 * phi(min(1.0, arg))
 
 
-def clone_a_disturbance(params: CloneAParams, eta_det: float = 0.5) -> float:
+def clone_a_disturbance(params: CloneAParams) -> float:
     """Disturbance induced by the universal cloner, measured from the machine.
 
     Builds the unitary, forwards the receiver qubits for each of the four
     BB84 signals and evaluates the sifted error probability (wrong clicks
-    plus half the double clicks, conditioned on a click).  The value is
-    independent of eta_det and of the signal; no closed form is assumed.
+    plus half the double clicks, conditioned on a click) at detector
+    efficiency 1/2.  The value is independent of the efficiency and of the
+    signal; no closed form is assumed.
     """
     u = strategy_a_unitary(params).entries
     errors = []
@@ -287,7 +288,7 @@ def clone_a_disturbance(params: CloneAParams, eta_det: float = 0.5) -> float:
         out = u @ vec_in
         rho = np.outer(out, out.conj())
         rho_bob = partial_trace(Operator(rho), keep="a", dims=(4, 4))
-        errors.append(conditional_error_rate(rho_bob, signal.basis, eta_det,
+        errors.append(conditional_error_rate(rho_bob, signal.basis, 0.5,
                                              correct_bit=signal.bit))
     spread = max(errors) - min(errors)
     if spread > 1e-10:

@@ -16,15 +16,14 @@ it (lower bound on eta_t, below which plain splitting stays optimal).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import attacks
-
-#: Photon-number truncation for all series; Poisson tail < 1e-40 for mu <= 1.
-PHOTON_CUTOFF = 40
 
 CROSSOVER_DB_TOL = 0.01
 _SCAN_DB_STEP = 0.05
@@ -72,26 +71,33 @@ class ChannelScenario:
 
 
 @functools.lru_cache(maxsize=8, typed=True)
-def p_arr_multi(mu: float, eta_det: float, cutoff: int = PHOTON_CUTOFF) -> float:
+def p_arr_multi(mu: float, eta_det: float) -> float:
     """Probability that a pulse is split and still detected.
 
-    sum_{n>=2} P(n, mu) [1 - (1-eta_det)^(n-1)], truncated at cutoff with a
-    Poisson tail below mu^(cutoff+1)/(cutoff+1)!.  Cached, because a grid or a
-    crossover scan asks for the same (mu, eta_det) at every loss.
+    sum_{n>=2} P(n, mu) [1 - (1-eta_det)^(n-1)], summed term by term until a
+    term past the Poisson peak no longer changes the total; later terms are
+    smaller still.  mu must keep exp(-mu) a normal float (mu up to about
+    708): beyond that P(0, mu) loses digits or vanishes, and the sum would
+    run over about mu terms.  Cached, because a grid or a crossover scan asks
+    for the same (mu, eta_det) at every loss.
     """
     if mu < 0.0:
         raise ValueError(f"mean photon number must be nonnegative, got {mu}")
+    if not math.exp(-mu) >= sys.float_info.min:
+        raise ValueError(f"mean photon number must be at most about 708, where exp(-mu) "
+                         f"stops being a normal float, got {mu}")
     if not 0.0 <= eta_det <= 1.0:
         raise ValueError(f"eta_det must lie in [0, 1], got {eta_det}")
     log_eta_bar = math.log1p(-eta_det) if eta_det < 1.0 else -math.inf
     total = 0.0
-    p_n = math.exp(-mu)  # P(0, mu)
-    for n in range(1, cutoff + 1):
+    p_n = math.exp(-mu) * mu  # P(1, mu)
+    for n in itertools.count(2):
         p_n = p_n * mu / n
-        if n >= 2:
-            # 1 - eta_bar^(n-1), evaluated without cancellation
-            total += p_n * (-math.expm1((n - 1) * log_eta_bar))
-    return total
+        # 1 - eta_bar^(n-1), evaluated without cancellation
+        term = p_n * (-math.expm1((n - 1) * log_eta_bar))
+        if n > mu + 1.0 and total + term == total:
+            return total
+        total += term
 
 
 def p_exp(mu: float, eta_det: float, eta_t: float) -> float:
@@ -219,7 +225,7 @@ class TransmissionWindow:
         return self.eta_t_lower < eta_t <= self.eta_t_upper
 
 
-def eta_t_bounds(mu: float, eta_det: float, cutoff: int = PHOTON_CUTOFF) -> TransmissionWindow:
+def eta_t_bounds(mu: float, eta_det: float) -> TransmissionWindow:
     """Transmission window in which the matched comparison applies.
 
     Upper bound: the expected click rate must be coverable by attacking every
@@ -233,7 +239,7 @@ def eta_t_bounds(mu: float, eta_det: float, cutoff: int = PHOTON_CUTOFF) -> Tran
         raise ValueError(f"eta_det must lie in (0, 1], got {eta_det}")
     if mu * eta_det == 0.0:
         raise ValueError(f"mu * eta_det underflows to zero for mu={mu}, eta_det={eta_det}")
-    p_multi = p_arr_multi(mu, eta_det, cutoff)
+    p_multi = p_arr_multi(mu, eta_det)
     p1_detected = eta_det * mu * math.exp(-mu)
 
     def eta_t_at_click_rate(target: float) -> float:
@@ -261,8 +267,7 @@ def _strategy_information(strategy: str, disturbance: float):
     raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
 
 
-def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: str,
-                   cutoff: int = PHOTON_CUTOFF):
+def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: str):
     """Smallest channel loss at which a cloning strategy beats the matched PNS process.
 
     At fixed observed error rate, increasing loss raises the disturbance that
@@ -277,7 +282,7 @@ def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: s
     """
     if observed_error < 0.0:
         raise ValueError(f"observed error rate must be nonnegative, got {observed_error}")
-    window = eta_t_bounds(mu, eta_det, cutoff)
+    window = eta_t_bounds(mu, eta_det)
     if window.empty:
         raise InvalidRegimeError(
             f"transmission window is empty for mu={mu}, eta_det={eta_det}")
@@ -320,12 +325,11 @@ def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: s
     return float(cross)
 
 
-def crossover_loss_best(mu: float, eta_det: float, observed_error: float,
-                        cutoff: int = PHOTON_CUTOFF) -> dict:
+def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dict:
     """Crossover losses for both cloning strategies and the earlier of the two."""
     out = {}
     for strategy in ("A", "B"):
-        out[strategy] = crossover_loss(mu, eta_det, observed_error, strategy, cutoff)
+        out[strategy] = crossover_loss(mu, eta_det, observed_error, strategy)
     candidates = [(loss, s) for s, loss in out.items() if loss is not None]
     if candidates:
         best_loss, best_strategy = min(candidates)

@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import attacks, channel, verification
 
@@ -38,25 +37,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for one invocation: config-file values overridden by flags."""
-
-    subcommand: str
-    output: str | None = None
-    options: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        options = {name: value for name, value in vars(args).items()
-                   if name not in ("command", "config", "output", "func") and value is not None}
-        return cls(subcommand=args.command, output=args.output, options=options)
-
-    def get(self, name, default=None, required=False):
-        value = self.options.get(name, default)
-        if value is None and required:
-            raise UsageError(f"missing required option --{name.replace('_', '-')}")
-        return value
+def _required(args: argparse.Namespace, name: str):
+    """The value of an option the subcommand cannot run without."""
+    value = getattr(args, name)
+    if value is None:
+        raise UsageError(f"missing required option --{name.replace('_', '-')}")
+    return value
 
 
 def _fmt(value) -> str:
@@ -122,37 +108,28 @@ def _grid(lo, hi, steps, what):
 # Subcommands
 # --------------------------------------------------------------------------
 
-def cmd_info_curves(cfg: RunConfig) -> int:
-    eta_det = float(cfg.get("eta_det", required=True))
-    d_min = float(cfg.get("d_min", 0.0))
-    d_max = float(cfg.get("d_max", 0.5))
-    steps = int(cfg.get("steps", attacks.DEFAULT_CURVE_GRID_POINTS))
-    grid = _grid(d_min, d_max, steps, "disturbance")
+def cmd_info_curves(args: argparse.Namespace) -> int:
+    eta_det = _required(args, "eta_det")
+    grid = _grid(args.d_min, args.d_max, args.steps, "disturbance")
     points = attacks.information_curves(eta_det, grid)
     rows = [(p.disturbance, p.i_pns, p.i_a, p.i_b) for p in points]
-    emit_table(("D", "i_pns", "i_a", "i_b"), rows, cfg.get("format", "csv"), cfg.output,
+    emit_table(("D", "i_pns", "i_a", "i_b"), rows, args.format, args.output,
                {"kind": "info_curves", "eta_det": eta_det})
     return 0
 
 
-def cmd_error_map(cfg: RunConfig) -> int:
-    mu = float(cfg.get("mu", required=True))
-    eta_det = float(cfg.get("eta_det", required=True))
-    eta_t = cfg.get("eta_t")
-    loss_db = cfg.get("loss_db")
-    if eta_t is not None and loss_db is not None:
+def cmd_error_map(args: argparse.Namespace) -> int:
+    mu = _required(args, "mu")
+    eta_det = _required(args, "eta_det")
+    if args.eta_t is not None and args.loss_db is not None:
         raise UsageError("--eta-t and --loss-db are mutually exclusive")
-    if eta_t is not None:
-        losses = [channel.loss_db_from_eta_t(float(eta_t))]
-    elif loss_db is not None:
-        losses = [float(loss_db)]
+    if args.eta_t is not None:
+        losses = [channel.loss_db_from_eta_t(args.eta_t)]
+    elif args.loss_db is not None:
+        losses = [args.loss_db]
     else:
-        losses = _grid(float(cfg.get("loss_min", 1.0)),
-                       float(cfg.get("loss_max", 13.0)),
-                       int(cfg.get("loss_steps", 13)), "loss")
-    d_grid = _grid(float(cfg.get("d_min", 0.0)),
-                   float(cfg.get("d_max", 0.5)),
-                   int(cfg.get("d_steps", 11)), "disturbance")
+        losses = _grid(args.loss_min, args.loss_max, args.loss_steps, "loss")
+    d_grid = _grid(args.d_min, args.d_max, args.d_steps, "disturbance")
     window = channel.eta_t_bounds(mu, eta_det)
     rows = []
     for loss in losses:
@@ -164,14 +141,14 @@ def cmd_error_map(cfg: RunConfig) -> int:
             except channel.InvalidRegimeError:
                 e = None
             rows.append((loss, d, e, in_window))
-    emit_table(("loss_db", "D", "e", "in_window"), rows, cfg.get("format", "csv"),
-               cfg.output, {"kind": "error_map", "mu": mu, "eta_det": eta_det})
+    emit_table(("loss_db", "D", "e", "in_window"), rows, args.format, args.output,
+               {"kind": "error_map", "mu": mu, "eta_det": eta_det})
     return 0
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    mu = float(cfg.get("mu", required=True))
-    eta_det = float(cfg.get("eta_det", required=True))
+def cmd_bounds(args: argparse.Namespace) -> int:
+    mu = _required(args, "mu")
+    eta_det = _required(args, "eta_det")
     window = channel.eta_t_bounds(mu, eta_det)
     record = {
         "kind": "bounds",
@@ -183,14 +160,14 @@ def cmd_bounds(cfg: RunConfig) -> int:
         "loss_db_lower": None if window.empty else window.loss_db_lower,
         "loss_db_upper": None if window.empty else window.loss_db_upper,
     }
-    emit_record(record, cfg.output)
+    emit_record(record, args.output)
     return 0
 
 
-def cmd_crossover(cfg: RunConfig) -> int:
-    mu = float(cfg.get("mu", required=True))
-    eta_det = float(cfg.get("eta_det", required=True))
-    e = float(cfg.get("error_rate", required=True))
+def cmd_crossover(args: argparse.Namespace) -> int:
+    mu = _required(args, "mu")
+    eta_det = _required(args, "eta_det")
+    e = _required(args, "error_rate")
     result = channel.crossover_loss_best(mu, eta_det, e)
     record = {
         "kind": "crossover",
@@ -202,30 +179,26 @@ def cmd_crossover(cfg: RunConfig) -> int:
         "crossover_db_best": result["best"],
         "best_strategy": result["best_strategy"],
     }
-    emit_record(record, cfg.output)
+    emit_record(record, args.output)
     return 0
 
 
-def cmd_coefficients(cfg: RunConfig) -> int:
-    g_min = float(cfg.get("gamma_min", 0.0))
-    g_max = float(cfg.get("gamma_max", math.pi))
-    steps = int(cfg.get("steps", 50))
+def cmd_coefficients(args: argparse.Namespace) -> int:
     rows = []
-    for gamma in _grid(g_min, g_max, steps, "gamma"):
+    for gamma in _grid(args.gamma_min, args.gamma_max, args.steps, "gamma"):
         a, b, c, d, e, f = attacks.strategy_b_coefficients(gamma)
         rows.append((gamma, a, b, c, d, e, f))
-    emit_table(("gamma", "a", "b", "c", "d", "e", "f"), rows, cfg.get("format", "csv"),
-               cfg.output, {"kind": "coefficients"})
+    emit_table(("gamma", "a", "b", "c", "d", "e", "f"), rows, args.format, args.output,
+               {"kind": "coefficients"})
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    seed = int(cfg.get("seed", verification.DEFAULT_SEED))
-    pulses = int(cfg.get("pulses", verification.DEFAULT_PULSES))
+def cmd_verify(args: argparse.Namespace) -> int:
+    seed, pulses = args.seed, args.pulses
     if seed < 0 or pulses < 1:
         raise UsageError(f"verify needs --seed >= 0 and --pulses >= 1, got {seed} and {pulses}")
     report = verification.run_verification(seed=seed, n_pulses=pulses)
-    emit_record(report.to_dict(), cfg.output)
+    emit_record(report.to_dict(), args.output)
     if not report.passed:
         failing = ", ".join(report.failing_checks())
         print(f"verification failed: {failing}", file=sys.stderr)
@@ -239,64 +212,55 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(
-        prog="qel",
+        prog="qel", allow_abbrev=False,
         description="BB84 eavesdropping analysis: PNS process versus two-photon cloning attacks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="JSON file with option values; flags override")
-        p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+        p.add_argument("-o", "--output", help="output path (default stdout)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("info-curves", help="information versus disturbance for all processes")
-    common(p)
-    p.add_argument("--eta-det", dest="eta_det", type=_finite_float)
-    p.add_argument("--d-min", dest="d_min", type=_finite_float)
-    p.add_argument("--d-max", dest="d_max", type=_finite_float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.set_defaults(func=cmd_info_curves)
+    p = command("info-curves", cmd_info_curves, "information versus disturbance for all processes")
+    p.add_argument("--eta-det", type=_finite_float)
+    p.add_argument("--d-min", type=_finite_float, default=0.0)
+    p.add_argument("--d-max", type=_finite_float, default=0.5)
+    p.add_argument("--steps", type=int, default=attacks.DEFAULT_CURVE_GRID_POINTS)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("error-map", help="observed error rate versus disturbance and loss")
-    common(p)
+    p = command("error-map", cmd_error_map, "observed error rate versus disturbance and loss")
     p.add_argument("--mu", type=_finite_float)
-    p.add_argument("--eta-det", dest="eta_det", type=_finite_float)
-    p.add_argument("--eta-t", dest="eta_t", type=_finite_float)
-    p.add_argument("--loss-db", dest="loss_db", type=_finite_float)
-    p.add_argument("--loss-min", dest="loss_min", type=_finite_float)
-    p.add_argument("--loss-max", dest="loss_max", type=_finite_float)
-    p.add_argument("--loss-steps", dest="loss_steps", type=int)
-    p.add_argument("--d-min", dest="d_min", type=_finite_float)
-    p.add_argument("--d-max", dest="d_max", type=_finite_float)
-    p.add_argument("--d-steps", dest="d_steps", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.set_defaults(func=cmd_error_map)
+    p.add_argument("--eta-det", type=_finite_float)
+    p.add_argument("--eta-t", type=_finite_float)
+    p.add_argument("--loss-db", type=_finite_float)
+    p.add_argument("--loss-min", type=_finite_float, default=1.0)
+    p.add_argument("--loss-max", type=_finite_float, default=13.0)
+    p.add_argument("--loss-steps", type=int, default=13)
+    p.add_argument("--d-min", type=_finite_float, default=0.0)
+    p.add_argument("--d-max", type=_finite_float, default=0.5)
+    p.add_argument("--d-steps", type=int, default=11)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("bounds", help="valid transmission window for the comparison")
-    common(p)
+    p = command("bounds", cmd_bounds, "valid transmission window for the comparison")
     p.add_argument("--mu", type=_finite_float)
-    p.add_argument("--eta-det", dest="eta_det", type=_finite_float)
-    p.set_defaults(func=cmd_bounds)
+    p.add_argument("--eta-det", type=_finite_float)
 
-    p = sub.add_parser("crossover", help="loss at which cloning overtakes the PNS process")
-    common(p)
+    p = command("crossover", cmd_crossover, "loss at which cloning overtakes the PNS process")
     p.add_argument("--mu", type=_finite_float)
-    p.add_argument("--eta-det", dest="eta_det", type=_finite_float)
-    p.add_argument("--error-rate", dest="error_rate", type=_finite_float)
-    p.set_defaults(func=cmd_crossover)
+    p.add_argument("--eta-det", type=_finite_float)
+    p.add_argument("--error-rate", type=_finite_float)
 
-    p = sub.add_parser("coefficients", help="closed-form probe coefficients on a gamma grid")
-    common(p)
-    p.add_argument("--gamma-min", dest="gamma_min", type=_finite_float)
-    p.add_argument("--gamma-max", dest="gamma_max", type=_finite_float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.set_defaults(func=cmd_coefficients)
+    p = command("coefficients", cmd_coefficients, "closed-form probe coefficients on a gamma grid")
+    p.add_argument("--gamma-min", type=_finite_float, default=0.0)
+    p.add_argument("--gamma-max", type=_finite_float, default=math.pi)
+    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("verify", help="run all oracle suites and report deltas")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--pulses", type=int)
-    p.set_defaults(func=cmd_verify)
+    p = command("verify", cmd_verify, "run all oracle suites and report deltas")
+    p.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
+    p.add_argument("--pulses", type=int, default=verification.DEFAULT_PULSES)
 
     return parser
 
@@ -309,7 +273,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             # Config values are parsed as flags; the command line's come last and win.
             args = parser.parse_args([argv[0], *_config_flags(args), *argv[1:]])
-        return args.func(RunConfig.from_args(args))
+        return args.func(args)
     except channel.InvalidRegimeError as exc:
         print(f"invalid regime: {exc}", file=sys.stderr)
         return 3

@@ -63,15 +63,14 @@ def outcome_probabilities(n: int, m: int, eta_det: float) -> dict[DetectionOutco
     }
 
 
-def povm_elements(basis: Basis, model: DetectorModel) -> dict[DetectionOutcome, Operator]:
+def povm_elements(model: DetectorModel) -> dict[DetectionOutcome, Operator]:
     """The four POVM elements on the truncated two-mode Fock space.
 
     Occupations are ordered |n, m> -> n * (cutoff + 1) + m with n counting
-    photons in the bit-0 mode of `basis`.  All four elements are diagonal in
-    that ordering and sum to the identity.
+    photons in the bit-0 mode of the measurement basis; in that ordering the
+    elements are the same for every basis.  All four are diagonal and sum to
+    the identity.
     """
-    if not isinstance(basis, Basis):
-        raise TypeError(f"expected Basis, got {type(basis).__name__}")
     k = model.cutoff + 1
     diags = {outcome: np.zeros(k * k) for outcome in DetectionOutcome}
     for n in range(k):
@@ -112,8 +111,7 @@ def conditional_error_rate(rho: Operator, basis: Basis, eta_det: float, correct_
     """
     if eta_det <= 0.0:
         raise ValueError("conditional error rate undefined at zero efficiency")
-    model = DetectorModel(eta_det=eta_det, cutoff=2)
-    dist = outcome_distribution(fock_from_symmetric(rho, basis), model)
+    dist = outcome_distribution(fock_from_symmetric(rho, basis), DetectorModel(eta_det=eta_det))
     p_click = 1.0 - dist[DetectionOutcome.VACUUM]
     wrong = DetectionOutcome.CLICK1 if correct_bit == 0 else DetectionOutcome.CLICK0
     p_err = dist[wrong] + 0.5 * dist[DetectionOutcome.DOUBLE]

@@ -34,6 +34,9 @@ _INNER_BLOCK_B = _two_photon_block([(KET_PLUS, KET_MINUS), (KET_MINUS, KET_PLUS)
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Measurement angles of the grid scan in numeric_two_state_info.
+_SCAN_ANGLES = 96
+
 
 # --------------------------------------------------------------------------
 # Measurement search
@@ -76,14 +79,14 @@ def _plane_frame(r0: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return frame[0], frame[1]
 
 
-def numeric_two_state_info(rho0: Operator, rho1: Operator, grid_size: int = 96) -> float:
+def numeric_two_state_info(rho0: Operator, rho1: Operator) -> float:
     """Maximal mutual information over projective qubit measurements.
 
     The optimal projective measurement for two equiprobable qubit states lies
     in the plane spanned by their Bloch vectors.  Both vectors are projected
     onto a frame (e1, e2) of that plane once, so the measurement direction
-    cos(theta) e1 + sin(theta) e2 sees them through four floats.  The
-    grid_size-angle scan over [0, pi) is one array expression; a golden-section
+    cos(theta) e1 + sin(theta) e2 sees them through four floats.  The scan of
+    _SCAN_ANGLES angles over [0, pi) is one array expression; a golden-section
     refinement on Python floats then brackets the best grid point.  Returns a
     lower bound on the accessible information that is tight for
     equal-determinant pairs.
@@ -96,7 +99,7 @@ def numeric_two_state_info(rho0: Operator, rho1: Operator, grid_size: int = 96) 
     x0, y0 = float(np.dot(e1, r0)), float(np.dot(e2, r0))
     x1, y1 = float(np.dot(e1, r1)), float(np.dot(e2, r1))
 
-    thetas = np.linspace(0.0, math.pi, grid_size, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, _SCAN_ANGLES, endpoint=False)
     cos, sin = np.cos(thetas), np.sin(thetas)
     q0 = np.clip(0.5 * (1.0 + (cos * x0 + sin * y0)), 0.0, 1.0)
     q1 = np.clip(0.5 * (1.0 + (cos * x1 + sin * y1)), 0.0, 1.0)
@@ -110,7 +113,7 @@ def numeric_two_state_info(rho0: Operator, rho1: Operator, grid_size: int = 96) 
         p1 = min(1.0, max(0.0, 0.5 * (1.0 + (c * x1 + s * y1))))
         return _h2(0.5 * (p0 + p1)) - 0.5 * (_h2(p0) + _h2(p1))
 
-    step = math.pi / grid_size
+    step = math.pi / _SCAN_ANGLES
     lo, hi = float(thetas[best_idx]) - step, float(thetas[best_idx]) + step
     a, b = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
     fa, fb = mutual_information(a), mutual_information(b)
@@ -469,8 +472,8 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
 
 
 def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
-                         disturbance: float | None = None, *, param: float | None = None,
-                         n_pulses: int = 10**6, seed: int = 20240901) -> MonteCarloStats:
+                         disturbance: float, *, n_pulses: int = 10**6,
+                         seed: int = 20240901) -> MonteCarloStats:
     """Sample the per-pulse protocol for one attack at matched raw rates.
 
     Pulses carry two photons with the rate-matching probability
@@ -486,22 +489,10 @@ def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
     bincount over (cell, outcome, double-click bit) gives 128 tallies, and
     every count is a sum of tallies; no (n_pulses, 4) array is built.
 
-    Exactly one of `disturbance` or `param` (beta for CloneA, gamma for
-    CloneB) must be given.  Identical inputs and seed reproduce identical
-    statistics.
+    Identical inputs and seed reproduce identical statistics.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be at least 1, got {n_pulses}")
-    if (disturbance is None) == (param is None):
-        raise ValueError("specify exactly one of disturbance or param")
-    if param is not None:
-        if attack == "CloneA":
-            disturbance = attacks.clone_a_disturbance(attacks.CloneAParams(beta=param))
-        elif attack == "CloneB":
-            disturbance = attacks.strategy_b_disturbance(param)
-        else:
-            raise ValueError("the PNS process takes a disturbance, not a machine parameter")
-    assert disturbance is not None
     if not 0.0 <= disturbance <= 0.5:
         raise ValueError(f"disturbance must lie in [0, 1/2], got {disturbance}")
 

@@ -178,11 +178,11 @@ def random_equal_determinant_ensemble(rng: np.random.Generator) -> TwoStateEnsem
                             Operator(u1 @ diag @ u1.conj().T))
 
 
-def _suite_levitin(seed: int, n_ensembles: int = 200) -> SuiteResult:
+def _suite_levitin(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     invariance = 0.0
-    for i in range(n_ensembles):
+    for i in range(200):
         ens = random_equal_determinant_ensemble(rng)
         closed = levitin_information(ens)
         numeric = oracle.numeric_two_state_info(ens.rho0, ens.rho1)
@@ -222,11 +222,11 @@ def _suite_double_click(seed: int, n_pulses: int) -> SuiteResult:
     return SuiteResult("double_click", tuple(checks))
 
 
-def _suite_error_map_identity(seed: int, n_scenarios: int = 1000) -> SuiteResult:
+def _suite_error_map_identity(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst_rel = 0.0
     count = 0
-    while count < n_scenarios:
+    while count < 1000:
         mu = rng.uniform(0.02, 0.8)
         eta = rng.uniform(0.05, 0.95)
         window = channel.eta_t_bounds(mu, eta)

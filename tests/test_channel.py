@@ -44,10 +44,18 @@ def test_p_arr_multi_zero_efficiency():
     assert p_arr_multi(0.2, 0.0) == 0.0
 
 
-def test_p_arr_multi_truncation_stability():
-    a = p_arr_multi(0.1, 0.2, cutoff=20)
-    b = p_arr_multi(0.1, 0.2, cutoff=40)
-    assert abs(a - b) <= 1e-15
+@pytest.mark.parametrize("mu", [10.0, 30.0, 60.0, 300.0])
+def test_p_arr_multi_sums_the_whole_series_for_bright_sources(mu):
+    # sum_{n>=2} P(n, mu)(1 - eta_bar^(n-1)) in closed form
+    eta = 0.2
+    expected = 1 - math.exp(-mu) - (math.exp(-mu * eta) - math.exp(-mu)) / (1 - eta)
+    assert p_arr_multi(mu, eta) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [710.0, 1e300, math.inf, math.nan])
+def test_p_arr_multi_rejects_mu_whose_vacuum_probability_is_not_normal(mu):
+    with pytest.raises(ValueError):
+        p_arr_multi(mu, 0.2)
 
 
 def test_p_exp_values():

@@ -75,10 +75,29 @@ def test_info_curves_csv_digits(capsys):
     assert len(mantissa) <= 12
 
 
-def test_info_curves_missing_option_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, ["info-curves"])
+_REQUIRED = {
+    "info-curves": {"eta_det": 0.2},
+    "error-map": {"mu": 0.1, "eta_det": 0.2},
+    "bounds": {"mu": 0.1, "eta_det": 0.2},
+    "crossover": {"mu": 0.1, "eta_det": 0.2, "error_rate": 0.01},
+}
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+@pytest.mark.parametrize("command, missing", [
+    (command, name) for command, values in _REQUIRED.items() for name in values])
+def test_missing_required_option_is_usage_error(tmp_path, capsys, command, missing, via_config):
+    given = {name: value for name, value in _REQUIRED[command].items() if name != missing}
+    if via_config:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(given))
+        argv = [command, "--config", str(path)]
+    else:
+        argv = [command] + [f"--{name.replace('_', '-')}={value}" for name, value in given.items()]
+    code, out, err = run_cli(capsys, argv)
     assert code == 1
-    assert "eta-det" in err
+    assert out == ""
+    assert err == f"usage error: missing required option --{missing.replace('_', '-')}\n"
 
 
 def test_info_curves_bad_grid_is_usage_error(capsys):
@@ -137,6 +156,18 @@ def test_bounds_record(capsys):
     assert record["loss_db_lower"] == pytest.approx(0.17, abs=0.05)
     assert record["loss_db_upper"] == pytest.approx(13.2, abs=0.05)
     assert record["window_empty"] is False
+
+
+def test_bounds_bright_source_sums_the_whole_photon_series(capsys):
+    code, out, _ = run_cli(capsys, ["bounds", "--mu", "30", "--eta-det", "0.2"])
+    assert code == 0
+    # the lower edge solves 1 - exp(-mu eta eta_t) = P_multi, and in closed form
+    # 1 - P_multi = e^-mu + (e^(-mu eta) - e^-mu)/(1 - eta)
+    mu, eta = 30.0, 0.2
+    no_multi = math.exp(-mu) + (math.exp(-mu * eta) - math.exp(-mu)) / (1 - eta)
+    expected = -math.log(no_multi) / (mu * eta)
+    assert expected == pytest.approx(0.962809408116, abs=1e-12)
+    assert json.loads(out)["eta_t_lower"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_bounds_unit_efficiency(capsys):
@@ -226,6 +257,8 @@ def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
     (["bounds"], {"mu": [0.1], "eta_det": 0.2}),
     (["bounds"], {"mu": 0.1, "eta_det": 0.2, "command": "verify"}),
     (["info-curves", "--eta-det", "0"], None),
+    (["bounds", "--mu", "1e300", "--eta-det", "0.2"], None),
+    (["bounds", "--m", "0.1", "--eta-det", "0.2"], None),
 ])
 def test_invalid_input_is_one_line_usage_error(tmp_path, capsys, argv, config):
     if config is not None:

@@ -21,7 +21,7 @@ def test_detector_model_validation():
 
 def test_povm_vacuum_element_ideal_detector():
     model = DetectorModel(eta_det=1.0, cutoff=3)
-    elements = povm_elements(Basis.RECTILINEAR, model)
+    elements = povm_elements(model)
     vac = elements[DetectionOutcome.VACUUM].entries
     expected = np.zeros_like(vac)
     expected[0, 0] = 1.0  # only |0,0> survives
@@ -31,24 +31,24 @@ def test_povm_vacuum_element_ideal_detector():
 def test_povm_double_element_entries():
     eta = 0.37
     model = DetectorModel(eta_det=eta, cutoff=3)
-    dbl = povm_elements(Basis.DIAGONAL, model)[DetectionOutcome.DOUBLE].entries
+    dbl = povm_elements(model)[DetectionOutcome.DOUBLE].entries
     k = model.cutoff + 1
     assert dbl[1 * k + 1, 1 * k + 1] == pytest.approx(eta**2, abs=1e-15)
     assert dbl[2 * k + 0, 2 * k + 0] == pytest.approx(0.0, abs=1e-15)
 
 
-@given(st.floats(0.0, 1.0), st.sampled_from(list(Basis)))
+@given(st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)
-def test_povm_completeness(eta, basis):
+def test_povm_completeness(eta):
     model = DetectorModel(eta_det=eta, cutoff=4)
-    elements = povm_elements(basis, model)
+    elements = povm_elements(model)
     total = sum(e.entries for e in elements.values())
     assert np.max(np.abs(total - np.eye(total.shape[0]))) <= 1e-12
 
 
 def test_povm_elements_psd_and_diagonal():
     model = DetectorModel(eta_det=0.3, cutoff=3)
-    for element in povm_elements(Basis.RECTILINEAR, model).values():
+    for element in povm_elements(model).values():
         m = element.entries
         assert np.max(np.abs(m - np.diag(np.diag(m)))) == 0.0
         assert np.min(np.real(np.diag(m))) >= 0.0

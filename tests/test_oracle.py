@@ -246,21 +246,7 @@ def test_monte_carlo_convergence_rate():
     assert abs(ratio - math.sqrt(2)) < 0.2 * math.sqrt(2)
 
 
-def test_monte_carlo_param_entry_points():
-    via_d = monte_carlo_protocol(SCEN, "CloneB", 0.1, n_pulses=10_000, seed=3)
-    gamma = attacks.gamma_for_disturbance(0.1)
-    via_g = monte_carlo_protocol(SCEN, "CloneB", param=gamma, n_pulses=10_000, seed=3)
-    assert via_d.sifted_errors == via_g.sifted_errors
-    beta = attacks.clone_a_params_for_disturbance(0.1).beta
-    via_b = monte_carlo_protocol(SCEN, "CloneA", param=beta, n_pulses=10_000, seed=3)
-    assert via_b.disturbance == pytest.approx(0.1, abs=1e-9)
-
-
 def test_monte_carlo_argument_validation():
-    with pytest.raises(ValueError):
-        monte_carlo_protocol(SCEN, "PNS", 0.1, param=0.2, n_pulses=10)
-    with pytest.raises(ValueError):
-        monte_carlo_protocol(SCEN, "PNS", param=0.2, n_pulses=10)
     with pytest.raises(ValueError):
         monte_carlo_protocol(SCEN, "Unknown", 0.1, n_pulses=10)
     with pytest.raises(ValueError):
