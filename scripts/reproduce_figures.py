@@ -25,7 +25,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from qel import attacks, channel, cli, verification  # noqa: E402
+from qel import VERIFY_SEED, attacks, channel, cli, verification  # noqa: E402
 
 MU = 0.1
 ETA_DET = 0.2
@@ -36,7 +36,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="out")
     parser.add_argument("--steps", type=int, default=attacks.DEFAULT_CURVE_GRID_POINTS)
-    parser.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
+    parser.add_argument("--seed", type=int, default=VERIFY_SEED)
     parser.add_argument("--skip-verification", action="store_true")
     args = parser.parse_args()
     os.makedirs(args.outdir, exist_ok=True)

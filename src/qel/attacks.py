@@ -19,44 +19,39 @@ Requiring all three to produce the same raw click rate at detectors of
 efficiency eta_det fixes p = 1/(2 - eta_det), after which the cloning
 informations depend only on the disturbance while the PNS information keeps
 an explicit eta_det dependence.
+
+The closed forms work on math floats, so importing this module loads no
+numpy.  The unitaries, the probe matrices and the array forms of the
+inversion import it when they are called.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .detection import conditional_error_rate
 from .infotheory import DOMAIN_SLACK, fuchs_information, phi
-from .linalg import Operator, _freeze, partial_trace
-from .optics import KET_MINUS, KET_PLUS, SIGNALS, Basis, Bb84Signal, symmetric_encode
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .linalg import Operator
 
 D_INVERSION_TOL = 1e-10
 
-# Bell states, computational ordering |00>, |01>, |10>, |11>.
-PHI_PLUS = _freeze(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
-PHI_MINUS = _freeze(np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2))
-PSI_PLUS = _freeze(np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2))
-PSI_MINUS = _freeze(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2))
-
-#: Pauli matrices.
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-
-#: BB84 signals for strategy B.  The phase-covariant machine is covariant
-#: under rotations about the z axis only, so the protocol's two mutually
-#: unbiased bases must both lie on the equator of the Bloch sphere: the
-#: diagonal and circular bases.  (A universal machine, strategy A, is frame
-#: independent and works with any pair.)
-STRATEGY_B_SIGNALS = tuple(Bb84Signal(basis, bit)
-                           for basis in (Basis.DIAGONAL, Basis.CIRCULAR) for bit in (0, 1))
-
 _BISECT_RTOL = 4.0 * sys.float_info.epsilon
 _BISECT_MAX_STEPS = 100
+
+
+def _numpy_if_array(x):
+    """The numpy module when x is a numpy array, else None.
+
+    numpy is looked up, not imported: no array exists before numpy is
+    loaded, so a float caller never pays for the import.
+    """
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(x, np.ndarray) else None
 
 
 # --------------------------------------------------------------------------
@@ -81,7 +76,7 @@ def bisect(f, lo, hi, xtol: float):
     errors are raised when any element fails.  The float loop avoids numpy's
     per-call cost, which dominates a single bracket.
     """
-    if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
+    if _numpy_if_array(lo) is not None or _numpy_if_array(hi) is not None:
         return _bisect_elementwise(f, lo, hi, xtol)
     lo, hi = float(lo), float(hi)
     f_lo, f_hi = f(lo), f(hi)
@@ -110,6 +105,8 @@ def _bisect_elementwise(f, lo, hi, xtol: float) -> np.ndarray:
     f is evaluated on whole arrays; an element that has stopped keeps its
     root while its midpoint, still inside its bracket, is carried along.
     """
+    import numpy as np
+
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     f_lo, f_hi = f(lo), f(hi)
     sign_lo = np.copysign(1.0, f_lo)
@@ -186,11 +183,6 @@ class CloneAParams:
         return math.sqrt(max(0.0, 1.0 - 8.0 * self.beta**2))
 
 
-def _sigma_tilde(sigma: np.ndarray) -> np.ndarray:
-    """Symmetrized one-qubit operator sigma (x) 1 + 1 (x) sigma."""
-    return np.kron(sigma, _I2) + np.kron(_I2, sigma)
-
-
 def strategy_a_unitary(params: CloneAParams) -> Operator:
     """Isometric extension of the universal asymmetric cloner on four qubits.
 
@@ -203,8 +195,14 @@ def strategy_a_unitary(params: CloneAParams) -> Operator:
     receiver 2, probe 1, probe 2).  Columns whose probe part is not |00> are
     left zero; the map is isometric on (symmetric subspace) (x) |00>.
     """
+    import numpy as np
+
+    from .linalg import Operator
+    from .optics import _I2, PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
+
     alpha, beta = params.alpha, params.beta
-    tz, tx, ty = _sigma_tilde(SIGMA_Z), _sigma_tilde(SIGMA_X), _sigma_tilde(SIGMA_Y)
+    tz, tx, ty = (np.kron(sigma, _I2) + np.kron(_I2, sigma)
+                  for sigma in (SIGMA_Z, SIGMA_X, SIGMA_Y))
     u = np.zeros((16, 16), dtype=complex)
     for col_signal in range(4):
         s = np.zeros(4, dtype=complex)
@@ -235,6 +233,11 @@ def strategy_a_probe_states(disturbance: float) -> tuple[Operator, Operator]:
     so a weight 2D lands in a perfectly distinguishing product block and the
     rest in a pure pair of overlap (1-6D)/(1-2D).  Requires D <= 1/4.
     """
+    import numpy as np
+
+    from .linalg import Operator
+    from .optics import KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS
+
     d = _strategy_a_domain(disturbance)
     if d >= 0.25:
         varphi_p, varphi_m = PSI_PLUS, -PSI_PLUS
@@ -281,6 +284,12 @@ def clone_a_disturbance(params: CloneAParams) -> float:
     efficiency 1/2.  The value is independent of the efficiency and of the
     signal; no closed form is assumed.
     """
+    import numpy as np
+
+    from .detection import conditional_error_rate
+    from .linalg import Operator, partial_trace
+    from .optics import SIGNALS, symmetric_encode
+
     u = strategy_a_unitary(params).entries
     errors = []
     for signal in SIGNALS:
@@ -323,6 +332,8 @@ class CloneBParams:
 
 def _v_images(gamma: float) -> dict[str, np.ndarray]:
     """Images of the symmetric basis under the three-qubit isometry V."""
+    import numpy as np
+
     c, s = math.cos(gamma), math.sin(gamma)
     n1 = math.sqrt(1.0 + c * c)
     n2 = math.sqrt(1.0 + s * s)
@@ -350,6 +361,11 @@ def strategy_b_unitary(params: CloneBParams) -> Operator:
     probe 2); the singlet component of the input is annihilated since the
     machine is only defined on the symmetric subspace.
     """
+    import numpy as np
+
+    from .linalg import Operator
+    from .optics import SIGMA_X
+
     v = _v_images(params.gamma)
     x3 = np.kron(np.kron(SIGMA_X, SIGMA_X), SIGMA_X).real
     vt = {"00": x3 @ v["11"], "psi+": x3 @ v["psi+"], "11": x3 @ v["00"]}
@@ -409,6 +425,8 @@ def strategy_b_probe_matrices(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     Laid out from the closed-form coefficients; the |->|-> probe is the
     |+>|+> probe with a <-> c and d <-> f exchanged.
     """
+    import numpy as np
+
     a, b, c, d, e, f = strategy_b_coefficients(gamma)
     m_plus = np.array([
         [a, 0.0, 0.0, b],
@@ -425,14 +443,10 @@ def strategy_b_probe_matrices(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return m_plus, m_minus
 
 
-#: Columns are |++>, |+->, |-+>, |--> in the computational basis.
-_DIAG_BASIS_MATRIX = _freeze(np.column_stack(
-    [np.kron(x, y) for x in (KET_PLUS, KET_MINUS) for y in (KET_PLUS, KET_MINUS)]))
-
-
 def probe_matrix_in_diagonal_basis(rho: Operator) -> np.ndarray:
     """Rewrite a two-qubit operator in the ordered (|++>,|+->,|-+>,|-->) basis."""
-    t = _DIAG_BASIS_MATRIX
+    from .optics import _DIAG_BASIS_MATRIX as t
+
     return t.conj().T @ rho.entries @ t
 
 
@@ -444,7 +458,10 @@ def strategy_b_disturbance(gamma):
     Takes a float, evaluated with math, or a numpy array, evaluated
     elementwise with numpy; every gamma must lie in [0, pi].
     """
-    if isinstance(gamma, np.ndarray):
+    # A float, as every step of a scalar inversion passes, skips the array
+    # test: this function is the inner loop of gamma_for_disturbance.
+    np = None if type(gamma) is float else _numpy_if_array(gamma)
+    if np is not None:
         xp = np
         in_range = np.all((0.0 <= gamma) & (gamma <= math.pi + DOMAIN_SLACK))
     else:
@@ -490,7 +507,8 @@ def gamma_for_disturbance(disturbance):
     evaluation at gamma.
     """
     top = STRATEGY_B_MAX_DISTURBANCE
-    if isinstance(disturbance, np.ndarray):
+    np = _numpy_if_array(disturbance)
+    if np is not None:
         outside = ~((0.0 <= disturbance) & (disturbance <= top + DOMAIN_SLACK))
         if outside.any():
             raise ValueError(f"no gamma in [0, pi/2] reaches disturbance {disturbance[outside][0]}")
@@ -536,6 +554,8 @@ DEFAULT_CURVE_GRID_POINTS = 500
 
 
 def default_disturbance_grid() -> np.ndarray:
+    import numpy as np
+
     return np.linspace(0.0, 0.5, DEFAULT_CURVE_GRID_POINTS)
 
 
@@ -547,6 +567,8 @@ def information_curves(eta_det: float, d_grid=None) -> list[AttackCurvePoint]:
     reachable points come from one array call of gamma_for_disturbance; the
     informations are then evaluated point by point.
     """
+    import numpy as np
+
     if d_grid is None:
         d_grid = default_disturbance_grid()
     d_grid = [float(d) for d in d_grid]

@@ -21,8 +21,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import attacks
 
 CROSSOVER_DB_TOL = 0.01
@@ -74,12 +72,11 @@ class ChannelScenario:
 def p_arr_multi(mu: float, eta_det: float) -> float:
     """Probability that a pulse is split and still detected.
 
-    sum_{n>=2} P(n, mu) [1 - (1-eta_det)^(n-1)], summed term by term until a
-    term past the Poisson peak no longer changes the total; later terms are
-    smaller still.  mu must keep exp(-mu) a normal float (mu up to about
-    708): beyond that P(0, mu) loses digits or vanishes, and the sum would
-    run over about mu terms.  Cached, because a grid or a crossover scan asks
-    for the same (mu, eta_det) at every loss.
+    sum_{n>=2} P(n, mu) [1 - (1-eta_det)^(n-1)], summed to convergence.  mu
+    must keep exp(-mu) a normal float (mu up to about 708): beyond that
+    P(0, mu) loses digits or vanishes, and the sum would run over about mu
+    terms.  Cached, because a grid or a crossover scan asks for the same
+    (mu, eta_det) at every loss.
     """
     if mu < 0.0:
         raise ValueError(f"mean photon number must be nonnegative, got {mu}")
@@ -88,13 +85,26 @@ def p_arr_multi(mu: float, eta_det: float) -> float:
                          f"stops being a normal float, got {mu}")
     if not 0.0 <= eta_det <= 1.0:
         raise ValueError(f"eta_det must lie in [0, 1], got {eta_det}")
-    log_eta_bar = math.log1p(-eta_det) if eta_det < 1.0 else -math.inf
+    log_eta_bar = _log_eta_bar(eta_det)
+    # 1 - eta_bar^(n-1), evaluated without cancellation
+    return _multi_photon_series(mu, lambda n: -math.expm1((n - 1) * log_eta_bar))
+
+
+def _log_eta_bar(eta_det: float) -> float:
+    return math.log1p(-eta_det) if eta_det < 1.0 else -math.inf
+
+
+def _multi_photon_series(mu: float, weight) -> float:
+    """sum_{n>=2} P(n, mu) weight(n) for weights in [0, 1].
+
+    Summed term by term until a term past the Poisson peak (n > mu + 1) no
+    longer changes the total; later terms are smaller still.
+    """
     total = 0.0
     p_n = math.exp(-mu) * mu  # P(1, mu)
     for n in itertools.count(2):
         p_n = p_n * mu / n
-        # 1 - eta_bar^(n-1), evaluated without cancellation
-        term = p_n * (-math.expm1((n - 1) * log_eta_bar))
+        term = p_n * weight(n)
         if n > mu + 1.0 and total + term == total:
             return total
         total += term
@@ -232,6 +242,11 @@ def eta_t_bounds(mu: float, eta_det: float) -> TransmissionWindow:
     multi-photon pulse, P_exp <= eta_det P(1, mu) + P_multi.  Lower bound:
     the expected rate must exceed the multi-photon arrivals, P_exp > P_multi.
     Both conditions invert in closed form through eta_t = -ln(1 - P)/(mu eta).
+
+    A rate P of at least 1/2 is stored next to 1 and has lost the digits of
+    1 - P, so there 1 - P is summed as its own positive series instead: the
+    undetected pulses P(0, mu) + P(1, mu) [1 - eta_det for the upper bound]
+    + sum_{n>=2} P(n, mu) (1-eta_det)^(n-1).
     """
     if mu <= 0.0:
         raise ValueError(f"mean photon number must be positive, got {mu}")
@@ -242,13 +257,17 @@ def eta_t_bounds(mu: float, eta_det: float) -> TransmissionWindow:
     p_multi = p_arr_multi(mu, eta_det)
     p1_detected = eta_det * mu * math.exp(-mu)
 
-    def eta_t_at_click_rate(target: float) -> float:
-        if target >= 1.0:
-            return math.inf
-        return -math.log1p(-target) / (mu * eta_det)
+    def eta_t_at_click_rate(target: float, undetected_below_two: float) -> float:
+        if target < 0.5:
+            return -math.log1p(-target) / (mu * eta_det)
+        log_eta_bar = _log_eta_bar(eta_det)
+        undetected = undetected_below_two + _multi_photon_series(
+            mu, lambda n: math.exp((n - 1) * log_eta_bar))
+        return -math.log(undetected) / (mu * eta_det)
 
-    upper = min(1.0, eta_t_at_click_rate(p1_detected + p_multi))
-    lower = eta_t_at_click_rate(p_multi)
+    p0, p1 = math.exp(-mu), mu * math.exp(-mu)
+    upper = min(1.0, eta_t_at_click_rate(p1_detected + p_multi, p0 + (1.0 - eta_det) * p1))
+    lower = eta_t_at_click_rate(p_multi, p0 + p1)
     if lower >= 1.0:
         lower = 1.0  # window empty: multi-photon clicks exceed any expected rate
     return TransmissionWindow(eta_t_lower=lower, eta_t_upper=upper)
@@ -265,6 +284,18 @@ def _strategy_information(strategy: str, disturbance: float):
             return None
         return attacks.strategy_b_information(attacks.gamma_for_disturbance(disturbance))
     raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
+
+
+def _scan_grid(lo: float, hi: float) -> list[float]:
+    """Losses from lo every 0.05 dB up to below hi, then hi itself.
+
+    The floats of np.append(np.arange(lo, hi, 0.05), hi): numpy fills an
+    arange as lo + i * ((lo + 0.05) - lo), and the plainer lo + i * 0.05
+    differs in the last bit for most brackets, which moves the refined
+    crossover.
+    """
+    step = (lo + _SCAN_DB_STEP) - lo
+    return [lo + i * step for i in range(math.ceil((hi - lo) / _SCAN_DB_STEP))] + [hi]
 
 
 def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: str):
@@ -305,8 +336,7 @@ def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: s
     hi = window.loss_db_upper - 1e-9
     if hi <= lo:
         return None
-    grid = np.arange(lo, hi, _SCAN_DB_STEP)
-    grid = np.append(grid, hi)
+    grid = _scan_grid(lo, hi)
     gains = [gain(loss) for loss in grid]
     if reachable[0] == 0:
         raise InvalidRegimeError(

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from . import attacks, channel, verification
+from . import VERIFY_PULSES, VERIFY_SEED, attacks, channel
 
 SCHEMA = "qel/1"
 
@@ -197,6 +197,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed, pulses = args.seed, args.pulses
     if seed < 0 or pulses < 1:
         raise UsageError(f"verify needs --seed >= 0 and --pulses >= 1, got {seed} and {pulses}")
+    # Imported here so that no other subcommand loads the oracle and numpy.
+    from . import verification
+
     report = verification.run_verification(seed=seed, n_pulses=pulses)
     emit_record(report.to_dict(), args.output)
     if not report.passed:
@@ -259,8 +262,8 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = command("verify", cmd_verify, "run all oracle suites and report deltas")
-    p.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
-    p.add_argument("--pulses", type=int, default=verification.DEFAULT_PULSES)
+    p.add_argument("--seed", type=int, default=VERIFY_SEED)
+    p.add_argument("--pulses", type=int, default=VERIFY_PULSES)
 
     return parser
 

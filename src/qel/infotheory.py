@@ -6,15 +6,18 @@ Everything is expressed through
 
 with the convention 0 log 0 = 0 at the endpoints, so Phi(0) = 0 and
 Phi(+-1) = 2.  Phi is even and convex on [-1, 1].
+
+Phi and the Fuchs information work on math floats and load no numpy; the
+qubit-ensemble quantities import numpy when they are called.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .linalg import Operator, check_density
+if TYPE_CHECKING:
+    from .linalg import Operator
 
 #: Rounding slack allowed past the closed end of a parameter domain.
 DOMAIN_SLACK = 1e-12
@@ -54,6 +57,8 @@ class TwoStateEnsemble:
     rho1: Operator
 
     def __post_init__(self):
+        from .linalg import check_density
+
         if self.rho0.dim != self.rho1.dim:
             raise ValueError("ensemble states must share a dimension")
         for name, rho in (("rho0", self.rho0), ("rho1", self.rho1)):
@@ -69,6 +74,8 @@ def levitin_information(ensemble: TwoStateEnsemble) -> float:
     equal-determinant precondition (equal Bloch-vector lengths) is enforced
     rather than silently ignored because the closed form is only valid there.
     """
+    import numpy as np
+
     rho0, rho1 = ensemble.rho0, ensemble.rho1
     if rho0.dim != 2:
         raise ValueError(f"closed form applies to qubit ensembles, got dim {rho0.dim}")

@@ -56,6 +56,30 @@ KET_L = _freeze(np.array([1.0, -1.0j]) / math.sqrt(2))
 #: up to phase, used to test membership in the symmetric subspace.
 SINGLET = _freeze(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2))
 
+# Bell states, computational ordering |00>, |01>, |10>, |11>.
+PHI_PLUS = _freeze(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
+PHI_MINUS = _freeze(np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2))
+PSI_PLUS = _freeze(np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2))
+PSI_MINUS = _freeze(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2))
+
+#: Pauli matrices.
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_I2 = np.eye(2, dtype=complex)
+
+#: BB84 signals for strategy B.  The phase-covariant machine is covariant
+#: under rotations about the z axis only, so the protocol's two mutually
+#: unbiased bases must both lie on the equator of the Bloch sphere: the
+#: diagonal and circular bases.  (A universal machine, strategy A, is frame
+#: independent and works with any pair.)
+STRATEGY_B_SIGNALS = tuple(Bb84Signal(basis, bit)
+                           for basis in (Basis.DIAGONAL, Basis.CIRCULAR) for bit in (0, 1))
+
+#: Columns are |++>, |+->, |-+>, |--> in the computational basis.
+_DIAG_BASIS_MATRIX = _freeze(np.column_stack(
+    [np.kron(x, y) for x in (KET_PLUS, KET_MINUS) for y in (KET_PLUS, KET_MINUS)]))
+
 _BASIS_KETS = {
     Basis.RECTILINEAR: (KET_0, KET_1),
     Basis.DIAGONAL: (KET_PLUS, KET_MINUS),

@@ -16,7 +16,8 @@ import numpy as np
 from . import attacks, channel
 from .detection import DetectionOutcome, DetectorModel, conditional_error_rate, outcome_distribution
 from .linalg import Operator, _freeze, partial_trace
-from .optics import (KET_MINUS, KET_PLUS, SIGNALS, Basis, Bb84Signal, basis_kets, signal_ket,
+from .optics import (KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGNALS,
+                     STRATEGY_B_SIGNALS, Basis, Bb84Signal, basis_kets, signal_ket,
                      singlet_weight, symmetric_encode, fock_from_symmetric)
 
 
@@ -28,7 +29,7 @@ def _two_photon_block(pairs) -> list[np.ndarray]:
 # the diagonal basis.  Strategy A: the perfectly distinguishing product block
 # and the {phi+, psi+} block.  Strategy B: the outer and inner diagonal blocks.
 _PROD_BLOCK_A = _two_photon_block([(KET_MINUS, KET_PLUS), (KET_PLUS, KET_MINUS)])
-_PURE_BLOCK_A = [attacks.PHI_PLUS, attacks.PSI_PLUS]
+_PURE_BLOCK_A = [PHI_PLUS, PSI_PLUS]
 _OUTER_BLOCK_B = _two_photon_block([(KET_PLUS, KET_PLUS), (KET_MINUS, KET_MINUS)])
 _INNER_BLOCK_B = _two_photon_block([(KET_PLUS, KET_MINUS), (KET_MINUS, KET_PLUS)])
 
@@ -44,7 +45,7 @@ _SCAN_ANGLES = 96
 
 def _bloch_vector(rho: np.ndarray) -> np.ndarray:
     return np.array([np.real(np.trace(rho @ s))
-                     for s in (attacks.SIGMA_X, attacks.SIGMA_Y, attacks.SIGMA_Z)])
+                     for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 
 def _h2(q: float) -> float:
@@ -312,7 +313,7 @@ def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -
     params = attacks.CloneBParams(gamma=gamma)
     u = attacks.strategy_b_unitary(params).entries
 
-    errors, probes, isometry_defect, singlet = _drive(u, attacks.STRATEGY_B_SIGNALS, eta_det,
+    errors, probes, isometry_defect, singlet = _drive(u, STRATEGY_B_SIGNALS, eta_det,
                                                       rng_seed)
 
     disturbance = float(np.mean(errors))
@@ -435,7 +436,7 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
     """
     if attack not in ("PNS", "CloneA", "CloneB"):
         raise ValueError(f"attack must be 'PNS', 'CloneA' or 'CloneB', got {attack!r}")
-    signals = attacks.STRATEGY_B_SIGNALS if attack == "CloneB" else SIGNALS
+    signals = STRATEGY_B_SIGNALS if attack == "CloneB" else SIGNALS
     bases = list(dict.fromkeys(s.basis for s in signals))
     bits = [s.bit for s in signals]
     basis_of_signal = [bases.index(s.basis) for s in signals]

@@ -11,12 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attacks, channel, oracle
+from . import VERIFY_PULSES, VERIFY_SEED, attacks, channel, oracle
 from .infotheory import TwoStateEnsemble, levitin_information
 from .linalg import Operator
-
-DEFAULT_SEED = 20240901
-DEFAULT_PULSES = 10**6
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,7 @@ def _suite_error_map_identity(seed: int) -> SuiteResult:
     ))
 
 
-def run_verification(seed: int = DEFAULT_SEED, n_pulses: int = DEFAULT_PULSES) -> VerificationReport:
+def run_verification(seed: int = VERIFY_SEED, n_pulses: int = VERIFY_PULSES) -> VerificationReport:
     """Run every verification suite and collect the deltas.
 
     Each cloner setting of the fast grids is simulated once and the suites

@@ -16,7 +16,7 @@ from qel.attacks import (CloneAParams, CloneBParams,
                          strategy_b_probe_matrices, strategy_b_unitary)
 from qel.infotheory import fuchs_information, phi
 from qel.linalg import Operator, check_density, partial_trace
-from qel.optics import SIGNALS, singlet_weight, symmetric_encode
+from qel.optics import PHI_PLUS, PSI_PLUS, SIGNALS, singlet_weight, symmetric_encode
 
 
 # -- PNS ---------------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_strategy_a_unitary_no_disturbance_at_beta_zero():
     for signal in SIGNALS:
         pair = symmetric_encode(signal)
         out = u @ np.kron(pair, [1, 0, 0, 0])
-        expected = np.kron(pair, attacks.PHI_PLUS)
+        expected = np.kron(pair, PHI_PLUS)
         assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -96,7 +96,7 @@ def test_clone_a_params_validation():
 
 def test_strategy_a_probe_states_pure_at_zero():
     rho_p, rho_m = strategy_a_probe_states(0.0)
-    expected = np.outer(attacks.PHI_PLUS, attacks.PHI_PLUS.conj())
+    expected = np.outer(PHI_PLUS, PHI_PLUS.conj())
     assert np.allclose(rho_p.entries, expected, atol=1e-12)
     assert np.allclose(rho_m.entries, expected, atol=1e-12)
 
@@ -117,10 +117,10 @@ def test_strategy_a_overlap_formula_vs_inner_product(d):
     if d == 0.0:
         return
     scale = 1 / math.sqrt(1 - 2 * d)
-    vp = scale * (math.sqrt(1 - 4 * d) * attacks.PHI_PLUS
-                  + math.sqrt(2 * d) * attacks.PSI_PLUS)
-    vm = scale * (math.sqrt(1 - 4 * d) * attacks.PHI_PLUS
-                  - math.sqrt(2 * d) * attacks.PSI_PLUS)
+    vp = scale * (math.sqrt(1 - 4 * d) * PHI_PLUS
+                  + math.sqrt(2 * d) * PSI_PLUS)
+    vm = scale * (math.sqrt(1 - 4 * d) * PHI_PLUS
+                  - math.sqrt(2 * d) * PSI_PLUS)
     direct = float(np.real(np.vdot(vp, vm)))
     assert abs(direct - strategy_a_probe_overlap(d)) <= 1e-12
 
@@ -155,7 +155,7 @@ def test_strategy_b_unitary_gamma_zero_is_identity_channel():
     for vec in (np.array([1, 0, 0, 0]), np.array([0, 0, 0, 1]),
                 np.array([0, 1, 1, 0]) / math.sqrt(2)):
         out = u @ np.kron(vec.astype(complex), [1, 0, 0, 0])
-        expected = np.kron(vec, attacks.PHI_PLUS)
+        expected = np.kron(vec, PHI_PLUS)
         assert np.allclose(out, expected, atol=1e-12)
 
 

@@ -227,6 +227,28 @@ def test_window_narrows_for_bright_source():
     assert window.eta_t_upper - window.eta_t_lower < 1e-6
 
 
+@pytest.mark.parametrize("mu", [100.0, 150.0, 500.0, 700.0])
+def test_window_lower_edge_of_a_bright_source_matches_a_decimal_closed_form(mu):
+    # 1 - P_multi = e^-mu + (e^(-mu eta) - e^-mu) / (1 - eta), at 50 digits;
+    # the float P_multi is next to 1 here and has lost those digits
+    eta = 0.2
+    with localcontext() as ctx:
+        ctx.prec = 50
+        m, e = Decimal(mu), Decimal(eta)
+        undetected = (-m).exp() + ((-m * e).exp() - (-m).exp()) / (1 - e)
+        reference = float(-undetected.ln() / (m * e))
+    lower = eta_t_bounds(mu, eta).eta_t_lower
+    assert abs(lower - reference) <= 1e-12 * reference
+
+
+def test_scan_grid_is_bit_equal_to_numpy_arange():
+    rng = np.random.default_rng(20240901)
+    for lo, width in zip(rng.uniform(0.0, 20.0, 20_000), rng.uniform(1e-6, 15.0, 20_000)):
+        lo, hi = float(lo), float(lo + width)
+        expected = np.append(np.arange(lo, hi, channel._SCAN_DB_STEP), hi).tolist()
+        assert channel._scan_grid(lo, hi) == expected, (lo, hi)
+
+
 def test_crossover_published_number():
     result = crossover_loss_best(0.1, 0.2, 0.01)
     assert result["best_strategy"] == "B"

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel import attacks, cli
+from qel import attacks, cli, verification
 
 
 def run_cli(capsys, argv):
@@ -349,7 +350,7 @@ def test_verify_detects_tampered_coefficient(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("module, name, argv", [
-    (cli.verification, "run_verification", ["verify", "--pulses", "1000000000000"]),
+    (verification, "run_verification", ["verify", "--pulses", "1000000000000"]),
     (attacks, "information_curves", ["info-curves", "--eta-det", "0.2", "--steps", "5"]),
 ])
 def test_out_of_memory_is_one_line_usage_error(capsys, monkeypatch, module, name, argv):
@@ -377,12 +378,32 @@ def test_reference_outputs_are_byte_identical(capsys, reference, argv):
     assert out.encode() == (ROOT / "perfbench" / "reference" / reference).read_bytes()
 
 
-def test_cli_import_does_not_load_scipy():
-    probe = "import sys, qel.cli; print('scipy' in sys.modules)"
+@pytest.mark.parametrize("argv", [
+    None,
+    ["bounds", "--mu", "0.1", "--eta-det", "0.2"],
+    ["crossover", "--mu", "0.1", "--eta-det", "0.2", "--error-rate", "0.01"],
+    ["error-map", "--mu", "0.1", "--eta-det", "0.2"],
+    ["coefficients"],
+], ids=["import", "bounds", "crossover", "error-map", "coefficients"])
+def test_light_commands_load_neither_numpy_nor_scipy(argv):
+    # a fresh interpreter, since this one has loaded numpy for other tests
+    run = "" if argv is None else f"assert qel.cli.main({argv!r}) == 0; "
+    probe = f"import sys, qel.cli; {run}print(sorted({{'numpy', 'scipy'}} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=env, check=True, timeout=60)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_names_resolve_from_their_modules():
+    import qel
+
+    for name in qel.__all__:
+        if name != "__version__":
+            module = importlib.import_module(f"qel.{qel._EXPORTS[name]}")
+            assert getattr(qel, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        qel.no_such_name
 
 
 def test_reproduce_figures_matches_reference_outputs(tmp_path):

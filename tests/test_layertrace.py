@@ -7,7 +7,8 @@ import importlib
 import sys
 from pathlib import Path
 
-import qel.cli  # noqa: F401  (loads every qel module the tracer patches)
+import qel.cli  # noqa: F401
+import qel.verification  # noqa: F401  (with qel.cli, loads every qel module the tracer patches)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel import attacks, optics
+from qel import optics
 from qel.linalg import Operator
 from qel.optics import (SIGNALS, Basis, Bb84Signal, basis_kets, fock_from_symmetric,
                         signal_ket, singlet_weight, symmetric_encode)
@@ -25,7 +25,7 @@ def test_signal_kets():
 
 def test_kets_are_read_only_complex_vectors():
     kets = [optics.KET_0, optics.KET_1, optics.KET_PLUS, optics.KET_MINUS, optics.SINGLET,
-            attacks.PHI_PLUS, attacks.PHI_MINUS, attacks.PSI_PLUS, attacks.PSI_MINUS,
+            optics.PHI_PLUS, optics.PHI_MINUS, optics.PSI_PLUS, optics.PSI_MINUS,
             optics.KET_R, optics.KET_L]
     kets += [symmetric_encode(signal) for signal in SIGNALS]
     for ket in kets:
@@ -43,15 +43,15 @@ def test_signal_orthogonality_within_basis():
 
 def test_strategy_b_signals_are_equatorial_and_mutually_unbiased():
     # the phase-covariant machine is covariant about the z axis only
-    for signal in attacks.STRATEGY_B_SIGNALS:
+    for signal in optics.STRATEGY_B_SIGNALS:
         ket = signal_ket(signal)
-        assert abs(np.vdot(ket, attacks.SIGMA_Z @ ket)) <= 1e-15
+        assert abs(np.vdot(ket, optics.SIGMA_Z @ ket)) <= 1e-15
     diagonal, circular = basis_kets(Basis.DIAGONAL), basis_kets(Basis.CIRCULAR)
     for b in diagonal:
         for b_prime in circular:
             assert abs(np.vdot(b, b_prime)) ** 2 == pytest.approx(0.5, abs=1e-15)
-    assert {s.basis for s in attacks.STRATEGY_B_SIGNALS} == {Basis.DIAGONAL, Basis.CIRCULAR}
-    assert len(set(attacks.STRATEGY_B_SIGNALS)) == 4
+    assert {s.basis for s in optics.STRATEGY_B_SIGNALS} == {Basis.DIAGONAL, Basis.CIRCULAR}
+    assert len(set(optics.STRATEGY_B_SIGNALS)) == 4
 
 
 def test_exactly_four_signals():

@@ -10,6 +10,7 @@ from qel.channel import ChannelScenario
 from qel.infotheory import levitin_information, phi
 from qel.linalg import Operator
 from qel import oracle
+from qel.optics import PHI_PLUS
 from qel.oracle import (monte_carlo_protocol, numeric_two_state_info,
                         simulate_strategy_a, simulate_strategy_b)
 from qel.verification import random_equal_determinant_ensemble
@@ -133,7 +134,7 @@ def test_simulate_strategy_a_at_zero_beta():
     assert report.disturbance == pytest.approx(0.0, abs=1e-15)
     assert report.info_closed_form == 0.0
     assert report.info_measurement_search == pytest.approx(0.0, abs=1e-9)
-    assert np.allclose(report.probe_plus.entries, np.outer(attacks.PHI_PLUS, attacks.PHI_PLUS.conj()), atol=1e-12)
+    assert np.allclose(report.probe_plus.entries, np.outer(PHI_PLUS, PHI_PLUS.conj()), atol=1e-12)
 
 
 def test_simulate_strategy_a_deltas_small():
