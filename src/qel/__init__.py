@@ -26,8 +26,6 @@ _EXPORTS = {
     "Basis": "optics",
     "Bb84Signal": "optics",
     "ChannelScenario": "channel",
-    "CloneAParams": "attacks",
-    "CloneBParams": "attacks",
     "InvalidRegimeError": "channel",
     "crossover_loss": "channel",
     "eta_t_bounds": "channel",

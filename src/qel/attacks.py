@@ -168,25 +168,11 @@ def pns_information_matched(eta_det: float, disturbance: float) -> float:
 # Strategy A: universal asymmetric 2->3 cloner
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CloneAParams:
-    """Cloning asymmetry for the universal machine, alpha^2 + 8 beta^2 = 1."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 <= 8.0 * self.beta**2 <= 1.0 + DOMAIN_SLACK:
-            raise ValueError(f"beta must satisfy 0 <= 8 beta^2 <= 1, got beta={self.beta}")
-
-    @property
-    def alpha(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - 8.0 * self.beta**2))
-
-
-def strategy_a_unitary(params: CloneAParams) -> Operator:
+def strategy_a_unitary(beta: float) -> np.ndarray:
     """Isometric extension of the universal asymmetric cloner on four qubits.
 
-    Acting on a two-qubit signal s and the probe prepared in |00>,
+    beta sets the cloning asymmetry, alpha^2 + 8 beta^2 = 1.  Acting on a
+    two-qubit signal s and the probe prepared in |00>,
 
         U |s>|00> = alpha |s>|phi+> + beta (sz~ |s>|phi-> + sx~ |s>|psi+>
                                             + i sy~ |s>|psi->),
@@ -195,12 +181,13 @@ def strategy_a_unitary(params: CloneAParams) -> Operator:
     receiver 2, probe 1, probe 2).  Columns whose probe part is not |00> are
     left zero; the map is isometric on (symmetric subspace) (x) |00>.
     """
+    if not 0.0 <= 8.0 * beta**2 <= 1.0 + DOMAIN_SLACK:
+        raise ValueError(f"beta must satisfy 0 <= 8 beta^2 <= 1, got beta={beta}")
     import numpy as np
 
-    from .linalg import Operator
     from .optics import _I2, PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
-    alpha, beta = params.alpha, params.beta
+    alpha = math.sqrt(max(0.0, 1.0 - 8.0 * beta**2))
     tz, tx, ty = (np.kron(sigma, _I2) + np.kron(_I2, sigma)
                   for sigma in (SIGMA_Z, SIGMA_X, SIGMA_Y))
     u = np.zeros((16, 16), dtype=complex)
@@ -212,7 +199,7 @@ def strategy_a_unitary(params: CloneAParams) -> Operator:
         out += beta * np.kron(tx @ s, PSI_PLUS)
         out += 1.0j * beta * np.kron(ty @ s, PSI_MINUS)
         u[:, col_signal * 4] = out  # probe input fixed to |00>
-    return Operator(u)
+    return u
 
 
 def _strategy_a_domain(disturbance: float) -> float:
@@ -275,8 +262,8 @@ def strategy_a_information(disturbance: float) -> float:
     return 2.0 * d + (1.0 - 2.0 * d) * 0.5 * phi(min(1.0, arg))
 
 
-def clone_a_disturbance(params: CloneAParams) -> float:
-    """Disturbance induced by the universal cloner, measured from the machine.
+def clone_a_disturbance(beta: float) -> float:
+    """Disturbance induced by the universal cloner at beta, measured from the machine.
 
     Builds the unitary, forwards the receiver qubits for each of the four
     BB84 signals and evaluates the sifted error probability (wrong clicks
@@ -290,7 +277,7 @@ def clone_a_disturbance(params: CloneAParams) -> float:
     from .linalg import Operator, partial_trace
     from .optics import SIGNALS, symmetric_encode
 
-    u = strategy_a_unitary(params).entries
+    u = strategy_a_unitary(beta)
     errors = []
     for signal in SIGNALS:
         vec_in = np.kron(symmetric_encode(signal), [1.0, 0.0, 0.0, 0.0])
@@ -305,30 +292,19 @@ def clone_a_disturbance(params: CloneAParams) -> float:
     return float(np.mean(errors))
 
 
-def clone_a_params_for_disturbance(disturbance: float) -> CloneAParams:
-    """Machine setting of the universal cloner for a target disturbance.
+def clone_a_params_for_disturbance(disturbance: float) -> float:
+    """Machine setting beta of the universal cloner for a target disturbance.
 
     The machine-level map is D(beta) = 2 beta^2, so beta = sqrt(D/2).
     clone_a_disturbance measures the map from the unitary; verification
     checks this inverse against it.
     """
-    return CloneAParams(beta=math.sqrt(_strategy_a_domain(disturbance) / 2.0))
+    return math.sqrt(_strategy_a_domain(disturbance) / 2.0)
 
 
 # --------------------------------------------------------------------------
 # Strategy B: phase-covariant 2->3 cloner
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CloneBParams:
-    """Interaction angle of the phase-covariant machine, 0 <= gamma <= pi."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= math.pi + DOMAIN_SLACK:
-            raise ValueError(f"gamma must lie in [0, pi], got {self.gamma}")
-
 
 def _v_images(gamma: float) -> dict[str, np.ndarray]:
     """Images of the symmetric basis under the three-qubit isometry V."""
@@ -349,24 +325,26 @@ def _v_images(gamma: float) -> dict[str, np.ndarray]:
     }
 
 
-def strategy_b_unitary(params: CloneBParams) -> Operator:
+def strategy_b_unitary(gamma: float) -> np.ndarray:
     """Isometric extension of the phase-covariant cloner on four qubits.
 
-    The machine acts as U|s>|00> = [(V|s>|0>)|0> + (V~|s>|0>)|1>]/sqrt(2)
-    where V maps |00>|0> to |000>, |psi+>|0> and |11>|0> to the gamma-weighted
-    superpositions fixed by the machine, and V~ is V conjugated by bit flips
-    on every qubit (flip the signal, apply V, flip all three outputs).  The
-    1/sqrt(2) makes the extension isometric; the last output qubit records
-    which branch acted.  Qubits are ordered (receiver 1, receiver 2, probe 1,
-    probe 2); the singlet component of the input is annihilated since the
-    machine is only defined on the symmetric subspace.
+    The interaction angle gamma lies in [0, pi].  The machine acts as
+    U|s>|00> = [(V|s>|0>)|0> + (V~|s>|0>)|1>]/sqrt(2) where V maps |00>|0> to
+    |000>, |psi+>|0> and |11>|0> to the gamma-weighted superpositions fixed
+    by the machine, and V~ is V conjugated by bit flips on every qubit (flip
+    the signal, apply V, flip all three outputs).  The 1/sqrt(2) makes the
+    extension isometric; the last output qubit records which branch acted.
+    Qubits are ordered (receiver 1, receiver 2, probe 1, probe 2); the singlet
+    component of the input is annihilated since the machine is only defined
+    on the symmetric subspace.
     """
+    if not 0.0 <= gamma <= math.pi + DOMAIN_SLACK:
+        raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
     import numpy as np
 
-    from .linalg import Operator
     from .optics import SIGMA_X
 
-    v = _v_images(params.gamma)
+    v = _v_images(gamma)
     x3 = np.kron(np.kron(SIGMA_X, SIGMA_X), SIGMA_X).real
     vt = {"00": x3 @ v["11"], "psi+": x3 @ v["psi+"], "11": x3 @ v["00"]}
 
@@ -388,7 +366,7 @@ def strategy_b_unitary(params: CloneBParams) -> Operator:
         for key, amp in parts:
             col += amp * outputs[key]
         u[:, col_signal * 4] = col  # probe input fixed to |00>
-    return Operator(u)
+    return u
 
 
 def strategy_b_coefficients(gamma: float) -> tuple[float, float, float, float, float, float]:

@@ -34,7 +34,7 @@ class InvalidRegimeError(ValueError):
 def loss_db_from_eta_t(eta_t: float) -> float:
     if not 0.0 < eta_t <= 1.0:
         raise ValueError(f"transmission must lie in (0, 1], got {eta_t}")
-    return -10.0 * math.log10(eta_t)
+    return 0.0 - 10.0 * math.log10(eta_t)  # +0.0, not -0.0, at eta_t = 1
 
 
 def eta_t_from_loss_db(loss_db: float) -> float:
@@ -119,28 +119,25 @@ def p_exp(mu: float, eta_det: float, eta_t: float) -> float:
     return -math.expm1(-mu * eta_det * eta_t)
 
 
-def p_arr_single(mu: float, eta_det: float, eta_t: float) -> float:
-    """Single-photon contribution to the raw key, P_expected - P_multi.
+def error_disturbance_ratio(scenario: ChannelScenario) -> float:
+    """Dilution factor e / D = P_single / P_expected for the scenario.
 
-    Negative values mean the multi-photon clicks alone exceed the expected
-    rate, i.e. the scenario sits outside the analysis window; the valid
-    transmission range is reported by eta_t_bounds(mu, eta_det).
+    P_single = P_expected - P_multi is the single-photon contribution to the
+    raw key.  A negative one means the multi-photon clicks alone exceed the
+    expected rate, i.e. the scenario sits outside the analysis window
+    reported by eta_t_bounds(mu, eta_det), and raises InvalidRegimeError.
     """
-    single = p_exp(mu, eta_det, eta_t) - p_arr_multi(mu, eta_det)
+    mu, eta_det, eta_t = scenario.mu, scenario.eta_det, scenario.eta_t
+    pe = p_exp(mu, eta_det, eta_t)
+    if pe == 0.0:
+        raise InvalidRegimeError(f"no clicks are expected at eta_t={eta_t}")
+    single = pe - p_arr_multi(mu, eta_det)
     if single < 0.0:
         raise InvalidRegimeError(
             f"multi-photon arrivals exceed the expected click rate at eta_t={eta_t}; "
             f"plain photon-number splitting remains optimal there "
             f"(valid window from eta_t_bounds({mu}, {eta_det}))")
-    return single
-
-
-def error_disturbance_ratio(scenario: ChannelScenario) -> float:
-    """Dilution factor e / D = P_single / P_expected for the scenario."""
-    pe = p_exp(scenario.mu, scenario.eta_det, scenario.eta_t)
-    if pe == 0.0:
-        raise InvalidRegimeError(f"no clicks are expected at eta_t={scenario.eta_t}")
-    return p_arr_single(scenario.mu, scenario.eta_det, scenario.eta_t) / pe
+    return single / pe
 
 
 def observed_error_from_disturbance(scenario: ChannelScenario, disturbance: float) -> float:
@@ -246,15 +243,18 @@ def eta_t_bounds(mu: float, eta_det: float) -> TransmissionWindow:
     A rate P of at least 1/2 is stored next to 1 and has lost the digits of
     1 - P, so there 1 - P is summed as its own positive series instead: the
     undetected pulses P(0, mu) + P(1, mu) [1 - eta_det for the upper bound]
-    + sum_{n>=2} P(n, mu) (1-eta_det)^(n-1).
+    + sum_{n>=2} P(n, mu) (1-eta_det)^(n-1).  A P_multi below the normal
+    floats (mu below about 5e-154 at eta_det 0.2) is a ValueError.
     """
     if mu <= 0.0:
         raise ValueError(f"mean photon number must be positive, got {mu}")
     if not 0.0 < eta_det <= 1.0:
         raise ValueError(f"eta_det must lie in (0, 1], got {eta_det}")
-    if mu * eta_det == 0.0:
-        raise ValueError(f"mu * eta_det underflows to zero for mu={mu}, eta_det={eta_det}")
     p_multi = p_arr_multi(mu, eta_det)
+    if not p_multi >= sys.float_info.min:
+        # also catches mu * eta_det underflowing to zero, as P_multi <= mu^2 eta_det / 2
+        raise ValueError(f"the multi-photon click probability underflows for mu={mu}, "
+                         f"eta_det={eta_det}; the lower window edge would lose its digits")
     p1_detected = eta_det * mu * math.exp(-mu)
 
     def eta_t_at_click_rate(target: float, undetected_below_two: float) -> float:

@@ -31,7 +31,7 @@ from .optics import Basis, fock_from_symmetric
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Detection efficiency plus the photon-number cutoff for Fock truncation."""
+    """Detection efficiency plus the photon-number cutoff of povm_elements."""
 
     eta_det: float
     cutoff: int = 10
@@ -81,14 +81,16 @@ def povm_elements(model: DetectorModel) -> dict[DetectionOutcome, Operator]:
     return {outcome: Operator(np.diag(d).astype(complex)) for outcome, d in diags.items()}
 
 
-def outcome_distribution(occupations: dict, model: DetectorModel) -> dict[DetectionOutcome, float]:
+def outcome_distribution(occupations: dict, eta_det: float) -> dict[DetectionOutcome, float]:
     """Distribution over detector outcomes for an arriving signal.
 
     Args:
         occupations: mapping from (n, m) photon occupations of the measurement
             basis to probabilities; n counts photons in the bit-0 mode.
-        model: detector model.
+        eta_det: detection efficiency in [0, 1].
     """
+    if not 0.0 <= eta_det <= 1.0:
+        raise ValueError(f"eta_det must lie in [0, 1], got {eta_det}")
     total = sum(occupations.values())
     if occupations and abs(total - 1.0) > 1e-9:
         raise ValueError(f"occupation probabilities sum to {total}, expected 1")
@@ -96,7 +98,7 @@ def outcome_distribution(occupations: dict, model: DetectorModel) -> dict[Detect
     for (n, m), w in occupations.items():
         if w < -1e-12:
             raise ValueError(f"negative occupation probability {w} for {(n, m)}")
-        for outcome, p in outcome_probabilities(n, m, model.eta_det).items():
+        for outcome, p in outcome_probabilities(n, m, eta_det).items():
             out[outcome] += w * p
     return out
 
@@ -111,7 +113,7 @@ def conditional_error_rate(rho: Operator, basis: Basis, eta_det: float, correct_
     """
     if eta_det <= 0.0:
         raise ValueError("conditional error rate undefined at zero efficiency")
-    dist = outcome_distribution(fock_from_symmetric(rho, basis), DetectorModel(eta_det=eta_det))
+    dist = outcome_distribution(fock_from_symmetric(rho, basis), eta_det)
     p_click = 1.0 - dist[DetectionOutcome.VACUUM]
     wrong = DetectionOutcome.CLICK1 if correct_bit == 0 else DetectionOutcome.CLICK0
     p_err = dist[wrong] + 0.5 * dist[DetectionOutcome.DOUBLE]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attacks, channel
-from .detection import DetectionOutcome, DetectorModel, conditional_error_rate, outcome_distribution
+from .detection import DetectionOutcome, conditional_error_rate, outcome_distribution
 from .linalg import Operator, _freeze, partial_trace
 from .optics import (KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGNALS,
                      STRATEGY_B_SIGNALS, Basis, Bb84Signal, basis_kets, signal_ket,
@@ -235,7 +235,7 @@ def _drive(u: np.ndarray, signals, eta_det: float, rng_seed: int):
     return errors, probes, isometry_defect, singlet
 
 
-def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) -> SimulationReport:
+def simulate_strategy_a(beta: float, *, eta_det: float, rng_seed: int) -> SimulationReport:
     """Drive the universal cloner end to end and compare with the closed forms.
 
     For each BB84 signal the unitary is applied, the receiver pair is
@@ -246,9 +246,7 @@ def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) ->
     information formula is cross-checked against a blockwise measurement
     search.
     """
-    params = attacks.CloneAParams(beta=beta)
-    u = attacks.strategy_a_unitary(params).entries
-
+    u = attacks.strategy_a_unitary(beta)
     errors, probes, isometry_defect, singlet = _drive(u, SIGNALS, eta_det, rng_seed)
 
     disturbance = float(np.mean(errors))
@@ -301,7 +299,7 @@ def simulate_strategy_a(beta: float, eta_det: float = 0.5, rng_seed: int = 0) ->
     )
 
 
-def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -> SimulationReport:
+def simulate_strategy_b(gamma: float, *, eta_det: float, rng_seed: int) -> SimulationReport:
     """Drive the phase-covariant cloner and compare with the closed forms.
 
     Verifies the disturbance formula against the sifted error rate of all
@@ -310,11 +308,8 @@ def simulate_strategy_b(gamma: float, eta_det: float = 0.5, rng_seed: int = 0) -
     probes, and the information formula against a blockwise measurement
     search.
     """
-    params = attacks.CloneBParams(gamma=gamma)
-    u = attacks.strategy_b_unitary(params).entries
-
-    errors, probes, isometry_defect, singlet = _drive(u, STRATEGY_B_SIGNALS, eta_det,
-                                                      rng_seed)
+    u = attacks.strategy_b_unitary(gamma)
+    errors, probes, isometry_defect, singlet = _drive(u, STRATEGY_B_SIGNALS, eta_det, rng_seed)
 
     disturbance = float(np.mean(errors))
     disturbance_delta = abs(disturbance - attacks.strategy_b_disturbance(gamma))
@@ -415,15 +410,15 @@ _OUTCOME_ORDER = (DetectionOutcome.VACUUM, DetectionOutcome.CLICK0,
                   DetectionOutcome.CLICK1, DetectionOutcome.DOUBLE)
 
 
-def _outcome_row(occupations: dict, model: DetectorModel) -> np.ndarray:
+def _outcome_row(occupations: dict, eta_det: float) -> np.ndarray:
     """Detector outcome probabilities of an arriving state, in _OUTCOME_ORDER."""
-    dist = outcome_distribution(occupations, model)
+    dist = outcome_distribution(occupations, eta_det)
     return np.array([dist[outcome] for outcome in _OUTCOME_ORDER])
 
 
-def _single_photon_row(weight_mode0: float, model: DetectorModel) -> np.ndarray:
+def _single_photon_row(weight_mode0: float, eta_det: float) -> np.ndarray:
     """Outcome distribution for one photon with the given bit-0 mode weight."""
-    return _outcome_row({(1, 0): weight_mode0, (0, 1): 1.0 - weight_mode0}, model)
+    return _outcome_row({(1, 0): weight_mode0, (0, 1): 1.0 - weight_mode0}, eta_det)
 
 
 def _attack_tables(attack: str, disturbance: float, eta: float):
@@ -441,7 +436,6 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
     bits = [s.bit for s in signals]
     basis_of_signal = [bases.index(s.basis) for s in signals]
 
-    model = DetectorModel(eta_det=eta)
     two_rows = np.zeros((4, 2, 4))
     single_rows = np.zeros((4, 2, 4))
     if attack == "PNS":
@@ -449,32 +443,30 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
             for j, basis in enumerate(bases):
                 w0 = abs(np.vdot(basis_kets(basis)[0], signal_ket(signal))) ** 2
                 # split pulse: one untouched photon forwarded
-                two_rows[i, j] = _single_photon_row(w0, model)
+                two_rows[i, j] = _single_photon_row(w0, eta)
                 if j == basis_of_signal[i]:
                     # matching basis: the optimal single-photon attack flips
                     # the bit with probability D
                     w0_attacked = (1.0 - disturbance) if signal.bit == 0 else disturbance
                 else:
                     w0_attacked = 0.5
-                single_rows[i, j] = _single_photon_row(w0_attacked, model)
+                single_rows[i, j] = _single_photon_row(w0_attacked, eta)
         return two_rows, single_rows, bits, basis_of_signal
 
     if attack == "CloneA":
         u = attacks.strategy_a_unitary(attacks.clone_a_params_for_disturbance(disturbance))
     else:
-        gamma = attacks.gamma_for_disturbance(disturbance)
-        u = attacks.strategy_b_unitary(attacks.CloneBParams(gamma=gamma))
+        u = attacks.strategy_b_unitary(attacks.gamma_for_disturbance(disturbance))
     single_rows[:, :, 0] = 1.0  # single photons are blocked: vacuum
     for i, signal in enumerate(signals):
-        rho_bob, _, _ = _eve_probe(u.entries, symmetric_encode(signal))
+        rho_bob, _, _ = _eve_probe(u, symmetric_encode(signal))
         for j, basis in enumerate(bases):
-            two_rows[i, j] = _outcome_row(fock_from_symmetric(rho_bob, basis), model)
+            two_rows[i, j] = _outcome_row(fock_from_symmetric(rho_bob, basis), eta)
     return two_rows, single_rows, bits, basis_of_signal
 
 
 def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
-                         disturbance: float, *, n_pulses: int = 10**6,
-                         seed: int = 20240901) -> MonteCarloStats:
+                         disturbance: float, *, n_pulses: int, seed: int) -> MonteCarloStats:
     """Sample the per-pulse protocol for one attack at matched raw rates.
 
     Pulses carry two photons with the rate-matching probability

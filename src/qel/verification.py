@@ -56,7 +56,6 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "qel/1",
             "kind": "verification_report",
             "seed": self.seed,
             "n_pulses": self.n_pulses,
@@ -130,8 +129,8 @@ def _suite_disturbance_maps(seed: int, reports_b) -> SuiteResult:
     # strategy A calibration roundtrip: requested disturbance -> beta -> measured
     d_a = 0.0
     for d_target in np.linspace(0.01, 0.24, 9):
-        params = attacks.clone_a_params_for_disturbance(float(d_target))
-        d_a = max(d_a, abs(attacks.clone_a_disturbance(params) - d_target))
+        beta = attacks.clone_a_params_for_disturbance(float(d_target))
+        d_a = max(d_a, abs(attacks.clone_a_disturbance(beta) - d_target))
     # strategy B curve inversion roundtrip
     d_inv = 0.0
     for d_target in np.linspace(0.0, attacks.STRATEGY_B_MAX_DISTURBANCE, 21):

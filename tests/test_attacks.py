@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qel import attacks
-from qel.attacks import (CloneAParams, CloneBParams,
-                         clone_a_disturbance, clone_a_params_for_disturbance,
+from qel.attacks import (clone_a_disturbance, clone_a_params_for_disturbance,
                          gamma_for_disturbance, information_curves,
                          matched_two_photon_fraction, pns_information,
                          pns_information_matched, strategy_a_information,
@@ -62,7 +61,7 @@ def test_pns_matched_monotonicity():
 # -- strategy A --------------------------------------------------------------
 
 def test_strategy_a_unitary_no_disturbance_at_beta_zero():
-    u = strategy_a_unitary(CloneAParams(beta=0.0)).entries
+    u = strategy_a_unitary(0.0)
     for signal in SIGNALS:
         pair = symmetric_encode(signal)
         out = u @ np.kron(pair, [1, 0, 0, 0])
@@ -71,7 +70,7 @@ def test_strategy_a_unitary_no_disturbance_at_beta_zero():
 
 
 def test_strategy_a_unitary_norm_preservation():
-    u = strategy_a_unitary(CloneAParams(beta=0.2)).entries
+    u = strategy_a_unitary(0.2)
     for signal in SIGNALS:
         out = u @ np.kron(symmetric_encode(signal), [1, 0, 0, 0])
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
@@ -80,7 +79,7 @@ def test_strategy_a_unitary_norm_preservation():
 @given(st.floats(0.0, math.sqrt(1 / 8) * 0.999))
 @settings(max_examples=25, deadline=None)
 def test_strategy_a_bob_marginal_stays_symmetric(beta):
-    u = strategy_a_unitary(CloneAParams(beta=beta)).entries
+    u = strategy_a_unitary(beta)
     for signal in SIGNALS[:2]:
         out = u @ np.kron(symmetric_encode(signal), [1, 0, 0, 0])
         rho = Operator(np.outer(out, out.conj()))
@@ -90,8 +89,16 @@ def test_strategy_a_bob_marginal_stays_symmetric(beta):
 
 def test_clone_a_params_validation():
     with pytest.raises(ValueError):
-        CloneAParams(beta=0.4)
-    assert CloneAParams(beta=0.0).alpha == 1.0
+        strategy_a_unitary(0.4)
+    with pytest.raises(ValueError):
+        clone_a_disturbance(0.4)
+    for gamma in (-0.1, 3.2):
+        with pytest.raises(ValueError):
+            strategy_b_unitary(gamma)
+    # beta = 0 is the alpha = 1 machine: every signal column is |s>|phi+>
+    u = strategy_a_unitary(0.0)
+    for col_signal in range(4):
+        assert np.array_equal(u[:, col_signal * 4], np.kron(np.eye(4)[col_signal], PHI_PLUS))
 
 
 def test_strategy_a_probe_states_pure_at_zero():
@@ -142,16 +149,16 @@ def test_strategy_a_information_values():
 def test_clone_a_disturbance_calibration():
     # the machine-level map comes out as 2 beta^2 without being assumed
     for beta in (0.0, 0.1, 0.25, 0.34):
-        d = clone_a_disturbance(CloneAParams(beta=beta))
+        d = clone_a_disturbance(beta)
         assert d == pytest.approx(2 * beta**2, abs=1e-12)
-    params = clone_a_params_for_disturbance(0.125)
-    assert clone_a_disturbance(params) == pytest.approx(0.125, abs=1e-10)
+    beta = clone_a_params_for_disturbance(0.125)
+    assert clone_a_disturbance(beta) == pytest.approx(0.125, abs=1e-10)
 
 
 # -- strategy B --------------------------------------------------------------
 
 def test_strategy_b_unitary_gamma_zero_is_identity_channel():
-    u = strategy_b_unitary(CloneBParams(gamma=0.0)).entries
+    u = strategy_b_unitary(0.0)
     for vec in (np.array([1, 0, 0, 0]), np.array([0, 0, 0, 1]),
                 np.array([0, 1, 1, 0]) / math.sqrt(2)):
         out = u @ np.kron(vec.astype(complex), [1, 0, 0, 0])
@@ -170,7 +177,7 @@ def test_strategy_b_v_images_at_gamma_zero():
 def test_strategy_b_tilde_v_is_bit_flip_conjugate():
     # rebuild the machine from scratch using Vt = X^3 V X^2 and compare
     gamma = 0.73
-    u = strategy_b_unitary(CloneBParams(gamma=gamma)).entries
+    u = strategy_b_unitary(gamma)
     images = attacks._v_images(gamma)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     x3 = np.kron(np.kron(x, x), x)
@@ -189,7 +196,7 @@ def test_strategy_b_tilde_v_is_bit_flip_conjugate():
 
 def test_strategy_b_isometry_on_random_domain_vectors():
     rng = np.random.default_rng(5)
-    u = strategy_b_unitary(CloneBParams(gamma=1.0)).entries
+    u = strategy_b_unitary(1.0)
     for _ in range(20):
         amp = rng.normal(size=3) + 1j * rng.normal(size=3)
         vec = np.zeros(4, dtype=complex)

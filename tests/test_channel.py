@@ -10,8 +10,7 @@ from qel.channel import (ChannelScenario, InvalidRegimeError, crossover_loss,
                          crossover_loss_best, disturbance_for_error,
                          error_disturbance_ratio, eta_t_bounds, eta_t_from_loss_db,
                          loss_db_from_eta_t, observed_error_closed_form,
-                         observed_error_from_disturbance, p_arr_multi, p_arr_single,
-                         p_exp)
+                         observed_error_from_disturbance, p_arr_multi, p_exp)
 
 
 def test_scenario_validation():
@@ -70,16 +69,17 @@ def test_p_exp_monotone_in_each_argument():
     assert p_exp(0.1, 0.2, 0.6) > base
 
 
-def test_p_arr_single_sum_identity():
+def test_error_disturbance_ratio_sum_identity():
     mu, eta, eta_t = 0.1, 0.2, 0.3
-    total = p_arr_single(mu, eta, eta_t) + p_arr_multi(mu, eta)
+    single = error_disturbance_ratio(ChannelScenario(mu, eta, eta_t)) * p_exp(mu, eta, eta_t)
+    total = single + p_arr_multi(mu, eta)
     assert total == pytest.approx(p_exp(mu, eta, eta_t), abs=1e-15)
 
 
-def test_p_arr_single_inside_and_outside_window():
-    assert p_arr_single(0.1, 0.2, eta_t_from_loss_db(5.0)) > 0.0
+def test_error_disturbance_ratio_inside_and_outside_window():
+    assert error_disturbance_ratio(ChannelScenario.from_loss_db(0.1, 0.2, 5.0)) > 0.0
     with pytest.raises(InvalidRegimeError):
-        p_arr_single(0.1, 0.2, eta_t_from_loss_db(14.0))
+        error_disturbance_ratio(ChannelScenario.from_loss_db(0.1, 0.2, 14.0))
 
 
 def test_observed_error_zero_disturbance():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel import attacks, cli, verification
+from qel import attacks, channel, cli, verification
 
 
 def run_cli(capsys, argv):
@@ -177,6 +177,36 @@ def test_bounds_unit_efficiency(capsys):
     record = json.loads(out)
     assert record["eta_t_upper"] == pytest.approx(1.0, abs=1e-9)
     assert record["window_empty"] is False
+
+
+def test_unit_transmission_is_plus_zero_db(capsys):
+    code, out, _ = run_cli(capsys, ["bounds", "--mu", "0.1", "--eta-det", "1"])
+    assert code == 0
+    assert '"loss_db_lower": 0.0,' in out
+    code, out, _ = run_cli(capsys, [
+        "error-map", "--mu", "0.1", "--eta-det", "0.2", "--eta-t", "1"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert {row[0] for row in rows} == {"0"}
+    loss = channel.ChannelScenario(mu=0.1, eta_det=0.2, eta_t=1.0).loss_db
+    assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
+
+
+@pytest.mark.parametrize("mu", ["1e-300", "1e-160"])
+@pytest.mark.parametrize("command", [["bounds"], ["crossover", "--error-rate", "0.01"],
+                                     ["error-map"]], ids=["bounds", "crossover", "error-map"])
+def test_source_whose_multi_photon_rate_underflows_is_usage_error(capsys, command, mu):
+    code, out, err = run_cli(capsys, [*command, "--mu", mu, "--eta-det", "0.2"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert f"mu={mu}" in err
+
+
+def test_faint_source_keeps_its_lower_window_edge(capsys):
+    code, out, _ = run_cli(capsys, ["bounds", "--mu", "1e-150", "--eta-det", "0.2"])
+    assert code == 0
+    assert json.loads(out)["eta_t_lower"] == pytest.approx(0.5e-150, rel=1e-12)
 
 
 def test_crossover_record(capsys):

@@ -56,8 +56,7 @@ def test_povm_elements_psd_and_diagonal():
 
 def test_single_photon_distribution():
     eta = 0.2
-    model = DetectorModel(eta_det=eta, cutoff=2)
-    dist = outcome_distribution({(1, 0): 1.0}, model)
+    dist = outcome_distribution({(1, 0): 1.0}, eta)
     assert dist[DetectionOutcome.VACUUM] == pytest.approx(1 - eta, abs=1e-15)
     assert dist[DetectionOutcome.CLICK0] == pytest.approx(eta, abs=1e-15)
     assert dist[DetectionOutcome.CLICK1] == 0.0
@@ -65,49 +64,50 @@ def test_single_photon_distribution():
 
 
 def test_single_photon_never_double_clicks():
-    model = DetectorModel(eta_det=0.9, cutoff=2)
     for occ in ((1, 0), (0, 1)):
-        dist = outcome_distribution({occ: 1.0}, model)
+        dist = outcome_distribution({occ: 1.0}, 0.9)
         assert dist[DetectionOutcome.DOUBLE] == 0.0
 
 
 def test_forwarded_diagonal_state_double_click_rate():
     eta = 0.6
-    model = DetectorModel(eta_det=eta, cutoff=2)
     state = symmetric_encode(Bb84Signal(Basis.DIAGONAL, 0))
-    dist = outcome_distribution(fock_from_symmetric(density(state), Basis.RECTILINEAR), model)
+    dist = outcome_distribution(fock_from_symmetric(density(state), Basis.RECTILINEAR), eta)
     assert dist[DetectionOutcome.DOUBLE] == pytest.approx(0.5 * eta**2, abs=1e-12)
 
 
 def test_two_photon_same_mode_distribution():
     eta = 0.35
     nb = 1 - eta
-    model = DetectorModel(eta_det=eta, cutoff=2)
     state = symmetric_encode(Bb84Signal(Basis.RECTILINEAR, 0))
-    dist = outcome_distribution(fock_from_symmetric(density(state), Basis.RECTILINEAR), model)
+    dist = outcome_distribution(fock_from_symmetric(density(state), Basis.RECTILINEAR), eta)
     assert dist[DetectionOutcome.DOUBLE] == 0.0
     assert dist[DetectionOutcome.CLICK0] == pytest.approx(1 - nb**2, abs=1e-12)
 
 
 def test_outcome_distribution_sums_to_one():
-    model = DetectorModel(eta_det=0.42, cutoff=3)
-    dist = outcome_distribution({(2, 1): 0.5, (0, 3): 0.25, (1, 1): 0.25}, model)
+    dist = outcome_distribution({(2, 1): 0.5, (0, 3): 0.25, (1, 1): 0.25}, 0.42)
     assert abs(sum(dist.values()) - 1.0) < 1e-12
+
+
+def test_outcome_distribution_rejects_efficiency_above_one():
+    with pytest.raises(ValueError):
+        outcome_distribution({(1, 0): 1.0}, 1.2)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
 @settings(max_examples=30, deadline=None)
 def test_outcome_distribution_affine_in_mixtures(seed, lam):
     rng = np.random.default_rng(seed)
-    model = DetectorModel(eta_det=float(rng.uniform(0.05, 1.0)), cutoff=3)
+    eta = float(rng.uniform(0.05, 1.0))
     occ_a = {(1, 0): 0.3, (1, 1): 0.7}
     occ_b = {(0, 2): 0.6, (2, 0): 0.4}
     mixed = {}
     for occ in set(occ_a) | set(occ_b):
         mixed[occ] = lam * occ_a.get(occ, 0.0) + (1 - lam) * occ_b.get(occ, 0.0)
-    d_mixed = outcome_distribution(mixed, model)
-    d_a = outcome_distribution(occ_a, model)
-    d_b = outcome_distribution(occ_b, model)
+    d_mixed = outcome_distribution(mixed, eta)
+    d_a = outcome_distribution(occ_a, eta)
+    d_b = outcome_distribution(occ_b, eta)
     for outcome in DetectionOutcome:
         expect = lam * d_a[outcome] + (1 - lam) * d_b[outcome]
         assert d_mixed[outcome] == pytest.approx(expect, abs=1e-12)

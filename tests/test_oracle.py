@@ -249,6 +249,6 @@ def test_monte_carlo_convergence_rate():
 
 def test_monte_carlo_argument_validation():
     with pytest.raises(ValueError):
-        monte_carlo_protocol(SCEN, "Unknown", 0.1, n_pulses=10)
+        monte_carlo_protocol(SCEN, "Unknown", 0.1, n_pulses=10, seed=0)
     with pytest.raises(ValueError):
-        monte_carlo_protocol(SCEN, "PNS", 0.1, n_pulses=0)
+        monte_carlo_protocol(SCEN, "PNS", 0.1, n_pulses=0, seed=0)
