@@ -21,14 +21,15 @@ informations depend only on the disturbance while the PNS information keeps
 an explicit eta_det dependence.
 
 The closed forms work on math floats, so importing this module loads no
-numpy.  The unitaries, the probe matrices and the array forms of the
+numpy, and information_curves stays on floats unless numpy is already
+loaded.  The unitaries, the probe matrices and the array forms of the
 inversion import it when they are called.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .infotheory import DOMAIN_SLACK, fuchs_information, phi
@@ -514,18 +515,16 @@ def gamma_for_disturbance(disturbance):
 # Information-versus-disturbance curves
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AttackCurvePoint:
+class AttackCurvePoint(namedtuple("AttackCurvePoint", "disturbance i_pns i_a i_b")):
     """Information of the three processes at one disturbance value.
 
     i_a and i_b are None where the disturbance is outside the strategy's
-    reachable range (D > 1/4); values are never extrapolated.
+    reachable range (D > 1/4); values are never extrapolated.  An immutable
+    named tuple: it unpacks, and compares equal to a plain tuple of its
+    fields.
     """
 
-    disturbance: float
-    i_pns: float
-    i_a: float | None
-    i_b: float | None
+    __slots__ = ()
 
 
 DEFAULT_CURVE_GRID_POINTS = 500
@@ -541,25 +540,30 @@ def information_curves(eta_det: float, d_grid=None) -> list[AttackCurvePoint]:
     """Sample the three information curves on a disturbance grid.
 
     d_grid is any iterable of disturbances in [0, 1/2], by default the
-    500-point grid; output order follows it.  The strategy-B angles of all
-    reachable points come from one array call of gamma_for_disturbance; the
-    informations are then evaluated point by point.
+    500-point grid; output order follows it.  The strategy-B angles of the
+    reachable points come from one array call of gamma_for_disturbance when
+    numpy is already loaded, and from one float call per point otherwise, so
+    a caller without numpy never imports it; the two give bit-equal angles.
+    The informations are then evaluated point by point.
     """
-    import numpy as np
-
     if d_grid is None:
         d_grid = default_disturbance_grid()
     d_grid = [float(d) for d in d_grid]
     for d in d_grid:
         if not 0.0 <= d <= 0.5:
             raise ValueError(f"grid disturbances must lie in [0, 1/2], got {d}")
-    d_arr = np.array(d_grid)
-    reach_b = d_arr <= STRATEGY_B_MAX_DISTURBANCE + DOMAIN_SLACK
-    gammas = iter(gamma_for_disturbance(d_arr[reach_b]).tolist())
+    top_b = STRATEGY_B_MAX_DISTURBANCE + DOMAIN_SLACK
+    reachable = [d for d in d_grid if d <= top_b]
+    # looked up, not imported, by the rule of _numpy_if_array
+    np = sys.modules.get("numpy")
+    if np is None:
+        gammas = map(gamma_for_disturbance, reachable)
+    else:
+        gammas = iter(gamma_for_disturbance(np.array(reachable, dtype=float)).tolist())
     points = []
-    for d, reachable in zip(d_grid, reach_b.tolist()):
+    for d in d_grid:
         i_pns = pns_information_matched(eta_det, d)
         i_a = strategy_a_information(d) if d <= 0.25 + DOMAIN_SLACK else None
-        i_b = strategy_b_information(next(gammas)) if reachable else None
+        i_b = strategy_b_information(next(gammas)) if d <= top_b else None
         points.append(AttackCurvePoint(disturbance=d, i_pns=i_pns, i_a=i_a, i_b=i_b))
     return points

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import attacks
 
@@ -43,21 +43,28 @@ def eta_t_from_loss_db(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
-@dataclass(frozen=True)
-class ChannelScenario:
-    """Source mean photon number, detector efficiency and channel transmission."""
+class ChannelScenario(namedtuple("ChannelScenario", "mu eta_det eta_t")):
+    """Source mean photon number, detector efficiency and channel transmission.
 
-    mu: float
-    eta_det: float
-    eta_t: float
+    An immutable named tuple: it unpacks, and compares equal to a plain
+    tuple of its fields.
+    """
 
-    def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError(f"mean photon number must be positive, got {self.mu}")
-        if not 0.0 < self.eta_det <= 1.0:
-            raise ValueError(f"eta_det must lie in (0, 1], got {self.eta_det}")
-        if not 0.0 < self.eta_t <= 1.0:
-            raise ValueError(f"eta_t must lie in (0, 1], got {self.eta_t}")
+    __slots__ = ()
+
+    def __new__(cls, mu: float, eta_det: float, eta_t: float):
+        if mu <= 0.0:
+            raise ValueError(f"mean photon number must be positive, got {mu}")
+        if not 0.0 < eta_det <= 1.0:
+            raise ValueError(f"eta_det must lie in (0, 1], got {eta_det}")
+        if not 0.0 < eta_t <= 1.0:
+            raise ValueError(f"eta_t must lie in (0, 1], got {eta_t}")
+        return super().__new__(cls, mu, eta_det, eta_t)
+
+    @classmethod
+    def _make(cls, iterable) -> "ChannelScenario":
+        # namedtuple's _make, which _replace also calls, would skip the checks
+        return cls(*iterable)
 
     @classmethod
     def from_loss_db(cls, mu: float, eta_det: float, loss_db: float) -> "ChannelScenario":
@@ -205,16 +212,15 @@ def disturbance_for_error(scenario: ChannelScenario, observed_error: float) -> f
     return min(disturbance, 0.5)
 
 
-@dataclass(frozen=True)
-class TransmissionWindow:
+class TransmissionWindow(namedtuple("TransmissionWindow", "eta_t_lower eta_t_upper")):
     """Valid eta_t range for the matched comparison, with dB equivalents.
 
     loss_db_lower corresponds to eta_t_upper and vice versa.  An empty window
     means plain photon-number splitting stays optimal for every transmission.
+    An immutable named tuple, like ChannelScenario.
     """
 
-    eta_t_lower: float
-    eta_t_upper: float
+    __slots__ = ()
 
     @property
     def empty(self) -> bool:

@@ -13,7 +13,7 @@ qubit-ensemble quantities import numpy when they are called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -49,21 +49,25 @@ def fuchs_information(disturbance: float) -> float:
     return 0.5 * phi(2.0 * math.sqrt(disturbance * (1.0 - disturbance)))
 
 
-@dataclass(frozen=True)
-class TwoStateEnsemble:
-    """Two equiprobable states of equal dimension."""
+class TwoStateEnsemble(namedtuple("TwoStateEnsemble", "rho0 rho1")):
+    """Two equiprobable states of equal dimension, as an immutable named tuple."""
 
-    rho0: Operator
-    rho1: Operator
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, rho0: Operator, rho1: Operator):
         from .linalg import check_density
 
-        if self.rho0.dim != self.rho1.dim:
+        if rho0.dim != rho1.dim:
             raise ValueError("ensemble states must share a dimension")
-        for name, rho in (("rho0", self.rho0), ("rho1", self.rho1)):
+        for name, rho in (("rho0", rho0), ("rho1", rho1)):
             if not check_density(rho):
                 raise ValueError(f"{name} is not a valid density operator")
+        return super().__new__(cls, rho0, rho1)
+
+    @classmethod
+    def _make(cls, iterable) -> "TwoStateEnsemble":
+        # namedtuple's _make, which _replace also calls, would skip the checks
+        return cls(*iterable)
 
 
 def levitin_information(ensemble: TwoStateEnsemble) -> float:

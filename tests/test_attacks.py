@@ -1,4 +1,9 @@
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from qel.attacks import (clone_a_disturbance, clone_a_params_for_disturbance,
                          strategy_a_unitary, strategy_b_coefficients,
                          strategy_b_disturbance, strategy_b_information,
                          strategy_b_probe_matrices, strategy_b_unitary)
-from qel.infotheory import fuchs_information, phi
+from qel.infotheory import DOMAIN_SLACK, fuchs_information, phi
 from qel.linalg import Operator, check_density, partial_trace
 from qel.optics import PHI_PLUS, PSI_PLUS, SIGNALS, singlet_weight, symmetric_encode
 
@@ -428,6 +433,56 @@ def test_curves_invert_the_grid_once_and_evaluate_strategy_b_per_point(monkeypat
     points = information_curves(0.2)
     assert calls == {"inversion": 1, "information": 250}
     assert sum(p.i_b is not None for p in points) == 250
+
+
+def _seeded_curve_grids():
+    """(eta_det, grid) cases: 20 seeded grids with odd step counts, then edge grids."""
+    rng = random.Random(20240901)
+    cases = []
+    for _ in range(20):
+        eta_det = rng.choice([1.0, rng.uniform(0.01, 1.0)])
+        lo = rng.choice([0.0, rng.uniform(0.0, 0.3)])
+        hi = rng.choice([0.5, rng.uniform(lo + 0.01, 0.5)])
+        steps = 2 * rng.randrange(1, 60) + 1
+        step = (hi - lo) / (steps - 1)
+        cases.append((eta_det, [lo + i * step for i in range(steps)]))
+    top = attacks.STRATEGY_B_MAX_DISTURBANCE
+    cases.append((0.2, [0.0, 5e-324, top, math.nextafter(top, 0.0), top + DOMAIN_SLACK / 2,
+                        top + DOMAIN_SLACK, 0.5]))
+    cases.append((0.7, [top + 2 * DOMAIN_SLACK, 0.3, 0.5]))  # no strategy-B point reachable
+    return cases
+
+
+def test_curves_without_numpy_are_bit_equal_to_the_array_path():
+    # a fresh interpreter never loads numpy and takes the float path; this one
+    # has numpy loaded and takes the array path
+    cases = _seeded_curve_grids()
+    probe = ("import sys\nfrom qel import attacks\n"
+             f"for eta, grid in {cases!r}:\n"
+             "    for point in attacks.information_curves(eta, grid):\n"
+             "        print(repr(point))\n"
+             "print('numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True, timeout=60)
+    *float_path, numpy_loaded = result.stdout.splitlines()
+    assert numpy_loaded == "False" and "numpy" in sys.modules
+    array_path = [repr(p) for eta, grid in cases for p in information_curves(eta, grid)]
+    assert len(float_path) == len(array_path)
+    assert next(((f, a) for f, a in zip(float_path, array_path) if f != a), None) is None
+    assert sum(p.i_b is None for p in information_curves(*cases[-1])) == 3
+    assert sum(p.i_b is None for p in information_curves(*cases[-2])) == 1
+
+
+def test_curve_point_is_an_immutable_named_record():
+    point = attacks.AttackCurvePoint(0.1, 0.6, 0.2, None)
+    assert point == attacks.AttackCurvePoint(disturbance=0.1, i_pns=0.6, i_a=0.2, i_b=None)
+    assert (point.disturbance, point.i_pns, point.i_a, point.i_b) == (0.1, 0.6, 0.2, None)
+    assert repr(point) == "AttackCurvePoint(disturbance=0.1, i_pns=0.6, i_a=0.2, i_b=None)"
+    with pytest.raises(AttributeError):
+        point.i_a = 0.3
+    with pytest.raises(AttributeError):
+        point.other = 0.3
 
 
 def test_curves_reject_bad_grid():

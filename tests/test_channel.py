@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qel import attacks, channel, verification
-from qel.channel import (ChannelScenario, InvalidRegimeError, crossover_loss,
+from qel.channel import (ChannelScenario, InvalidRegimeError, TransmissionWindow, crossover_loss,
                          crossover_loss_best, disturbance_for_error,
                          error_disturbance_ratio, eta_t_bounds, eta_t_from_loss_db,
                          loss_db_from_eta_t, observed_error_closed_form,
@@ -22,6 +22,56 @@ def test_scenario_validation():
         ChannelScenario(mu=0.1, eta_det=0.2, eta_t=1.5)
     scen = ChannelScenario.from_loss_db(0.1, 0.2, 3.0)
     assert scen.loss_db == pytest.approx(3.0, abs=1e-12)
+
+
+def test_scenario_is_an_immutable_named_record():
+    scen = ChannelScenario(0.1, 0.2, 0.5)
+    assert scen == ChannelScenario(mu=0.1, eta_det=0.2, eta_t=0.5)
+    assert (scen.mu, scen.eta_det, scen.eta_t) == (0.1, 0.2, 0.5)
+    assert repr(scen) == "ChannelScenario(mu=0.1, eta_det=0.2, eta_t=0.5)"
+    # a named tuple: it unpacks and equals the plain tuple of its fields
+    mu, eta_det, eta_t = scen
+    assert scen == (mu, eta_det, eta_t) == (0.1, 0.2, 0.5)
+    from_db = ChannelScenario.from_loss_db(0.1, 0.2, 10.0)
+    assert type(from_db) is ChannelScenario and from_db.eta_t == eta_t_from_loss_db(10.0)
+    assert scen.loss_db == loss_db_from_eta_t(0.5)
+    with pytest.raises(AttributeError):
+        scen.mu = 0.2
+    with pytest.raises(AttributeError):
+        scen.loss = 1.0
+    for fields, message in (
+            ((0.0, 0.2, 0.5), "mean photon number must be positive, got 0.0"),
+            ((0.1, 0.0, 0.5), "eta_det must lie in (0, 1], got 0.0"),
+            ((0.1, 1.5, 0.5), "eta_det must lie in (0, 1], got 1.5"),
+            ((0.1, 0.2, 0.0), "eta_t must lie in (0, 1], got 0.0"),
+            ((0.1, 0.2, 1.5), "eta_t must lie in (0, 1], got 1.5")):
+        with pytest.raises(ValueError) as excinfo:
+            ChannelScenario(*fields)
+        assert str(excinfo.value) == message
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        ChannelScenario.from_loss_db(0.1, 0.2, -1.0)
+    assert scen._replace(eta_t=0.25) == ChannelScenario(0.1, 0.2, 0.25)
+    with pytest.raises(ValueError, match="mean photon number"):
+        scen._replace(mu=0.0)
+    with pytest.raises(ValueError, match="eta_t"):
+        ChannelScenario._make((0.1, 0.2, 2.0))
+
+
+def test_window_is_an_immutable_named_record():
+    window = TransmissionWindow(0.1, 0.5)
+    assert window == TransmissionWindow(eta_t_lower=0.1, eta_t_upper=0.5) == (0.1, 0.5)
+    assert repr(window) == "TransmissionWindow(eta_t_lower=0.1, eta_t_upper=0.5)"
+    assert not window.empty
+    assert window.loss_db_lower == loss_db_from_eta_t(0.5)
+    assert window.loss_db_upper == loss_db_from_eta_t(0.1)
+    assert window.contains_eta_t(0.5) and window.contains_eta_t(0.2)
+    assert not window.contains_eta_t(0.1) and not window.contains_eta_t(0.6)
+    assert TransmissionWindow(1.0, 1.0).empty and TransmissionWindow(0.6, 0.5).empty
+    with pytest.raises(AttributeError):
+        window.eta_t_lower = 0.2
+    with pytest.raises(AttributeError):
+        window.empty = True
+    assert type(eta_t_bounds(0.1, 0.2)) is TransmissionWindow
 
 
 def test_db_conversions_roundtrip():

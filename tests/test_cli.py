@@ -408,21 +408,35 @@ def test_reference_outputs_are_byte_identical(capsys, reference, argv):
     assert out.encode() == (ROOT / "perfbench" / "reference" / reference).read_bytes()
 
 
-@pytest.mark.parametrize("argv", [
+LIGHT_COMMANDS = pytest.mark.parametrize("argv", [
     None,
     ["bounds", "--mu", "0.1", "--eta-det", "0.2"],
     ["crossover", "--mu", "0.1", "--eta-det", "0.2", "--error-rate", "0.01"],
     ["error-map", "--mu", "0.1", "--eta-det", "0.2"],
     ["coefficients"],
-], ids=["import", "bounds", "crossover", "error-map", "coefficients"])
-def test_light_commands_load_neither_numpy_nor_scipy(argv):
+    ["info-curves", "--eta-det", "0.2", "--steps", "500"],
+], ids=["import", "bounds", "crossover", "error-map", "coefficients", "info-curves"])
+
+
+def loaded_by_light_command(argv, modules) -> str:
+    """Those of modules that `import qel.cli` and then argv load, as a sorted list's repr."""
     # a fresh interpreter, since this one has loaded numpy for other tests
     run = "" if argv is None else f"assert qel.cli.main({argv!r}) == 0; "
-    probe = f"import sys, qel.cli; {run}print(sorted({{'numpy', 'scipy'}} & set(sys.modules)))"
+    probe = f"import sys, qel.cli; {run}print(sorted({set(modules)!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=env, check=True, timeout=60)
-    assert result.stdout.splitlines()[-1] == "[]"
+    return result.stdout.splitlines()[-1]
+
+
+@LIGHT_COMMANDS
+def test_light_commands_load_neither_numpy_nor_scipy(argv):
+    assert loaded_by_light_command(argv, {"numpy", "scipy"}) == "[]"
+
+
+@LIGHT_COMMANDS
+def test_light_commands_load_neither_dataclasses_nor_inspect(argv):
+    assert loaded_by_light_command(argv, {"dataclasses", "inspect"}) == "[]"
 
 
 def test_package_names_resolve_from_their_modules():

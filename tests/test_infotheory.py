@@ -67,6 +67,30 @@ def test_fuchs_rejects_out_of_range():
             fuchs_information(bad)
 
 
+def test_ensemble_is_an_immutable_named_record():
+    rho0, rho1 = pure([1, 0]), pure([0, 1])
+    ens = TwoStateEnsemble(rho0, rho1)
+    assert ens.rho0 is rho0 and ens.rho1 is rho1
+    by_name = TwoStateEnsemble(rho0=rho0, rho1=rho1)
+    assert tuple(by_name) == (rho0, rho1)
+    with pytest.raises(AttributeError):
+        ens.rho0 = rho1
+    with pytest.raises(AttributeError):
+        ens.weight = 0.5
+    with pytest.raises(ValueError) as excinfo:
+        TwoStateEnsemble(rho0, Operator(np.eye(3) / 3))
+    assert str(excinfo.value) == "ensemble states must share a dimension"
+    not_density = Operator(np.diag([0.9, 0.2]))
+    with pytest.raises(ValueError) as excinfo:
+        TwoStateEnsemble(not_density, rho1)
+    assert str(excinfo.value) == "rho0 is not a valid density operator"
+    with pytest.raises(ValueError) as excinfo:
+        TwoStateEnsemble(rho0, not_density)
+    assert str(excinfo.value) == "rho1 is not a valid density operator"
+    with pytest.raises(ValueError, match="rho1 is not a valid"):
+        ens._replace(rho1=not_density)
+
+
 def test_levitin_identical_pure_states():
     ens = TwoStateEnsemble(pure([1, 0]), pure([1, 0]))
     assert levitin_information(ens) == pytest.approx(0.0, abs=1e-12)
