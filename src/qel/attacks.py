@@ -27,6 +27,7 @@ inversion import it when they are called.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -169,7 +170,7 @@ def pns_information_matched(eta_det: float, disturbance: float) -> float:
 # Strategy A: universal asymmetric 2->3 cloner
 # --------------------------------------------------------------------------
 
-def strategy_a_unitary(beta: float) -> np.ndarray:
+def strategy_a_unitary(beta):
     """Isometric extension of the universal asymmetric cloner on four qubits.
 
     beta sets the cloning asymmetry, alpha^2 + 8 beta^2 = 1.  Acting on a
@@ -180,27 +181,34 @@ def strategy_a_unitary(beta: float) -> np.ndarray:
 
     with sk~ = sigma_k (x) 1 + 1 (x) sigma_k.  Qubits are ordered (receiver 1,
     receiver 2, probe 1, probe 2).  Columns whose probe part is not |00> are
-    left zero; the map is isometric on (symmetric subspace) (x) |00>.
+    left zero; the map is isometric on (symmetric subspace) (x) |00>.  A
+    numpy array of settings gives the stack of their unitaries.
     """
-    if not 0.0 <= 8.0 * beta**2 <= 1.0 + DOMAIN_SLACK:
-        raise ValueError(f"beta must satisfy 0 <= 8 beta^2 <= 1, got beta={beta}")
     import numpy as np
 
+    beta = np.asarray(beta, dtype=float)
+    if not np.all((0.0 <= 8.0 * beta**2) & (8.0 * beta**2 <= 1.0 + DOMAIN_SLACK)):
+        raise ValueError(f"beta must satisfy 0 <= 8 beta^2 <= 1, got beta={beta}")
+    terms = _strategy_a_terms()
+    alpha = np.sqrt(np.maximum(0.0, 1.0 - 8.0 * beta**2))[..., None, None]
+    beta = beta[..., None, None]
+    u = np.zeros(beta.shape[:-2] + (16, 16), dtype=complex)
+    # only the columns with probe input |00> are filled
+    u[..., ::4] = alpha * terms[0] + beta * terms[1] + beta * terms[2] + 1.0j * beta * terms[3]
+    return u
+
+
+@functools.cache
+def _strategy_a_terms():
+    """The columns kron(s, phi+), kron(sz~ s, phi-), kron(sx~ s, psi+), kron(sy~ s, psi-), read-only."""
+    import numpy as np
+
+    from .linalg import _freeze
     from .optics import _I2, PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
-    alpha = math.sqrt(max(0.0, 1.0 - 8.0 * beta**2))
-    tz, tx, ty = (np.kron(sigma, _I2) + np.kron(_I2, sigma)
-                  for sigma in (SIGMA_Z, SIGMA_X, SIGMA_Y))
-    u = np.zeros((16, 16), dtype=complex)
-    for col_signal in range(4):
-        s = np.zeros(4, dtype=complex)
-        s[col_signal] = 1.0
-        out = alpha * np.kron(s, PHI_PLUS)
-        out += beta * np.kron(tz @ s, PHI_MINUS)
-        out += beta * np.kron(tx @ s, PSI_PLUS)
-        out += 1.0j * beta * np.kron(ty @ s, PSI_MINUS)
-        u[:, col_signal * 4] = out  # probe input fixed to |00>
-    return u
+    tz, tx, ty = (np.kron(sigma, _I2) + np.kron(_I2, sigma) for sigma in (SIGMA_Z, SIGMA_X, SIGMA_Y))
+    return tuple(_freeze(np.kron(t, ket[:, None])) for t, ket in
+                 ((np.eye(4, dtype=complex), PHI_PLUS), (tz, PHI_MINUS), (tx, PSI_PLUS), (ty, PSI_MINUS)))
 
 
 def _strategy_a_domain(disturbance: float) -> float:
@@ -275,18 +283,14 @@ def clone_a_disturbance(beta: float) -> float:
     import numpy as np
 
     from .detection import conditional_error_rate
-    from .linalg import Operator, partial_trace
+    from .linalg import partial_trace
     from .optics import SIGNALS, symmetric_encode
 
     u = strategy_a_unitary(beta)
-    errors = []
-    for signal in SIGNALS:
-        vec_in = np.kron(symmetric_encode(signal), [1.0, 0.0, 0.0, 0.0])
-        out = u @ vec_in
-        rho = np.outer(out, out.conj())
-        rho_bob = partial_trace(Operator(rho), keep="a", dims=(4, 4))
-        errors.append(conditional_error_rate(rho_bob, signal.basis, 0.5,
-                                             correct_bit=signal.bit))
+    out = np.array([u @ np.kron(symmetric_encode(signal), [1.0, 0.0, 0.0, 0.0]) for signal in SIGNALS])
+    rho_bob = partial_trace(out[:, :, None] * out[:, None, :].conj(), keep="a", dims=(4, 4))
+    errors = [conditional_error_rate(rho, signal.basis, 0.5, correct_bit=signal.bit)
+              for rho, signal in zip(rho_bob, SIGNALS)]
     spread = max(errors) - min(errors)
     if spread > 1e-10:
         raise RuntimeError(f"universal cloner produced signal-dependent disturbance, spread {spread}")
@@ -307,26 +311,30 @@ def clone_a_params_for_disturbance(disturbance: float) -> float:
 # Strategy B: phase-covariant 2->3 cloner
 # --------------------------------------------------------------------------
 
-def _v_images(gamma: float) -> dict[str, np.ndarray]:
-    """Images of the symmetric basis under the three-qubit isometry V."""
+def _v_images(gamma) -> dict[str, np.ndarray]:
+    """Images of the symmetric basis under the three-qubit isometry V.
+
+    Each is a (..., 8) complex amplitude vector on |000>..|111>, one per
+    angle when gamma is an array.  The amplitudes are made complex before
+    the division, which numpy rounds differently from a real one.
+    """
     import numpy as np
 
-    c, s = math.cos(gamma), math.sin(gamma)
-    n1 = math.sqrt(1.0 + c * c)
-    n2 = math.sqrt(1.0 + s * s)
-    e = np.eye(8)
+    c, s = np.cos(gamma), np.sin(gamma)
+    n1, n2 = np.sqrt(1.0 + c * c)[..., None], np.sqrt(1.0 + s * s)[..., None]
+    one, o = np.ones_like(c), np.zeros_like(c)
 
-    def k(bits: str) -> np.ndarray:
-        return e[int(bits, 2)].astype(complex)
+    def image(*amplitudes):
+        return np.stack(amplitudes, -1).astype(complex)
 
     return {
-        "00": k("000"),
-        "psi+": (c * (k("010") + k("100")) + s * k("001")) / n1,
-        "11": (c * k("110") + s * (k("011") + k("101"))) / n2,
+        "00": image(one, o, o, o, o, o, o, o),
+        "psi+": image(o, s, c, o, c, o, o, o) / n1,
+        "11": image(o, o, o, s, o, s, c, o) / n2,
     }
 
 
-def strategy_b_unitary(gamma: float) -> np.ndarray:
+def strategy_b_unitary(gamma):
     """Isometric extension of the phase-covariant cloner on four qubits.
 
     The interaction angle gamma lies in [0, pi].  The machine acts as
@@ -337,36 +345,23 @@ def strategy_b_unitary(gamma: float) -> np.ndarray:
     extension isometric; the last output qubit records which branch acted.
     Qubits are ordered (receiver 1, receiver 2, probe 1, probe 2); the singlet
     component of the input is annihilated since the machine is only defined
-    on the symmetric subspace.
+    on the symmetric subspace.  A numpy array of angles gives the stack of
+    their unitaries.
     """
-    if not 0.0 <= gamma <= math.pi + DOMAIN_SLACK:
-        raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
     import numpy as np
 
-    from .optics import SIGMA_X
-
+    gamma = np.asarray(gamma, dtype=float)
+    if not np.all((0.0 <= gamma) & (gamma <= math.pi + DOMAIN_SLACK)):
+        raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
     v = _v_images(gamma)
-    x3 = np.kron(np.kron(SIGMA_X, SIGMA_X), SIGMA_X).real
-    vt = {"00": x3 @ v["11"], "psi+": x3 @ v["psi+"], "11": x3 @ v["00"]}
-
-    outputs = {}
-    for key in ("00", "psi+", "11"):
-        outputs[key] = (np.kron(v[key], [1.0, 0.0]) + np.kron(vt[key], [0.0, 1.0])) / math.sqrt(2)
-
-    # Express the action on the computational two-qubit basis; |01> and |10>
-    # contribute only through their |psi+> component.
-    sym_components = {
-        0: [("00", 1.0)],
-        1: [("psi+", 1.0 / math.sqrt(2))],
-        2: [("psi+", 1.0 / math.sqrt(2))],
-        3: [("11", 1.0)],
-    }
-    u = np.zeros((16, 16), dtype=complex)
-    for col_signal, parts in sym_components.items():
-        col = np.zeros(16, dtype=complex)
-        for key, amp in parts:
-            col += amp * outputs[key]
-        u[:, col_signal * 4] = col  # probe input fixed to |00>
+    v = np.stack([v["00"], v["psi+"], v["11"]], -2)
+    # Flipping all three bits maps basis index i to 7 - i, and the signal
+    # flip exchanges |00> and |11>; the branch qubit interleaves V and V~.
+    outputs = np.stack([v, v[..., ::-1, ::-1]], -1).reshape(gamma.shape + (3, 16)) / math.sqrt(2)
+    # |01> and |10> contribute only through their |psi+> component.
+    u = np.zeros(gamma.shape + (16, 16), dtype=complex)
+    u[..., ::4] = np.swapaxes(outputs[..., [0, 1, 1, 2], :], -1, -2) \
+        * np.array([1.0, 1.0 / math.sqrt(2), 1.0 / math.sqrt(2), 1.0])
     return u
 
 
@@ -422,11 +417,13 @@ def strategy_b_probe_matrices(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return m_plus, m_minus
 
 
-def probe_matrix_in_diagonal_basis(rho: Operator) -> np.ndarray:
-    """Rewrite a two-qubit operator in the ordered (|++>,|+->,|-+>,|-->) basis."""
+def probe_matrix_in_diagonal_basis(rho) -> np.ndarray:
+    """Rewrite a two-qubit operator, or a stack of them, in the ordered (|++>,|+->,|-+>,|-->) basis."""
+    import numpy as np
+
     from .optics import _DIAG_BASIS_MATRIX as t
 
-    return t.conj().T @ rho.entries @ t
+    return t.conj().T @ np.asarray(rho) @ t
 
 
 def strategy_b_disturbance(gamma):

@@ -53,7 +53,7 @@ class ChannelScenario(namedtuple("ChannelScenario", "mu eta_det eta_t")):
     __slots__ = ()
 
     def __new__(cls, mu: float, eta_det: float, eta_t: float):
-        if mu <= 0.0:
+        if not mu > 0.0:
             raise ValueError(f"mean photon number must be positive, got {mu}")
         if not 0.0 < eta_det <= 1.0:
             raise ValueError(f"eta_det must lie in (0, 1], got {eta_det}")
@@ -252,7 +252,7 @@ def eta_t_bounds(mu: float, eta_det: float) -> TransmissionWindow:
     + sum_{n>=2} P(n, mu) (1-eta_det)^(n-1).  A P_multi below the normal
     floats (mu below about 5e-154 at eta_det 0.2) is a ValueError.
     """
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise ValueError(f"mean photon number must be positive, got {mu}")
     if not 0.0 < eta_det <= 1.0:
         raise ValueError(f"eta_det must lie in (0, 1], got {eta_det}")

@@ -86,30 +86,32 @@ def outcome_distribution(occupations: dict, eta_det: float) -> dict[DetectionOut
 
     Args:
         occupations: mapping from (n, m) photon occupations of the measurement
-            basis to probabilities; n counts photons in the bit-0 mode.
+            basis to probabilities, or to equal-shape arrays of them; n counts
+            photons in the bit-0 mode.
         eta_det: detection efficiency in [0, 1].
     """
     if not 0.0 <= eta_det <= 1.0:
         raise ValueError(f"eta_det must lie in [0, 1], got {eta_det}")
     total = sum(occupations.values())
-    if occupations and abs(total - 1.0) > 1e-9:
+    if occupations and np.any(np.abs(total - 1.0) > 1e-9):
         raise ValueError(f"occupation probabilities sum to {total}, expected 1")
     out = {outcome: 0.0 for outcome in DetectionOutcome}
     for (n, m), w in occupations.items():
-        if w < -1e-12:
+        if np.any(w < -1e-12):
             raise ValueError(f"negative occupation probability {w} for {(n, m)}")
         for outcome, p in outcome_probabilities(n, m, eta_det).items():
             out[outcome] += w * p
     return out
 
 
-def conditional_error_rate(rho: Operator, basis: Basis, eta_det: float, correct_bit: int = 0) -> float:
+def conditional_error_rate(rho, basis: Basis, eta_det: float, correct_bit: int = 0):
     """Sifted error probability of a two-photon density operator, given a click.
 
     Wrong-detector clicks count as errors and double clicks contribute 1/2.
     For total photon number two the click probability is 1 - (1-eta)^2
     regardless of the occupation split, which makes this quantity independent
-    of eta_det; the explicit model is kept for cross-checks.
+    of eta_det; the explicit model is kept for cross-checks.  A stack of
+    operators gives the stack of their error probabilities.
     """
     if eta_det <= 0.0:
         raise ValueError("conditional error rate undefined at zero efficiency")

@@ -14,10 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .linalg import Operator
 
 #: Rounding slack allowed past the closed end of a parameter domain.
 DOMAIN_SLACK = 1e-12
@@ -50,14 +46,20 @@ def fuchs_information(disturbance: float) -> float:
 
 
 class TwoStateEnsemble(namedtuple("TwoStateEnsemble", "rho0 rho1")):
-    """Two equiprobable states of equal dimension, as an immutable named tuple."""
+    """Two equiprobable states of equal dimension, as an immutable named tuple.
+
+    The states are square arrays or linalg.Operator values.  Two equal-shape
+    stacks of arrays form a stack of ensembles, pair i being (rho0[i], rho1[i]).
+    """
 
     __slots__ = ()
 
-    def __new__(cls, rho0: Operator, rho1: Operator):
+    def __new__(cls, rho0, rho1):
+        import numpy as np
+
         from .linalg import check_density
 
-        if rho0.dim != rho1.dim:
+        if np.shape(rho0) != np.shape(rho1):
             raise ValueError("ensemble states must share a dimension")
         for name, rho in (("rho0", rho0), ("rho1", rho1)):
             if not check_density(rho):
@@ -70,25 +72,25 @@ class TwoStateEnsemble(namedtuple("TwoStateEnsemble", "rho0 rho1")):
         return cls(*iterable)
 
 
-def levitin_information(ensemble: TwoStateEnsemble) -> float:
+def levitin_information(ensemble: TwoStateEnsemble):
     """Accessible information of two equiprobable qubit states with equal determinants.
 
     With r = tr(rho0 rho1) and d = det(rho0) = det(rho1), the maximum mutual
     information extractable by a measurement is Phi(sqrt(1 - r - 2d))/2.  The
     equal-determinant precondition (equal Bloch-vector lengths) is enforced
     rather than silently ignored because the closed form is only valid there.
+    A stack of ensembles gives the array of their informations.
     """
     import numpy as np
 
-    rho0, rho1 = ensemble.rho0, ensemble.rho1
-    if rho0.dim != 2:
-        raise ValueError(f"closed form applies to qubit ensembles, got dim {rho0.dim}")
-    d0 = float(np.real(np.linalg.det(rho0.entries)))
-    d1 = float(np.real(np.linalg.det(rho1.entries)))
-    if abs(d0 - d1) > DETERMINANT_TOL:
+    rho0, rho1 = np.asarray(ensemble.rho0), np.asarray(ensemble.rho1)
+    if rho0.shape[-2:] != (2, 2):
+        raise ValueError(f"closed form applies to qubit ensembles, got dim {rho0.shape[-1]}")
+    d0 = np.real(np.linalg.det(rho0))
+    d1 = np.real(np.linalg.det(rho1))
+    if np.max(np.abs(d0 - d1)) > DETERMINANT_TOL:
         raise ValueError(f"determinants differ beyond tolerance: {d0} vs {d1}")
-    r = float(np.real(np.trace(rho0.entries @ rho1.entries)))
-    arg_sq = 1.0 - r - 2.0 * d0
-    arg_sq = max(0.0, min(1.0, arg_sq))
-    return 0.5 * phi(math.sqrt(arg_sq))
-
+    r = np.real(np.trace(rho0 @ rho1, axis1=-2, axis2=-1))
+    arg_sq = np.minimum(1.0, np.maximum(0.0, 1.0 - r - 2.0 * d0))
+    info = [0.5 * phi(math.sqrt(a)) for a in np.ravel(arg_sq).tolist()]
+    return info[0] if arg_sq.ndim == 0 else np.array(info)

@@ -23,7 +23,7 @@ def _freeze(arr) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """Square complex matrix with explicit dimension."""
+    """Immutable square complex matrix; np.asarray(op) gives its entries."""
 
     entries: np.ndarray
 
@@ -33,38 +33,41 @@ class Operator:
             raise ValueError(f"operator must be a nonempty square matrix, got shape {arr.shape}")
         object.__setattr__(self, "entries", _freeze(arr))
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.entries, dtype=dtype, copy=copy)
 
 
-def partial_trace(rho: Operator, keep: str, dims: tuple[int, int]) -> Operator:
+def partial_trace(rho, keep: str, dims: tuple[int, int]):
     """Trace out one factor of a bipartite operator on H_A (x) H_B.
 
     Args:
-        rho: operator on the product space, dimension d_A * d_B.
+        rho: operator on the product space, dimension d_A * d_B; an Operator
+            gives an Operator, an array stack of them the stack of results.
         keep: "a" to return the operator on H_A, "b" for H_B.
         dims: (d_A, d_B).
     """
     d_a, d_b = dims
     if d_a <= 0 or d_b <= 0:
         raise ValueError("subsystem dimensions must be positive")
-    if rho.dim != d_a * d_b:
-        raise ValueError(f"operator dimension {rho.dim} does not equal {d_a} * {d_b}")
-    r = rho.entries.reshape(d_a, d_b, d_a, d_b)
+    m = np.asarray(rho)
+    if m.shape[-2:] != (d_a * d_b, d_a * d_b):
+        raise ValueError(f"operator dimension {m.shape[-1]} does not equal {d_a} * {d_b}")
+    r = m.reshape(m.shape[:-2] + (d_a, d_b, d_a, d_b))
     if keep == "a":
-        return Operator(np.einsum("ijkj->ik", r))
-    if keep == "b":
-        return Operator(np.einsum("ijik->jk", r))
-    raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
+        out = np.einsum("...ijkj->...ik", r)
+    elif keep == "b":
+        out = np.einsum("...ijik->...jk", r)
+    else:
+        raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
+    return Operator(out) if isinstance(rho, Operator) else out
 
 
-def check_density(op: Operator, tol: float = HERMITICITY_TOL) -> bool:
-    """True iff op is Hermitian, positive semidefinite and unit trace within tol."""
-    m = op.entries
-    if np.max(np.abs(m - m.conj().T)) > tol:
+def check_density(op, tol: float = HERMITICITY_TOL) -> bool:
+    """True iff op, or every operator in a stack, is Hermitian, positive semidefinite and unit trace within tol."""
+    m = np.asarray(op)
+    if np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) > tol:
         return False
-    if abs(np.trace(m) - 1.0) > tol:
+    if np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)) > tol:
         return False
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    eigs = np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2).conj()) / 2)
     return bool(eigs.min() >= -tol)

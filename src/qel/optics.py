@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, _freeze
+from .linalg import _freeze
 
 SINGLET_TOL = 1e-9
 
@@ -102,9 +102,9 @@ def signal_ket(signal: Bb84Signal) -> np.ndarray:
     return basis_kets(signal.basis)[signal.bit]
 
 
-def singlet_weight(rho: Operator) -> float:
-    """Probability weight <singlet| rho |singlet> of a two-qubit density operator."""
-    return abs(complex(np.vdot(SINGLET, rho.entries @ SINGLET)))
+def singlet_weight(rho):
+    """Probability weight <singlet| rho |singlet> of a two-qubit density operator, or of each in a stack."""
+    return np.abs(SINGLET.conj() @ (np.asarray(rho) @ SINGLET)[..., None])[..., 0]
 
 
 @functools.cache
@@ -129,7 +129,7 @@ def _symmetric_occupation_kets(basis: Basis) -> tuple[tuple[tuple[int, int], np.
     )
 
 
-def fock_from_symmetric(rho: Operator, basis: Basis) -> dict[tuple[int, int], float]:
+def fock_from_symmetric(rho, basis: Basis) -> dict:
     """Occupation distribution of a two-photon state in a polarization basis.
 
     Projects onto the symmetrized basis states |b0 b0>, (|b0 b1>+|b1 b0>)/sqrt(2)
@@ -137,14 +137,15 @@ def fock_from_symmetric(rho: Operator, basis: Basis) -> dict[tuple[int, int], fl
     where the first index counts photons in the bit-0 mode.
 
     Args:
-        rho: dim-4 density operator in the symmetric subspace.
+        rho: dim-4 density operator in the symmetric subspace, or a stack of
+            them, which gives a stack of probabilities per occupation.
         basis: the measurement basis, rectilinear, diagonal or circular; its
             (bit 0, bit 1) kets are basis_kets(basis).
     """
-    if rho.dim != 4:
-        raise ValueError(f"expected a two-qubit operator, got dim {rho.dim}")
-    if singlet_weight(rho) > SINGLET_TOL:
+    m = np.asarray(rho)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a two-qubit operator, got dim {m.shape[-1]}")
+    if np.max(singlet_weight(m)) > SINGLET_TOL:
         raise ValueError("state has antisymmetric (singlet) component above tolerance")
-    m = rho.entries
     kets = _symmetric_occupation_kets(basis)
-    return {occ: float(np.real(np.vdot(v, m @ v))) for occ, v in kets}
+    return {occ: np.real(v.conj() @ (m @ v)[..., None])[..., 0] for occ, v in kets}

@@ -5,6 +5,10 @@ states and disturbances are derived by building the cloning unitaries and
 partial-tracing, accessible informations are lower-bounded by an explicit
 search over projective measurements, and protocol statistics come from a
 seeded per-pulse Monte Carlo.
+
+The oracle works on stacks: one golden-section search runs in lockstep over
+every qubit pair of a suite, and one pass drives a whole grid of cloner
+settings.
 """
 from __future__ import annotations
 
@@ -15,27 +19,23 @@ import numpy as np
 
 from . import attacks, channel
 from .detection import DetectionOutcome, conditional_error_rate, outcome_distribution
-from .linalg import Operator, _freeze, partial_trace
+from .linalg import partial_trace
 from .optics import (KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGNALS,
                      STRATEGY_B_SIGNALS, Basis, Bb84Signal, basis_kets, signal_ket,
                      singlet_weight, symmetric_encode, fock_from_symmetric)
 
+# Qubit blocks of the blockwise measurement search, as pairs of two-photon
+# kets; they depend only on the diagonal basis.  Strategy A: the perfectly
+# distinguishing product block and the {phi+, psi+} block.  Strategy B: the
+# outer and inner diagonal blocks.
+_PLUS_MINUS, _MINUS_PLUS = np.kron(KET_PLUS, KET_MINUS), np.kron(KET_MINUS, KET_PLUS)
+_BLOCKS_A = ((_MINUS_PLUS, _PLUS_MINUS), (PHI_PLUS, PSI_PLUS))
+_BLOCKS_B = ((np.kron(KET_PLUS, KET_PLUS), np.kron(KET_MINUS, KET_MINUS)), (_PLUS_MINUS, _MINUS_PLUS))
 
-def _two_photon_block(pairs) -> list[np.ndarray]:
-    return [_freeze(np.kron(x, y)) for x, y in pairs]
-
-
-# Subspace blocks of the blockwise measurement search; they depend only on
-# the diagonal basis.  Strategy A: the perfectly distinguishing product block
-# and the {phi+, psi+} block.  Strategy B: the outer and inner diagonal blocks.
-_PROD_BLOCK_A = _two_photon_block([(KET_MINUS, KET_PLUS), (KET_PLUS, KET_MINUS)])
-_PURE_BLOCK_A = [PHI_PLUS, PSI_PLUS]
-_OUTER_BLOCK_B = _two_photon_block([(KET_PLUS, KET_PLUS), (KET_MINUS, KET_MINUS)])
-_INNER_BLOCK_B = _two_photon_block([(KET_PLUS, KET_MINUS), (KET_MINUS, KET_PLUS)])
-
+_PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Measurement angles of the grid scan in numeric_two_state_info.
+#: Measurement angles of the grid scan in numeric_two_state_info_stack.
 _SCAN_ANGLES = 96
 
 
@@ -44,117 +44,125 @@ _SCAN_ANGLES = 96
 # --------------------------------------------------------------------------
 
 def _bloch_vector(rho: np.ndarray) -> np.ndarray:
-    return np.array([np.real(np.trace(rho @ s))
-                     for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
-
-
-def _h2(q: float) -> float:
-    out = 0.0
-    for t in (q, 1.0 - q):
-        if t > 0.0:
-            out -= t * math.log2(t)
-    return out
+    """Bloch vector tr(rho sigma_k) of a qubit state, or of each in a (..., 2, 2) stack."""
+    return np.einsum("...ij,kji->...k", rho, _PAULIS).real
 
 
 def _h2_array(q: np.ndarray) -> np.ndarray:
     """Binary entropy of each element of q, with 0 log 0 = 0 at q in {0, 1}."""
-    t = np.stack((q, 1.0 - q))
-    return -np.sum(t * np.log2(np.where(t > 0.0, t, 1.0)), axis=0)
+    p = 1.0 - q
+    return -(q * np.log2(np.where(q > 0.0, q, 1.0)) + p * np.log2(np.where(p > 0.0, p, 1.0)))
 
 
 def _plane_frame(r0: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of a plane containing both Bloch vectors.
+    """Orthonormal basis (e1, e2) of a plane containing both Bloch vectors, per stack entry.
 
-    Collinear or vanishing vectors fall back to the z and then the x axis.
+    Gram-Schmidt over r0 - r1, r0 + r1, the z axis and the x axis, skipping
+    each candidate whose remainder has norm 1e-12 or less: collinear or
+    vanishing vectors fall back to the z and then the x axis.
     """
-    frame = []
-    for cand in (r0 - r1, r0 + r1, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])):
-        v = cand.astype(float)
-        for u in frame:
-            v = v - np.dot(u, v) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            frame.append(v / norm)
-        if len(frame) == 2:
-            break
-    return frame[0], frame[1]
+    r0, r1 = np.broadcast_arrays(r0, r1)
+    axes = np.broadcast_to([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], r0.shape[:-1] + (2, 3))
+    cands = np.concatenate([np.stack([r0 - r1, r0 + r1], -2), axes], -2)
+    norms = np.linalg.norm(cands, axis=-1)
+    first = np.argmax(norms > 1e-12, axis=-1)[..., None]  # the z axis always qualifies
+    e1 = np.take_along_axis(cands, first[..., None], -2)[..., 0, :] / np.take_along_axis(norms, first, -1)
+    rest = cands - np.sum(cands * e1[..., None, :], -1, keepdims=True) * e1[..., None, :]
+    norms = np.linalg.norm(rest, axis=-1)
+    second = np.argmax((norms > 1e-12) & (np.arange(4) > first), axis=-1)[..., None]
+    e2 = np.take_along_axis(rest, second[..., None], -2)[..., 0, :] / np.take_along_axis(norms, second, -1)
+    return e1, e2
 
 
-def numeric_two_state_info(rho0: Operator, rho1: Operator) -> float:
-    """Maximal mutual information over projective qubit measurements.
+def _mutual_information(theta, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mutual information of the projective measurement along cos(theta) e1 + sin(theta) e2.
 
-    The optimal projective measurement for two equiprobable qubit states lies
-    in the plane spanned by their Bloch vectors.  Both vectors are projected
-    onto a frame (e1, e2) of that plane once, so the measurement direction
-    cos(theta) e1 + sin(theta) e2 sees them through four floats.  The scan of
-    _SCAN_ANGLES angles over [0, pi) is one array expression; a golden-section
-    refinement on Python floats then brackets the best grid point.  Returns a
-    lower bound on the accessible information that is tight for
-    equal-determinant pairs.
+    x and y hold the frame coordinates of the two states along their first axis.
     """
-    if rho0.dim != 2 or rho1.dim != 2:
+    q = np.minimum(np.maximum(0.5 * (1.0 + (np.cos(theta) * x + np.sin(theta) * y)), 0.0), 1.0)
+    h = _h2_array(np.concatenate([0.5 * (q[:1] + q[1:]), q]))
+    return h[0] - 0.5 * (h[1] + h[2])
+
+
+def numeric_two_state_info_stack(rho0, rho1) -> np.ndarray:
+    """Maximal mutual information over projective measurements, pair by pair.
+
+    rho0 and rho1 are (..., 2, 2) stacks of qubit states; entry i of the
+    result belongs to the equiprobable pair (rho0[i], rho1[i]).  The optimal
+    projective measurement for such a pair lies in the plane spanned by the
+    two Bloch vectors.  Both are projected onto a frame (e1, e2) of that plane
+    once, so the measurement direction cos(theta) e1 + sin(theta) e2 sees them
+    through four numbers.  A scan of _SCAN_ANGLES angles over [0, pi) finds
+    the best grid point, and a golden-section refinement around it runs on
+    every pair in lockstep: each pair takes the steps of its own search, and a
+    converged pair keeps its values while the others go on.  Returns lower
+    bounds on the accessible information, tight for equal-determinant pairs.
+    """
+    rho0, rho1 = np.asarray(rho0), np.asarray(rho1)
+    if rho0.shape[-2:] != (2, 2) or rho1.shape[-2:] != (2, 2):
         raise ValueError("measurement search expects qubit states")
-    r0 = _bloch_vector(rho0.entries)
-    r1 = _bloch_vector(rho1.entries)
-    e1, e2 = _plane_frame(r0, r1)
-    x0, y0 = float(np.dot(e1, r0)), float(np.dot(e2, r0))
-    x1, y1 = float(np.dot(e1, r1)), float(np.dot(e2, r1))
+    r = np.stack([_bloch_vector(rho0), _bloch_vector(rho1)])
+    e1, e2 = _plane_frame(r[0], r[1])
+    x, y = np.sum(e1 * r, -1), np.sum(e2 * r, -1)
 
     thetas = np.linspace(0.0, math.pi, _SCAN_ANGLES, endpoint=False)
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    q0 = np.clip(0.5 * (1.0 + (cos * x0 + sin * y0)), 0.0, 1.0)
-    q1 = np.clip(0.5 * (1.0 + (cos * x1 + sin * y1)), 0.0, 1.0)
-    values = _h2_array(0.5 * (q0 + q1)) - 0.5 * (_h2_array(q0) + _h2_array(q1))
-    best_idx = int(np.argmax(values))
-    best = float(values[best_idx])
-
-    def mutual_information(theta: float) -> float:
-        c, s = math.cos(theta), math.sin(theta)
-        p0 = min(1.0, max(0.0, 0.5 * (1.0 + (c * x0 + s * y0))))
-        p1 = min(1.0, max(0.0, 0.5 * (1.0 + (c * x1 + s * y1))))
-        return _h2(0.5 * (p0 + p1)) - 0.5 * (_h2(p0) + _h2(p1))
+    values = _mutual_information(thetas, x[..., None], y[..., None])
+    best_idx = np.argmax(values, axis=-1)
+    best = np.take_along_axis(values, best_idx[..., None], -1)[..., 0]
 
     step = math.pi / _SCAN_ANGLES
-    lo, hi = float(thetas[best_idx]) - step, float(thetas[best_idx]) + step
+    lo, hi = thetas[best_idx] - step, thetas[best_idx] + step
     a, b = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
-    fa, fb = mutual_information(a), mutual_information(b)
-    while hi - lo > 1e-11:
-        if fa >= fb:
-            hi, b, fb = b, a, fa
-            a = hi - _INV_GOLDEN * (hi - lo)
-            fa = mutual_information(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + _INV_GOLDEN * (hi - lo)
-            fb = mutual_information(b)
-    return max(best, fa, fb)
+    fa, fb = _mutual_information(a, x, y), _mutual_information(b, x, y)
+    while True:
+        active = hi - lo > 1e-11
+        if not active.any():
+            return np.maximum(best, np.maximum(fa, fb))
+        left = active & (fa >= fb)  # the maximum lies in [lo, b]
+        right = active ^ left  # the maximum lies in [a, hi]
+        hi, lo = np.where(left, b, hi), np.where(right, a, lo)
+        a, b, fa, fb = (np.where(right, b, a), np.where(left, a, b),
+                        np.where(right, fb, fa), np.where(left, fa, fb))
+        width = _INV_GOLDEN * (hi - lo)
+        probe = np.where(left, hi - width, lo + width)
+        f_probe = _mutual_information(probe, x, y)
+        a, fa = np.where(left, probe, a), np.where(left, f_probe, fa)
+        b, fb = np.where(right, probe, b), np.where(right, f_probe, fb)
 
 
-def _block_matrix(rho: Operator, kets: list[np.ndarray]) -> np.ndarray:
-    """Restriction <k_i| rho |k_j> of an operator to a subspace basis."""
-    return np.array([[np.vdot(ki, rho.entries @ kj) for kj in kets] for ki in kets])
+def numeric_two_state_info(rho0, rho1) -> float:
+    """numeric_two_state_info_stack for one pair of qubit states, arrays or Operators."""
+    return float(numeric_two_state_info_stack(np.asarray(rho0)[None], np.asarray(rho1)[None])[0])
 
 
-def _blockwise_numeric_info(rho_plus: Operator, rho_minus: Operator,
-                            blocks: list[list[np.ndarray]]) -> float:
-    """Projection onto blocks followed by a per-block measurement search.
+def _blockwise_numeric_info(rho_plus, rho_minus, blocks) -> np.ndarray:
+    """Projection onto qubit blocks followed by one measurement search over all of them.
 
-    Returns the sum over blocks of the block weight times the two-state
+    blocks are pairs of orthonormal kets; with T the matrix of all their kets
+    as columns, T^H rho T holds every block of a probe at once.  rho_plus and
+    rho_minus are operators or (..., d, d) stacks of them.  Returns, per stack
+    entry, the sum over blocks of the block weight times the two-state
     information of the normalized block pair.  Both probes must give each
-    block the same weight; a difference above 1e-12 raises RuntimeError.
+    block the same weight and carry no coherence between blocks: a weight
+    difference or an off-block entry above 1e-12 raises RuntimeError.
     """
-    total = 0.0
-    for kets in blocks:
-        m_p = _block_matrix(rho_plus, kets)
-        m_m = _block_matrix(rho_minus, kets)
-        w = float(np.real(np.trace(m_p)))
-        w_minus = float(np.real(np.trace(m_m)))
-        if abs(w - w_minus) > 1e-12:
-            raise RuntimeError(f"probe block weights differ: {w} for rho_plus, {w_minus} for rho_minus")
-        if w < 1e-14:
-            continue
-        total += w * numeric_two_state_info(Operator(m_p / w), Operator(m_m / w_minus))
-    return total
+    t = np.stack([ket for pair in blocks for ket in pair], axis=-1)
+    m = t.conj().T @ np.stack(np.broadcast_arrays(np.asarray(rho_plus), np.asarray(rho_minus))) @ t
+    n = len(blocks)
+    m = m.reshape(m.shape[:-2] + (n, 2, n, 2))
+    off_block = np.max(np.abs(m) * ~np.eye(n, dtype=bool)[:, None, :, None], initial=0.0)
+    if off_block > 1e-12:
+        raise RuntimeError(f"probe carries coherence between blocks: off-block entry {off_block}")
+    pairs = np.einsum("...iaib->...iab", m)
+    w = np.einsum("...aa->...", pairs).real
+    gap = np.max(np.abs(w[0] - w[1]), initial=0.0)
+    if gap > 1e-12:
+        raise RuntimeError(f"probe block weights differ by {gap} between rho_plus and rho_minus")
+    kept = w[0] >= 1e-14
+    info = np.zeros(w[0].shape)
+    info[kept] = numeric_two_state_info_stack(pairs[0][kept] / w[0][kept][:, None, None],
+                                              pairs[1][kept] / w[1][kept][:, None, None])
+    return np.sum(w[0] * info, axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -166,183 +174,150 @@ class SimulationReport:
     """Simulation-versus-closed-form comparison for one cloning machine setting.
 
     deltas holds named absolute deviations; every value is finite and the
-    report is reproducible from the machine parameter and the seed.
+    report is reproducible from the machine parameter and the seed.  The
+    probes are the attacker's states for the diagonal signals, as arrays.
     """
 
     disturbance: float
-    probe_plus: Operator
-    probe_minus: Operator
+    probe_plus: np.ndarray
+    probe_minus: np.ndarray
     info_closed_form: float
     info_measurement_search: float
     deltas: dict = field(default_factory=dict)
 
 
-def _apply_isometry(u: np.ndarray, signal_vec: np.ndarray) -> tuple[np.ndarray, float]:
-    """Output u @ kron(signal_vec, e0) of an attack unitary and its norm defect.
+def _signal_states(us: np.ndarray, kets: np.ndarray):
+    """Receiver states, probe states and norm defects of inputs sent through attack unitaries.
 
-    The probe starts in its first basis state e0, so only every fourth
-    column of u is read.
+    us is a (..., 16, 16) stack of unitaries and kets a (..., n, 4) stack of
+    two-photon inputs; the probe starts in its first basis state, so only
+    every fourth column of a unitary is read.  Returns the (..., n, 4, 4)
+    receiver and probe states and the (..., n) norm defects of the outputs.
     """
-    out = u[:, ::4] @ signal_vec
-    return out, abs(np.linalg.norm(out) - 1.0)
+    out = kets @ np.swapaxes(us[..., ::4], -1, -2)
+    rho = out[..., :, None] * out[..., None, :].conj()
+    return (partial_trace(rho, keep="a", dims=(4, 4)), partial_trace(rho, keep="b", dims=(4, 4)),
+            np.abs(np.linalg.norm(out, axis=-1) - 1.0))
 
 
-def _eve_probe(u: np.ndarray, signal_vec: np.ndarray) -> tuple[Operator, Operator, float]:
-    """Apply an attack isometry; return (receiver state, probe state, norm defect)."""
-    out, defect = _apply_isometry(u, signal_vec)
-    rho = Operator(np.outer(out, out.conj()))
-    rho_bob = partial_trace(rho, keep="a", dims=(4, 4))
-    rho_eve = partial_trace(rho, keep="b", dims=(4, 4))
-    return rho_bob, rho_eve, defect
+def _drive(us: np.ndarray, signals, eta_det: float, rng_seed: int):
+    """Send each signal's two-photon encoding through a (k, 16, 16) stack of attack unitaries.
 
-
-def _symmetric_isometry_defect(u: np.ndarray, rng_seed: int) -> float:
-    """Largest norm defect of an attack isometry on eight random symmetric states.
-
-    Random superpositions inside the symmetric subspace must be preserved,
-    not only the four BB84 signals.
+    Setting i also sends eight random states of the symmetric subspace,
+    drawn from rng_seed + i: random superpositions must be preserved, not
+    only the four BB84 signals.  Returns, per setting, the sifted error rate
+    of the receiver pair for each signal, the attacker probes of the diagonal
+    bit-0 and bit-1 signals, the largest norm defect (over the signals and
+    the random states) and the largest singlet weight of a receiver state.
     """
-    rng = np.random.default_rng(rng_seed)
-    defect = 0.0
-    for _ in range(8):
-        amp = rng.normal(size=3) + 1j * rng.normal(size=3)
-        vec = amp[0] * np.array([1, 0, 0, 0]) + amp[2] * np.array([0, 0, 0, 1]) \
-            + amp[1] * np.array([0, 1, 1, 0]) / math.sqrt(2)
-        vec = vec.astype(complex) / np.linalg.norm(vec)
-        defect = max(defect, _apply_isometry(u, vec)[1])
-    return defect
+    k, n = len(us), len(signals)
+    draws = np.stack([np.random.default_rng(rng_seed + i).normal(size=(8, 2, 3)) for i in range(k)])
+    amp = draws[..., 0, :] + 1j * draws[..., 1, :]
+    sym = np.stack([amp[..., 0], amp[..., 1] / math.sqrt(2), amp[..., 1] / math.sqrt(2), amp[..., 2]], -1)
+    sym = sym / np.linalg.norm(sym, axis=-1, keepdims=True)
+    encoded = np.broadcast_to([symmetric_encode(signal) for signal in signals], (k, n, 4))
+    rho_bob, rho_eve, defect = _signal_states(us, np.concatenate([encoded, sym], -2))
+    rho_bob = rho_bob[:, :n]
+    errors = np.stack([conditional_error_rate(rho_bob[:, j], signal.basis, eta_det, correct_bit=signal.bit)
+                       for j, signal in enumerate(signals)], -1)
+    plus, minus = (signals.index(Bb84Signal(Basis.DIAGONAL, bit)) for bit in (0, 1))
+    return (errors, rho_eve[:, plus], rho_eve[:, minus], np.max(defect, -1),
+            np.max(singlet_weight(rho_bob), -1))
 
 
-def _drive(u: np.ndarray, signals, eta_det: float, rng_seed: int):
-    """Send each signal's two-photon encoding through an attack unitary.
-
-    Returns the sifted error rate of the receiver pair for each signal, the
-    attacker probes keyed by signal, the largest norm defect (over the signals
-    and eight random symmetric states) and the largest singlet weight of a
-    receiver state.
-    """
-    isometry_defect = _symmetric_isometry_defect(u, rng_seed)
-    singlet = 0.0
-    errors = []
-    probes = {}
-    for signal in signals:
-        rho_bob, rho_eve, defect = _eve_probe(u, symmetric_encode(signal))
-        isometry_defect = max(isometry_defect, defect)
-        singlet = max(singlet, singlet_weight(rho_bob))
-        errors.append(conditional_error_rate(rho_bob, signal.basis, eta_det,
-                                             correct_bit=signal.bit))
-        probes[signal] = rho_eve
-    return errors, probes, isometry_defect, singlet
+def _reports(disturbance, rho_p, rho_m, info_closed, info_numeric, deltas) -> list[SimulationReport]:
+    """One SimulationReport per grid setting from the stacked results."""
+    return [SimulationReport(disturbance=float(disturbance[i]), probe_plus=rho_p[i], probe_minus=rho_m[i],
+                             info_closed_form=float(info_closed[i]),
+                             info_measurement_search=float(info_numeric[i]),
+                             deltas={key: float(value[i]) for key, value in deltas.items()})
+            for i in range(len(disturbance))]
 
 
-def simulate_strategy_a(beta: float, *, eta_det: float, rng_seed: int) -> SimulationReport:
-    """Drive the universal cloner end to end and compare with the closed forms.
+def simulate_strategy_a_grid(betas, *, eta_det: float, rng_seed: int) -> list[SimulationReport]:
+    """Drive the universal cloner end to end at each beta and compare with the closed forms.
 
-    For each BB84 signal the unitary is applied, the receiver pair is
-    forwarded through the detector model to measure the sifted error rate,
-    and the attacker probe is compared entry by entry against the
-    disturbance-parameterized probe states.  The probe overlap and the
-    product-block weight are measured rather than assumed, and the
+    The unitaries of the grid are built and driven as one stack; setting i
+    draws its random states from rng_seed + i.  For each BB84 signal the
+    receiver pair is forwarded through the detector model to measure the
+    sifted error rate, and the attacker probe is compared entry by entry
+    against the disturbance-parameterized probe states.  The probe overlap
+    and the product-block weight are measured rather than assumed, and the
     information formula is cross-checked against a blockwise measurement
     search.
     """
-    u = attacks.strategy_a_unitary(beta)
-    errors, probes, isometry_defect, singlet = _drive(u, SIGNALS, eta_det, rng_seed)
+    betas = np.asarray(betas, dtype=float)
+    errors, rho_p, rho_m, defects, singlets = _drive(attacks.strategy_a_unitary(betas), SIGNALS,
+                                                     eta_det, rng_seed)
+    disturbance = np.mean(errors, -1)
+    d = disturbance.tolist()
+    closed = np.array([attacks.strategy_a_probe_states(x) for x in d])
 
-    disturbance = float(np.mean(errors))
-    error_spread = max(errors) - min(errors)
+    # Both probes in the basis of their blocks: the product block must carry
+    # weight 2D, and diagonalizing the {phi+, psi+} block gives the overlap of
+    # the nonorthogonal probe components.
+    t = np.stack([ket for pair in _BLOCKS_A for ket in pair], axis=-1)
+    m = t.conj().T @ np.stack([rho_p, rho_m]) @ t
+    prod_weight = np.trace(m[0, :, :2, :2], axis1=-2, axis2=-1).real
+    pure = m[..., 2:, 2:]
+    v = np.linalg.eigh(pure / np.trace(pure, axis1=-2, axis2=-1).real[..., None, None])[1][..., -1]
+    # fix the free phase via the phi+ component, positive for D < 1/4
+    lead = v[..., :1]
+    big = np.abs(lead) > 1e-8
+    v = v / np.where(big, lead / np.where(big, np.abs(lead), 1.0), 1.0)
+    overlap_sim = np.sum(v[0].conj() * v[1], -1).real
 
-    rho_p_sim = probes[Bb84Signal(Basis.DIAGONAL, 0)]
-    rho_m_sim = probes[Bb84Signal(Basis.DIAGONAL, 1)]
-    rho_p_cf, rho_m_cf = attacks.strategy_a_probe_states(disturbance)
-    probe_delta = max(np.max(np.abs(rho_p_sim.entries - rho_p_cf.entries)),
-                      np.max(np.abs(rho_m_sim.entries - rho_m_cf.entries)))
+    info_closed = np.array([attacks.strategy_a_information(x) for x in d])
+    info_numeric = _blockwise_numeric_info(rho_p, rho_m, _BLOCKS_A)
+    return _reports(disturbance, rho_p, rho_m, info_closed, info_numeric, {
+        "isometry_defect": defects,
+        "bob_singlet_weight": singlets,
+        "error_rate_spread": np.ptp(errors, -1),
+        "probe_vs_closed_form": np.max(np.abs(np.stack([rho_p, rho_m], 1) - closed), axis=(1, 2, 3)),
+        "overlap_vs_closed_form": np.abs(overlap_sim - [attacks.strategy_a_probe_overlap(x) for x in d]),
+        "product_block_weight_vs_2d": np.abs(prod_weight - 2.0 * disturbance),
+        "information_vs_measurement_search": np.abs(info_closed - info_numeric),
+    })
 
-    # Overlap of the nonorthogonal probe components, extracted from the
-    # simulated probes by diagonalizing their {phi+, psi+} block.
-    def principal_vector(rho: Operator) -> np.ndarray:
-        m = _block_matrix(rho, _PURE_BLOCK_A)
-        w = np.real(np.trace(m))
-        vals, vecs = np.linalg.eigh(m / w)
-        v = vecs[:, -1]
-        # fix the free phase via the phi+ component, positive for D < 1/4
-        phase = v[0] / abs(v[0]) if abs(v[0]) > 1e-8 else 1.0
-        return v / phase
 
-    v_plus = principal_vector(rho_p_sim)
-    v_minus = principal_vector(rho_m_sim)
-    overlap_sim = float(np.real(np.vdot(v_plus, v_minus)))
-    overlap_delta = abs(overlap_sim - attacks.strategy_a_probe_overlap(disturbance))
+def simulate_strategy_a(beta: float, *, eta_det: float, rng_seed: int) -> SimulationReport:
+    """simulate_strategy_a_grid at the single setting beta."""
+    return simulate_strategy_a_grid([beta], eta_det=eta_det, rng_seed=rng_seed)[0]
 
-    # the perfectly distinguishing block must carry weight 2D
-    prod_weight = float(np.real(np.trace(_block_matrix(rho_p_sim, _PROD_BLOCK_A))))
-    block_weight_delta = abs(prod_weight - 2.0 * disturbance)
 
-    info_closed = attacks.strategy_a_information(disturbance)
-    info_numeric = _blockwise_numeric_info(rho_p_sim, rho_m_sim, [_PROD_BLOCK_A, _PURE_BLOCK_A])
+def simulate_strategy_b_grid(gammas, *, eta_det: float, rng_seed: int) -> list[SimulationReport]:
+    """Drive the phase-covariant cloner at each gamma and compare with the closed forms.
 
-    return SimulationReport(
-        disturbance=disturbance,
-        probe_plus=rho_p_sim,
-        probe_minus=rho_m_sim,
-        info_closed_form=info_closed,
-        info_measurement_search=info_numeric,
-        deltas={
-            "isometry_defect": isometry_defect,
-            "bob_singlet_weight": singlet,
-            "error_rate_spread": error_spread,
-            "probe_vs_closed_form": float(probe_delta),
-            "overlap_vs_closed_form": overlap_delta,
-            "product_block_weight_vs_2d": block_weight_delta,
-            "information_vs_measurement_search": abs(info_closed - info_numeric),
-        },
-    )
+    The unitaries of the grid are built and driven as one stack; setting i
+    draws its random states from rng_seed + i.  Verifies the disturbance
+    formula against the sifted error rate of all four equatorial signals,
+    the probe matrices (times 16) against the closed-form coefficients, the
+    a<->c / d<->f exchange between the two probes, and the information
+    formula against a blockwise measurement search.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    errors, rho_p, rho_m, defects, singlets = _drive(attacks.strategy_b_unitary(gammas),
+                                                     STRATEGY_B_SIGNALS, eta_det, rng_seed)
+    disturbance = np.mean(errors, -1)
+    g = gammas.tolist()
+    ref = np.array([attacks.strategy_b_probe_matrices(x) for x in g])
+    m = attacks.probe_matrix_in_diagonal_basis(np.stack([rho_p, rho_m], 1)) * 16.0
+    info_closed = np.array([attacks.strategy_b_information(x) for x in g])
+    info_numeric = _blockwise_numeric_info(rho_p, rho_m, _BLOCKS_B)
+    return _reports(disturbance, rho_p, rho_m, info_closed, info_numeric, {
+        "isometry_defect": defects,
+        "bob_singlet_weight": singlets,
+        "error_rate_spread": np.ptp(errors, -1),
+        "disturbance_vs_closed_form": np.abs(disturbance - [attacks.strategy_b_disturbance(x) for x in g]),
+        "coefficients_vs_closed_form": np.max(np.abs(m - ref), axis=(1, 2, 3)),
+        "probe_exchange_symmetry": np.max(np.abs(m[:, 1] - m[:, 0, ::-1, ::-1]), axis=(1, 2)),
+        "information_vs_measurement_search": np.abs(info_closed - info_numeric),
+    })
 
 
 def simulate_strategy_b(gamma: float, *, eta_det: float, rng_seed: int) -> SimulationReport:
-    """Drive the phase-covariant cloner and compare with the closed forms.
-
-    Verifies the disturbance formula against the sifted error rate of all
-    four equatorial signals, the probe matrices (times 16) against the
-    closed-form coefficients, the a<->c / d<->f exchange between the two
-    probes, and the information formula against a blockwise measurement
-    search.
-    """
-    u = attacks.strategy_b_unitary(gamma)
-    errors, probes, isometry_defect, singlet = _drive(u, STRATEGY_B_SIGNALS, eta_det, rng_seed)
-
-    disturbance = float(np.mean(errors))
-    disturbance_delta = abs(disturbance - attacks.strategy_b_disturbance(gamma))
-    error_spread = max(errors) - min(errors)
-
-    rho_p_sim = probes[Bb84Signal(Basis.DIAGONAL, 0)]
-    rho_m_sim = probes[Bb84Signal(Basis.DIAGONAL, 1)]
-
-    ref_plus, ref_minus = attacks.strategy_b_probe_matrices(gamma)
-    m_plus = attacks.probe_matrix_in_diagonal_basis(rho_p_sim) * 16.0
-    m_minus = attacks.probe_matrix_in_diagonal_basis(rho_m_sim) * 16.0
-    coeff_delta = max(np.max(np.abs(m_plus - ref_plus)), np.max(np.abs(m_minus - ref_minus)))
-    swap_delta = np.max(np.abs(m_minus - m_plus[::-1, ::-1]))
-
-    info_closed = attacks.strategy_b_information(gamma)
-    info_numeric = _blockwise_numeric_info(rho_p_sim, rho_m_sim, [_OUTER_BLOCK_B, _INNER_BLOCK_B])
-
-    return SimulationReport(
-        disturbance=disturbance,
-        probe_plus=rho_p_sim,
-        probe_minus=rho_m_sim,
-        info_closed_form=info_closed,
-        info_measurement_search=info_numeric,
-        deltas={
-            "isometry_defect": isometry_defect,
-            "bob_singlet_weight": singlet,
-            "error_rate_spread": error_spread,
-            "disturbance_vs_closed_form": disturbance_delta,
-            "coefficients_vs_closed_form": float(coeff_delta),
-            "probe_exchange_symmetry": float(swap_delta),
-            "information_vs_measurement_search": abs(info_closed - info_numeric),
-        },
-    )
+    """simulate_strategy_b_grid at the single setting gamma."""
+    return simulate_strategy_b_grid([gamma], eta_det=eta_det, rng_seed=rng_seed)[0]
 
 
 # --------------------------------------------------------------------------
@@ -458,10 +433,10 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
     else:
         u = attacks.strategy_b_unitary(attacks.gamma_for_disturbance(disturbance))
     single_rows[:, :, 0] = 1.0  # single photons are blocked: vacuum
-    for i, signal in enumerate(signals):
-        rho_bob, _, _ = _eve_probe(u, symmetric_encode(signal))
+    rho_bob = _signal_states(u, np.array([symmetric_encode(signal) for signal in signals]))[0]
+    for i in range(len(signals)):
         for j, basis in enumerate(bases):
-            two_rows[i, j] = _outcome_row(fock_from_symmetric(rho_bob, basis), eta)
+            two_rows[i, j] = _outcome_row(fock_from_symmetric(rho_bob[i], basis), eta)
     return two_rows, single_rows, bits, basis_of_signal
 
 

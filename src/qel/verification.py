@@ -13,7 +13,6 @@ import numpy as np
 
 from . import VERIFY_PULSES, VERIFY_SEED, attacks, channel, oracle
 from .infotheory import TwoStateEnsemble, levitin_information
-from .linalg import Operator
 
 
 @dataclass(frozen=True)
@@ -110,16 +109,12 @@ def _suite_probe_a(reports_a) -> SuiteResult:
 
 
 def _suite_probe_b_coefficients(seed: int) -> SuiteResult:
-    coeff = swap = trace_dev = 0.0
-    for i, gamma in enumerate(_GAMMA_GRID_COEFF):
-        rep = oracle.simulate_strategy_b(float(gamma), eta_det=0.4, rng_seed=seed + i)
-        coeff = max(coeff, rep.deltas["coefficients_vs_closed_form"])
-        swap = max(swap, rep.deltas["probe_exchange_symmetry"])
-        a, _, c, d, _, f = attacks.strategy_b_coefficients(float(gamma))
-        trace_dev = max(trace_dev, abs(a + c + d + f - 16.0))
+    reports = oracle.simulate_strategy_b_grid(_GAMMA_GRID_COEFF, eta_det=0.4, rng_seed=seed)
+    trace_dev = max(abs(a + c + d + f - 16.0) for a, _, c, d, _, f
+                    in map(attacks.strategy_b_coefficients, _GAMMA_GRID_COEFF.tolist()))
     return SuiteResult("probe_b_coefficients", (
-        CheckResult("probe_entries_vs_coefficients", 1e-9, coeff),
-        CheckResult("plus_minus_exchange_symmetry", 1e-12, swap),
+        CheckResult("probe_entries_vs_coefficients", 1e-9, _worst(reports, "coefficients_vs_closed_form")),
+        CheckResult("plus_minus_exchange_symmetry", 1e-12, _worst(reports, "probe_exchange_symmetry")),
         CheckResult("coefficient_trace_identity", 1e-9, trace_dev),
     ))
 
@@ -158,36 +153,61 @@ def _suite_disturbance_maps(seed: int, reports_b) -> SuiteResult:
     ))
 
 
-def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random 2x2 unitary: QR of a complex Gaussian matrix, phases fixed by R."""
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+def _gaussian_matrix(rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian 2x2 matrix, the random input of one Haar draw."""
+    return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+
+def _haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar-random 2x2 unitaries from a stack of complex Gaussian matrices: QR, phases fixed by R."""
     q, r = np.linalg.qr(z)
-    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _equal_determinant_states(lam, z) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of the pairs (U0 D U0^H, U1 D U1^H) with D = diag(lam, 1 - lam).
+
+    lam lists n values and z the Gaussian inputs of the two Haar draws of
+    each pair, shape (n, 2, 2, 2).
+    """
+    diag = np.zeros((len(lam), 2, 2), dtype=complex)
+    diag[:, 0, 0], diag[:, 1, 1] = lam, 1.0 - np.asarray(lam)
+    u = _haar_unitaries(np.asarray(z))
+    return tuple(u[:, i] @ diag @ u[:, i].conj().swapaxes(-1, -2) for i in (0, 1))
 
 
 def random_equal_determinant_ensemble(rng: np.random.Generator) -> TwoStateEnsemble:
     """Random pair of qubit states with equal spectra, hence equal determinants."""
     lam = rng.uniform(0.5, 1.0)
-    diag = np.diag([lam, 1.0 - lam]).astype(complex)
-    u0, u1 = _haar_unitary(rng), _haar_unitary(rng)
-    return TwoStateEnsemble(Operator(u0 @ diag @ u0.conj().T),
-                            Operator(u1 @ diag @ u1.conj().T))
+    z = [_gaussian_matrix(rng), _gaussian_matrix(rng)]
+    return TwoStateEnsemble(*(rho[0] for rho in _equal_determinant_states([lam], [z])))
+
+
+def _levitin_ensembles(seed: int) -> tuple[TwoStateEnsemble, TwoStateEnsemble]:
+    """The levitin suite's 200 random pairs, and every 20th pair rotated by one more Haar draw.
+
+    Both are stacked ensembles.  The draws keep the order of looping
+    random_equal_determinant_ensemble, each rotation drawn right after its
+    pair; the QR decompositions and the products run on stacks.
+    """
+    rng = np.random.default_rng(seed)
+    lam, z, z_rot = [], [], []
+    for i in range(200):
+        lam.append(rng.uniform(0.5, 1.0))
+        z.append([_gaussian_matrix(rng), _gaussian_matrix(rng)])
+        if i % 20 == 0:
+            z_rot.append(_gaussian_matrix(rng))
+    ens = TwoStateEnsemble(*_equal_determinant_states(lam, z))
+    u = _haar_unitaries(np.array(z_rot))
+    return ens, TwoStateEnsemble(*(u @ rho[::20] @ u.conj().swapaxes(-1, -2) for rho in ens))
 
 
 def _suite_levitin(seed: int) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    invariance = 0.0
-    for i in range(200):
-        ens = random_equal_determinant_ensemble(rng)
-        closed = levitin_information(ens)
-        numeric = oracle.numeric_two_state_info(ens.rho0, ens.rho1)
-        worst = max(worst, abs(closed - numeric))
-        if i % 20 == 0:
-            u = _haar_unitary(rng)
-            rotated = TwoStateEnsemble(Operator(u @ ens.rho0.entries @ u.conj().T),
-                                       Operator(u @ ens.rho1.entries @ u.conj().T))
-            invariance = max(invariance, abs(levitin_information(rotated) - closed))
+    ens, rotated = _levitin_ensembles(seed)
+    closed = levitin_information(ens)
+    worst = np.max(np.abs(closed - oracle.numeric_two_state_info_stack(ens.rho0, ens.rho1)))
+    invariance = np.max(np.abs(levitin_information(rotated) - closed[::20]))
     return SuiteResult("levitin", (
         CheckResult("closed_form_vs_measurement_search", 1e-6, worst),
         CheckResult("unitary_invariance", 1e-12, invariance),
@@ -244,15 +264,13 @@ def _suite_error_map_identity(seed: int) -> SuiteResult:
 def run_verification(seed: int = VERIFY_SEED, n_pulses: int = VERIFY_PULSES) -> VerificationReport:
     """Run every verification suite and collect the deltas.
 
-    Each cloner setting of the fast grids is simulated once and the suites
+    Each fast grid is simulated in one stacked pass and the suites
     that read its deltas share the report.  The isometry suite reads the
     reports made at eta_det 0.3 (strategy A) and 0.6 (strategy B): the norm
     defect and the singlet weight do not depend on eta_det.
     """
-    reports_a = [oracle.simulate_strategy_a(float(beta), eta_det=0.3, rng_seed=seed + i)
-                 for i, beta in enumerate(_BETA_GRID)]
-    reports_b = [oracle.simulate_strategy_b(float(gamma), eta_det=0.6, rng_seed=seed + i)
-                 for i, gamma in enumerate(_GAMMA_GRID_FAST)]
+    reports_a = oracle.simulate_strategy_a_grid(_BETA_GRID, eta_det=0.3, rng_seed=seed)
+    reports_b = oracle.simulate_strategy_b_grid(_GAMMA_GRID_FAST, eta_det=0.6, rng_seed=seed)
     suites = (
         _suite_isometry(reports_a, reports_b),
         _suite_probe_a(reports_a),

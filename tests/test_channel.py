@@ -24,6 +24,15 @@ def test_scenario_validation():
     assert scen.loss_db == pytest.approx(3.0, abs=1e-12)
 
 
+def test_nan_mean_photon_number_is_rejected_at_every_entry_point():
+    # NaN fails every comparison, so a check written as mu <= 0 let it through
+    for build in (lambda: ChannelScenario(math.nan, 0.2, 0.5),
+                  lambda: ChannelScenario.from_loss_db(math.nan, 0.2, 3.0),
+                  lambda: eta_t_bounds(math.nan, 0.2)):
+        with pytest.raises(ValueError, match="mean photon number must be positive, got nan"):
+            build()
+
+
 def test_scenario_is_an_immutable_named_record():
     scen = ChannelScenario(0.1, 0.2, 0.5)
     assert scen == ChannelScenario(mu=0.1, eta_det=0.2, eta_t=0.5)

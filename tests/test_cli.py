@@ -364,6 +364,20 @@ def test_verify_passes_and_reports_suites(capsys):
             assert {"name", "tolerance", "delta", "passed"} <= set(check)
 
 
+def test_verify_report_layout_matches_the_benchmark_reference(capsys):
+    # The benchmark rejects a verify report whose suites, checks or
+    # tolerances differ from its reference; hold the same layout here.
+    code, out, _ = run_cli(capsys, ["verify", "--pulses", "100000"])
+    assert code == 0
+
+    def layout(report):
+        return [(suite["name"], check["name"], check["tolerance"])
+                for suite in report["suites"] for check in suite["checks"]]
+
+    reference = json.loads((ROOT / "perfbench" / "reference" / "verify.json").read_text())
+    assert layout(json.loads(out)) == layout(reference)
+
+
 def test_verify_detects_tampered_coefficient(capsys, monkeypatch):
     original = attacks.strategy_b_coefficients
 

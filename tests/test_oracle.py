@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qel import attacks
+from qel import VERIFY_SEED, attacks, verification
 from qel.channel import ChannelScenario
 from qel.infotheory import levitin_information, phi
 from qel.linalg import Operator
@@ -82,23 +82,92 @@ def test_numeric_info_agrees_with_levitin_on_random_equal_determinant_pairs():
     assert worst <= 1e-12
 
 
+def test_stacked_search_matches_the_one_pair_search():
+    # The 200 pairs of the levitin suite, then edge cases: identical states,
+    # orthogonal pure states, collinear and vanishing Bloch vectors.  They run
+    # in one lockstep search, in which rows converge at different steps.
+    ens, _ = verification._levitin_ensembles(VERIFY_SEED)
+    edge = [(pure([1, 1j]), pure([1, 1j])), (pure([1, 0]), pure([0, 1])),
+            (Operator(np.diag([0.8, 0.2])), Operator(np.diag([0.3, 0.7]))),
+            (Operator(np.eye(2) / 2), Operator(np.eye(2) / 2)),
+            (Operator(np.eye(2) / 2), pure([1, 0.3j]))]
+    rho0 = np.concatenate([ens.rho0, [np.asarray(a) for a, _ in edge]])
+    rho1 = np.concatenate([ens.rho1, [np.asarray(b) for _, b in edge]])
+    stacked = oracle.numeric_two_state_info_stack(rho0, rho1)
+    one_pair = [numeric_two_state_info(a, b) for a, b in zip(rho0, rho1)]
+    assert stacked.shape == (205,)
+    assert np.max(np.abs(stacked - one_pair)) <= 1e-12
+    assert stacked[200:203] == pytest.approx([0.0, 1.0, one_pair[202]], abs=1e-12)
+    assert stacked[203] == 0.0
+    # any leading shape: the same pairs as a (41, 5) stack
+    grid = oracle.numeric_two_state_info_stack(rho0.reshape(41, 5, 2, 2), rho1.reshape(41, 5, 2, 2))
+    assert np.max(np.abs(grid.ravel() - stacked)) <= 1e-12
+    with pytest.raises(ValueError):
+        oracle.numeric_two_state_info_stack(np.eye(3)[None] / 3, np.eye(3)[None] / 3)
+
+
+def test_blockwise_search_on_a_stack_matches_each_probe_pair():
+    # At gamma = 0 the inner block of both strategy-B probes is empty, a
+    # block under the 1e-14 weight below which the search skips it.
+    reports = oracle.simulate_strategy_b_grid(verification._GAMMA_GRID_FAST, eta_det=0.6, rng_seed=1)
+    plus = np.array([rep.probe_plus for rep in reports])
+    minus = np.array([rep.probe_minus for rep in reports])
+    inner = np.stack(oracle._BLOCKS_B[1], -1)
+    assert np.trace(inner.conj().T @ plus[0] @ inner).real < 1e-14
+    stacked = oracle._blockwise_numeric_info(plus, minus, oracle._BLOCKS_B)
+    each = [oracle._blockwise_numeric_info(p, m, oracle._BLOCKS_B) for p, m in zip(plus, minus)]
+    assert np.max(np.abs(stacked - each)) <= 1e-12
+    assert stacked == pytest.approx([rep.info_measurement_search for rep in reports], abs=1e-15)
+
+
+def test_stacked_levitin_draws_reproduce_the_looped_ensembles():
+    # The suite draws its 200 pairs and 10 rotations from one generator and
+    # decomposes them as stacks.  Bit for bit, they are the pairs of looping
+    # random_equal_determinant_ensemble with each rotation drawn after its
+    # pair, and those are the per-matrix products of the previous code.
+    def haar(rng):
+        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        q, r = np.linalg.qr(z)
+        return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+    ens, rotated = verification._levitin_ensembles(VERIFY_SEED)
+    looped, by_matrix = np.random.default_rng(VERIFY_SEED), np.random.default_rng(VERIFY_SEED)
+    for i in range(200):
+        pair = random_equal_determinant_ensemble(looped)
+        lam = by_matrix.uniform(0.5, 1.0)
+        diag = np.diag([lam, 1.0 - lam]).astype(complex)
+        for k, u in enumerate((haar(by_matrix), haar(by_matrix))):
+            assert np.array_equal(pair[k], u @ diag @ u.conj().T)
+            assert np.array_equal(ens[k][i], pair[k])
+        if i % 20 == 0:
+            u = haar(looped)
+            assert np.array_equal(u, haar(by_matrix))
+            for k in (0, 1):
+                assert np.array_equal(rotated[k][i // 20], u @ pair[k] @ u.conj().T)
+
+
 def test_array_entropy_matches_the_scalar_one_with_zero_log_zero():
+    def h2(q):
+        return -sum(t * math.log2(t) for t in (q, 1.0 - q) if t > 0.0)
+
     q = np.array([0.0, 1.0, 1e-300, 0.25, 0.5, 0.9, 1.0 - 1e-16])
     got = oracle._h2_array(q)
     assert got[0] == 0.0 and got[1] == 0.0
-    assert got == pytest.approx([oracle._h2(float(x)) for x in q], abs=1e-15)
+    assert got == pytest.approx([h2(float(x)) for x in q], abs=1e-15)
 
 
 def test_measurement_search_does_not_reference_the_closed_forms():
     # The search checks phi-based closed forms, so it must not borrow them:
-    # walk numeric_two_state_info and every module function it reaches.
+    # walk the one-pair and the stacked search, the blockwise search over
+    # the cloner probes, and every module function they reach.
     tree = ast.parse(Path(oracle.__file__).read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     forbidden = {"phi", "fuchs_information", "levitin_information", "infotheory"}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("infotheory"):
             forbidden |= {alias.asname or alias.name for alias in node.names}
-    seen, todo = set(), ["numeric_two_state_info"]
+    entry_points = ["numeric_two_state_info", "numeric_two_state_info_stack", "_blockwise_numeric_info"]
+    seen, todo = set(), list(entry_points)
     while todo:
         name = todo.pop()
         if name in seen:
@@ -114,17 +183,34 @@ def test_measurement_search_does_not_reference_the_closed_forms():
             assert ident not in forbidden, f"{name} references {ident}"
             if ident in functions:
                 todo.append(ident)
-    assert {"_bloch_vector", "_plane_frame", "_h2", "_h2_array"} <= seen
+    assert {"_bloch_vector", "_plane_frame", "_mutual_information", "_h2_array"} <= seen
+
+
+BLOCKS = [[np.eye(4)[0], np.eye(4)[1]], [np.eye(4)[2], np.eye(4)[3]]]
 
 
 def test_blockwise_info_rejects_probes_with_unequal_block_weights():
-    basis = np.eye(4)
-    blocks = [[basis[0], basis[1]], [basis[2], basis[3]]]
-    even = pure([1, 0, 1, 0])
-    assert oracle._blockwise_numeric_info(even, pure([0, 1, 0, 1]), blocks) == pytest.approx(
-        1.0, abs=1e-9)
-    with pytest.raises(RuntimeError):
-        oracle._blockwise_numeric_info(even, pure([1, 0, 0.9, 0]), blocks)
+    even = Operator(np.diag([0.5, 0.0, 0.5, 0.0]))
+    assert oracle._blockwise_numeric_info(even, Operator(np.diag([0.0, 0.5, 0.0, 0.5])),
+                                          BLOCKS) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(RuntimeError, match="weights differ"):
+        oracle._blockwise_numeric_info(even, Operator(np.diag([1.0, 0.0, 0.81, 0.0]) / 1.81), BLOCKS)
+
+
+def test_blockwise_info_rejects_coherence_between_blocks():
+    # Each probe splits its weight evenly over the two blocks, as above, but
+    # as a superposition: the projection onto the blocks would drop the
+    # off-block entries 1/2 without a word.
+    with pytest.raises(RuntimeError, match="coherence between blocks"):
+        oracle._blockwise_numeric_info(pure([1, 0, 1, 0]), pure([0, 1, 0, 1]), BLOCKS)
+    # the bound is 1e-12 on the largest off-block entry of either probe
+    rho = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
+    other = np.diag([0.0, 0.5, 0.0, 0.5])
+    rho[0, 2] = rho[2, 0] = 1e-13
+    assert oracle._blockwise_numeric_info(rho, other, BLOCKS) == pytest.approx(1.0, abs=1e-9)
+    rho[0, 2] = rho[2, 0] = 1e-11
+    with pytest.raises(RuntimeError, match="coherence between blocks"):
+        oracle._blockwise_numeric_info(other, rho, BLOCKS)
 
 
 # -- strategy simulations ----------------------------------------------------
@@ -134,7 +220,7 @@ def test_simulate_strategy_a_at_zero_beta():
     assert report.disturbance == pytest.approx(0.0, abs=1e-15)
     assert report.info_closed_form == 0.0
     assert report.info_measurement_search == pytest.approx(0.0, abs=1e-9)
-    assert np.allclose(report.probe_plus.entries, np.outer(PHI_PLUS, PHI_PLUS.conj()), atol=1e-12)
+    assert np.allclose(report.probe_plus, np.outer(PHI_PLUS, PHI_PLUS.conj()), atol=1e-12)
 
 
 def test_simulate_strategy_a_deltas_small():
@@ -151,7 +237,7 @@ def test_simulate_strategy_a_reproducible():
     a = simulate_strategy_a(0.2, eta_det=0.3, rng_seed=11)
     b = simulate_strategy_a(0.2, eta_det=0.3, rng_seed=11)
     assert a.deltas == b.deltas
-    assert np.array_equal(a.probe_plus.entries, b.probe_plus.entries)
+    assert np.array_equal(a.probe_plus, b.probe_plus)
 
 
 def test_simulate_strategy_b_at_zero_gamma():
@@ -178,6 +264,48 @@ def test_simulate_strategy_b_grid(gamma):
     assert report.deltas["coefficients_vs_closed_form"] <= 1e-9
     assert report.deltas["error_rate_spread"] <= 1e-10
     assert report.deltas["isometry_defect"] <= 1e-12
+
+
+@pytest.mark.parametrize("grid_fn, one_fn, grid, eta_det", [
+    (oracle.simulate_strategy_a_grid, simulate_strategy_a, verification._BETA_GRID, 0.3),
+    (oracle.simulate_strategy_b_grid, simulate_strategy_b, verification._GAMMA_GRID_COEFF, 0.4),
+], ids=["strategy_a", "strategy_b"])
+def test_grid_drive_gives_the_deltas_of_the_per_setting_wrappers(grid_fn, one_fn, grid, eta_det):
+    reports = grid_fn(grid, eta_det=eta_det, rng_seed=5)
+    assert len(reports) == len(grid)
+    for i, (x, rep) in enumerate(zip(grid, reports)):
+        one = one_fn(float(x), eta_det=eta_det, rng_seed=5 + i)
+        assert one.deltas == rep.deltas
+        assert (one.disturbance, one.info_measurement_search) == (rep.disturbance, rep.info_measurement_search)
+        assert np.array_equal(one.probe_plus, rep.probe_plus)
+        assert np.array_equal(one.probe_minus, rep.probe_minus)
+
+
+def _entropy(rho) -> float:
+    p = np.linalg.eigvalsh(rho)
+    p = p[p > 1e-15]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def _holevo_chi(rho_plus, rho_minus) -> float:
+    return _entropy((rho_plus + rho_minus) / 2.0) - (_entropy(rho_plus) + _entropy(rho_minus)) / 2.0
+
+
+def test_strategy_informations_stay_below_the_holevo_bound_of_the_probe_pair():
+    # The closed forms add up per-block informations; the Holevo quantity of
+    # the full 4-dimensional simulated probe pair bounds any measurement and
+    # knows nothing of the blocks.
+    reports = oracle.simulate_strategy_a_grid(verification._BETA_GRID, eta_det=0.3, rng_seed=VERIFY_SEED)
+    for rep in reports:
+        chi = _holevo_chi(rep.probe_plus, rep.probe_minus)
+        assert 0.0 < attacks.strategy_a_information(rep.disturbance) <= chi + 1e-12
+        assert chi <= 1.0 + 1e-12
+    for grid in (verification._GAMMA_GRID_FAST, verification._GAMMA_GRID_COEFF):
+        reports = oracle.simulate_strategy_b_grid(grid, eta_det=0.6, rng_seed=VERIFY_SEED)
+        for gamma, rep in zip(grid, reports):
+            chi = _holevo_chi(rep.probe_plus, rep.probe_minus)
+            assert attacks.strategy_b_information(float(gamma)) <= chi + 1e-12
+            assert chi <= 1.0 + 1e-12
 
 
 # -- per-pulse Monte Carlo ---------------------------------------------------
