@@ -19,7 +19,7 @@ import numpy as np
 
 from . import attacks, channel
 from .detection import DetectionOutcome, conditional_error_rate, outcome_distribution
-from .linalg import partial_trace
+from .linalg import _freeze, partial_trace
 from .optics import (KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGNALS,
                      STRATEGY_B_SIGNALS, Basis, Bb84Signal, basis_kets, signal_ket,
                      singlet_weight, symmetric_encode, fock_from_symmetric)
@@ -28,9 +28,9 @@ from .optics import (KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS, SIGMA_X, SIGMA_Y, 
 # kets; they depend only on the diagonal basis.  Strategy A: the perfectly
 # distinguishing product block and the {phi+, psi+} block.  Strategy B: the
 # outer and inner diagonal blocks.
-_PLUS_MINUS, _MINUS_PLUS = np.kron(KET_PLUS, KET_MINUS), np.kron(KET_MINUS, KET_PLUS)
-_BLOCKS_A = ((_MINUS_PLUS, _PLUS_MINUS), (PHI_PLUS, PSI_PLUS))
-_BLOCKS_B = ((np.kron(KET_PLUS, KET_PLUS), np.kron(KET_MINUS, KET_MINUS)), (_PLUS_MINUS, _MINUS_PLUS))
+_PP, _PM, _MP, _MM = (_freeze(np.kron(x, y)) for x in (KET_PLUS, KET_MINUS) for y in (KET_PLUS, KET_MINUS))
+_BLOCKS_A = ((_MP, _PM), (PHI_PLUS, PSI_PLUS))
+_BLOCKS_B = ((_PP, _MM), (_PM, _MP))
 
 _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
