@@ -508,6 +508,19 @@ def gamma_for_disturbance(disturbance):
     return float(gamma)
 
 
+def gammas_for_disturbances(disturbances: list[float]) -> list[float]:
+    """gamma_for_disturbance of each disturbance, in order, as floats.
+
+    One array call when numpy is already loaded (looked up, not imported, by
+    the rule of _numpy_if_array), else one float call each; the two give
+    bit-equal angles.
+    """
+    np = sys.modules.get("numpy")
+    if np is None:
+        return [gamma_for_disturbance(d) for d in disturbances]
+    return gamma_for_disturbance(np.array(disturbances, dtype=float)).tolist()
+
+
 # --------------------------------------------------------------------------
 # Information-versus-disturbance curves
 # --------------------------------------------------------------------------
@@ -538,10 +551,8 @@ def information_curves(eta_det: float, d_grid=None) -> list[AttackCurvePoint]:
 
     d_grid is any iterable of disturbances in [0, 1/2], by default the
     500-point grid; output order follows it.  The strategy-B angles of the
-    reachable points come from one array call of gamma_for_disturbance when
-    numpy is already loaded, and from one float call per point otherwise, so
-    a caller without numpy never imports it; the two give bit-equal angles.
-    The informations are then evaluated point by point.
+    reachable points come from one gammas_for_disturbances call; the
+    informations are then evaluated point by point.
     """
     if d_grid is None:
         d_grid = default_disturbance_grid()
@@ -550,13 +561,7 @@ def information_curves(eta_det: float, d_grid=None) -> list[AttackCurvePoint]:
         if not 0.0 <= d <= 0.5:
             raise ValueError(f"grid disturbances must lie in [0, 1/2], got {d}")
     top_b = STRATEGY_B_MAX_DISTURBANCE + DOMAIN_SLACK
-    reachable = [d for d in d_grid if d <= top_b]
-    # looked up, not imported, by the rule of _numpy_if_array
-    np = sys.modules.get("numpy")
-    if np is None:
-        gammas = map(gamma_for_disturbance, reachable)
-    else:
-        gammas = iter(gamma_for_disturbance(np.array(reachable, dtype=float)).tolist())
+    gammas = iter(gammas_for_disturbances([d for d in d_grid if d <= top_b]))
     points = []
     for d in d_grid:
         i_pns = pns_information_matched(eta_det, d)

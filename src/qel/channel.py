@@ -38,7 +38,7 @@ def loss_db_from_eta_t(eta_t: float) -> float:
 
 
 def eta_t_from_loss_db(loss_db: float) -> float:
-    if loss_db < 0.0:
+    if not loss_db >= 0.0:
         raise ValueError(f"loss must be nonnegative, got {loss_db} dB")
     return 10.0 ** (-loss_db / 10.0)
 
@@ -85,7 +85,7 @@ def p_arr_multi(mu: float, eta_det: float) -> float:
     terms.  Cached, because a grid or a crossover scan asks for the same
     (mu, eta_det) at every loss.
     """
-    if mu < 0.0:
+    if not mu >= 0.0:
         raise ValueError(f"mean photon number must be nonnegative, got {mu}")
     if not math.exp(-mu) >= sys.float_info.min:
         raise ValueError(f"mean photon number must be at most about 708, where exp(-mu) "
@@ -119,7 +119,7 @@ def _multi_photon_series(mu: float, weight) -> float:
 
 def p_exp(mu: float, eta_det: float, eta_t: float) -> float:
     """Expected click rate of the unattacked lossy channel, 1 - exp(-mu eta eta_t)."""
-    if mu < 0.0:
+    if not mu >= 0.0:
         raise ValueError(f"mean photon number must be nonnegative, got {mu}")
     if not 0.0 <= eta_det <= 1.0 or not 0.0 <= eta_t <= 1.0:
         raise ValueError("efficiencies must lie in [0, 1]")
@@ -200,7 +200,7 @@ def observed_error_closed_form(scenario: ChannelScenario, disturbance: float) ->
 
 def disturbance_for_error(scenario: ChannelScenario, observed_error: float) -> float:
     """Disturbance required to produce a given observed error rate."""
-    if observed_error < 0.0:
+    if not observed_error >= 0.0:
         raise ValueError(f"observed error rate must be nonnegative, got {observed_error}")
     ratio = error_disturbance_ratio(scenario)
     if ratio <= 0.0:
@@ -279,17 +279,20 @@ def eta_t_bounds(mu: float, eta_det: float) -> TransmissionWindow:
     return TransmissionWindow(eta_t_lower=lower, eta_t_upper=upper)
 
 
-def _strategy_information(strategy: str, disturbance: float):
-    """Cloning information at a disturbance, or None outside the reachable range."""
+def _strategy_information(strategy: str, disturbance: float, gamma: float | None = None):
+    """Cloning information at a disturbance, or None outside the reachable range.
+
+    gamma, when given, is strategy B's angle for the disturbance.
+    """
     if strategy == "A":
         if disturbance > 0.25:
             return None
         return attacks.strategy_a_information(disturbance)
-    if strategy == "B":
-        if disturbance > attacks.STRATEGY_B_MAX_DISTURBANCE:
-            return None
-        return attacks.strategy_b_information(attacks.gamma_for_disturbance(disturbance))
-    raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
+    if disturbance > attacks.STRATEGY_B_MAX_DISTURBANCE:
+        return None
+    if gamma is None:
+        gamma = attacks.gamma_for_disturbance(disturbance)
+    return attacks.strategy_b_information(gamma)
 
 
 def _scan_grid(lo: float, hi: float) -> list[float]:
@@ -317,61 +320,73 @@ def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: s
     than one step can be missed, and only the first sign change of the gain
     is refined: a later crossing back to the PNS process is not reported.
     """
-    if observed_error < 0.0:
+    return _crossover_losses(mu, eta_det, observed_error, (strategy,))[strategy]
+
+
+def _crossover_losses(mu: float, eta_det: float, observed_error: float, strategies) -> dict:
+    """crossover_loss of each strategy from one scan.
+
+    Each scan point's disturbance and PNS information are computed once, and
+    strategy B's angles there come from one gammas_for_disturbances call; the
+    refining bisection evaluates its midpoints on floats.
+    """
+    if not observed_error >= 0.0:
         raise ValueError(f"observed error rate must be nonnegative, got {observed_error}")
+    for strategy in strategies:
+        if strategy not in ("A", "B"):
+            raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
     window = eta_t_bounds(mu, eta_det)
     if window.empty:
-        raise InvalidRegimeError(
-            f"transmission window is empty for mu={mu}, eta_det={eta_det}")
+        raise InvalidRegimeError(f"transmission window is empty for mu={mu}, eta_det={eta_det}")
 
-    reachable = [0]
-
-    def gain(loss_db: float) -> float:
+    def point_at(loss_db: float):
+        """(disturbance, PNS information) at a loss, or None where the error is unattainable."""
         scen = ChannelScenario.from_loss_db(mu, eta_det, loss_db)
         try:
             d = disturbance_for_error(scen, observed_error)
         except InvalidRegimeError:
-            return -math.inf
-        reachable[0] += 1
-        info = _strategy_information(strategy, d)
-        if info is None:
-            return -math.inf
-        return info - attacks.pns_information_matched(eta_det, d)
+            return None
+        return d, attacks.pns_information_matched(eta_det, d)
 
-    lo = window.loss_db_lower + 1e-9
-    hi = window.loss_db_upper - 1e-9
+    lo, hi = window.loss_db_lower + 1e-9, window.loss_db_upper - 1e-9
     if hi <= lo:
-        return None
+        return dict.fromkeys(strategies)
     grid = _scan_grid(lo, hi)
-    gains = [gain(loss) for loss in grid]
-    if reachable[0] == 0:
+    points = [point_at(loss) for loss in grid]
+    if not any(points):
         raise InvalidRegimeError(
             f"observed error {observed_error} requires a disturbance above 1/2 "
             f"everywhere inside the transmission window")
-    winning = [i for i, g in enumerate(gains) if g > 0.0]
-    if not winning:
-        return None
-    first = winning[0]
-    if first == 0:
-        return float(window.loss_db_lower)
-    left, right = grid[first - 1], grid[first]
-    if not math.isfinite(gains[first - 1]):
-        return float(right)
-    cross = attacks.bisect(gain, left, right, xtol=CROSSOVER_DB_TOL / 5.0)
-    return float(cross)
+    # keyed by disturbance, so a refining midpoint usually finds none and inverts on floats
+    reachable_b = [p[0] for p in points if p and p[0] <= attacks.STRATEGY_B_MAX_DISTURBANCE]
+    gammas = dict(zip(reachable_b, attacks.gammas_for_disturbances(reachable_b))) \
+        if "B" in strategies else {}
+
+    def gain(strategy: str, point) -> float:
+        info = None if point is None else _strategy_information(strategy, point[0], gammas.get(point[0]))
+        return -math.inf if info is None else info - point[1]
+
+    out = {}
+    for strategy in strategies:
+        gains = [gain(strategy, p) for p in points]
+        first = next((i for i, g in enumerate(gains) if g > 0.0), None)
+        if first is None:
+            out[strategy] = None
+        elif first == 0:
+            out[strategy] = float(window.loss_db_lower)
+        elif not math.isfinite(gains[first - 1]):
+            out[strategy] = float(grid[first])
+        else:
+            ends = {grid[first - 1]: gains[first - 1], grid[first]: gains[first]}
+            out[strategy] = float(attacks.bisect(
+                lambda x: ends[x] if x in ends else gain(strategy, point_at(x)),
+                grid[first - 1], grid[first], xtol=CROSSOVER_DB_TOL / 5.0))
+    return out
 
 
 def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dict:
     """Crossover losses for both cloning strategies and the earlier of the two."""
-    out = {}
-    for strategy in ("A", "B"):
-        out[strategy] = crossover_loss(mu, eta_det, observed_error, strategy)
-    candidates = [(loss, s) for s, loss in out.items() if loss is not None]
-    if candidates:
-        best_loss, best_strategy = min(candidates)
-        out["best"] = best_loss
-        out["best_strategy"] = best_strategy
-    else:
-        out["best"] = None
-        out["best_strategy"] = None
+    out = _crossover_losses(mu, eta_det, observed_error, ("A", "B"))
+    out["best"], out["best_strategy"] = min(
+        ((loss, s) for s, loss in out.items() if loss is not None), default=(None, None))
     return out

@@ -1,5 +1,10 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +341,121 @@ def test_crossover_rejects_unknown_strategy():
         crossover_loss(0.1, 0.2, 0.01, "C")
 
 
+def test_crossover_rejects_an_unknown_strategy_before_scanning():
+    # e = 0.49 is unattainable at every scan point, which a scan would report first
+    with pytest.raises(ValueError, match="strategy must be 'A' or 'B', got 'C'") as raised:
+        crossover_loss(0.1, 0.2, 0.49, "C")
+    assert not isinstance(raised.value, InvalidRegimeError)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: eta_t_from_loss_db(math.nan), "loss must be nonnegative, got nan dB"),
+    (lambda: p_arr_multi(math.nan, 0.2), "mean photon number must be nonnegative, got nan"),
+    (lambda: p_exp(math.nan, 0.2, 0.5), "mean photon number must be nonnegative, got nan"),
+    (lambda: disturbance_for_error(ChannelScenario(0.1, 0.2, 0.5), math.nan),
+     "observed error rate must be nonnegative, got nan"),
+    (lambda: crossover_loss(0.1, 0.2, math.nan, "B"),
+     "observed error rate must be nonnegative, got nan"),
+    (lambda: crossover_loss_best(0.1, 0.2, math.nan),
+     "observed error rate must be nonnegative, got nan"),
+], ids=["eta_t_from_loss_db", "p_arr_multi", "p_exp", "disturbance_for_error", "crossover_loss",
+        "crossover_loss_best"])
+def test_nan_is_rejected_by_the_channel_domain_checks(call, message):
+    # NaN fails every comparison, so a check written as x < 0 let it through
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def _seeded_crossover_scenarios():
+    """(mu, eta_det, e): the reference, a win at the lower edge, e = 0 and an unattainable e,
+    then 200 seeded scenarios, some with empty windows or unattainable errors."""
+    rng = random.Random(20240901)
+    cases = [(0.1, 0.2, 0.01), (0.1, 0.2, 0.0), (0.1, 0.2, 0.1), (0.1, 0.2, 0.49)]
+    for _ in range(200):
+        cases.append((rng.uniform(0.01, 3.0), rng.uniform(0.01, 1.0), rng.uniform(0.0, 0.2)))
+    return cases
+
+
+def _crossover_outcome(case):
+    try:
+        return crossover_loss_best(*case)
+    except ValueError as exc:
+        return exc
+
+
+def test_crossover_without_numpy_is_bit_equal_to_the_array_path():
+    # a fresh interpreter never loads numpy and inverts one float at a time;
+    # this one has numpy loaded and inverts the scan angles in one array call
+    cases = _seeded_crossover_scenarios()
+    probe = ("import sys\nfrom qel.channel import crossover_loss_best\n"
+             f"for case in {cases!r}:\n"
+             "    try:\n"
+             "        print(repr(crossover_loss_best(*case)))\n"
+             "    except ValueError as exc:\n"
+             "        print(f'{type(exc).__name__}: {exc}')\n"
+             "print('numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    child = subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True,
+                             env=env)
+    outcomes = [_crossover_outcome(case) for case in cases]
+    out, _ = child.communicate(timeout=120)
+    assert child.returncode == 0
+    *float_path, numpy_loaded = out.splitlines()
+    assert numpy_loaded == "False" and "numpy" in sys.modules
+    array_path = [repr(o) if isinstance(o, dict) else f"{type(o).__name__}: {o}" for o in outcomes]
+    assert len(float_path) == len(array_path)
+    assert next(((f, a) for f, a in zip(float_path, array_path) if f != a), None) is None
+    reference, zero, lower_edge, unattainable = outcomes[:4]
+    assert reference["best_strategy"] == "B" and reference["A"] == pytest.approx(12.69, abs=0.01)
+    assert zero == {"A": None, "B": None, "best": None, "best_strategy": None}
+    assert lower_edge["B"] == eta_t_bounds(0.1, 0.2).loss_db_lower
+    assert isinstance(unattainable, InvalidRegimeError)
+    assert sum(isinstance(o, InvalidRegimeError) for o in outcomes) >= 10
+    assert sum(isinstance(o, dict) and o["best_strategy"] == "B" for o in outcomes) >= 30
+
+
+def test_crossover_best_inverts_the_scan_angles_in_one_array_call(monkeypatch):
+    # numpy is loaded here; the refining bisection stays on floats
+    inversions, counts = [], {"disturbance": 0, "scan": 0, "refine": 0}
+    real_gamma, real_disturbance = attacks.gamma_for_disturbance, channel.disturbance_for_error
+    real_grid, real_bisect = channel._scan_grid, attacks.bisect
+
+    def gamma(d):
+        inversions.append("array" if isinstance(d, np.ndarray) else "float")
+        return real_gamma(d)
+
+    def disturbance(scenario, error):
+        counts["disturbance"] += 1
+        return real_disturbance(scenario, error)
+
+    def scan_grid(lo, hi):
+        grid = real_grid(lo, hi)
+        counts["scan"] += len(grid)
+        return grid
+
+    def bisect(f, lo, hi, xtol):
+        if xtol != channel.CROSSOVER_DB_TOL / 5.0:  # an angle inversion, not a refinement
+            return real_bisect(f, lo, hi, xtol)
+
+        def midpoint(x):
+            counts["refine"] += x not in (lo, hi)
+            return f(x)
+        return real_bisect(midpoint, lo, hi, xtol)
+
+    monkeypatch.setattr(attacks, "gamma_for_disturbance", gamma)
+    monkeypatch.setattr(channel, "disturbance_for_error", disturbance)
+    monkeypatch.setattr(channel, "_scan_grid", scan_grid)
+    monkeypatch.setattr(attacks, "bisect", bisect)
+    result = crossover_loss_best(0.1, 0.2, 0.01)
+    assert result["A"] == pytest.approx(12.69, abs=0.01)
+    assert result["B"] == pytest.approx(12.30, abs=0.01)
+    assert inversions[0] == "array" and inversions.count("array") == 1
+    assert inversions.count("float") >= 1  # the strategy-B refinement
+    assert counts["scan"] > 200 and counts["refine"] >= 2
+    assert counts["disturbance"] == counts["scan"] + counts["refine"]
+
+
 def test_crossover_misses_a_win_narrower_than_one_scan_step(monkeypatch):
     # The scan samples every 0.05 dB from just above the window's lower edge.
     # A strategy that wins only between two scan points is never seen.
@@ -349,7 +469,7 @@ def test_crossover_misses_a_win_narrower_than_one_scan_step(monkeypatch):
     def win_between(lo_db, hi_db):
         d_lo, d_hi = d_at(lo_db), d_at(hi_db)
 
-        def info(strategy, d):
+        def info(strategy, d, gamma=None):
             pns = attacks.pns_information_matched(eta, d)
             return pns + 0.1 if d_lo <= d <= d_hi else 0.0
         return info
