@@ -63,23 +63,15 @@ def _numpy_if_array(x):
 def bisect(f, lo, hi, xtol: float):
     """Root of f bracketed by [lo, hi], located by interval halving.
 
-    Each step halves the step width and moves lo to the midpoint whenever f
-    there has the sign of f at the original lo.  Stops when f vanishes at the
-    midpoint or the step falls below xtol + 4 eps |midpoint|, and returns the
-    midpoint; an endpoint where f vanishes is returned as it is.  Raises
-    ValueError when f(lo) and f(hi) share a sign and RuntimeError after 100
-    steps.  Values of f are multiplied by the sign of f(lo), not by f(lo),
-    since the product of two tiny values underflows to 0.
-
-    lo and hi are floats, or numpy arrays of brackets (broadcast together) for
-    an f that maps arrays elementwise.  An array bracket is bisected in one
-    masked loop in which every element takes the steps of the float loop, so
-    the roots are bit-equal to those of one float call per element; the
-    errors are raised when any element fails.  The float loop avoids numpy's
-    per-call cost, which dominates a single bracket.
+    lo and hi are floats.  Each step halves the step width and moves lo to
+    the midpoint whenever f there has the sign of f at the original lo.  Stops
+    when f vanishes at the midpoint or the step falls below
+    xtol + 4 eps |midpoint|, and returns the midpoint; an endpoint where f
+    vanishes is returned as it is.  Raises ValueError when f(lo) and f(hi)
+    share a sign and RuntimeError after 100 steps.  Values of f are
+    multiplied by the sign of f(lo), not by f(lo), since the product of two
+    tiny values underflows to 0.
     """
-    if _numpy_if_array(lo) is not None or _numpy_if_array(hi) is not None:
-        return _bisect_elementwise(f, lo, hi, xtol)
     lo, hi = float(lo), float(hi)
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
@@ -104,8 +96,14 @@ def bisect(f, lo, hi, xtol: float):
 def _bisect_elementwise(f, lo, hi, xtol: float) -> np.ndarray:
     """The steps of bisect applied to every element of an array bracket.
 
-    f is evaluated on whole arrays; an element that has stopped keeps its
-    root while its midpoint, still inside its bracket, is carried along.
+    lo and hi are numpy arrays of brackets, broadcast together, for an f that
+    maps arrays elementwise.  They are bisected in one masked loop in which
+    every element takes the steps of bisect's float loop, so the roots are
+    bit-equal to those of one bisect call per element; the errors are raised
+    when any element fails.  f is evaluated on whole arrays; an element that
+    has stopped keeps its root while its midpoint, still inside its bracket,
+    is carried along.  The float loop avoids numpy's per-call cost, which
+    dominates a single bracket.
     """
     import numpy as np
 
@@ -417,15 +415,6 @@ def strategy_b_probe_matrices(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return m_plus, m_minus
 
 
-def probe_matrix_in_diagonal_basis(rho) -> np.ndarray:
-    """Rewrite a two-qubit operator, or a stack of them, in the ordered (|++>,|+->,|-+>,|-->) basis."""
-    import numpy as np
-
-    from .optics import _DIAG_BASIS_MATRIX as t
-
-    return t.conj().T @ np.asarray(rho) @ t
-
-
 def strategy_b_disturbance(gamma):
     """Disturbance of strategy B on the equatorial signals.
 
@@ -492,8 +481,8 @@ def gamma_for_disturbance(disturbance):
         # as endpoint roots.
         d = np.minimum(disturbance, top)
         edge = np.zeros(d.shape)
-        gamma = bisect(lambda g: strategy_b_disturbance(g) - d, edge, edge + math.pi / 2,
-                       xtol=1e-13)
+        gamma = _bisect_elementwise(lambda g: strategy_b_disturbance(g) - d, edge,
+                                    edge + math.pi / 2, xtol=1e-13)
         assert np.all(np.abs(strategy_b_disturbance(gamma) - d) <= D_INVERSION_TOL)
         return gamma
     d = disturbance
@@ -508,17 +497,32 @@ def gamma_for_disturbance(disturbance):
     return float(gamma)
 
 
-def gammas_for_disturbances(disturbances: list[float]) -> list[float]:
-    """gamma_for_disturbance of each disturbance, in order, as floats.
+def cloning_information(strategy: str, disturbances: list[float]) -> list[float | None]:
+    """Information of cloning strategy "A" or "B" at each disturbance, in order.
 
-    One array call when numpy is already loaded (looked up, not imported, by
-    the rule of _numpy_if_array), else one float call each; the two give
-    bit-equal angles.
+    An entry is None where the strategy cannot reach the disturbance: A
+    reaches D <= 1/4 and B reaches D <= D(pi/2), each with DOMAIN_SLACK of
+    rounding; values are never extrapolated.  B's angles come from one array
+    gamma_for_disturbance call when numpy is already loaded (looked up, not
+    imported, by the rule of _numpy_if_array) and two or more points are
+    reachable, else from one float call each; the two give bit-equal angles.
+    A negative or NaN disturbance, or another strategy, raises ValueError.
     """
+    if strategy not in ("A", "B"):
+        raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
+    for d in disturbances:
+        if not d >= 0.0:
+            raise ValueError(f"disturbance must be nonnegative, got {d}")
+    if strategy == "A":
+        return [strategy_a_information(d) if d <= 0.25 + DOMAIN_SLACK else None for d in disturbances]
+    top = STRATEGY_B_MAX_DISTURBANCE + DOMAIN_SLACK
+    reachable = [d for d in disturbances if d <= top]
     np = sys.modules.get("numpy")
-    if np is None:
-        return [gamma_for_disturbance(d) for d in disturbances]
-    return gamma_for_disturbance(np.array(disturbances, dtype=float)).tolist()
+    if np is not None and len(reachable) >= 2:
+        gammas = iter(gamma_for_disturbance(np.array(reachable, dtype=float)).tolist())
+    else:
+        gammas = (gamma_for_disturbance(d) for d in reachable)
+    return [strategy_b_information(next(gammas)) if d <= top else None for d in disturbances]
 
 
 # --------------------------------------------------------------------------
@@ -529,9 +533,9 @@ class AttackCurvePoint(namedtuple("AttackCurvePoint", "disturbance i_pns i_a i_b
     """Information of the three processes at one disturbance value.
 
     i_a and i_b are None where the disturbance is outside the strategy's
-    reachable range (D > 1/4); values are never extrapolated.  An immutable
-    named tuple: it unpacks, and compares equal to a plain tuple of its
-    fields.
+    reachable range (see cloning_information); values are never
+    extrapolated.  An immutable named tuple: it unpacks, and compares equal
+    to a plain tuple of its fields.
     """
 
     __slots__ = ()
@@ -540,32 +544,22 @@ class AttackCurvePoint(namedtuple("AttackCurvePoint", "disturbance i_pns i_a i_b
 DEFAULT_CURVE_GRID_POINTS = 500
 
 
-def default_disturbance_grid() -> np.ndarray:
-    import numpy as np
-
-    return np.linspace(0.0, 0.5, DEFAULT_CURVE_GRID_POINTS)
+def default_disturbance_grid() -> list[float]:
+    """The floats of np.linspace(0, 1/2, DEFAULT_CURVE_GRID_POINTS), built without numpy."""
+    n = DEFAULT_CURVE_GRID_POINTS - 1
+    return [i * (0.5 / n) for i in range(n)] + [0.5]
 
 
 def information_curves(eta_det: float, d_grid=None) -> list[AttackCurvePoint]:
     """Sample the three information curves on a disturbance grid.
 
     d_grid is any iterable of disturbances in [0, 1/2], by default the
-    500-point grid; output order follows it.  The strategy-B angles of the
-    reachable points come from one gammas_for_disturbances call; the
-    informations are then evaluated point by point.
+    500-point grid; output order follows it.  Each cloning curve comes from
+    one cloning_information call.
     """
-    if d_grid is None:
-        d_grid = default_disturbance_grid()
-    d_grid = [float(d) for d in d_grid]
+    d_grid = [float(d) for d in (default_disturbance_grid() if d_grid is None else d_grid)]
     for d in d_grid:
         if not 0.0 <= d <= 0.5:
             raise ValueError(f"grid disturbances must lie in [0, 1/2], got {d}")
-    top_b = STRATEGY_B_MAX_DISTURBANCE + DOMAIN_SLACK
-    gammas = iter(gammas_for_disturbances([d for d in d_grid if d <= top_b]))
-    points = []
-    for d in d_grid:
-        i_pns = pns_information_matched(eta_det, d)
-        i_a = strategy_a_information(d) if d <= 0.25 + DOMAIN_SLACK else None
-        i_b = strategy_b_information(next(gammas)) if d <= top_b else None
-        points.append(AttackCurvePoint(disturbance=d, i_pns=i_pns, i_a=i_a, i_b=i_b))
-    return points
+    curves = zip(d_grid, cloning_information("A", d_grid), cloning_information("B", d_grid))
+    return [AttackCurvePoint(d, pns_information_matched(eta_det, d), i_a, i_b) for d, i_a, i_b in curves]

@@ -279,22 +279,6 @@ def eta_t_bounds(mu: float, eta_det: float) -> TransmissionWindow:
     return TransmissionWindow(eta_t_lower=lower, eta_t_upper=upper)
 
 
-def _strategy_information(strategy: str, disturbance: float, gamma: float | None = None):
-    """Cloning information at a disturbance, or None outside the reachable range.
-
-    gamma, when given, is strategy B's angle for the disturbance.
-    """
-    if strategy == "A":
-        if disturbance > 0.25:
-            return None
-        return attacks.strategy_a_information(disturbance)
-    if disturbance > attacks.STRATEGY_B_MAX_DISTURBANCE:
-        return None
-    if gamma is None:
-        gamma = attacks.gamma_for_disturbance(disturbance)
-    return attacks.strategy_b_information(gamma)
-
-
 def _scan_grid(lo: float, hi: float) -> list[float]:
     """Losses from lo every 0.05 dB up to below hi, then hi itself.
 
@@ -320,21 +304,21 @@ def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: s
     than one step can be missed, and only the first sign change of the gain
     is refined: a later crossing back to the PNS process is not reported.
     """
-    return _crossover_losses(mu, eta_det, observed_error, (strategy,))[strategy]
+    if strategy not in ("A", "B"):
+        raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
+    return crossover_loss_best(mu, eta_det, observed_error)[strategy]
 
 
-def _crossover_losses(mu: float, eta_det: float, observed_error: float, strategies) -> dict:
-    """crossover_loss of each strategy from one scan.
+def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dict:
+    """crossover_loss of both cloning strategies from one scan, and the earlier of the two.
 
     Each scan point's disturbance and PNS information are computed once, and
-    strategy B's angles there come from one gammas_for_disturbances call; the
-    refining bisection evaluates its midpoints on floats.
+    each strategy's informations there come from one
+    attacks.cloning_information call; a refining midpoint asks for its one
+    disturbance.
     """
     if not observed_error >= 0.0:
         raise ValueError(f"observed error rate must be nonnegative, got {observed_error}")
-    for strategy in strategies:
-        if strategy not in ("A", "B"):
-            raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
     window = eta_t_bounds(mu, eta_det)
     if window.empty:
         raise InvalidRegimeError(f"transmission window is empty for mu={mu}, eta_det={eta_det}")
@@ -348,45 +332,35 @@ def _crossover_losses(mu: float, eta_det: float, observed_error: float, strategi
             return None
         return d, attacks.pns_information_matched(eta_det, d)
 
+    def gains(strategy: str, points: list) -> list[float]:
+        """Cloning minus PNS information at each point, -inf where either is missing."""
+        infos = iter(attacks.cloning_information(strategy, [p[0] for p in points if p]))
+        return [info - p[1] if p and (info := next(infos)) is not None else -math.inf for p in points]
+
+    def crossover(strategy: str):
+        scan = gains(strategy, points)
+        first = next((i for i, g in enumerate(scan) if g > 0.0), None)
+        if first is None:
+            return None
+        if first == 0:
+            return float(window.loss_db_lower)
+        if not math.isfinite(scan[first - 1]):
+            return float(grid[first])
+        ends = {grid[first - 1]: scan[first - 1], grid[first]: scan[first]}
+        return float(attacks.bisect(lambda x: ends[x] if x in ends else gains(strategy, [point_at(x)])[0],
+                                    grid[first - 1], grid[first], xtol=CROSSOVER_DB_TOL / 5.0))
+
     lo, hi = window.loss_db_lower + 1e-9, window.loss_db_upper - 1e-9
     if hi <= lo:
-        return dict.fromkeys(strategies)
-    grid = _scan_grid(lo, hi)
-    points = [point_at(loss) for loss in grid]
-    if not any(points):
-        raise InvalidRegimeError(
-            f"observed error {observed_error} requires a disturbance above 1/2 "
-            f"everywhere inside the transmission window")
-    # keyed by disturbance, so a refining midpoint usually finds none and inverts on floats
-    reachable_b = [p[0] for p in points if p and p[0] <= attacks.STRATEGY_B_MAX_DISTURBANCE]
-    gammas = dict(zip(reachable_b, attacks.gammas_for_disturbances(reachable_b))) \
-        if "B" in strategies else {}
-
-    def gain(strategy: str, point) -> float:
-        info = None if point is None else _strategy_information(strategy, point[0], gammas.get(point[0]))
-        return -math.inf if info is None else info - point[1]
-
-    out = {}
-    for strategy in strategies:
-        gains = [gain(strategy, p) for p in points]
-        first = next((i for i, g in enumerate(gains) if g > 0.0), None)
-        if first is None:
-            out[strategy] = None
-        elif first == 0:
-            out[strategy] = float(window.loss_db_lower)
-        elif not math.isfinite(gains[first - 1]):
-            out[strategy] = float(grid[first])
-        else:
-            ends = {grid[first - 1]: gains[first - 1], grid[first]: gains[first]}
-            out[strategy] = float(attacks.bisect(
-                lambda x: ends[x] if x in ends else gain(strategy, point_at(x)),
-                grid[first - 1], grid[first], xtol=CROSSOVER_DB_TOL / 5.0))
-    return out
-
-
-def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dict:
-    """Crossover losses for both cloning strategies and the earlier of the two."""
-    out = _crossover_losses(mu, eta_det, observed_error, ("A", "B"))
+        out = {"A": None, "B": None}
+    else:
+        grid = _scan_grid(lo, hi)
+        points = [point_at(loss) for loss in grid]
+        if not any(points):
+            raise InvalidRegimeError(
+                f"observed error {observed_error} requires a disturbance above 1/2 "
+                f"everywhere inside the transmission window")
+        out = {"A": crossover("A"), "B": crossover("B")}
     out["best"], out["best_strategy"] = min(
         ((loss, s) for s, loss in out.items() if loss is not None), default=(None, None))
     return out

@@ -22,7 +22,7 @@ DETERMINANT_TOL = 1e-9
 
 def phi(x: float) -> float:
     """(1+x)log2(1+x) + (1-x)log2(1-x) with 0 log 0 = 0."""
-    if abs(x) > 1.0 + DOMAIN_SLACK:
+    if not abs(x) <= 1.0 + DOMAIN_SLACK:  # NaN fails this too
         raise ValueError(f"phi argument must lie in [-1, 1], got {x}")
     x = min(1.0, max(-1.0, x))
     out = 0.0

@@ -63,8 +63,10 @@ def partial_trace(rho, keep: str, dims: tuple[int, int]):
 
 
 def check_density(op, tol: float = HERMITICITY_TOL) -> bool:
-    """True iff op, or every operator in a stack, is Hermitian, positive semidefinite and unit trace within tol."""
+    """True iff op, or every operator in a stack, is finite, Hermitian, positive semidefinite and unit trace within tol."""
     m = np.asarray(op)
+    if not np.all(np.isfinite(m)):  # NaN fails every comparison below
+        return False
     if np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) > tol:
         return False
     if np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)) > tol:

@@ -76,10 +76,6 @@ _I2 = np.eye(2, dtype=complex)
 STRATEGY_B_SIGNALS = tuple(Bb84Signal(basis, bit)
                            for basis in (Basis.DIAGONAL, Basis.CIRCULAR) for bit in (0, 1))
 
-#: Columns are |++>, |+->, |-+>, |--> in the computational basis.
-_DIAG_BASIS_MATRIX = _freeze(np.column_stack(
-    [np.kron(x, y) for x in (KET_PLUS, KET_MINUS) for y in (KET_PLUS, KET_MINUS)]))
-
 _BASIS_KETS = {
     Basis.RECTILINEAR: (KET_0, KET_1),
     Basis.DIAGONAL: (KET_PLUS, KET_MINUS),

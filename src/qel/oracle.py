@@ -24,11 +24,13 @@ from .optics import (KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS, SIGMA_X, SIGMA_Y, 
                      STRATEGY_B_SIGNALS, Basis, Bb84Signal, basis_kets, signal_ket,
                      singlet_weight, symmetric_encode, fock_from_symmetric)
 
-# Qubit blocks of the blockwise measurement search, as pairs of two-photon
-# kets; they depend only on the diagonal basis.  Strategy A: the perfectly
-# distinguishing product block and the {phi+, psi+} block.  Strategy B: the
-# outer and inner diagonal blocks.
-_PP, _PM, _MP, _MM = (_freeze(np.kron(x, y)) for x in (KET_PLUS, KET_MINUS) for y in (KET_PLUS, KET_MINUS))
+# The ordered diagonal product basis |++>, |+->, |-+>, |-->, in which the
+# strategy-B probe matrices are laid out.  Qubit blocks of the blockwise
+# measurement search, as pairs of two-photon kets; they depend only on the
+# diagonal basis.  Strategy A: the perfectly distinguishing product block
+# and the {phi+, psi+} block.  Strategy B: the outer and inner diagonal blocks.
+_DIAG_KETS = _PP, _PM, _MP, _MM = tuple(_freeze(np.kron(x, y)) for x in (KET_PLUS, KET_MINUS)
+                                         for y in (KET_PLUS, KET_MINUS))
 _BLOCKS_A = ((_MP, _PM), (PHI_PLUS, PSI_PLUS))
 _BLOCKS_B = ((_PP, _MM), (_PM, _MP))
 
@@ -135,6 +137,12 @@ def numeric_two_state_info(rho0, rho1) -> float:
     return float(numeric_two_state_info_stack(np.asarray(rho0)[None], np.asarray(rho1)[None])[0])
 
 
+def _in_basis(rho, kets) -> np.ndarray:
+    """rho, or each operator of a stack, in the basis of the orthonormal kets: T^H rho T with the kets as columns."""
+    t = np.stack(kets, axis=-1)
+    return t.conj().T @ np.asarray(rho) @ t
+
+
 def _blockwise_numeric_info(rho_plus, rho_minus, blocks) -> np.ndarray:
     """Projection onto qubit blocks followed by one measurement search over all of them.
 
@@ -146,8 +154,8 @@ def _blockwise_numeric_info(rho_plus, rho_minus, blocks) -> np.ndarray:
     block the same weight and carry no coherence between blocks: a weight
     difference or an off-block entry above 1e-12 raises RuntimeError.
     """
-    t = np.stack([ket for pair in blocks for ket in pair], axis=-1)
-    m = t.conj().T @ np.stack(np.broadcast_arrays(np.asarray(rho_plus), np.asarray(rho_minus))) @ t
+    m = _in_basis(np.stack(np.broadcast_arrays(np.asarray(rho_plus), np.asarray(rho_minus))),
+                  [ket for pair in blocks for ket in pair])
     n = len(blocks)
     m = m.reshape(m.shape[:-2] + (n, 2, n, 2))
     off_block = np.max(np.abs(m) * ~np.eye(n, dtype=bool)[:, None, :, None], initial=0.0)
@@ -256,8 +264,7 @@ def simulate_strategy_a_grid(betas, *, eta_det: float, rng_seed: int) -> list[Si
     # Both probes in the basis of their blocks: the product block must carry
     # weight 2D, and diagonalizing the {phi+, psi+} block gives the overlap of
     # the nonorthogonal probe components.
-    t = np.stack([ket for pair in _BLOCKS_A for ket in pair], axis=-1)
-    m = t.conj().T @ np.stack([rho_p, rho_m]) @ t
+    m = _in_basis(np.stack([rho_p, rho_m]), [ket for pair in _BLOCKS_A for ket in pair])
     prod_weight = np.trace(m[0, :, :2, :2], axis1=-2, axis2=-1).real
     pure = m[..., 2:, 2:]
     v = np.linalg.eigh(pure / np.trace(pure, axis1=-2, axis2=-1).real[..., None, None])[1][..., -1]
@@ -301,7 +308,7 @@ def simulate_strategy_b_grid(gammas, *, eta_det: float, rng_seed: int) -> list[S
     disturbance = np.mean(errors, -1)
     g = gammas.tolist()
     ref = np.array([attacks.strategy_b_probe_matrices(x) for x in g])
-    m = attacks.probe_matrix_in_diagonal_basis(np.stack([rho_p, rho_m], 1)) * 16.0
+    m = _in_basis(np.stack([rho_p, rho_m], 1), _DIAG_KETS) * 16.0
     info_closed = np.array([attacks.strategy_b_information(x) for x in g])
     info_numeric = _blockwise_numeric_info(rho_p, rho_m, _BLOCKS_B)
     return _reports(disturbance, rho_p, rho_m, info_closed, info_numeric, {

@@ -327,13 +327,14 @@ def _bits(values) -> np.ndarray:
 
 def test_array_bisect_and_inversion_are_bit_equal_to_the_float_path():
     top = attacks.STRATEGY_B_MAX_DISTURBANCE
-    grid = attacks.default_disturbance_grid()
+    grid = np.array(attacks.default_disturbance_grid())
     rng = np.random.default_rng(20240901)
     specials = [5e-324, 1e-300, 0.0, top, np.nextafter(top, 0.0)]
     d = np.concatenate([grid[grid <= top], rng.uniform(0.0, top, 10_000), specials])
     inner = d[(d > 0.0) & (d < top)]
-    roots = attacks.bisect(lambda g: strategy_b_disturbance(g) - inner,
-                           np.zeros_like(inner), np.full_like(inner, math.pi / 2), xtol=1e-13)
+    roots = attacks._bisect_elementwise(lambda g: strategy_b_disturbance(g) - inner,
+                                        np.zeros_like(inner), np.full_like(inner, math.pi / 2),
+                                        xtol=1e-13)
     scalar_roots = [attacks.bisect(lambda g: strategy_b_disturbance(g) - t, 0.0, math.pi / 2,
                                    xtol=1e-13) for t in inner.tolist()]
     assert np.array_equal(_bits(roots), _bits(scalar_roots))
@@ -353,8 +354,9 @@ def test_strategy_b_disturbance_array_is_bit_equal_to_the_float_path():
 
 
 def test_array_bisect_keeps_per_element_endpoint_roots():
-    roots = attacks.bisect(lambda x: x - np.array([1.0, 3.0, 2.0]),
-                           np.array([1.0, 1.0, 1.0]), np.array([3.0, 3.0, 3.0]), xtol=1e-12)
+    roots = attacks._bisect_elementwise(lambda x: x - np.array([1.0, 3.0, 2.0]),
+                                        np.array([1.0, 1.0, 1.0]), np.array([3.0, 3.0, 3.0]),
+                                        xtol=1e-12)
     assert roots[0] == 1.0 and roots[1] == 3.0
     assert roots[2] == attacks.bisect(lambda x: x - 2.0, 1.0, 3.0, xtol=1e-12)
 
@@ -362,10 +364,60 @@ def test_array_bisect_keeps_per_element_endpoint_roots():
 def test_array_bisect_raises_when_any_element_fails():
     shift = np.array([0.5, -2.0])
     with pytest.raises(ValueError):
-        attacks.bisect(lambda x: x - shift, np.zeros(2), np.ones(2), xtol=1e-12)
+        attacks._bisect_elementwise(lambda x: x - shift, np.zeros(2), np.ones(2), xtol=1e-12)
     shift = np.array([0.5, 1e-300])
     with pytest.raises(RuntimeError):
-        attacks.bisect(lambda x: x - shift, np.zeros(2), np.ones(2), xtol=1e-310)
+        attacks._bisect_elementwise(lambda x: x - shift, np.zeros(2), np.ones(2), xtol=1e-310)
+
+
+# -- cloning information -----------------------------------------------------
+
+def test_cloning_information_reach_edges():
+    # a point up to DOMAIN_SLACK past a strategy's edge reads the edge value, a point further out None
+    top = attacks.STRATEGY_B_MAX_DISTURBANCE
+    for strategy, edge, at_zero, at_edge in (
+            ("A", 0.25, strategy_a_information(0.0), strategy_a_information(0.25)),
+            ("B", top, strategy_b_information(0.0), strategy_b_information(math.pi / 2))):
+        ds = [0.0, edge, edge + 5e-13, edge + 1e-11, 0.5, math.inf]
+        assert attacks.cloning_information(strategy, ds) == [at_zero, at_edge, at_edge, None, None, None]
+    assert strategy_a_information(0.25) == 0.5
+
+
+@pytest.mark.parametrize("strategy", ["A", "B"])
+def test_cloning_information_rejects_bad_input(strategy):
+    assert attacks.cloning_information(strategy, []) == []
+    for bad in (math.nan, -1e-300):
+        with pytest.raises(ValueError) as excinfo:
+            attacks.cloning_information(strategy, [0.1, bad])
+        assert str(excinfo.value) == f"disturbance must be nonnegative, got {bad}"
+    with pytest.raises(ValueError) as excinfo:
+        attacks.cloning_information("C", [0.1])
+    assert str(excinfo.value) == "strategy must be 'A' or 'B', got 'C'"
+
+
+def test_cloning_information_array_and_float_angle_paths_are_bit_equal(monkeypatch):
+    # numpy is loaded here: two or more reachable points take one array inversion,
+    # a single point one float inversion
+    kinds = []
+    real_gamma = attacks.gamma_for_disturbance
+
+    def gamma(d):
+        kinds.append("array" if isinstance(d, np.ndarray) else "float")
+        return real_gamma(d)
+
+    monkeypatch.setattr(attacks, "gamma_for_disturbance", gamma)
+    top = attacks.STRATEGY_B_MAX_DISTURBANCE
+    rng = random.Random(20240901)
+    ds = [0.0, 5e-324, top, math.nextafter(top, 0.0), top + 5e-13, 0.3] \
+        + [rng.uniform(0.0, top) for _ in range(300)]
+    together = attacks.cloning_information("B", ds)
+    assert kinds == ["array"]
+    one_by_one = [attacks.cloning_information("B", [d])[0] for d in ds]
+    assert kinds.count("float") == len(ds) - 1  # 0.3 is out of reach and inverts nothing
+    assert [x is None for x in together] == [x is None for x in one_by_one] \
+        == [d > top + DOMAIN_SLACK for d in ds]
+    assert np.array_equal(_bits([x for x in together if x is not None]),
+                          _bits([x for x in one_by_one if x is not None]))
 
 
 # -- curves ------------------------------------------------------------------
@@ -472,6 +524,21 @@ def test_curves_without_numpy_are_bit_equal_to_the_array_path():
     assert next(((f, a) for f, a in zip(float_path, array_path) if f != a), None) is None
     assert sum(p.i_b is None for p in information_curves(*cases[-1])) == 3
     assert sum(p.i_b is None for p in information_curves(*cases[-2])) == 1
+
+
+def test_default_grid_loads_no_numpy_and_is_bit_equal_to_linspace():
+    probe = ("import sys\nfrom qel import attacks\n"
+             "points = attacks.information_curves(0.2)\n"
+             "print(repr([p.disturbance for p in points]))\n"
+             "print('numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True, timeout=60)
+    grid, numpy_loaded = result.stdout.splitlines()
+    assert numpy_loaded == "False"
+    linspace = np.linspace(0.0, 0.5, attacks.DEFAULT_CURVE_GRID_POINTS)
+    assert grid == repr(linspace.tolist())
+    assert np.array_equal(_bits(attacks.default_disturbance_grid()), _bits(linspace))
 
 
 def test_curve_point_is_an_immutable_named_record():

@@ -415,6 +415,20 @@ def test_crossover_without_numpy_is_bit_equal_to_the_array_path():
     assert sum(isinstance(o, dict) and o["best_strategy"] == "B" for o in outcomes) >= 30
 
 
+def test_crossover_loss_is_the_entry_of_crossover_loss_best():
+    for case in _seeded_crossover_scenarios()[:60]:
+        best = _crossover_outcome(case)
+        for strategy in ("A", "B"):
+            try:
+                single = crossover_loss(*case, strategy)
+            except ValueError as exc:
+                single = exc
+            if isinstance(best, dict):
+                assert repr(single) == repr(best[strategy])
+            else:
+                assert type(single) is type(best) and str(single) == str(best)
+
+
 def test_crossover_best_inverts_the_scan_angles_in_one_array_call(monkeypatch):
     # numpy is loaded here; the refining bisection stays on floats
     inversions, counts = [], {"disturbance": 0, "scan": 0, "refine": 0}
@@ -469,16 +483,16 @@ def test_crossover_misses_a_win_narrower_than_one_scan_step(monkeypatch):
     def win_between(lo_db, hi_db):
         d_lo, d_hi = d_at(lo_db), d_at(hi_db)
 
-        def info(strategy, d, gamma=None):
-            pns = attacks.pns_information_matched(eta, d)
-            return pns + 0.1 if d_lo <= d <= d_hi else 0.0
+        def info(strategy, disturbances):
+            return [attacks.pns_information_matched(eta, d) + 0.1 if d_lo <= d <= d_hi else 0.0
+                    for d in disturbances]
         return info
 
-    monkeypatch.setattr(channel, "_strategy_information",
+    monkeypatch.setattr(attacks, "cloning_information",
                         win_between(scan_point + 0.02, scan_point + 0.03))
     assert crossover_loss(mu, eta, error, "A") is None
     # the same band widened over the next scan point is found
-    monkeypatch.setattr(channel, "_strategy_information",
+    monkeypatch.setattr(attacks, "cloning_information",
                         win_between(scan_point + 0.02, scan_point + 0.06))
     loss = crossover_loss(mu, eta, error, "A")
     assert scan_point + 0.02 - 0.01 <= loss <= scan_point + 0.02 + 0.01

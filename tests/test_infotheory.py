@@ -46,6 +46,14 @@ def test_phi_domain_handling():
     assert phi(1.0 + 5e-13) == 2.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phi_rejects_nan_and_inf(bad):
+    # NaN fails every comparison, so a check written as abs(x) > 1 let it through as phi = 2
+    with pytest.raises(ValueError) as excinfo:
+        phi(bad)
+    assert str(excinfo.value) == f"phi argument must lie in [-1, 1], got {bad}"
+
+
 def test_fuchs_endpoints_exact():
     assert fuchs_information(0.0) == 0.0
     assert fuchs_information(0.5) == 1.0
@@ -89,6 +97,22 @@ def test_ensemble_is_an_immutable_named_record():
     assert str(excinfo.value) == "rho1 is not a valid density operator"
     with pytest.raises(ValueError, match="rho1 is not a valid"):
         ens._replace(rho1=not_density)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ensemble_and_levitin_reject_a_nonfinite_state(bad):
+    rho = np.array([[bad, 0.0], [0.0, 1.0]])
+    for rho0, rho1, name in ((rho, pure([1, 0]), "rho0"), (pure([1, 0]), rho, "rho1")):
+        with pytest.raises(ValueError) as excinfo:
+            TwoStateEnsemble(rho0, rho1)
+        assert str(excinfo.value) == f"{name} is not a valid density operator"
+
+
+def test_levitin_rejects_a_nan_state_that_skipped_the_ensemble_checks():
+    # it used to return 1.0: the NaN reached phi, which read it as a unit argument
+    unchecked = tuple.__new__(TwoStateEnsemble, (np.array([[math.nan, 0.0], [0.0, 1.0]]), pure([1, 0])))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="phi argument must lie in"):
+        levitin_information(unchecked)
 
 
 def test_levitin_identical_pure_states():

@@ -61,6 +61,15 @@ def test_check_density_rejects_nonhermitian_and_traceless():
     assert not check_density(Operator(np.eye(2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_check_density_rejects_nonfinite_entries(bad):
+    # eigvalsh of [[nan, 0], [0, 1]] is [0, -0], and NaN fails every tolerance comparison
+    assert not check_density(np.array([[bad, 0.0], [0.0, 1.0]]))
+    assert not check_density(np.array([[0.5, bad], [np.conj(bad), 0.5]]))
+    stack = np.array([np.eye(2) / 2, [[bad, 0.0], [0.0, 1.0]]])
+    assert check_density(stack[0]) and not check_density(stack)
+
+
 def test_check_density_on_cloner_probe_states():
     # probes constructed from the machine itself
     from qel.oracle import simulate_strategy_a

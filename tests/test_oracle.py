@@ -244,7 +244,7 @@ def test_simulate_strategy_a_reproducible():
 def test_simulate_strategy_b_at_zero_gamma():
     report = simulate_strategy_b(0.0, eta_det=0.4, rng_seed=5)
     assert report.disturbance == pytest.approx(0.0, abs=1e-12)
-    m = attacks.probe_matrix_in_diagonal_basis(report.probe_plus) * 16
+    m = oracle._in_basis(report.probe_plus, oracle._DIAG_KETS) * 16
     assert m[0, 0] == pytest.approx(8.0, abs=1e-9)
     assert m[0, 3] == pytest.approx(8.0, abs=1e-9)
     assert m[3, 3] == pytest.approx(8.0, abs=1e-9)
