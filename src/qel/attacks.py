@@ -38,8 +38,6 @@ from .infotheory import DOMAIN_SLACK, fuchs_information, phi
 if TYPE_CHECKING:
     import numpy as np
 
-    from .linalg import Operator
-
 D_INVERSION_TOL = 1e-10
 
 _BISECT_RTOL = 4.0 * sys.float_info.epsilon
@@ -216,7 +214,7 @@ def _strategy_a_domain(disturbance: float) -> float:
     return min(disturbance, 0.25)
 
 
-def strategy_a_probe_states(disturbance: float) -> tuple[Operator, Operator]:
+def strategy_a_probe_states(disturbance: float) -> tuple[np.ndarray, np.ndarray]:
     """Attacker probe states for the diagonal signals under strategy A.
 
     For the two-photon signals |+>|+> and |->|-> the probes are
@@ -229,7 +227,6 @@ def strategy_a_probe_states(disturbance: float) -> tuple[Operator, Operator]:
     """
     import numpy as np
 
-    from .linalg import Operator
     from .optics import KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS
 
     d = _strategy_a_domain(disturbance)
@@ -247,7 +244,7 @@ def strategy_a_probe_states(disturbance: float) -> tuple[Operator, Operator]:
         + (1.0 - 2.0 * d) * np.outer(varphi_p, varphi_p.conj())
     rho_m = 2.0 * d * np.outer(plus_minus, plus_minus.conj()) \
         + (1.0 - 2.0 * d) * np.outer(varphi_m, varphi_m.conj())
-    return Operator(rho_p), Operator(rho_m)
+    return rho_p, rho_m
 
 
 def strategy_a_probe_overlap(disturbance: float) -> float:

@@ -43,24 +43,21 @@ class DetectorModel:
             raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
 
 
-class DetectionOutcome(enum.Enum):
-    VACUUM = "vacuum"
-    CLICK0 = "click0"
-    CLICK1 = "click1"
-    DOUBLE = "double"
+class DetectionOutcome(enum.IntEnum):
+    """The four outcomes; each value is the index along the last axis of an outcome distribution."""
+
+    VACUUM = 0
+    CLICK0 = 1
+    CLICK1 = 2
+    DOUBLE = 3
 
 
-def outcome_probabilities(n: int, m: int, eta_det: float) -> dict[DetectionOutcome, float]:
-    """Four-outcome distribution for the occupation |n, m>."""
+def outcome_probabilities(n, m, eta_det: float) -> np.ndarray:
+    """Four-outcome distribution for the occupation |n, m>, or (..., 4) for equal-shape occupation arrays."""
     nb = 1.0 - eta_det
     pn = nb**n
     pm = nb**m
-    return {
-        DetectionOutcome.VACUUM: pn * pm,
-        DetectionOutcome.CLICK0: (1.0 - pn) * pm,
-        DetectionOutcome.CLICK1: (1.0 - pm) * pn,
-        DetectionOutcome.DOUBLE: (1.0 - pn) * (1.0 - pm),
-    }
+    return np.stack([pn * pm, (1.0 - pn) * pm, (1.0 - pm) * pn, (1.0 - pn) * (1.0 - pm)], -1)
 
 
 def povm_elements(model: DetectorModel) -> dict[DetectionOutcome, Operator]:
@@ -72,16 +69,11 @@ def povm_elements(model: DetectorModel) -> dict[DetectionOutcome, Operator]:
     the identity.
     """
     k = model.cutoff + 1
-    diags = {outcome: np.zeros(k * k) for outcome in DetectionOutcome}
-    for n in range(k):
-        for m in range(k):
-            idx = n * k + m
-            for outcome, p in outcome_probabilities(n, m, model.eta_det).items():
-                diags[outcome][idx] = p
-    return {outcome: Operator(np.diag(d).astype(complex)) for outcome, d in diags.items()}
+    probs = outcome_probabilities(*np.divmod(np.arange(k * k), k), model.eta_det)
+    return {outcome: Operator(np.diag(probs[:, outcome]).astype(complex)) for outcome in DetectionOutcome}
 
 
-def outcome_distribution(occupations: dict, eta_det: float) -> dict[DetectionOutcome, float]:
+def outcome_distribution(occupations: dict, eta_det: float) -> np.ndarray:
     """Distribution over detector outcomes for an arriving signal.
 
     Args:
@@ -89,18 +81,21 @@ def outcome_distribution(occupations: dict, eta_det: float) -> dict[DetectionOut
             basis to probabilities, or to equal-shape arrays of them; n counts
             photons in the bit-0 mode.
         eta_det: detection efficiency in [0, 1].
+
+    Returns:
+        The (..., 4) array of outcome probabilities, indexed by DetectionOutcome
+        along its last axis.
     """
     if not 0.0 <= eta_det <= 1.0:
         raise ValueError(f"eta_det must lie in [0, 1], got {eta_det}")
     total = sum(occupations.values())
     if occupations and np.any(np.abs(total - 1.0) > 1e-9):
         raise ValueError(f"occupation probabilities sum to {total}, expected 1")
-    out = {outcome: 0.0 for outcome in DetectionOutcome}
+    out = np.zeros(len(DetectionOutcome))
     for (n, m), w in occupations.items():
         if np.any(w < -1e-12):
             raise ValueError(f"negative occupation probability {w} for {(n, m)}")
-        for outcome, p in outcome_probabilities(n, m, eta_det).items():
-            out[outcome] += w * p
+        out = out + np.asarray(w)[..., None] * outcome_probabilities(n, m, eta_det)
     return out
 
 
@@ -116,7 +111,7 @@ def conditional_error_rate(rho, basis: Basis, eta_det: float, correct_bit: int =
     if eta_det <= 0.0:
         raise ValueError("conditional error rate undefined at zero efficiency")
     dist = outcome_distribution(fock_from_symmetric(rho, basis), eta_det)
-    p_click = 1.0 - dist[DetectionOutcome.VACUUM]
+    p_click = 1.0 - dist[..., DetectionOutcome.VACUUM]
     wrong = DetectionOutcome.CLICK1 if correct_bit == 0 else DetectionOutcome.CLICK0
-    p_err = dist[wrong] + 0.5 * dist[DetectionOutcome.DOUBLE]
+    p_err = dist[..., wrong] + 0.5 * dist[..., DetectionOutcome.DOUBLE]
     return p_err / p_click

@@ -62,14 +62,17 @@ def partial_trace(rho, keep: str, dims: tuple[int, int]):
     return Operator(out) if isinstance(rho, Operator) else out
 
 
-def check_density(op, tol: float = HERMITICITY_TOL) -> bool:
-    """True iff op, or every operator in a stack, is finite, Hermitian, positive semidefinite and unit trace within tol."""
+def check_density(op) -> bool:
+    """True iff op, or every operator in a stack, is finite, Hermitian, positive semidefinite and unit trace.
+
+    Each condition holds within HERMITICITY_TOL.
+    """
     m = np.asarray(op)
     if not np.all(np.isfinite(m)):  # NaN fails every comparison below
         return False
-    if np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) > tol:
+    if np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) > HERMITICITY_TOL:
         return False
-    if np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)) > tol:
+    if np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)) > HERMITICITY_TOL:
         return False
     eigs = np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2).conj()) / 2)
-    return bool(eigs.min() >= -tol)
+    return bool(eigs.min() >= -HERMITICITY_TOL)

@@ -388,26 +388,11 @@ def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-_OUTCOME_ORDER = (DetectionOutcome.VACUUM, DetectionOutcome.CLICK0,
-                  DetectionOutcome.CLICK1, DetectionOutcome.DOUBLE)
-
-
-def _outcome_row(occupations: dict, eta_det: float) -> np.ndarray:
-    """Detector outcome probabilities of an arriving state, in _OUTCOME_ORDER."""
-    dist = outcome_distribution(occupations, eta_det)
-    return np.array([dist[outcome] for outcome in _OUTCOME_ORDER])
-
-
-def _single_photon_row(weight_mode0: float, eta_det: float) -> np.ndarray:
-    """Outcome distribution for one photon with the given bit-0 mode weight."""
-    return _outcome_row({(1, 0): weight_mode0, (0, 1): 1.0 - weight_mode0}, eta_det)
-
-
 def _attack_tables(attack: str, disturbance: float, eta: float):
     """Per-(pulse type, signal, measured basis) outcome tables and bit labels.
 
     Returns (two_photon_rows, single_rows, signal_bits, signal_basis_index)
-    where rows are indexed [signal][basis] -> 4 outcome probabilities.  The
+    where rows are indexed [signal][basis] -> the outcome distribution.  The
     PNS process and strategy A use the rectilinear and diagonal signals,
     strategy B the diagonal and circular ones.
     """
@@ -418,32 +403,26 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
     bits = [s.bit for s in signals]
     basis_of_signal = [bases.index(s.basis) for s in signals]
 
-    two_rows = np.zeros((4, 2, 4))
-    single_rows = np.zeros((4, 2, 4))
     if attack == "PNS":
-        for i, signal in enumerate(signals):
-            for j, basis in enumerate(bases):
-                w0 = abs(np.vdot(basis_kets(basis)[0], signal_ket(signal))) ** 2
-                # split pulse: one untouched photon forwarded
-                two_rows[i, j] = _single_photon_row(w0, eta)
-                if j == basis_of_signal[i]:
-                    # matching basis: the optimal single-photon attack flips
-                    # the bit with probability D
-                    w0_attacked = (1.0 - disturbance) if signal.bit == 0 else disturbance
-                else:
-                    w0_attacked = 0.5
-                single_rows[i, j] = _single_photon_row(w0_attacked, eta)
+        # split pulse: one untouched photon forwarded.  Single photons meet
+        # the optimal single-photon attack, which flips the bit with
+        # probability D in the matching basis and randomizes it otherwise.
+        w0 = np.array([[abs(np.vdot(basis_kets(basis)[0], signal_ket(signal))) ** 2
+                        for basis in bases] for signal in signals])
+        w0_matched = np.where(np.array(bits) == 0, 1.0 - disturbance, disturbance)
+        w0_attacked = np.where(np.equal.outer(basis_of_signal, range(len(bases))), w0_matched[:, None], 0.5)
+        two_rows, single_rows = (outcome_distribution({(1, 0): w, (0, 1): 1.0 - w}, eta)
+                                 for w in (w0, w0_attacked))
         return two_rows, single_rows, bits, basis_of_signal
 
     if attack == "CloneA":
         u = attacks.strategy_a_unitary(attacks.clone_a_params_for_disturbance(disturbance))
     else:
         u = attacks.strategy_b_unitary(attacks.gamma_for_disturbance(disturbance))
-    single_rows[:, :, 0] = 1.0  # single photons are blocked: vacuum
+    single_rows = np.zeros((4, 2, len(DetectionOutcome)))
+    single_rows[..., DetectionOutcome.VACUUM] = 1.0  # single photons are blocked
     rho_bob = _signal_states(u, np.array([symmetric_encode(signal) for signal in signals]))[0]
-    for i in range(len(signals)):
-        for j, basis in enumerate(bases):
-            two_rows[i, j] = _outcome_row(fock_from_symmetric(rho_bob[i], basis), eta)
+    two_rows = np.stack([outcome_distribution(fock_from_symmetric(rho_bob, basis), eta) for basis in bases], 1)
     return two_rows, single_rows, bits, basis_of_signal
 
 
@@ -460,9 +439,9 @@ def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
     Five seeded draws of n_pulses each (pulse type, signal, basis, outcome
     uniform, double-click bit) fix the stream.  Each pulse falls in one of 16
     (pulse type, signal, measured basis) cells; its outcome is the number of
-    entries of the cell's outcome CDF below the uniform, capped at 3.  A single
-    bincount over (cell, outcome, double-click bit) gives 128 tallies, and
-    every count is a sum of tallies; no (n_pulses, 4) array is built.
+    entries of the cell's outcome CDF below the uniform, capped at DOUBLE.  A
+    single bincount over (cell, outcome, double-click bit) gives 128 tallies,
+    and every count is a sum of tallies; no (n_pulses, 4) array is built.
 
     Identical inputs and seed reproduce identical statistics.
     """
@@ -487,36 +466,37 @@ def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
     cdf = np.cumsum(table, axis=-1).reshape(16, 4)
     cell = (is_two * 4 + alice) * 2 + bob
     outcome = np.zeros(n_pulses, dtype=np.int64)
-    for k in range(4):
+    for k in DetectionOutcome:
         outcome += u_outcome > cdf[:, k][cell]
-    np.minimum(outcome, 3, out=outcome)
+    np.minimum(outcome, DetectionOutcome.DOUBLE, out=outcome)
     counts = np.bincount((cell * 4 + outcome) * 2 + u_double_bit, minlength=128)
     counts = counts.reshape(2, 4, 2, 4, 2)
 
     # the sifting rules run on the 128 tally entries, not on the pulses
     _, signal, basis, outcome, double_bit = np.indices(counts.shape)
     matched = np.array(basis_of_signal)[signal] == basis
-    clicked = outcome != 0
-    is_double = outcome == 3
+    clicked = outcome != DetectionOutcome.VACUUM
+    is_double = outcome == DetectionOutcome.DOUBLE
 
     sifted = matched & clicked
-    measured_bit = np.where(is_double, double_bit, np.where(outcome == 2, 1, 0))
+    measured_bit = np.where(is_double, double_bit, np.where(outcome == DetectionOutcome.CLICK1, 1, 0))
     errors = sifted & (measured_bit != np.array(bits)[signal])
 
     # analytic expectations from the same outcome tables
     weights = np.full((2, 4, 2), 0.125)  # uniform signal and basis choice
     weights[0] *= 1.0 - p_two
     weights[1] *= p_two
-    exp_click = float(np.sum(weights[..., None] * table[..., 1:]))
-    wrong_click_col = np.where(np.array(bits) == 0, 2, 1)
+    exp_click = float(np.sum(weights[..., None] * table[..., DetectionOutcome.CLICK0:]))
+    wrong_click = np.where(np.array(bits) == 0, DetectionOutcome.CLICK1, DetectionOutcome.CLICK0)
     exp_sift = 0.0
     exp_err = 0.0
     for t in (0, 1):
         for i in range(4):
             j = basis_of_signal[i]
             row = table[t, i, j]
-            exp_sift += weights[t, i, j] * (row[1] + row[2] + row[3])
-            exp_err += weights[t, i, j] * (row[wrong_click_col[i]] + 0.5 * row[3])
+            exp_sift += weights[t, i, j] * (row[DetectionOutcome.CLICK0] + row[DetectionOutcome.CLICK1]
+                                            + row[DetectionOutcome.DOUBLE])
+            exp_err += weights[t, i, j] * (row[wrong_click[i]] + 0.5 * row[DetectionOutcome.DOUBLE])
     exp_error_rate = exp_err / exp_sift if exp_sift > 0 else 0.0
 
     return MonteCarloStats(

@@ -231,10 +231,9 @@ def _suite_double_click(seed: int, n_pulses: int) -> SuiteResult:
         margin_x = 5.0 * stats.double_mismatched_rate_se - stats.double_mismatched_rate
         checks.append(CheckResult(f"{attack.lower()}_matched_double_rate_above_5_sigma", 0.0, margin_m))
         checks.append(CheckResult(f"{attack.lower()}_mismatched_double_rate_above_5_sigma", 0.0, margin_x))
-    for attack, stats in (("pns", stats_pns),):
-        dev = abs(stats.raw_click_rate - stats.expected_raw_click_rate)
-        checks.append(CheckResult(f"{attack}_raw_click_rate_within_3_sigma", 0.0,
-                                  dev - 3.0 * stats.raw_click_rate_se))
+    dev = abs(stats_pns.raw_click_rate - stats_pns.expected_raw_click_rate)
+    checks.append(CheckResult("pns_raw_click_rate_within_3_sigma", 0.0,
+                              dev - 3.0 * stats_pns.raw_click_rate_se))
     return SuiteResult("double_click", tuple(checks))
 
 

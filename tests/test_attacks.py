@@ -109,8 +109,8 @@ def test_clone_a_params_validation():
 def test_strategy_a_probe_states_pure_at_zero():
     rho_p, rho_m = strategy_a_probe_states(0.0)
     expected = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    assert np.allclose(rho_p.entries, expected, atol=1e-12)
-    assert np.allclose(rho_m.entries, expected, atol=1e-12)
+    assert np.allclose(rho_p, expected, atol=1e-12)
+    assert np.allclose(rho_m, expected, atol=1e-12)
 
 
 def test_strategy_a_probe_states_valid_densities():

@@ -87,7 +87,7 @@ def test_two_photon_same_mode_distribution():
 
 def test_outcome_distribution_sums_to_one():
     dist = outcome_distribution({(2, 1): 0.5, (0, 3): 0.25, (1, 1): 0.25}, 0.42)
-    assert abs(sum(dist.values()) - 1.0) < 1e-12
+    assert abs(dist.sum() - 1.0) < 1e-12
 
 
 def test_outcome_distribution_rejects_efficiency_above_one():
@@ -117,7 +117,7 @@ def test_outcome_probabilities_complete_for_any_occupation():
     for n in range(4):
         for m in range(4):
             probs = outcome_probabilities(n, m, 0.77)
-            assert abs(sum(probs.values()) - 1.0) < 1e-12
+            assert abs(probs.sum() - 1.0) < 1e-12
 
 
 def test_conditional_error_rate_is_eta_independent():
@@ -126,3 +126,38 @@ def test_conditional_error_rate_is_eta_independent():
     assert max(rates) - min(rates) < 1e-12
     # (1/4, 1/2, 1/4) occupations give error 1/2 * 1/2 + 1/4 = 1/2
     assert rates[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_outcome_distribution_on_a_stack_matches_each_element():
+    rng = np.random.default_rng(11)
+    raw = rng.uniform(size=(3, 5, 3))
+    weights = raw / raw.sum(-1, keepdims=True)
+    occupations = ((2, 0), (1, 1), (0, 3))
+    stacked = outcome_distribution(dict(zip(occupations, np.moveaxis(weights, -1, 0))), 0.41)
+    assert stacked.shape == (3, 5, len(DetectionOutcome))
+    for idx in np.ndindex(weights.shape[:-1]):
+        one = outcome_distribution(dict(zip(occupations, weights[idx])), 0.41)
+        assert np.array_equal(stacked[idx], one)
+    # the last axis follows DetectionOutcome, checked on |2, 1>
+    nb = 1 - 0.41
+    dist = outcome_distribution({(2, 1): 1.0}, 0.41)
+    assert [outcome.value for outcome in DetectionOutcome] == [0, 1, 2, 3]
+    expected = [nb**3, (1 - nb**2) * nb, (1 - nb) * nb**2, (1 - nb**2) * (1 - nb)]
+    assert dist.tolist() == pytest.approx(expected, abs=1e-15)
+
+
+def test_conditional_error_rate_for_bit_one_on_a_stack():
+    rng = np.random.default_rng(5)
+    amp = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    kets = np.stack([amp[:, 0], amp[:, 1] / np.sqrt(2), amp[:, 1] / np.sqrt(2), amp[:, 2]], -1)
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    rhos = kets[:, :, None] * kets[:, None, :].conj()
+    for basis in (Basis.RECTILINEAR, Basis.DIAGONAL):
+        stacked = conditional_error_rate(rhos, basis, 0.3, correct_bit=1)
+        assert stacked.shape == (6,)
+        for rho, rate in zip(rhos, stacked):
+            assert rate == conditional_error_rate(rho, basis, 0.3, correct_bit=1)
+    # a bit-1 signal forwarded in its own basis is never wrong; read as bit 0 it always is
+    state = density(symmetric_encode(Bb84Signal(Basis.DIAGONAL, 1)))
+    assert conditional_error_rate(state, Basis.DIAGONAL, 0.3, correct_bit=1) == pytest.approx(0.0, abs=1e-12)
+    assert conditional_error_rate(state, Basis.DIAGONAL, 0.3, correct_bit=0) == pytest.approx(1.0, abs=1e-12)

@@ -53,7 +53,7 @@ def test_check_density_accepts_maximally_mixed():
 
 
 def test_check_density_rejects_negative_eigenvalue():
-    assert not check_density(Operator(np.diag([1.0, -1e-3])), tol=1e-9)
+    assert not check_density(Operator(np.diag([1.0, -1e-3])))
 
 
 def test_check_density_rejects_nonhermitian_and_traceless():
@@ -76,8 +76,8 @@ def test_check_density_on_cloner_probe_states():
 
     report = simulate_strategy_a(beta=np.sqrt(0.05), eta_det=0.5, rng_seed=1)
     assert abs(report.disturbance - 0.1) < 1e-12
-    assert check_density(report.probe_plus, tol=1e-9)
-    assert check_density(report.probe_minus, tol=1e-9)
+    assert check_density(report.probe_plus)
+    assert check_density(report.probe_minus)
 
 
 def test_operator_requires_square():
