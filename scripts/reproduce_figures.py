@@ -12,7 +12,8 @@ Writes plot-ready CSV plus a JSON summary into the output directory:
                                    error at a fixed value, vs loss
     probe_coefficients.csv         closed-form probe coefficients on a
                                    gamma grid
-    headline.json                  transmission window and crossover losses
+    headline.json                  transmission window, crossover losses and
+                                   each strategy's band of winning disturbances
     verification.json              full oracle verification report
 
 Run:  python scripts/reproduce_figures.py --outdir out
@@ -76,6 +77,8 @@ def main():
 
     # headline numbers
     crossing = channel.crossover_loss_best(MU, ETA_DET, OBSERVED_ERROR)
+    # the disturbances where each cloning strategy beats PNS; the crossovers sit at the entries
+    bands = {s: channel.gain_band(s, ETA_DET) or (None, None) for s in ("A", "B")}
     headline = {
         "kind": "headline",
         "mu": MU,
@@ -87,6 +90,10 @@ def main():
         "crossover_db_b": crossing["B"],
         "crossover_db_best": crossing["best"],
         "best_strategy": crossing["best_strategy"],
+        "band_d_entry_a": bands["A"][0],
+        "band_d_exit_a": bands["A"][1],
+        "band_d_entry_b": bands["B"][0],
+        "band_d_exit_b": bands["B"][1],
     }
     path = os.path.join(args.outdir, "headline.json")
     cli.emit_record(headline, path)

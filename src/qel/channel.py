@@ -15,6 +15,7 @@ it (lower bound on eta_t, below which plain splitting stays optimal).
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -25,6 +26,9 @@ from . import attacks
 
 CROSSOVER_DB_TOL = 0.01
 _SCAN_DB_STEP = 0.05
+_BAND_XTOL = 1e-6
+_BAND_GAIN_SLACK = 1e-8
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class InvalidRegimeError(ValueError):
@@ -291,6 +295,69 @@ def _scan_grid(lo: float, hi: float) -> list[float]:
     return [lo + i * step for i in range(math.ceil((hi - lo) / _SCAN_DB_STEP))] + [hi]
 
 
+def gain_band(strategy: str, eta_det: float):
+    """Disturbances (entry, exit) between which a cloning strategy beats the matched PNS process.
+
+    The gain G_s(D) = I_s(D) - I_PNS(eta_det, D) does not depend on mu, on
+    the observed error or on the loss.  It is negative at D = 0 and at the
+    end of the strategy's reach and rises to one maximum in between, so it
+    is positive on at most one band of disturbances.  A is searched in D on
+    [0, 1/4]; B in its angle gamma on [0, pi/2], with the disturbance
+    strategy_b_disturbance(gamma), so no angle is inverted.  A
+    golden-section search locates the maximum and one bisection on each
+    side of it the edges of G > -1e-8, to 1e-6 in D or gamma; each edge is
+    then moved out by twice that.  So the band holds every disturbance at
+    which the gain is positive, also where round-off in an inverted angle
+    moves the gain, and its edges lie within about 3e-6 of the sign changes
+    of G.  None when the maximum found is not above -1e-8, which covers the
+    distance of the maximum found from the true one.
+    """
+    if strategy == "A":
+        top = 0.25
+
+        def gain(d):
+            return attacks.strategy_a_information(d) - attacks.pns_information_matched(eta_det, d)
+    elif strategy == "B":
+        top = math.pi / 2
+
+        def gain(gamma):
+            d = attacks.strategy_b_disturbance(gamma)
+            return attacks.strategy_b_information(gamma) - attacks.pns_information_matched(eta_det, d)
+    else:
+        raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
+    peak, gain_at_peak = _golden_section_max(gain, 0.0, top, _BAND_XTOL)
+    if not gain_at_peak > -_BAND_GAIN_SLACK:
+        return None
+
+    def slack_gain(x):
+        return gain(x) + _BAND_GAIN_SLACK
+
+    entry = max(0.0, attacks.bisect(slack_gain, 0.0, peak, xtol=_BAND_XTOL) - 2.0 * _BAND_XTOL)
+    exit_ = min(top, attacks.bisect(slack_gain, peak, top, xtol=_BAND_XTOL) + 2.0 * _BAND_XTOL)
+    if strategy == "B":
+        return attacks.strategy_b_disturbance(entry), attacks.strategy_b_disturbance(exit_)
+    return entry, exit_
+
+
+def _golden_section_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
+    """(x, f(x)) at the better of the last two points of a golden-section search on [lo, hi].
+
+    For an f with one maximum on [lo, hi], that x lies within xtol of it.
+    """
+    c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    f_c, f_d = f(c), f(d)
+    while hi - lo > xtol:
+        if f_c >= f_d:
+            hi, d, f_d = d, c, f_c
+            c = hi - _INV_GOLDEN * (hi - lo)
+            f_c = f(c)
+        else:
+            lo, c, f_c = c, d, f_d
+            d = lo + _INV_GOLDEN * (hi - lo)
+            f_d = f(d)
+    return (c, f_c) if f_c >= f_d else (d, f_d)
+
+
 def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: str):
     """Smallest channel loss at which a cloning strategy beats the matched PNS process.
 
@@ -298,11 +365,13 @@ def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: s
     the attack must have caused; the cloning informations eventually overtake
     the PNS information.  Returns the crossover loss in dB, the window's lower
     edge when the strategy already wins there, or None when it never wins
-    inside the window.  Located by scan plus bisection to well below 0.01 dB.
+    inside the window.  Located to well below 0.01 dB (see
+    crossover_loss_best for how).
 
-    The scan samples the window every 0.05 dB, so a winning interval narrower
-    than one step can be missed, and only the first sign change of the gain
-    is refined: a later crossing back to the PNS process is not reported.
+    The result is that of a scan of the window every 0.05 dB whose first
+    sign change of the gain is refined by bisection.  So a winning interval
+    narrower than one step can be missed, and a later crossing back to the
+    PNS process is not reported.
     """
     if strategy not in ("A", "B"):
         raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
@@ -310,12 +379,20 @@ def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: s
 
 
 def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dict:
-    """crossover_loss of both cloning strategies from one scan, and the earlier of the two.
+    """crossover_loss of both cloning strategies, and the earlier of the two.
 
-    Each scan point's disturbance and PNS information are computed once, and
-    each strategy's informations there come from one
-    attacks.cloning_information call; a refining midpoint asks for its one
-    disturbance.
+    Each result is the one a full scan of the 0.05 dB grid of _scan_grid
+    gives: the first grid point where the cloning information exceeds the
+    PNS information, refined by bisection against the point before it.  It
+    is found without the scan.  The disturbance never falls as the loss
+    grows, and each strategy gains only on its band of disturbances
+    (gain_band).  A binary search over the grid finds the first point at or
+    past the band entry, and the gains decide from there: step down while
+    the point before also gains, step up while the point does not gain and
+    lies inside the band, and give None once the grid has passed the band
+    exit, which is the scan's miss of a band narrower than one step.  The
+    gains and the lower-edge and refining rules are those of the scan, so
+    every result is bit-equal to the scan's.
     """
     if not observed_error >= 0.0:
         raise ValueError(f"observed error rate must be nonnegative, got {observed_error}")
@@ -332,22 +409,48 @@ def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dic
             return None
         return d, attacks.pns_information_matched(eta_det, d)
 
-    def gains(strategy: str, points: list) -> list[float]:
-        """Cloning minus PNS information at each point, -inf where either is missing."""
-        infos = iter(attacks.cloning_information(strategy, [p[0] for p in points if p]))
-        return [info - p[1] if p and (info := next(infos)) is not None else -math.inf for p in points]
+    def gain(strategy: str, point) -> float:
+        """Cloning minus PNS information at a point, -inf where either is missing."""
+        info = None if point is None else attacks.cloning_information(strategy, [point[0]])[0]
+        return -math.inf if info is None else info - point[1]
+
+    points, gains = {}, {}
+
+    def point_of(i: int):
+        if i not in points:
+            points[i] = point_at(grid[i])
+        return points[i]
+
+    def disturbance_of(i: int) -> float:
+        """The disturbance at grid point i, inf where the error is unattainable."""
+        point = point_of(i)
+        return math.inf if point is None else point[0]
+
+    def gain_of(strategy: str, i: int) -> float:
+        if (strategy, i) not in gains:
+            gains[strategy, i] = gain(strategy, point_of(i))
+        return gains[strategy, i]
 
     def crossover(strategy: str):
-        scan = gains(strategy, points)
-        first = next((i for i, g in enumerate(scan) if g > 0.0), None)
-        if first is None:
+        band = gain_band(strategy, eta_det)
+        if band is None:
+            return None
+        entry, exit_ = band
+        first = bisect.bisect_left(range(len(grid)), entry, key=disturbance_of)
+        while first > 0 and gain_of(strategy, first - 1) > 0.0:
+            first -= 1
+        while first < len(grid) and gain_of(strategy, first) <= 0.0:
+            if disturbance_of(first) > exit_:
+                return None
+            first += 1
+        if first == len(grid):
             return None
         if first == 0:
             return float(window.loss_db_lower)
-        if not math.isfinite(scan[first - 1]):
+        if not math.isfinite(gain_of(strategy, first - 1)):
             return float(grid[first])
-        ends = {grid[first - 1]: scan[first - 1], grid[first]: scan[first]}
-        return float(attacks.bisect(lambda x: ends[x] if x in ends else gains(strategy, [point_at(x)])[0],
+        ends = {grid[first - 1]: gain_of(strategy, first - 1), grid[first]: gain_of(strategy, first)}
+        return float(attacks.bisect(lambda x: ends[x] if x in ends else gain(strategy, point_at(x)),
                                     grid[first - 1], grid[first], xtol=CROSSOVER_DB_TOL / 5.0))
 
     lo, hi = window.loss_db_lower + 1e-9, window.loss_db_upper - 1e-9
@@ -355,8 +458,8 @@ def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dic
         out = {"A": None, "B": None}
     else:
         grid = _scan_grid(lo, hi)
-        points = [point_at(loss) for loss in grid]
-        if not any(points):
+        # the first grid point has the smallest disturbance
+        if point_of(0) is None:
             raise InvalidRegimeError(
                 f"observed error {observed_error} requires a disturbance above 1/2 "
                 f"everywhere inside the transmission window")

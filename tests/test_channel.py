@@ -1,3 +1,5 @@
+import bisect
+import inspect
 import math
 import os
 import random
@@ -368,44 +370,148 @@ def test_nan_is_rejected_by_the_channel_domain_checks(call, message):
 
 
 def _seeded_crossover_scenarios():
-    """(mu, eta_det, e): the reference, a win at the lower edge, e = 0 and an unattainable e,
-    then 200 seeded scenarios, some with empty windows or unattainable errors."""
+    """(mu, eta_det, e): fixed edge cases, then 400 seeded scenarios.
+
+    The fixed ones are the reference, e = 0, a win at the lower edge, an
+    unattainable e, an empty window, a window narrower than the 2e-9 dB that
+    the scan trims off (hi <= lo), a window of two grid points, the
+    small-eta_det scenario and eta_det near 0.01 and near 1.  The seeded ones
+    include empty windows and unattainable errors; the second half draws
+    eta_det near 0.01 or near 1.
+    """
+    cases = [(0.1, 0.2, 0.01), (0.1, 0.2, 0.0), (0.1, 0.2, 0.1), (0.1, 0.2, 0.49),
+             (60.0, 0.2, 0.01), (40.0, 0.2, 0.01), (5.0, 0.2, 0.001), (0.142, 0.052, 0.01),
+             (0.1, 0.01, 0.01), (0.1, 0.0100001, 0.02), (0.1, 0.99, 0.1), (0.1, 0.999, 0.12),
+             (0.1, 0.9999999, 0.12), (0.1, 1.0, 0.01)]
     rng = random.Random(20240901)
-    cases = [(0.1, 0.2, 0.01), (0.1, 0.2, 0.0), (0.1, 0.2, 0.1), (0.1, 0.2, 0.49)]
     for _ in range(200):
         cases.append((rng.uniform(0.01, 3.0), rng.uniform(0.01, 1.0), rng.uniform(0.0, 0.2)))
+    for _ in range(200):
+        eta = rng.choice((rng.uniform(0.01, 0.011), rng.uniform(0.99, 1.0)))
+        cases.append((rng.uniform(0.01, 3.0), eta, rng.uniform(0.0, 0.2)))
     return cases
 
 
-def _crossover_outcome(case):
+def _reference_scan(mu, eta_det, observed_error):
+    """The full 0.05 dB loss scan that crossover_loss_best answers without running.
+
+    Returns the window, the grid (empty when hi <= lo), each grid point's
+    (disturbance, PNS information) or None, the gain function of a strategy
+    over a list of points and the point at a loss.  Raises as
+    crossover_loss_best does.
+    """
+    if not observed_error >= 0.0:
+        raise ValueError(f"observed error rate must be nonnegative, got {observed_error}")
+    window = channel.eta_t_bounds(mu, eta_det)
+    if window.empty:
+        raise channel.InvalidRegimeError(
+            f"transmission window is empty for mu={mu}, eta_det={eta_det}")
+
+    def point_at(loss_db):
+        scen = channel.ChannelScenario.from_loss_db(mu, eta_det, loss_db)
+        try:
+            d = channel.disturbance_for_error(scen, observed_error)
+        except channel.InvalidRegimeError:
+            return None
+        return d, attacks.pns_information_matched(eta_det, d)
+
+    def gains(strategy, points):
+        infos = iter(attacks.cloning_information(strategy, [p[0] for p in points if p]))
+        return [info - p[1] if p and (info := next(infos)) is not None else -math.inf
+                for p in points]
+
+    lo, hi = window.loss_db_lower + 1e-9, window.loss_db_upper - 1e-9
+    grid = channel._scan_grid(lo, hi) if hi > lo else []
+    points = [point_at(loss) for loss in grid]
+    if grid and not any(points):
+        raise channel.InvalidRegimeError(
+            f"observed error {observed_error} requires a disturbance above 1/2 "
+            f"everywhere inside the transmission window")
+    return window, grid, points, gains, point_at
+
+
+def _reference_crossover_loss_best(mu, eta_det, observed_error):
+    """crossover_loss_best as the full scan computes it: the first grid point that gains,
+    refined by bisection against the point before it."""
+    window, grid, points, gains, point_at = _reference_scan(mu, eta_det, observed_error)
+
+    def crossover(strategy):
+        scan = gains(strategy, points)
+        first = next((i for i, g in enumerate(scan) if g > 0.0), None)
+        if first is None:
+            return None
+        if first == 0:
+            return float(window.loss_db_lower)
+        if not math.isfinite(scan[first - 1]):
+            return float(grid[first])
+        ends = {grid[first - 1]: scan[first - 1], grid[first]: scan[first]}
+        return float(attacks.bisect(
+            lambda x: ends[x] if x in ends else gains(strategy, [point_at(x)])[0],
+            grid[first - 1], grid[first], xtol=channel.CROSSOVER_DB_TOL / 5.0))
+
+    out = {"A": crossover("A"), "B": crossover("B")}
+    out["best"], out["best_strategy"] = min(
+        ((loss, s) for s, loss in out.items() if loss is not None), default=(None, None))
+    return out
+
+
+def _crossover_outcome(case, crossover=crossover_loss_best):
     try:
-        return crossover_loss_best(*case)
+        return crossover(*case)
     except ValueError as exc:
         return exc
 
 
+def _described(outcome) -> str:
+    """repr of a result, or the type and message of what was raised."""
+    return f"{type(outcome).__name__}: {outcome}" if isinstance(outcome, ValueError) else repr(outcome)
+
+
+def _described_crossovers(case, best):
+    """The described outcomes of crossover_loss_best (given as best), and of crossover_loss
+    for A and for B, at a case."""
+    singles = []
+    for strategy in ("A", "B"):
+        try:
+            singles.append(crossover_loss(*case, strategy))
+        except ValueError as exc:
+            singles.append(exc)
+    return tuple(_described(o) for o in (best, *singles))
+
+
 def test_crossover_without_numpy_is_bit_equal_to_the_array_path():
-    # a fresh interpreter never loads numpy and inverts one float at a time;
-    # this one has numpy loaded and inverts the scan angles in one array call
+    # crossover_loss_best and crossover_loss give the results of the reference scan,
+    # exceptions included, in this process and in a fresh interpreter that never loads numpy.
+    # The reference scan runs here, where it inverts its angles in one array call.
     cases = _seeded_crossover_scenarios()
-    probe = ("import sys\nfrom qel.channel import crossover_loss_best\n"
-             f"for case in {cases!r}:\n"
+    assert len(cases) >= 400
+    functions = "".join(inspect.getsource(f) + "\n" for f in (_described, _described_crossovers))
+    probe = ("import sys\nfrom qel.channel import crossover_loss, crossover_loss_best\n"
+             f"{functions}for case in {cases!r}:\n"
              "    try:\n"
-             "        print(repr(crossover_loss_best(*case)))\n"
+             "        best = crossover_loss_best(*case)\n"
              "    except ValueError as exc:\n"
-             "        print(f'{type(exc).__name__}: {exc}')\n"
+             "        best = exc\n"
+             "    print(repr(_described_crossovers(case, best)))\n"
              "print('numpy' in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     child = subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True,
                              env=env)
     outcomes = [_crossover_outcome(case) for case in cases]
+    described = [_described_crossovers(case, o) for case, o in zip(cases, outcomes)]
+    expected = []
+    for case in cases:
+        reference = _crossover_outcome(case, _reference_crossover_loss_best)
+        entries = (reference["A"], reference["B"]) if isinstance(reference, dict) else 2 * (reference,)
+        expected.append(tuple(_described(o) for o in (reference, *entries)))
     out, _ = child.communicate(timeout=120)
     assert child.returncode == 0
     *float_path, numpy_loaded = out.splitlines()
     assert numpy_loaded == "False" and "numpy" in sys.modules
-    array_path = [repr(o) if isinstance(o, dict) else f"{type(o).__name__}: {o}" for o in outcomes]
-    assert len(float_path) == len(array_path)
-    assert next(((f, a) for f, a in zip(float_path, array_path) if f != a), None) is None
+    assert next(((c, d, e) for c, d, e in zip(cases, described, expected) if d != e), None) is None
+    assert len(float_path) == len(expected)
+    assert next(((c, f, e) for c, f, e in zip(cases, float_path, expected) if f != repr(e)),
+                None) is None
     reference, zero, lower_edge, unattainable = outcomes[:4]
     assert reference["best_strategy"] == "B" and reference["A"] == pytest.approx(12.69, abs=0.01)
     assert zero == {"A": None, "B": None, "best": None, "best_strategy": None}
@@ -413,6 +519,7 @@ def test_crossover_without_numpy_is_bit_equal_to_the_array_path():
     assert isinstance(unattainable, InvalidRegimeError)
     assert sum(isinstance(o, InvalidRegimeError) for o in outcomes) >= 10
     assert sum(isinstance(o, dict) and o["best_strategy"] == "B" for o in outcomes) >= 30
+    assert sum(isinstance(o, dict) and o["best_strategy"] == "A" for o in outcomes) >= 10
 
 
 def test_crossover_loss_is_the_entry_of_crossover_loss_best():
@@ -429,8 +536,104 @@ def test_crossover_loss_is_the_entry_of_crossover_loss_best():
                 assert type(single) is type(best) and str(single) == str(best)
 
 
-def test_crossover_best_inverts_the_scan_angles_in_one_array_call(monkeypatch):
-    # numpy is loaded here; the refining bisection stays on floats
+_BAND_ETAS = sorted({0.01, 0.052, 0.9, 0.95, 0.99, 0.999, 0.9999999, 1.0,
+                     *(round(0.025 * k, 3) for k in range(1, 41))})
+
+
+def _gain_samples(strategy, eta_det, n=400):
+    """(disturbance, gain) at n + 1 evenly spaced points of D in [0, 1/4] for A, of gamma in
+    [0, pi/2] for B."""
+    if strategy == "A":
+        return [(d, attacks.strategy_a_information(d) - attacks.pns_information_matched(eta_det, d))
+                for d in (0.25 * i / n for i in range(n + 1))]
+    samples = []
+    for gamma in (math.pi / 2 * i / n for i in range(n + 1)):
+        d = attacks.strategy_b_disturbance(gamma)
+        samples.append((d, attacks.strategy_b_information(gamma)
+                        - attacks.pns_information_matched(eta_det, d)))
+    return samples
+
+
+@pytest.mark.parametrize("strategy", ["A", "B"])
+def test_each_cloning_gain_is_positive_on_at_most_one_band(strategy):
+    # G_s(D) = I_s(D) - I_PNS(eta_det, D) rises to one maximum and falls, so it changes sign
+    # at most twice; gain_band holds every sample that gains and nothing far from its edges
+    for eta in _BAND_ETAS:
+        samples = _gain_samples(strategy, eta)
+        gains = [g for _, g in samples]
+        rises = [after > before for before, after in zip(gains, gains[1:])]
+        assert rises == sorted(rises, reverse=True), eta
+        assert sum((a > 0.0) != (b > 0.0) for a, b in zip(gains, gains[1:])) <= 2, eta
+        band = channel.gain_band(strategy, eta)
+        if band is None:
+            assert max(gains) <= 0.0, eta
+            continue
+        entry, exit_ = band
+        for d, g in samples:
+            if g > 0.0:
+                assert entry <= d <= exit_, (eta, d)
+            if entry + 1e-5 < d < exit_ - 1e-5:
+                assert g > 0.0, (eta, d)
+    # at the reference detector both bands are open; ideal detectors close them
+    assert channel.gain_band("A", 0.2) == pytest.approx((0.0927, 0.2131), abs=1e-4)
+    assert channel.gain_band("B", 0.2) == pytest.approx((0.0544, 0.1604), abs=1e-4)
+    assert channel.gain_band("B", 0.9) is None and channel.gain_band("B", 1.0) is None
+    # with ideal detectors A's gain touches 0 at D = 1/6 and is negative elsewhere; the band
+    # keeps that sliver, where round-off might tip the gain above 0
+    entry, exit_ = channel.gain_band("A", 1.0)
+    assert entry < 1.0 / 6.0 < exit_ and exit_ - entry < 1e-4
+
+
+def test_the_scan_first_gains_at_the_first_grid_point_past_the_band_entry():
+    # The scan limit stated exactly: D(loss) never falls across the window, the scan's gains
+    # are positive on one run of grid points, and that run starts at the first grid point at
+    # or past the band entry (one later where that point sits within 1e-5 of the entry).
+    # A band that falls between two grid points is missed.
+    for case in _seeded_crossover_scenarios()[:200]:
+        try:
+            _, grid, points, gains, _ = _reference_scan(*case)
+        except ValueError:
+            continue
+        ds = [math.inf if p is None else p[0] for p in points]
+        assert ds == sorted(ds), case
+        for strategy in ("A", "B"):
+            gaining = [i for i, g in enumerate(gains(strategy, points)) if g > 0.0]
+            assert not gaining or gaining == list(range(gaining[0], gaining[-1] + 1)), case
+            band = channel.gain_band(strategy, case[1])
+            if band is None:
+                assert not gaining, case
+                continue
+            entry, exit_ = band
+            past_entry = bisect.bisect_left(ds, entry)
+            if not gaining:
+                assert not any(entry + 1e-5 < d < exit_ - 1e-5 for d in ds), case
+            elif gaining[0] != past_entry:
+                assert gaining[0] == past_entry + 1 and ds[past_entry] < entry + 1e-5, case
+
+
+@pytest.mark.parametrize("misplace", ["entry_mid_band", "entry_far_below"])
+def test_crossover_steps_from_a_misplaced_band_entry_to_the_scan_result(monkeypatch, misplace):
+    # gain_band's edges only decide where to look: from an entry inside the band the search
+    # steps down while the point before also gains, and from one far below it steps up
+    real_band = channel.gain_band
+
+    def band(strategy, eta_det):
+        edges = real_band(strategy, eta_det)
+        if edges is None:
+            return None
+        entry, exit_ = edges
+        return ((entry + exit_) / 2.0 if misplace == "entry_mid_band" else entry / 2.0), exit_
+
+    monkeypatch.setattr(channel, "gain_band", band)
+    cases = [c for c in _seeded_crossover_scenarios()[:60] if c[2] > 0.0]
+    for case in cases:
+        assert repr(_crossover_outcome(case)) == repr(
+            _crossover_outcome(case, _reference_crossover_loss_best)), case
+
+
+def test_crossover_best_evaluates_a_few_grid_points_and_inverts_no_angle_array(monkeypatch):
+    # The band search needs no angle inversion; only the gains at the few grid points near
+    # each band entry, and at the refining midpoints, invert one float angle each.
     inversions, counts = [], {"disturbance": 0, "scan": 0, "refine": 0}
     real_gamma, real_disturbance = attacks.gamma_for_disturbance, channel.disturbance_for_error
     real_grid, real_bisect = channel._scan_grid, attacks.bisect
@@ -448,8 +651,8 @@ def test_crossover_best_inverts_the_scan_angles_in_one_array_call(monkeypatch):
         counts["scan"] += len(grid)
         return grid
 
-    def bisect(f, lo, hi, xtol):
-        if xtol != channel.CROSSOVER_DB_TOL / 5.0:  # an angle inversion, not a refinement
+    def bisect_(f, lo, hi, xtol):
+        if xtol != channel.CROSSOVER_DB_TOL / 5.0:  # an angle inversion or a band edge
             return real_bisect(f, lo, hi, xtol)
 
         def midpoint(x):
@@ -460,19 +663,22 @@ def test_crossover_best_inverts_the_scan_angles_in_one_array_call(monkeypatch):
     monkeypatch.setattr(attacks, "gamma_for_disturbance", gamma)
     monkeypatch.setattr(channel, "disturbance_for_error", disturbance)
     monkeypatch.setattr(channel, "_scan_grid", scan_grid)
-    monkeypatch.setattr(attacks, "bisect", bisect)
+    monkeypatch.setattr(attacks, "bisect", bisect_)
     result = crossover_loss_best(0.1, 0.2, 0.01)
     assert result["A"] == pytest.approx(12.69, abs=0.01)
     assert result["B"] == pytest.approx(12.30, abs=0.01)
-    assert inversions[0] == "array" and inversions.count("array") == 1
-    assert inversions.count("float") >= 1  # the strategy-B refinement
+    assert "array" not in inversions
+    assert len(inversions) >= 3  # B's gains on both sides of its entry, then its refinement
     assert counts["scan"] > 200 and counts["refine"] >= 2
-    assert counts["disturbance"] == counts["scan"] + counts["refine"]
+    assert counts["disturbance"] * 5 < counts["scan"]
+    assert len(inversions) * 10 < counts["scan"]
 
 
 def test_crossover_misses_a_win_narrower_than_one_scan_step(monkeypatch):
     # The scan samples every 0.05 dB from just above the window's lower edge.
-    # A strategy that wins only between two scan points is never seen.
+    # A strategy that wins only between two scan points is never seen.  The
+    # fake strategy-A information reaches both the band search and the gains
+    # at the grid points, and the reference scan agrees with both results.
     mu, eta, error = 0.1, 0.2, 0.01
     window = eta_t_bounds(mu, eta)
     scan_point = window.loss_db_lower + 1e-9 + 100 * channel._SCAN_DB_STEP
@@ -482,17 +688,20 @@ def test_crossover_misses_a_win_narrower_than_one_scan_step(monkeypatch):
 
     def win_between(lo_db, hi_db):
         d_lo, d_hi = d_at(lo_db), d_at(hi_db)
+        middle, half = (d_lo + d_hi) / 2.0, (d_hi - d_lo) / 2.0
 
-        def info(strategy, disturbances):
-            return [attacks.pns_information_matched(eta, d) + 0.1 if d_lo <= d <= d_hi else 0.0
-                    for d in disturbances]
+        def info(d):
+            # one band with its largest gain, 0.1, in the middle: positive on (d_lo, d_hi)
+            return attacks.pns_information_matched(eta, d) + 0.1 * (1.0 - abs(d - middle) / half)
         return info
 
-    monkeypatch.setattr(attacks, "cloning_information",
+    monkeypatch.setattr(attacks, "strategy_a_information",
                         win_between(scan_point + 0.02, scan_point + 0.03))
     assert crossover_loss(mu, eta, error, "A") is None
+    assert _reference_crossover_loss_best(mu, eta, error)["A"] is None
     # the same band widened over the next scan point is found
-    monkeypatch.setattr(attacks, "cloning_information",
+    monkeypatch.setattr(attacks, "strategy_a_information",
                         win_between(scan_point + 0.02, scan_point + 0.06))
     loss = crossover_loss(mu, eta, error, "A")
     assert scan_point + 0.02 - 0.01 <= loss <= scan_point + 0.02 + 0.01
+    assert loss == _reference_crossover_loss_best(mu, eta, error)["A"]

@@ -1,3 +1,5 @@
+import ast
+import functools
 import importlib
 import io
 import json
@@ -432,15 +434,28 @@ LIGHT_COMMANDS = pytest.mark.parametrize("argv", [
 ], ids=["import", "bounds", "crossover", "error-map", "coefficients", "info-curves"])
 
 
-def loaded_by_light_command(argv, modules) -> str:
-    """Those of modules that `import qel.cli` and then argv load, as a sorted list's repr."""
-    # a fresh interpreter, since this one has loaded numpy for other tests
-    run = "" if argv is None else f"assert qel.cli.main({argv!r}) == 0; "
-    probe = f"import sys, qel.cli; {run}print(sorted({set(modules)!r} & set(sys.modules)))"
+_LIGHT_PROBED = frozenset({"numpy", "scipy", "dataclasses", "inspect"})
+
+
+@functools.cache
+def _probed_modules_loaded_by(argv: tuple | None) -> frozenset:
+    """Those of _LIGHT_PROBED that `import qel.cli` and then argv load.
+
+    One fresh interpreter per command, since this one has loaded numpy for
+    other tests; both tests of a command read its one answer.
+    """
+    run = "" if argv is None else f"assert qel.cli.main({list(argv)!r}) == 0; "
+    probe = f"import sys, qel.cli; {run}print(sorted({set(_LIGHT_PROBED)!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=env, check=True, timeout=60)
-    return result.stdout.splitlines()[-1]
+    return frozenset(ast.literal_eval(result.stdout.splitlines()[-1]))
+
+
+def loaded_by_light_command(argv, modules) -> str:
+    """Those of modules that `import qel.cli` and then argv load, as a sorted list's repr."""
+    assert set(modules) <= _LIGHT_PROBED
+    return repr(sorted(_probed_modules_loaded_by(None if argv is None else tuple(argv)) & set(modules)))
 
 
 @LIGHT_COMMANDS
@@ -477,4 +492,7 @@ def test_reproduce_figures_matches_reference_outputs(tmp_path):
     for key in ("mu", "eta_det", "observed_error", "crossover_db_a", "crossover_db_b",
                 "crossover_db_best", "best_strategy"):
         assert headline[key] == crossover[key]
+    # the bands of disturbances where each strategy beats PNS; each crossover sits at an entry
+    bands = [headline[f"band_d_{edge}_{s}"] for s in "ab" for edge in ("entry", "exit")]
+    assert bands == pytest.approx([0.0927, 0.2131, 0.0544, 0.1604], abs=1e-4)
     assert {p.name: p.read_bytes() for p in reference.iterdir()} == before
