@@ -304,13 +304,14 @@ def gain_band(strategy: str, eta_det: float):
     is positive on at most one band of disturbances.  A is searched in D on
     [0, 1/4]; B in its angle gamma on [0, pi/2], with the disturbance
     strategy_b_disturbance(gamma), so no angle is inverted.  A
-    golden-section search locates the maximum and one bisection on each
-    side of it the edges of G > -1e-8, to 1e-6 in D or gamma; each edge is
-    then moved out by twice that.  So the band holds every disturbance at
-    which the gain is positive, also where round-off in an inverted angle
-    moves the gain, and its edges lie within about 3e-6 of the sign changes
-    of G.  None when the maximum found is not above -1e-8, which covers the
-    distance of the maximum found from the true one.
+    golden-section search for the maximum stops at the first point where
+    G > -1e-8, and one bisection on each side of that point finds the edges
+    of G > -1e-8 to 1e-6 in D or gamma; each edge is then moved out by
+    twice that.  So the band holds every disturbance at which the gain is
+    positive, also where round-off in an inverted angle moves the gain, and
+    its edges lie within about 3e-6 of the sign changes of G.  None when
+    the search ends within 1e-6 of the maximum without such a point; the
+    slack of 1e-8 covers the distance of the maximum found from the true one.
     """
     if strategy == "A":
         top = 0.25
@@ -325,28 +326,31 @@ def gain_band(strategy: str, eta_det: float):
             return attacks.strategy_b_information(gamma) - attacks.pns_information_matched(eta_det, d)
     else:
         raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
-    peak, gain_at_peak = _golden_section_max(gain, 0.0, top, _BAND_XTOL)
-    if not gain_at_peak > -_BAND_GAIN_SLACK:
+    inside, gain_inside = _golden_section_search(gain, 0.0, top, -_BAND_GAIN_SLACK, _BAND_XTOL)
+    if not gain_inside > -_BAND_GAIN_SLACK:
         return None
 
     def slack_gain(x):
         return gain(x) + _BAND_GAIN_SLACK
 
-    entry = max(0.0, attacks.bisect(slack_gain, 0.0, peak, xtol=_BAND_XTOL) - 2.0 * _BAND_XTOL)
-    exit_ = min(top, attacks.bisect(slack_gain, peak, top, xtol=_BAND_XTOL) + 2.0 * _BAND_XTOL)
+    entry = max(0.0, attacks.bisect(slack_gain, 0.0, inside, xtol=_BAND_XTOL) - 2.0 * _BAND_XTOL)
+    exit_ = min(top, attacks.bisect(slack_gain, inside, top, xtol=_BAND_XTOL) + 2.0 * _BAND_XTOL)
     if strategy == "B":
         return attacks.strategy_b_disturbance(entry), attacks.strategy_b_disturbance(exit_)
     return entry, exit_
 
 
-def _golden_section_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """(x, f(x)) at the better of the last two points of a golden-section search on [lo, hi].
+def _golden_section_search(f, lo: float, hi: float, level: float, xtol: float):
+    """(x, f(x)) at a point of [lo, hi] where f exceeds level, or at the maximum of f.
 
-    For an f with one maximum on [lo, hi], that x lies within xtol of it.
+    A golden-section search for the maximum of an f with one maximum on
+    [lo, hi], stopped at the first point where f exceeds level.  When f
+    never does, x is the better of the last two points, within xtol of the
+    maximum.
     """
     c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
     f_c, f_d = f(c), f(d)
-    while hi - lo > xtol:
+    while hi - lo > xtol and max(f_c, f_d) <= level:
         if f_c >= f_d:
             hi, d, f_d = d, c, f_c
             c = hi - _INV_GOLDEN * (hi - lo)
