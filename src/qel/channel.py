@@ -86,8 +86,8 @@ def p_arr_multi(mu: float, eta_det: float) -> float:
     sum_{n>=2} P(n, mu) [1 - (1-eta_det)^(n-1)], summed to convergence.  mu
     must keep exp(-mu) a normal float (mu up to about 708): beyond that
     P(0, mu) loses digits or vanishes, and the sum would run over about mu
-    terms.  Cached, because a grid or a crossover scan asks for the same
-    (mu, eta_det) at every loss.
+    terms.  Cached, because a grid or a crossover search asks for the same
+    (mu, eta_det) at every loss it visits.
     """
     if not mu >= 0.0:
         raise ValueError(f"mean photon number must be nonnegative, got {mu}")
