@@ -389,12 +389,13 @@ def _binomial_se(p: float, n: int) -> float:
 
 
 def _attack_tables(attack: str, disturbance: float, eta: float):
-    """Per-(pulse type, signal, measured basis) outcome tables and bit labels.
+    """The (2, 4, 2, 4) outcome table of one attack, and the signals' bit labels.
 
-    Returns (two_photon_rows, single_rows, signal_bits, signal_basis_index)
-    where rows are indexed [signal][basis] -> the outcome distribution.  The
-    PNS process and strategy A use the rectilinear and diagonal signals,
-    strategy B the diagonal and circular ones.
+    Returns (table, signal_bits, signal_basis_index) where
+    table[pulse type, signal, basis] is the outcome distribution of a single
+    (pulse type 0) or two-photon (pulse type 1) pulse.  The PNS process and
+    strategy A use the rectilinear and diagonal signals, strategy B the
+    diagonal and circular ones.
     """
     if attack not in ("PNS", "CloneA", "CloneB"):
         raise ValueError(f"attack must be 'PNS', 'CloneA' or 'CloneB', got {attack!r}")
@@ -413,22 +414,62 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
         w0_attacked = np.where(np.equal.outer(basis_of_signal, range(len(bases))), w0_matched[:, None], 0.5)
         two_rows, single_rows = (outcome_distribution({(1, 0): w, (0, 1): 1.0 - w}, eta)
                                  for w in (w0, w0_attacked))
-        return two_rows, single_rows, bits, basis_of_signal
-
-    if attack == "CloneA":
-        u = attacks.strategy_a_unitary(attacks.clone_a_params_for_disturbance(disturbance))
     else:
-        u = attacks.strategy_b_unitary(attacks.gamma_for_disturbance(disturbance))
-    single_rows = np.zeros((4, 2, len(DetectionOutcome)))
-    single_rows[..., DetectionOutcome.VACUUM] = 1.0  # single photons are blocked
-    rho_bob = _signal_states(u, np.array([symmetric_encode(signal) for signal in signals]))[0]
-    two_rows = np.stack([outcome_distribution(fock_from_symmetric(rho_bob, basis), eta) for basis in bases], 1)
-    return two_rows, single_rows, bits, basis_of_signal
+        if attack == "CloneA":
+            u = attacks.strategy_a_unitary(attacks.clone_a_params_for_disturbance(disturbance))
+        else:
+            u = attacks.strategy_b_unitary(attacks.gamma_for_disturbance(disturbance))
+        single_rows = np.zeros((4, 2, len(DetectionOutcome)))
+        single_rows[..., DetectionOutcome.VACUUM] = 1.0  # single photons are blocked
+        rho_bob = _signal_states(u, np.array([symmetric_encode(signal) for signal in signals]))[0]
+        two_rows = np.stack([outcome_distribution(fock_from_symmetric(rho_bob, basis), eta) for basis in bases], 1)
+    # Round-off leaves entries near -1e-17 where an outcome cannot occur
+    # (strategy A at eta_det 1); _tally needs every entry nonnegative.
+    return np.maximum(np.stack([single_rows, two_rows]), 0.0), bits, basis_of_signal
 
 
-def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
-                         disturbance: float, *, n_pulses: int, seed: int) -> MonteCarloStats:
-    """Sample the per-pulse protocol for one attack at matched raw rates.
+def _draw(n_pulses: int, p_two: float, seed: int):
+    """The seeded per-pulse randomness that every attack's tally shares.
+
+    Five draws of n_pulses each, in this order: pulse type, signal, basis,
+    outcome uniform and double-click bit.  Returns (cell, u, double_bit),
+    where cell = (pulse type * 4 + signal) * 2 + basis indexes the 16 rows of
+    a flattened outcome table.
+    """
+    rng = np.random.default_rng(seed)
+    is_two = rng.random(n_pulses) < p_two
+    cell = rng.integers(0, 4, size=n_pulses)
+    cell += is_two * 4
+    cell *= 2
+    cell += rng.integers(0, 2, size=n_pulses)
+    return cell, rng.random(n_pulses), rng.integers(0, 2, size=n_pulses)
+
+
+def _tally(draw, table) -> np.ndarray:
+    """The 128 (cell, outcome, double-click bit) counts of a draw under one outcome table.
+
+    A pulse's outcome is the number of its cell's CDF entries below its
+    uniform.  With every table entry nonnegative each CDF row never
+    decreases, so the first three entries decide the outcome and a uniform
+    past the last one still gives DOUBLE.
+    """
+    if np.any(table < 0.0):
+        raise ValueError("outcome table has a negative entry")
+    cell, u, double_bit = draw
+    cdf = np.cumsum(table, axis=-1).reshape(16, 4)
+    outcome = np.zeros(len(u), dtype=np.int8)
+    for k in range(DetectionOutcome.DOUBLE):
+        outcome += (u > np.take(cdf[:, k], cell)).view(np.int8)
+    outcome <<= 1
+    key = cell * 8
+    key += double_bit
+    key += outcome
+    return np.bincount(key, minlength=128)
+
+
+def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, ...],
+                          disturbance: float, *, n_pulses: int, seed: int) -> tuple[MonteCarloStats, ...]:
+    """Sample the per-pulse protocol for several attacks at matched raw rates.
 
     Pulses carry two photons with the rate-matching probability
     1/(2 - eta_det) and one photon otherwise.  The attack transforms them
@@ -436,14 +477,15 @@ def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
     the four-outcome detector model fires; double clicks are assigned a
     random bit during sifting.
 
-    Five seeded draws of n_pulses each (pulse type, signal, basis, outcome
-    uniform, double-click bit) fix the stream.  Each pulse falls in one of 16
-    (pulse type, signal, measured basis) cells; its outcome is the number of
-    entries of the cell's outcome CDF below the uniform, capped at DOUBLE.  A
-    single bincount over (cell, outcome, double-click bit) gives 128 tallies,
-    and every count is a sum of tallies; no (n_pulses, 4) array is built.
+    One seeded draw (_draw) serves every attack in names, so each attack's
+    statistics equal those of its own monte_carlo_protocol call at the same
+    seed.  Each pulse falls in one of 16 (pulse type, signal, measured basis)
+    cells; _tally compares its uniform with three entries of the cell's
+    outcome CDF and makes one bincount over (cell, outcome, double-click
+    bit), and every count is a sum of those 128 tallies.
 
-    Identical inputs and seed reproduce identical statistics.
+    Identical inputs and seed reproduce identical statistics.  Returns one
+    MonteCarloStats per attack, in the order of names.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be at least 1, got {n_pulses}")
@@ -452,64 +494,57 @@ def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
 
     eta = scenario.eta_det
     p_two = attacks.matched_two_photon_fraction(eta)
-    two_rows, single_rows, bits, basis_of_signal = _attack_tables(attack, disturbance, eta)
-
-    rng = np.random.default_rng(seed)
-    is_two = rng.random(n_pulses) < p_two
-    alice = rng.integers(0, 4, size=n_pulses)
-    bob = rng.integers(0, 2, size=n_pulses)
-    u_outcome = rng.random(n_pulses)
-    u_double_bit = rng.integers(0, 2, size=n_pulses)
-
-    # inverse-CDF outcome per pulse from its (pulse type, signal, basis) cell
-    table = np.stack([single_rows, two_rows])
-    cdf = np.cumsum(table, axis=-1).reshape(16, 4)
-    cell = (is_two * 4 + alice) * 2 + bob
-    outcome = np.zeros(n_pulses, dtype=np.int64)
-    for k in DetectionOutcome:
-        outcome += u_outcome > cdf[:, k][cell]
-    np.minimum(outcome, DetectionOutcome.DOUBLE, out=outcome)
-    counts = np.bincount((cell * 4 + outcome) * 2 + u_double_bit, minlength=128)
-    counts = counts.reshape(2, 4, 2, 4, 2)
+    tables = [_attack_tables(name, disturbance, eta) for name in names]
+    draw = _draw(n_pulses, p_two, seed)
 
     # the sifting rules run on the 128 tally entries, not on the pulses
-    _, signal, basis, outcome, double_bit = np.indices(counts.shape)
-    matched = np.array(basis_of_signal)[signal] == basis
+    _, signal, basis, outcome, double_bit = np.indices((2, 4, 2, len(DetectionOutcome), 2))
     clicked = outcome != DetectionOutcome.VACUUM
     is_double = outcome == DetectionOutcome.DOUBLE
-
-    sifted = matched & clicked
     measured_bit = np.where(is_double, double_bit, np.where(outcome == DetectionOutcome.CLICK1, 1, 0))
-    errors = sifted & (measured_bit != np.array(bits)[signal])
-
-    # analytic expectations from the same outcome tables
     weights = np.full((2, 4, 2), 0.125)  # uniform signal and basis choice
     weights[0] *= 1.0 - p_two
     weights[1] *= p_two
-    exp_click = float(np.sum(weights[..., None] * table[..., DetectionOutcome.CLICK0:]))
-    wrong_click = np.where(np.array(bits) == 0, DetectionOutcome.CLICK1, DetectionOutcome.CLICK0)
-    exp_sift = 0.0
-    exp_err = 0.0
-    for t in (0, 1):
-        for i in range(4):
-            j = basis_of_signal[i]
-            row = table[t, i, j]
-            exp_sift += weights[t, i, j] * (row[DetectionOutcome.CLICK0] + row[DetectionOutcome.CLICK1]
-                                            + row[DetectionOutcome.DOUBLE])
-            exp_err += weights[t, i, j] * (row[wrong_click[i]] + 0.5 * row[DetectionOutcome.DOUBLE])
-    exp_error_rate = exp_err / exp_sift if exp_sift > 0 else 0.0
 
-    return MonteCarloStats(
-        attack=attack,
-        disturbance=float(disturbance),
-        eta_det=eta,
-        n_pulses=n_pulses,
-        seed=seed,
-        raw_clicks=int(counts[clicked].sum()),
-        sifted_bits=int(counts[sifted].sum()),
-        sifted_errors=int(counts[errors].sum()),
-        double_clicks_matched=int(counts[is_double & matched].sum()),
-        double_clicks_mismatched=int(counts[is_double & ~matched].sum()),
-        expected_raw_click_rate=exp_click,
-        expected_sifted_error_rate=float(exp_error_rate),
-    )
+    results = []
+    for name, (table, bits, basis_of_signal) in zip(names, tables):
+        counts = _tally(draw, table).reshape(signal.shape)
+        matched = np.array(basis_of_signal)[signal] == basis
+        sifted = matched & clicked
+        errors = sifted & (measured_bit != np.array(bits)[signal])
+
+        # analytic expectations from the same outcome table
+        exp_click = float(np.sum(weights[..., None] * table[..., DetectionOutcome.CLICK0:]))
+        wrong_click = np.where(np.array(bits) == 0, DetectionOutcome.CLICK1, DetectionOutcome.CLICK0)
+        exp_sift = 0.0
+        exp_err = 0.0
+        for t in (0, 1):
+            for i in range(4):
+                j = basis_of_signal[i]
+                row = table[t, i, j]
+                exp_sift += weights[t, i, j] * (row[DetectionOutcome.CLICK0] + row[DetectionOutcome.CLICK1]
+                                                + row[DetectionOutcome.DOUBLE])
+                exp_err += weights[t, i, j] * (row[wrong_click[i]] + 0.5 * row[DetectionOutcome.DOUBLE])
+        exp_error_rate = exp_err / exp_sift if exp_sift > 0 else 0.0
+
+        results.append(MonteCarloStats(
+            attack=name,
+            disturbance=float(disturbance),
+            eta_det=eta,
+            n_pulses=n_pulses,
+            seed=seed,
+            raw_clicks=int(counts[clicked].sum()),
+            sifted_bits=int(counts[sifted].sum()),
+            sifted_errors=int(counts[errors].sum()),
+            double_clicks_matched=int(counts[is_double & matched].sum()),
+            double_clicks_mismatched=int(counts[is_double & ~matched].sum()),
+            expected_raw_click_rate=exp_click,
+            expected_sifted_error_rate=float(exp_error_rate),
+        ))
+    return tuple(results)
+
+
+def monte_carlo_protocol(scenario: channel.ChannelScenario, attack: str,
+                         disturbance: float, *, n_pulses: int, seed: int) -> MonteCarloStats:
+    """Sample the per-pulse protocol for one attack: monte_carlo_protocols with names (attack,)."""
+    return monte_carlo_protocols(scenario, (attack,), disturbance, n_pulses=n_pulses, seed=seed)[0]

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from qel import VERIFY_SEED, attacks, verification
 from qel.channel import ChannelScenario
+from qel.detection import DetectionOutcome
 from qel.infotheory import TwoStateEnsemble, levitin_information, phi
 from qel.linalg import Operator
 from qel import oracle
@@ -381,3 +383,60 @@ def test_monte_carlo_argument_validation():
         monte_carlo_protocol(SCEN, "Unknown", 0.1, n_pulses=10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_protocol(SCEN, "PNS", 0.1, n_pulses=0, seed=0)
+
+
+@pytest.mark.parametrize("attack, top", [
+    ("PNS", 0.5), ("CloneA", 0.25), ("CloneB", attacks.STRATEGY_B_MAX_DISTURBANCE)])
+def test_monte_carlo_tables_are_nonnegative_rows_that_sum_to_one(attack, top):
+    # The tally compares a uniform with three CDF entries and never caps the
+    # outcome; that equals the four-entry count only if no CDF row decreases.
+    for d in np.linspace(0.0, top, 21):
+        for eta in (0.01, 0.05, 0.2, 0.6, 0.95, 1.0):
+            table, _, _ = oracle._attack_tables(attack, float(d), eta)
+            assert table.shape == (2, 4, 2, len(DetectionOutcome))
+            assert np.all(table >= 0.0), (d, eta)
+            assert np.max(np.abs(table.sum(axis=-1) - 1.0)) <= 1e-12, (d, eta)
+
+
+def test_monte_carlo_tally_rejects_a_negative_table_entry():
+    table, _, _ = oracle._attack_tables("PNS", 0.1, 0.2)
+    table[1, 0, 0, DetectionOutcome.DOUBLE] = -0.25
+    table[1, 0, 0, DetectionOutcome.VACUUM] += 0.25
+    with pytest.raises(ValueError, match="negative"):
+        oracle._tally(oracle._draw(100, 0.5, 0), table)
+
+
+@pytest.mark.parametrize("eta_det", [0.2, 0.6])
+@pytest.mark.parametrize("n_pulses", [1, 7, 200_000])
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_shared_draw_equals_separate_calls(seed, n_pulses, eta_det):
+    scen = ChannelScenario.from_loss_db(0.1, eta_det, 5.0)
+    separate = {name: monte_carlo_protocol(scen, name, 0.1, n_pulses=n_pulses, seed=seed)
+                for name in ("PNS", "CloneA", "CloneB")}
+    for names in (("CloneA", "CloneB"), ("PNS", "CloneA", "CloneB")):
+        shared = oracle.monte_carlo_protocols(scen, names, 0.1, n_pulses=n_pulses, seed=seed)
+        assert shared == tuple(separate[name] for name in names)
+
+
+def test_shared_draw_counts_are_pinned():
+    # Counts of one draw per attack; sharing the draw must not move them.
+    stats = oracle.monte_carlo_protocols(SCEN, ("PNS", "CloneA", "CloneB"), 0.1, n_pulses=200_000, seed=7)
+    assert [(s.raw_clicks, s.sifted_bits, s.sifted_errors, s.double_clicks_matched,
+             s.double_clicks_mismatched) for s in stats] == [
+        (39847, 20003, 860, 0, 0),
+        (39846, 20017, 1988, 463, 870),
+        (39846, 20017, 1978, 445, 841),
+    ]
+
+
+def test_double_click_suite_gives_the_benchmark_reference_deltas():
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                            / "verify.json").read_text())
+    expected = {check["name"]: check["delta"] for suite in reference["suites"]
+                if suite["name"] == "double_click" for check in suite["checks"]}
+    got = {check.name: check.delta for check in verification._suite_double_click(20240901, 10**6).checks}
+    assert got.keys() == expected.keys()
+    # the expectation's round-off moves this delta by about 5.5e-17; the rest are counts
+    raw_rate = "pns_raw_click_rate_within_3_sigma"
+    assert abs(got.pop(raw_rate) - expected.pop(raw_rate)) <= 1e-15
+    assert got == expected
