@@ -424,47 +424,68 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
         rho_bob = _signal_states(u, np.array([symmetric_encode(signal) for signal in signals]))[0]
         two_rows = np.stack([outcome_distribution(fock_from_symmetric(rho_bob, basis), eta) for basis in bases], 1)
     # Round-off leaves entries near -1e-17 where an outcome cannot occur
-    # (strategy A at eta_det 1); _tally needs every entry nonnegative.
+    # (strategy A at eta_det 1); _tallies needs every entry nonnegative.
     return np.maximum(np.stack([single_rows, two_rows]), 0.0), bits, basis_of_signal
 
 
-def _draw(n_pulses: int, p_two: float, seed: int):
-    """The seeded per-pulse randomness that every attack's tally shares.
+#: Pulses per block of _tallies: five blocks of random numbers and the
+#: per-table work on them stay in a 2 MB L2 cache.
+_BLOCK = 1 << 16
 
-    Five draws of n_pulses each, in this order: pulse type, signal, basis,
-    outcome uniform and double-click bit.  Returns (cell, u, double_bit),
-    where cell = (pulse type * 4 + signal) * 2 + basis indexes the 16 rows of
-    a flattened outcome table.
+
+def _tallies(n_pulses: int, p_two: float, seed: int, tables) -> np.ndarray:
+    """The 128 (cell, outcome, double-click bit) counts of every outcome table, from one seed.
+
+    The seed drives five streams of n_pulses each, in this order: pulse type
+    (a uniform below p_two means two photons), signal, basis, outcome uniform
+    and double-click bit.  They are the successive draws of
+    np.random.default_rng(seed), read from five PCG64 copies advanced to the
+    start of each stream and consumed in blocks of _BLOCK pulses.  A double
+    takes one u64, and an integer below 2 or 4 the top bits of one 32-bit
+    half (never rejected), low half first.  So the signal stream spans n/2
+    u64s, and for odd n the basis stream opens on the high half of the u64
+    at n + n//2.
+
+    A pulse's cell = (pulse type * 4 + signal) * 2 + basis indexes the 16
+    rows of a flattened table, and its outcome is the number of the row's
+    CDF entries below its uniform.  With every entry nonnegative each CDF
+    row never decreases, so the first three entries decide the outcome and a
+    uniform past the last one still gives DOUBLE.  Returns a
+    (len(tables), 128) count array indexed by (cell * 4 + outcome) * 2 +
+    double-click bit.
     """
-    rng = np.random.default_rng(seed)
-    is_two = rng.random(n_pulses) < p_two
-    cell = rng.integers(0, 4, size=n_pulses)
-    cell += is_two * 4
-    cell *= 2
-    cell += rng.integers(0, 2, size=n_pulses)
-    return cell, rng.random(n_pulses), rng.integers(0, 2, size=n_pulses)
-
-
-def _tally(draw, table) -> np.ndarray:
-    """The 128 (cell, outcome, double-click bit) counts of a draw under one outcome table.
-
-    A pulse's outcome is the number of its cell's CDF entries below its
-    uniform.  With every table entry nonnegative each CDF row never
-    decreases, so the first three entries decide the outcome and a uniform
-    past the last one still gives DOUBLE.
-    """
-    if np.any(table < 0.0):
+    if any(np.any(table < 0.0) for table in tables):
         raise ValueError("outcome table has a negative entry")
-    cell, u, double_bit = draw
-    cdf = np.cumsum(table, axis=-1).reshape(16, 4)
-    outcome = np.zeros(len(u), dtype=np.int8)
-    for k in range(DetectionOutcome.DOUBLE):
-        outcome += (u > np.take(cdf[:, k], cell)).view(np.int8)
-    outcome <<= 1
-    key = cell * 8
-    key += double_bit
-    key += outcome
-    return np.bincount(key, minlength=128)
+    cdfs = [np.cumsum(table, axis=-1).reshape(16, 4).T[:3].copy() for table in tables]
+    gens = [np.random.Generator(np.random.PCG64(seed)) for _ in range(5)]
+    for gen, offset in zip(gens, (0, n_pulses, n_pulses + n_pulses // 2, 2 * n_pulses, 3 * n_pulses)):
+        gen.bit_generator.advance(offset)
+    if n_pulses % 2:
+        basis_bits = gens[2].bit_generator
+        high = int(basis_bits.random_raw()) >> 32
+        state = basis_bits.state
+        state["has_uint32"], state["uinteger"] = 1, high
+        basis_bits.state = state
+    pulse_type, signal, basis, uniform, double_bit = gens
+
+    counts = np.zeros((len(tables), 128), dtype=np.int64)
+    for start in range(0, n_pulses, _BLOCK):
+        size = min(_BLOCK, n_pulses - start)
+        is_two = pulse_type.random(size) < p_two
+        cell = signal.integers(0, 4, size=size)
+        cell += is_two * 4
+        cell *= 2
+        cell += basis.integers(0, 2, size=size)
+        u = uniform.random(size)
+        base = cell * 8
+        base += double_bit.integers(0, 2, size=size)
+        for tally, cdf in zip(counts, cdfs):
+            outcome = np.zeros(size, dtype=np.int8)
+            for k in range(DetectionOutcome.DOUBLE):
+                outcome += (u > np.take(cdf[k], cell)).view(np.int8)
+            outcome <<= 1
+            tally += np.bincount(base + outcome, minlength=128)
+    return counts
 
 
 def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, ...],
@@ -477,12 +498,15 @@ def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, .
     the four-outcome detector model fires; double clicks are assigned a
     random bit during sifting.
 
-    One seeded draw (_draw) serves every attack in names, so each attack's
-    statistics equal those of its own monte_carlo_protocol call at the same
-    seed.  Each pulse falls in one of 16 (pulse type, signal, measured basis)
-    cells; _tally compares its uniform with three entries of the cell's
-    outcome CDF and makes one bincount over (cell, outcome, double-click
-    bit), and every count is a sum of those 128 tallies.
+    One seed drives five random sub-streams (_tallies), read together in
+    blocks of _BLOCK pulses, and every attack in names is tallied on each
+    block; so each attack's statistics equal those of its own
+    monte_carlo_protocol call at the same seed.  Each pulse falls in one of
+    16 (pulse type, signal, measured basis) cells; its uniform is compared
+    with three entries of the cell's outcome CDF, one bincount per block
+    and attack counts (cell, outcome, double-click bit), and every count is
+    a sum of those 128 tallies.  The sampler's memory does not grow with
+    n_pulses, and its time grows linearly.
 
     Identical inputs and seed reproduce identical statistics.  Returns one
     MonteCarloStats per attack, in the order of names.
@@ -495,7 +519,7 @@ def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, .
     eta = scenario.eta_det
     p_two = attacks.matched_two_photon_fraction(eta)
     tables = [_attack_tables(name, disturbance, eta) for name in names]
-    draw = _draw(n_pulses, p_two, seed)
+    all_counts = _tallies(n_pulses, p_two, seed, [table for table, _, _ in tables])
 
     # the sifting rules run on the 128 tally entries, not on the pulses
     _, signal, basis, outcome, double_bit = np.indices((2, 4, 2, len(DetectionOutcome), 2))
@@ -507,8 +531,8 @@ def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, .
     weights[1] *= p_two
 
     results = []
-    for name, (table, bits, basis_of_signal) in zip(names, tables):
-        counts = _tally(draw, table).reshape(signal.shape)
+    for name, (table, bits, basis_of_signal), counts in zip(names, tables, all_counts):
+        counts = counts.reshape(signal.shape)
         matched = np.array(basis_of_signal)[signal] == basis
         sifted = matched & clicked
         errors = sifted & (measured_bit != np.array(bits)[signal])

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -403,7 +404,49 @@ def test_monte_carlo_tally_rejects_a_negative_table_entry():
     table[1, 0, 0, DetectionOutcome.DOUBLE] = -0.25
     table[1, 0, 0, DetectionOutcome.VACUUM] += 0.25
     with pytest.raises(ValueError, match="negative"):
-        oracle._tally(oracle._draw(100, 0.5, 0), table)
+        oracle._tallies(100, 0.5, 0, [table])
+
+
+def _draw(n_pulses, p_two, seed):
+    # Reference sampler: the five streams drawn whole from one generator.
+    rng = np.random.default_rng(seed)
+    is_two = rng.random(n_pulses) < p_two
+    cell = rng.integers(0, 4, size=n_pulses)
+    cell += is_two * 4
+    cell *= 2
+    cell += rng.integers(0, 2, size=n_pulses)
+    return cell, rng.random(n_pulses), rng.integers(0, 2, size=n_pulses)
+
+
+def _tally(draw, table):
+    # Reference tally: the 128 counts of a whole draw under one outcome table.
+    cell, u, double_bit = draw
+    cdf = np.cumsum(table, axis=-1).reshape(16, 4)
+    outcome = np.sum([u > cdf[cell, k] for k in range(DetectionOutcome.DOUBLE)], axis=0)
+    return np.bincount((cell * 4 + outcome) * 2 + double_bit, minlength=128)
+
+
+@pytest.fixture(scope="module")
+def block_tables():
+    # All three attacks at two detector efficiencies, plus strategy A at
+    # eta_det 1, whose round-off negatives _attack_tables clips.
+    tables = [oracle._attack_tables(attack, 0.1, eta)[0]
+              for attack in ("PNS", "CloneA", "CloneB") for eta in (0.2, 0.6)]
+    return tables + [oracle._attack_tables("CloneA", 0.1, 1.0)[0]]
+
+
+_B = oracle._BLOCK
+
+
+@pytest.mark.parametrize("p_two", [0.3, 0.55])
+@pytest.mark.parametrize("seed", [0, 7, 42, 20240901])
+@pytest.mark.parametrize("n_pulses", [1, 2, 3, 7, _B - 1, _B, _B + 1, 2 * _B + 1, 200_001])
+def test_blockwise_tallies_equal_the_one_shot_draw(n_pulses, p_two, seed, block_tables):
+    # Odd n puts the basis stream on the high half of a u64, and n around
+    # the block size puts a partial block at the end.
+    draw = _draw(n_pulses, p_two, seed)
+    expected = np.array([_tally(draw, table) for table in block_tables])
+    assert np.array_equal(oracle._tallies(n_pulses, p_two, seed, block_tables), expected)
 
 
 @pytest.mark.parametrize("eta_det", [0.2, 0.6])
@@ -427,6 +470,17 @@ def test_shared_draw_counts_are_pinned():
         (39846, 20017, 1988, 463, 870),
         (39846, 20017, 1978, 445, 841),
     ]
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_pulse_count():
+    # One whole draw of 2e6 pulses held about 65 MB; blocks hold about 2 MB.
+    tracemalloc.start()
+    try:
+        oracle.monte_carlo_protocols(SCEN, ("CloneA", "CloneB"), 0.1, n_pulses=2_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_double_click_suite_gives_the_benchmark_reference_deltas():
