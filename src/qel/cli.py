@@ -284,9 +284,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        # work is sized by --pulses (verify) and the grid step counts
-        print("usage error: out of memory; lower --pulses or the grid --steps, "
-              "--loss-steps or --d-steps", file=sys.stderr)
+        # memory is sized by the grid step counts; the verify sampler's is flat in --pulses
+        print("usage error: out of memory; lower the grid --steps, --loss-steps or --d-steps",
+              file=sys.stderr)
         return 1
 
 

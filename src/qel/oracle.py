@@ -388,21 +388,19 @@ def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _attack_tables(attack: str, disturbance: float, eta: float):
-    """The (2, 4, 2, 4) outcome table of one attack, and the signals' bit labels.
+def _attack_tables(attack: str, disturbance: float, eta: float) -> np.ndarray:
+    """The (2, 4, 2, 4) outcome table of one attack.
 
-    Returns (table, signal_bits, signal_basis_index) where
     table[pulse type, signal, basis] is the outcome distribution of a single
     (pulse type 0) or two-photon (pulse type 1) pulse.  The PNS process and
     strategy A use the rectilinear and diagonal signals, strategy B the
-    diagonal and circular ones.
+    diagonal and circular ones; in both sets signal i carries bit i % 2 in
+    the basis at index i // 2.
     """
     if attack not in ("PNS", "CloneA", "CloneB"):
         raise ValueError(f"attack must be 'PNS', 'CloneA' or 'CloneB', got {attack!r}")
     signals = STRATEGY_B_SIGNALS if attack == "CloneB" else SIGNALS
     bases = list(dict.fromkeys(s.basis for s in signals))
-    bits = [s.bit for s in signals]
-    basis_of_signal = [bases.index(s.basis) for s in signals]
 
     if attack == "PNS":
         # split pulse: one untouched photon forwarded.  Single photons meet
@@ -410,8 +408,9 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
         # probability D in the matching basis and randomizes it otherwise.
         w0 = np.array([[abs(np.vdot(basis_kets(basis)[0], signal_ket(signal))) ** 2
                         for basis in bases] for signal in signals])
-        w0_matched = np.where(np.array(bits) == 0, 1.0 - disturbance, disturbance)
-        w0_attacked = np.where(np.equal.outer(basis_of_signal, range(len(bases))), w0_matched[:, None], 0.5)
+        signal = np.arange(4)
+        w0_matched = np.where(signal % 2 == 0, 1.0 - disturbance, disturbance)
+        w0_attacked = np.where(np.equal.outer(signal // 2, range(len(bases))), w0_matched[:, None], 0.5)
         two_rows, single_rows = (outcome_distribution({(1, 0): w, (0, 1): 1.0 - w}, eta)
                                  for w in (w0, w0_attacked))
     else:
@@ -425,7 +424,7 @@ def _attack_tables(attack: str, disturbance: float, eta: float):
         two_rows = np.stack([outcome_distribution(fock_from_symmetric(rho_bob, basis), eta) for basis in bases], 1)
     # Round-off leaves entries near -1e-17 where an outcome cannot occur
     # (strategy A at eta_det 1); _tallies needs every entry nonnegative.
-    return np.maximum(np.stack([single_rows, two_rows]), 0.0), bits, basis_of_signal
+    return np.maximum(np.stack([single_rows, two_rows]), 0.0)
 
 
 #: Pulses per block of _tallies: five blocks of random numbers and the
@@ -503,10 +502,12 @@ def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, .
     block; so each attack's statistics equal those of its own
     monte_carlo_protocol call at the same seed.  Each pulse falls in one of
     16 (pulse type, signal, measured basis) cells; its uniform is compared
-    with three entries of the cell's outcome CDF, one bincount per block
-    and attack counts (cell, outcome, double-click bit), and every count is
-    a sum of those 128 tallies.  The sampler's memory does not grow with
-    n_pulses, and its time grows linearly.
+    with three entries of the cell's outcome CDF, and one bincount per block
+    and attack counts (cell, outcome, double-click bit).  One set of
+    sifting masks over those 128 entries gives both the counts, as sums of
+    the tallies, and the expected rates, as sums of the entries' exact
+    probabilities.  The sampler's memory does not grow with n_pulses, and
+    its time grows linearly.
 
     Identical inputs and seed reproduce identical statistics.  Returns one
     MonteCarloStats per attack, in the order of names.
@@ -519,51 +520,33 @@ def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, .
     eta = scenario.eta_det
     p_two = attacks.matched_two_photon_fraction(eta)
     tables = [_attack_tables(name, disturbance, eta) for name in names]
-    all_counts = _tallies(n_pulses, p_two, seed, [table for table, _, _ in tables])
+    all_counts = _tallies(n_pulses, p_two, seed, tables)
 
-    # the sifting rules run on the 128 tally entries, not on the pulses
-    _, signal, basis, outcome, double_bit = np.indices((2, 4, 2, len(DetectionOutcome), 2))
+    # The sifting rule, stated once on the 128 (cell, outcome, double-click
+    # bit) entries; signal i carries bit i % 2 in basis i // 2.  The same
+    # masks sum the tallies and each entry's exact probability: its pulse
+    # type's weight, 1/4 per signal, 1/2 per basis and per double-click bit.
+    pulse_type, signal, basis, outcome, double_bit = np.indices((2, 4, 2, len(DetectionOutcome), 2))
     clicked = outcome != DetectionOutcome.VACUUM
     is_double = outcome == DetectionOutcome.DOUBLE
-    measured_bit = np.where(is_double, double_bit, np.where(outcome == DetectionOutcome.CLICK1, 1, 0))
-    weights = np.full((2, 4, 2), 0.125)  # uniform signal and basis choice
-    weights[0] *= 1.0 - p_two
-    weights[1] *= p_two
+    measured_bit = np.where(is_double, double_bit, outcome == DetectionOutcome.CLICK1)
+    matched = signal // 2 == basis
+    sifted = matched & clicked
+    errors = sifted & (measured_bit != signal % 2)
+    masks = {"raw_clicks": clicked, "sifted_bits": sifted, "sifted_errors": errors,
+             "double_clicks_matched": is_double & matched, "double_clicks_mismatched": is_double & ~matched}
+    cell_weight = np.where(pulse_type == 0, 1.0 - p_two, p_two) / 16
 
     results = []
-    for name, (table, bits, basis_of_signal), counts in zip(names, tables, all_counts):
+    for name, table, counts in zip(names, tables, all_counts):
         counts = counts.reshape(signal.shape)
-        matched = np.array(basis_of_signal)[signal] == basis
-        sifted = matched & clicked
-        errors = sifted & (measured_bit != np.array(bits)[signal])
-
-        # analytic expectations from the same outcome table
-        exp_click = float(np.sum(weights[..., None] * table[..., DetectionOutcome.CLICK0:]))
-        wrong_click = np.where(np.array(bits) == 0, DetectionOutcome.CLICK1, DetectionOutcome.CLICK0)
-        exp_sift = 0.0
-        exp_err = 0.0
-        for t in (0, 1):
-            for i in range(4):
-                j = basis_of_signal[i]
-                row = table[t, i, j]
-                exp_sift += weights[t, i, j] * (row[DetectionOutcome.CLICK0] + row[DetectionOutcome.CLICK1]
-                                                + row[DetectionOutcome.DOUBLE])
-                exp_err += weights[t, i, j] * (row[wrong_click[i]] + 0.5 * row[DetectionOutcome.DOUBLE])
-        exp_error_rate = exp_err / exp_sift if exp_sift > 0 else 0.0
-
+        probability = cell_weight * table[..., None]
+        exp_click, exp_sift, exp_err = (float(probability[mask].sum()) for mask in (clicked, sifted, errors))
         results.append(MonteCarloStats(
-            attack=name,
-            disturbance=float(disturbance),
-            eta_det=eta,
-            n_pulses=n_pulses,
-            seed=seed,
-            raw_clicks=int(counts[clicked].sum()),
-            sifted_bits=int(counts[sifted].sum()),
-            sifted_errors=int(counts[errors].sum()),
-            double_clicks_matched=int(counts[is_double & matched].sum()),
-            double_clicks_mismatched=int(counts[is_double & ~matched].sum()),
+            attack=name, disturbance=float(disturbance), eta_det=eta, n_pulses=n_pulses, seed=seed,
+            **{field: int(counts[mask].sum()) for field, mask in masks.items()},
             expected_raw_click_rate=exp_click,
-            expected_sifted_error_rate=float(exp_error_rate),
+            expected_sifted_error_rate=exp_err / exp_sift if exp_sift > 0 else 0.0,
         ))
     return tuple(results)
 

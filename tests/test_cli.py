@@ -408,7 +408,8 @@ def test_out_of_memory_is_one_line_usage_error(capsys, monkeypatch, module, name
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("usage error:") and "--pulses" in err and "--steps" in err
+    # the verify sampler's memory is flat in --pulses, so only the grid options are named
+    assert err.startswith("usage error:") and "--steps" in err and "--pulses" not in err
 
 
 @pytest.mark.parametrize("reference, argv", [

@@ -61,6 +61,14 @@ def test_exactly_four_signals():
         Bb84Signal(Basis.RECTILINEAR, 2)
 
 
+@pytest.mark.parametrize("signals", [SIGNALS, optics.STRATEGY_B_SIGNALS])
+def test_signal_i_carries_bit_i_mod_2_in_basis_i_div_2(signals):
+    # The Monte Carlo's sifting masks read each signal's bit and basis from its index.
+    bases = list(dict.fromkeys(s.basis for s in signals))
+    assert len(bases) == 2
+    assert [(s.bit, bases.index(s.basis)) for s in signals] == [(i % 2, i // 2) for i in range(4)]
+
+
 def test_symmetric_encode_values():
     enc = symmetric_encode(Bb84Signal(Basis.RECTILINEAR, 0))
     assert np.allclose(enc, [1, 0, 0, 0])

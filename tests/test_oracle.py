@@ -13,7 +13,7 @@ from qel.detection import DetectionOutcome
 from qel.infotheory import TwoStateEnsemble, levitin_information, phi
 from qel.linalg import Operator
 from qel import oracle
-from qel.optics import PHI_PLUS
+from qel.optics import PHI_PLUS, SIGNALS, STRATEGY_B_SIGNALS
 from qel.oracle import (monte_carlo_protocol, numeric_two_state_info,
                         simulate_strategy_a, simulate_strategy_b)
 from qel.verification import random_equal_determinant_ensemble
@@ -393,18 +393,57 @@ def test_monte_carlo_tables_are_nonnegative_rows_that_sum_to_one(attack, top):
     # outcome; that equals the four-entry count only if no CDF row decreases.
     for d in np.linspace(0.0, top, 21):
         for eta in (0.01, 0.05, 0.2, 0.6, 0.95, 1.0):
-            table, _, _ = oracle._attack_tables(attack, float(d), eta)
+            table = oracle._attack_tables(attack, float(d), eta)
             assert table.shape == (2, 4, 2, len(DetectionOutcome))
             assert np.all(table >= 0.0), (d, eta)
             assert np.max(np.abs(table.sum(axis=-1) - 1.0)) <= 1e-12, (d, eta)
 
 
 def test_monte_carlo_tally_rejects_a_negative_table_entry():
-    table, _, _ = oracle._attack_tables("PNS", 0.1, 0.2)
+    table = oracle._attack_tables("PNS", 0.1, 0.2)
     table[1, 0, 0, DetectionOutcome.DOUBLE] = -0.25
     table[1, 0, 0, DetectionOutcome.VACUUM] += 0.25
     with pytest.raises(ValueError, match="negative"):
         oracle._tallies(100, 0.5, 0, [table])
+
+
+def _expected_rates(attack, disturbance, eta):
+    # Reference expectation: a hand loop over each signal's own bit and basis.
+    table = oracle._attack_tables(attack, disturbance, eta)
+    signals = STRATEGY_B_SIGNALS if attack == "CloneB" else SIGNALS
+    bases = list(dict.fromkeys(s.basis for s in signals))
+    p_two = attacks.matched_two_photon_fraction(eta)
+    weights = np.full((2, 4, 2), 0.125)
+    weights[0] *= 1.0 - p_two
+    weights[1] *= p_two
+    exp_click = float(np.sum(weights[..., None] * table[..., DetectionOutcome.CLICK0:]))
+    exp_sift = exp_err = 0.0
+    for t in (0, 1):
+        for i, signal in enumerate(signals):
+            j = bases.index(signal.basis)
+            row = table[t, i, j]
+            wrong_click = DetectionOutcome.CLICK1 if signal.bit == 0 else DetectionOutcome.CLICK0
+            exp_sift += weights[t, i, j] * (row[DetectionOutcome.CLICK0] + row[DetectionOutcome.CLICK1]
+                                            + row[DetectionOutcome.DOUBLE])
+            exp_err += weights[t, i, j] * (row[wrong_click] + 0.5 * row[DetectionOutcome.DOUBLE])
+    return exp_click, exp_err / exp_sift if exp_sift > 0 else 0.0
+
+
+@pytest.mark.parametrize("eta_det", [0.01, 0.2, 0.6, 1.0])
+@pytest.mark.parametrize("disturbance", [0.0, 0.01, 0.1, 0.25, 0.5])
+@pytest.mark.parametrize("attack", ["PNS", "CloneA", "CloneB"])
+def test_expected_rates_match_the_hand_written_sifting_loop(attack, disturbance, eta_det):
+    scen = ChannelScenario.from_loss_db(0.1, eta_det, 5.0)
+    if attack != "PNS" and disturbance == 0.5:
+        # outside both cloners' disturbance range
+        match = r"must lie in \[0, 1/4\]" if attack == "CloneA" else "no gamma"
+        with pytest.raises(ValueError, match=match):
+            monte_carlo_protocol(scen, attack, disturbance, n_pulses=20_000, seed=7)
+        return
+    stats = monte_carlo_protocol(scen, attack, disturbance, n_pulses=20_000, seed=7)
+    exp_click, exp_error = _expected_rates(attack, disturbance, eta_det)
+    assert abs(stats.expected_raw_click_rate - exp_click) <= 1e-15
+    assert abs(stats.expected_sifted_error_rate - exp_error) <= 1e-15
 
 
 def _draw(n_pulses, p_two, seed):
@@ -430,9 +469,9 @@ def _tally(draw, table):
 def block_tables():
     # All three attacks at two detector efficiencies, plus strategy A at
     # eta_det 1, whose round-off negatives _attack_tables clips.
-    tables = [oracle._attack_tables(attack, 0.1, eta)[0]
+    tables = [oracle._attack_tables(attack, 0.1, eta)
               for attack in ("PNS", "CloneA", "CloneB") for eta in (0.2, 0.6)]
-    return tables + [oracle._attack_tables("CloneA", 0.1, 1.0)[0]]
+    return tables + [oracle._attack_tables("CloneA", 0.1, 1.0)]
 
 
 _B = oracle._BLOCK
