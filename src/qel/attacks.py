@@ -420,16 +420,12 @@ def strategy_b_disturbance(gamma):
     Takes a float, evaluated with math, or a numpy array, evaluated
     elementwise with numpy; every gamma must lie in [0, pi].
     """
-    # A float, as every step of a scalar inversion passes, skips the array
-    # test: this function is the inner loop of gamma_for_disturbance.
-    np = None if type(gamma) is float else _numpy_if_array(gamma)
-    if np is not None:
-        xp = np
-        in_range = np.all((0.0 <= gamma) & (gamma <= math.pi + DOMAIN_SLACK))
-    else:
-        xp = math
-        in_range = 0.0 <= gamma <= math.pi + DOMAIN_SLACK
-    if not in_range:
+    # A float, as every step of a scalar inversion passes, goes to math
+    # before any array test: this function is the inner loop of
+    # gamma_for_disturbance.
+    xp = math if isinstance(gamma, float) else _numpy_if_array(gamma) or math
+    if not (0.0 <= gamma <= math.pi + DOMAIN_SLACK if xp is math
+            else xp.all((0.0 <= gamma) & (gamma <= math.pi + DOMAIN_SLACK))):
         raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
     c, s = xp.cos(gamma), xp.sin(gamma)
     return 0.5 * (1.0 - (c + 1.0 / xp.sqrt(1.0 + s * s)) / xp.sqrt(2.0 * (1.0 + c * c)))

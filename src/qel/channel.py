@@ -312,6 +312,21 @@ def gain_band(strategy: str, eta_det: float):
     its edges lie within about 3e-6 of the sign changes of G.  None when
     the search ends within 1e-6 of the maximum without such a point; the
     slack of 1e-8 covers the distance of the maximum found from the true one.
+    Both edges are located here; the crossover search (crossover_loss_best)
+    locates the exit only when it meets a grid point that does not gain.
+    """
+    band = _band_search(strategy, eta_det)
+    if band is None:
+        return None
+    entry, band_exit = band
+    return entry, band_exit()
+
+
+def _band_search(strategy: str, eta_det: float):
+    """(entry, band_exit) of gain_band, or None where the strategy never gains.
+
+    The golden-section search and the entry bisection run here; each call
+    of band_exit() runs the exit bisection and returns the exit.
     """
     if strategy == "A":
         top = 0.25
@@ -333,11 +348,15 @@ def gain_band(strategy: str, eta_det: float):
     def slack_gain(x):
         return gain(x) + _BAND_GAIN_SLACK
 
+    def disturbance(x):
+        return attacks.strategy_b_disturbance(x) if strategy == "B" else x
+
+    def band_exit():
+        return disturbance(min(top, attacks.bisect(slack_gain, inside, top, xtol=_BAND_XTOL)
+                               + 2.0 * _BAND_XTOL))
+
     entry = max(0.0, attacks.bisect(slack_gain, 0.0, inside, xtol=_BAND_XTOL) - 2.0 * _BAND_XTOL)
-    exit_ = min(top, attacks.bisect(slack_gain, inside, top, xtol=_BAND_XTOL) + 2.0 * _BAND_XTOL)
-    if strategy == "B":
-        return attacks.strategy_b_disturbance(entry), attacks.strategy_b_disturbance(exit_)
-    return entry, exit_
+    return disturbance(entry), band_exit
 
 
 def _golden_section_search(f, lo: float, hi: float, level: float, xtol: float):
@@ -436,14 +455,17 @@ def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dic
         return gains[strategy, i]
 
     def crossover(strategy: str):
-        band = gain_band(strategy, eta_det)
+        band = _band_search(strategy, eta_det)
         if band is None:
             return None
-        entry, exit_ = band
+        entry, band_exit = band
         first = bisect.bisect_left(range(len(grid)), entry, key=disturbance_of)
         while first > 0 and gain_of(strategy, first - 1) > 0.0:
             first -= 1
+        exit_ = None
         while first < len(grid) and gain_of(strategy, first) <= 0.0:
+            if exit_ is None:
+                exit_ = band_exit()
             if disturbance_of(first) > exit_:
                 return None
             first += 1

@@ -353,6 +353,24 @@ def test_strategy_b_disturbance_array_is_bit_equal_to_the_float_path():
         strategy_b_disturbance(np.array([0.1, math.nan]))
 
 
+def test_strategy_b_disturbance_float_branch_checks_its_domain_and_matches_the_array_bits():
+    # floats and numpy float scalars go to math before any array test: the same domain check
+    # and the same bits as the array branch
+    for bad in (-0.1, math.pi + 1e-9, math.nan):
+        for gamma in (bad, np.float64(bad)):
+            with pytest.raises(ValueError, match=r"gamma must lie in \[0, pi\]"):
+                strategy_b_disturbance(gamma)
+    assert DOMAIN_SLACK == 1e-12
+    for gamma in (math.pi + 5e-13, np.float64(math.pi + 5e-13)):
+        assert strategy_b_disturbance(gamma) == pytest.approx(0.5, abs=1e-12)
+    gammas = np.linspace(0.0, math.pi, 1001)
+    floats = [strategy_b_disturbance(g) for g in gammas.tolist()]
+    scalars = [strategy_b_disturbance(g) for g in gammas]
+    assert all(type(g) is np.float64 for g in gammas) and all(type(d) is float for d in scalars)
+    assert np.array_equal(_bits(floats), _bits(scalars))
+    assert np.array_equal(_bits(floats), _bits(strategy_b_disturbance(gammas)))
+
+
 def test_array_bisect_keeps_per_element_endpoint_roots():
     roots = attacks._bisect_elementwise(lambda x: x - np.array([1.0, 3.0, 2.0]),
                                         np.array([1.0, 1.0, 1.0]), np.array([3.0, 3.0, 3.0]),

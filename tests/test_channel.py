@@ -613,28 +613,40 @@ def test_the_scan_first_gains_at_the_first_grid_point_past_the_band_entry():
 
 @pytest.mark.parametrize("misplace", ["entry_mid_band", "entry_far_below"])
 def test_crossover_steps_from_a_misplaced_band_entry_to_the_scan_result(monkeypatch, misplace):
-    # gain_band's edges only decide where to look: from an entry inside the band the search
-    # steps down while the point before also gains, and from one far below it steps up
-    real_band = channel.gain_band
+    # The band edges only decide where to look: from an entry inside the band the search
+    # steps down while the point before also gains, and from one far below it steps up,
+    # locating the band exit on demand.  The misplaced entry replaces the one the search uses.
+    real_search = channel._band_search
+    searched, exits = [], []
 
-    def band(strategy, eta_det):
-        edges = real_band(strategy, eta_det)
-        if edges is None:
+    def band_search(strategy, eta_det):
+        band = real_search(strategy, eta_det)
+        if band is None:
             return None
-        entry, exit_ = edges
-        return ((entry + exit_) / 2.0 if misplace == "entry_mid_band" else entry / 2.0), exit_
+        searched.append(strategy)
+        entry, band_exit = band
+        if misplace == "entry_mid_band":
+            return (entry + band_exit()) / 2.0, band_exit
 
-    monkeypatch.setattr(channel, "gain_band", band)
+        def counted_exit():
+            exits.append(strategy)
+            return band_exit()
+        return entry / 2.0, counted_exit
+
+    monkeypatch.setattr(channel, "_band_search", band_search)
     cases = [c for c in _seeded_crossover_scenarios()[:60] if c[2] > 0.0]
     for case in cases:
         assert repr(_crossover_outcome(case)) == repr(
             _crossover_outcome(case, _reference_crossover_loss_best)), case
+    assert {"A", "B"} <= set(searched)
+    if misplace == "entry_far_below":
+        assert {"A", "B"} <= set(exits)
 
 
 def test_crossover_best_evaluates_a_few_grid_points_and_inverts_no_angle_array(monkeypatch):
     # The band search needs no angle inversion; only the gains at the few grid points near
     # each band entry, and at the refining midpoints, invert one float angle each.
-    inversions, counts = [], {"disturbance": 0, "scan": 0, "refine": 0}
+    inversions, counts, bisections = [], {"disturbance": 0, "scan": 0, "refine": 0}, {}
     real_gamma, real_disturbance = attacks.gamma_for_disturbance, channel.disturbance_for_error
     real_grid, real_bisect = channel._scan_grid, attacks.bisect
 
@@ -652,6 +664,7 @@ def test_crossover_best_evaluates_a_few_grid_points_and_inverts_no_angle_array(m
         return grid
 
     def bisect_(f, lo, hi, xtol):
+        bisections[xtol] = bisections.get(xtol, 0) + 1
         if xtol != channel.CROSSOVER_DB_TOL / 5.0:  # an angle inversion or a band edge
             return real_bisect(f, lo, hi, xtol)
 
@@ -672,6 +685,9 @@ def test_crossover_best_evaluates_a_few_grid_points_and_inverts_no_angle_array(m
     assert counts["scan"] > 200 and counts["refine"] >= 2
     assert counts["disturbance"] * 5 < counts["scan"]
     assert len(inversions) * 10 < counts["scan"]
+    # one band-edge bisection per strategy, its entry: both first points past the entries
+    # gain, so neither band exit is located; seven angle inversions and two refinements
+    assert bisections == {channel._BAND_XTOL: 2, 1e-13: 7, channel.CROSSOVER_DB_TOL / 5.0: 2}
 
 
 def test_crossover_misses_a_win_narrower_than_one_scan_step(monkeypatch):
