@@ -100,8 +100,11 @@ def _bisect_elementwise(f, lo, hi, xtol: float) -> np.ndarray:
     bit-equal to those of one bisect call per element; the errors are raised
     when any element fails.  f is evaluated on whole arrays; an element that
     has stopped keeps its root while its midpoint, still inside its bracket,
-    is carried along.  The float loop avoids numpy's per-call cost, which
-    dominates a single bracket.
+    is carried along.  f(mid) == 0 is tested at every step, but the
+    elementwise step-width test only once the smallest step, kept as one
+    float, falls below xtol + 4 eps times a bound on every |midpoint|;
+    before that it cannot stop any element.  The float loop avoids numpy's
+    per-call cost, which dominates a single bracket.
     """
     import numpy as np
 
@@ -115,16 +118,26 @@ def _bisect_elementwise(f, lo, hi, xtol: float) -> np.ndarray:
         raise ValueError(f"f({lo.flat[i]}) and f({hi.flat[i]}) must have different signs")
     root = np.where(f_lo == 0.0, lo, hi)
     step = hi - lo
+    # Rounding is monotone, so the halved smallest |step| is exactly the
+    # smallest halved |step|; every midpoint lies in its bracket, inside
+    # 2 max(|lo|, |hi|) even after rounding.
+    min_step = float(np.abs(step).min(initial=math.inf))
+    mid_bound = 2.0 * float(np.maximum(np.abs(lo), np.abs(hi)).max(initial=0.0))
     for _ in range(_BISECT_MAX_STEPS):
         if not active.any():
             return root
         step = step * 0.5
+        min_step *= 0.5
         mid = lo + step
         f_mid = f(mid)
         lo = np.where(f_mid * sign_lo >= 0.0, mid, lo)
-        done = active & ((f_mid == 0.0) | (np.abs(step) < xtol + _BISECT_RTOL * np.abs(mid)))
-        root[done] = mid[done]
-        active &= ~done
+        done = f_mid == 0.0
+        if min_step < xtol + _BISECT_RTOL * mid_bound:
+            done |= np.abs(step) < xtol + _BISECT_RTOL * np.abs(mid)
+        done &= active
+        if done.any():
+            root[done] = mid[done]
+            active &= ~done
     if active.any():
         raise RuntimeError(f"bisection did not converge in {_BISECT_MAX_STEPS} steps")
     return root
@@ -418,7 +431,9 @@ def strategy_b_disturbance(gamma):
     D(gamma) = {1 - (cos(gamma) + 1/sqrt(1+sin^2 gamma)) / sqrt(2(1+cos^2 gamma))}/2,
     zero at gamma=0, 1/4 at gamma=pi/2 and 1/2 at gamma=pi, monotone on [0, pi].
     Takes a float, evaluated with math, or a numpy array, evaluated
-    elementwise with numpy; every gamma must lie in [0, pi].
+    elementwise with numpy; every gamma must lie in [0, pi].  The domain is
+    checked here; the formula itself is _strategy_b_d, which the array
+    inversion calls directly because its midpoints never leave [0, pi/2].
     """
     # A float, as every step of a scalar inversion passes, goes to math
     # before any array test: this function is the inner loop of
@@ -427,6 +442,11 @@ def strategy_b_disturbance(gamma):
     if not (0.0 <= gamma <= math.pi + DOMAIN_SLACK if xp is math
             else xp.all((0.0 <= gamma) & (gamma <= math.pi + DOMAIN_SLACK))):
         raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
+    return _strategy_b_d(xp, gamma)
+
+
+def _strategy_b_d(xp, gamma):
+    """D(gamma) evaluated with the module xp (math or numpy), unchecked."""
     c, s = xp.cos(gamma), xp.sin(gamma)
     return 0.5 * (1.0 - (c + 1.0 / xp.sqrt(1.0 + s * s)) / xp.sqrt(2.0 * (1.0 + c * c)))
 
@@ -458,11 +478,13 @@ def gamma_for_disturbance(disturbance):
 
     Takes a float and returns a float, or takes a numpy array and returns an
     array of the same shape from one elementwise bisection; each gamma is
-    bit-equal to the float result for its disturbance.  Every disturbance
-    must lie in [0, D(pi/2)]; the ends map to 0 and pi/2, the rest are located
-    by bisection to |D(gamma) - D| <= 1e-10.  Angles beyond pi/2 reach larger
-    disturbances but lower information; they are exposed only through direct
-    evaluation at gamma.
+    bit-equal to the float result for its disturbance.  The float bisection
+    evaluates strategy_b_disturbance at each step; the array bisection, whose
+    midpoints all lie in [0, pi/2], evaluates the formula without its domain
+    check.  Every disturbance must lie in [0, D(pi/2)]; the ends map to 0 and
+    pi/2, the rest are located by bisection to |D(gamma) - D| <= 1e-10.
+    Angles beyond pi/2 reach larger disturbances but lower information; they
+    are exposed only through direct evaluation at gamma.
     """
     top = STRATEGY_B_MAX_DISTURBANCE
     np = _numpy_if_array(disturbance)
@@ -474,7 +496,7 @@ def gamma_for_disturbance(disturbance):
         # as endpoint roots.
         d = np.minimum(disturbance, top)
         edge = np.zeros(d.shape)
-        gamma = _bisect_elementwise(lambda g: strategy_b_disturbance(g) - d, edge,
+        gamma = _bisect_elementwise(lambda g: _strategy_b_d(np, g) - d, edge,
                                     edge + math.pi / 2, xtol=1e-13)
         assert np.all(np.abs(strategy_b_disturbance(gamma) - d) <= D_INVERSION_TOL)
         return gamma

@@ -21,15 +21,17 @@ DETERMINANT_TOL = 1e-9
 
 
 def phi(x: float) -> float:
-    """(1+x)log2(1+x) + (1-x)log2(1-x) with 0 log 0 = 0."""
+    """(1+x)log2(1+x) + (1-x)log2(1-x) with 0 log 0 = 0.
+
+    x may exceed [-1, 1] by DOMAIN_SLACK, and every x with |x| >= 1 gives
+    Phi(+-1) = 2 exactly; inside, both terms are evaluated directly, since
+    1 + x and 1 - x are then positive.
+    """
     if not abs(x) <= 1.0 + DOMAIN_SLACK:  # NaN fails this too
         raise ValueError(f"phi argument must lie in [-1, 1], got {x}")
-    x = min(1.0, max(-1.0, x))
-    out = 0.0
-    for t in (1.0 + x, 1.0 - x):
-        if t > 0.0:
-            out += t * math.log2(t)
-    return out
+    if not -1.0 < x < 1.0:
+        return 2.0
+    return (1.0 + x) * math.log2(1.0 + x) + (1.0 - x) * math.log2(1.0 - x)
 
 
 def fuchs_information(disturbance: float) -> float:

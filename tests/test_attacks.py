@@ -379,6 +379,36 @@ def test_array_bisect_keeps_per_element_endpoint_roots():
     assert roots[2] == attacks.bisect(lambda x: x - 2.0, 1.0, 3.0, xtol=1e-12)
 
 
+# (lo, hi, root) of f(x) = x - root: widths from 1e-3 to 8, brackets near 1e6 where
+# 4 eps |mid| sets the stop, a reversed bracket, an endpoint root, and roots that a
+# midpoint hits exactly (f == 0 stops those elements early)
+_MIXED_BRACKETS = [
+    (0.0, 1.0, 0.3),
+    (-2.0, 5.0, 1.7),
+    (0.0, 1e-3, 3e-4),
+    (1e6, 1e6 + 3.0, 1e6 + 1.234),
+    (1e6 - 7.5, 1e6 + 0.5, 1e6 - 2.2),
+    (0.0, 4.0, 1.0),
+    (1e6, 1e6 + 8.0, 1e6 + 5.0),
+    (2.0, -1.0, 0.25),
+    (1.0, 3.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("xtol", [1e-13, 1e-9])
+def test_array_bisect_of_mixed_brackets_is_bit_equal_to_one_bisect_per_element(xtol):
+    lo, hi, r = (np.array(column) for column in zip(*_MIXED_BRACKETS))
+    expected = [attacks.bisect(lambda x: x - t, a, b, xtol=xtol) for a, b, t in _MIXED_BRACKETS]
+    assert expected[5] == 1.0 and expected[6] == 1e6 + 5.0
+    roots = attacks._bisect_elementwise(lambda x: x - r, lo, hi, xtol=xtol)
+    assert np.array_equal(_bits(roots), _bits(expected))
+    # alone, each bracket sets the smallest step and the bound on |mid| itself
+    for i, (a, b, t) in enumerate(_MIXED_BRACKETS):
+        alone = attacks._bisect_elementwise(lambda x: x - t, np.array([a]), np.array([b]),
+                                            xtol=xtol)
+        assert _bits(alone)[0] == _bits(expected[i])
+
+
 def test_array_bisect_raises_when_any_element_fails():
     shift = np.array([0.5, -2.0])
     with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel.infotheory import TwoStateEnsemble, fuchs_information, levitin_information, phi
+from qel.infotheory import (DOMAIN_SLACK, TwoStateEnsemble, fuchs_information,
+                             levitin_information, phi)
 from qel.linalg import Operator
 
 
@@ -52,6 +54,33 @@ def test_phi_rejects_nan_and_inf(bad):
     with pytest.raises(ValueError) as excinfo:
         phi(bad)
     assert str(excinfo.value) == f"phi argument must lie in [-1, 1], got {bad}"
+
+
+def _phi_loop(x):
+    """Phi as one loop over 1 + x and 1 - x, skipping a vanishing term: the reference."""
+    if not abs(x) <= 1.0 + DOMAIN_SLACK:
+        raise ValueError(f"phi argument must lie in [-1, 1], got {x}")
+    x = min(1.0, max(-1.0, x))
+    out = 0.0
+    for t in (1.0 + x, 1.0 - x):
+        if t > 0.0:
+            out += t * math.log2(t)
+    return out
+
+
+def test_phi_is_bit_equal_to_the_loop_form():
+    tiny = sys.float_info.min
+    specials = [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0),
+                1.0 + 5e-13, -1.0 - 5e-13, 5e-324, -5e-324, tiny, -tiny,
+                math.nextafter(tiny, 0.0), -math.nextafter(tiny, 0.0), 1e-17, -1e-17]
+    xs = specials + np.random.default_rng(23).uniform(-1.0, 1.0, 10_000).tolist()
+    assert [phi(x).hex() for x in xs] == [_phi_loop(x).hex() for x in xs]
+    for bad in (math.nan, 1.0 + 2e-12, -1.0 - 2e-12):
+        with pytest.raises(ValueError) as expected:
+            _phi_loop(bad)
+        with pytest.raises(ValueError) as got:
+            phi(bad)
+        assert str(got.value) == str(expected.value)
 
 
 def test_fuchs_endpoints_exact():
