@@ -451,6 +451,13 @@ def _strategy_b_d(xp, gamma):
     return 0.5 * (1.0 - (c + 1.0 / xp.sqrt(1.0 + s * s)) / xp.sqrt(2.0 * (1.0 + c * c)))
 
 
+def _strategy_b_slope(gamma: float) -> float:
+    """dD/dgamma at a float gamma, positive on (0, pi/2]; only Newton steps use it."""
+    c, s = math.cos(gamma), math.sin(gamma)
+    r = 1.0 / math.sqrt(1.0 + s * s)
+    return s * (1.0 + c * r**3 - c * (c + r) / (1.0 + c * c)) / (2.0 * math.sqrt(2.0 * (1.0 + c * c)))
+
+
 def strategy_b_information(gamma: float) -> float:
     """Attacker information of strategy B.
 
@@ -472,17 +479,60 @@ def strategy_b_information(gamma: float) -> float:
 #: Largest disturbance reachable on the gamma branch used for curve inversion.
 STRATEGY_B_MAX_DISTURBANCE = strategy_b_disturbance(math.pi / 2)
 
+#: Clearance of d that certifies a replay bracket; more than twice the float error of D.
+_REPLAY_MARGIN = 4e-15
+
+
+def _replay_inversion(d: float) -> float:
+    """bisect's root of strategy_b_disturbance(g) - d on [0, pi/2], bit for bit, for 0 < d < D(pi/2).
+
+    Newton steps find a root g; a bracket a < g < b widens until D(a) <= d -
+    margin <= d + margin <= D(b).  D is monotone with float error below
+    margin/2, so D < d at every midpoint below a and D > d above b: bisect's
+    steps are replayed, evaluating D only at the midpoints in [a, b].
+    """
+    top = math.pi / 2
+    g = math.pi * math.sqrt(d)  # (pi/2) sqrt(d/D(pi/2)), since D(pi/2) = 1/4
+    for _ in range(8):
+        slope = _strategy_b_slope(g)
+        dg = (_strategy_b_d(math, g) - d) / slope
+        g = min(max(g - dg, 0.5 * g), top)  # g stays positive, where the slope is
+        if abs(dg) < 1e-9:
+            break
+    # An end past 0 or pi/2 is as good as the clamped one: no midpoint lies beyond it.
+    a, b = g - 2.0 * _REPLAY_MARGIN / slope, g + 2.0 * _REPLAY_MARGIN / slope
+    while a > 0.0 and strategy_b_disturbance(a) > d - _REPLAY_MARGIN:
+        a = g - 4.0 * (g - a)
+    while b < top and strategy_b_disturbance(b) < d + _REPLAY_MARGIN:
+        b = g + 4.0 * (b - g)
+    lo, step = 0.0, top
+    for _ in range(_BISECT_MAX_STEPS):
+        step *= 0.5
+        mid = lo + step
+        if mid < a:
+            lo = mid
+        elif mid <= b:
+            f_mid = strategy_b_disturbance(mid) - d
+            if f_mid <= 0.0:
+                lo = mid
+            if f_mid == 0.0:
+                return mid
+        if step < 1e-13 + _BISECT_RTOL * mid:
+            return mid
+    raise RuntimeError(f"bisection did not converge in {_BISECT_MAX_STEPS} steps")
+
 
 def gamma_for_disturbance(disturbance):
     """Invert D(gamma) on the monotone branch gamma in [0, pi/2].
 
     Takes a float and returns a float, or takes a numpy array and returns an
     array of the same shape from one elementwise bisection; each gamma is
-    bit-equal to the float result for its disturbance.  The float bisection
-    evaluates strategy_b_disturbance at each step; the array bisection, whose
-    midpoints all lie in [0, pi/2], evaluates the formula without its domain
-    check.  Every disturbance must lie in [0, D(pi/2)]; the ends map to 0 and
-    pi/2, the rest are located by bisection to |D(gamma) - D| <= 1e-10.
+    bit-equal to the float result for its disturbance.  A float's bisection
+    is replayed, evaluating strategy_b_disturbance only near the root; the
+    array bisection, whose midpoints all lie in [0, pi/2], evaluates the
+    formula without its domain check.  Every disturbance must lie in
+    [0, D(pi/2)]; the ends map to 0 and pi/2, the rest are located by
+    bisection to |D(gamma) - D| <= 1e-10.
     Angles beyond pi/2 reach larger disturbances but lower information; they
     are exposed only through direct evaluation at gamma.
     """
@@ -507,9 +557,9 @@ def gamma_for_disturbance(disturbance):
         return 0.0
     if d >= top:
         return math.pi / 2
-    gamma = bisect(lambda g: strategy_b_disturbance(g) - d, 0.0, math.pi / 2, xtol=1e-13)
+    gamma = _replay_inversion(d)
     assert abs(strategy_b_disturbance(gamma) - d) <= D_INVERSION_TOL
-    return float(gamma)
+    return gamma
 
 
 def cloning_information(strategy: str, disturbances: list[float]) -> list[float | None]:

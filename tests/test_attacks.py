@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,94 @@ def test_array_bisect_raises_when_any_element_fails():
     shift = np.array([0.5, 1e-300])
     with pytest.raises(RuntimeError):
         attacks._bisect_elementwise(lambda x: x - shift, np.zeros(2), np.ones(2), xtol=1e-310)
+
+
+# -- float D(gamma) inversion by a certified replay of bisect -----------------
+
+def _bisect_float_inversion(d: float) -> float:
+    """The float branch of gamma_for_disturbance as a plain bisect on the checked D, every step evaluated."""
+    top = attacks.STRATEGY_B_MAX_DISTURBANCE
+    if d <= 0.0:
+        return 0.0
+    if d >= top:
+        return math.pi / 2
+    return float(attacks.bisect(lambda g: strategy_b_disturbance(g) - d, 0.0, math.pi / 2, xtol=1e-13))
+
+
+def _replay_disturbances() -> list[float]:
+    """10,000 seeded uniforms, 1,000 below 1e-6, tiny and near-top specials, and the curve grid."""
+    top = attacks.STRATEGY_B_MAX_DISTURBANCE
+    rng = random.Random(20261019)
+    ds = [rng.uniform(0.0, top) for _ in range(10_000)] + [rng.uniform(0.0, 1e-6) for _ in range(1_000)]
+    ds += [5e-324, 1e-300] + [10.0**-k for k in range(1, 296)]
+    ds += [top * (1.0 - 10.0**-k) for k in range(1, 17)] + [math.nextafter(top, 0.0), 0.0, top]
+    return ds + [d for d in attacks.default_disturbance_grid() if d <= top]
+
+
+def test_float_inversion_replay_is_bit_equal_to_a_plain_bisect():
+    ds = _replay_disturbances()
+    assert len(ds) > 11_000
+    got = [gamma_for_disturbance(d) for d in ds]
+    assert all(type(g) is float for g in got)
+    assert _bits(got).tolist() == _bits([_bisect_float_inversion(d) for d in ds]).tolist()
+
+
+def _taylor_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos x and sin x of a Decimal x in [0, 2] by their Taylor series, at the context's precision."""
+    cos = sin = Decimal(0)
+    term, n = Decimal(1), 0
+    while term > Decimal("1e-70"):
+        if n % 4 == 0:
+            cos += term
+        elif n % 4 == 1:
+            sin += term
+        elif n % 4 == 2:
+            cos -= term
+        else:
+            sin -= term
+        n += 1
+        term = term * x / n
+    return cos, sin
+
+
+def test_float_d_error_is_within_a_quarter_of_the_replay_margin():
+    # the replay skips a midpoint outside its bracket only because D is monotone and its
+    # float error stays below half the margin; here it is checked against 50 digits
+    rng = random.Random(20261020)
+    gammas = [0.0, math.pi / 2] + [rng.uniform(0.0, math.pi / 2) for _ in range(2_000)]
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for gamma in gammas:
+            c, s = _taylor_cos_sin(Decimal(gamma))
+            ref = (1 - (c + 1 / (1 + s * s).sqrt()) / (2 * (1 + c * c)).sqrt()) / 2
+            worst = max(worst, abs(float(Decimal(attacks._strategy_b_d(math, gamma)) - ref)))
+    assert worst <= attacks._REPLAY_MARGIN / 4
+
+
+def test_float_inversion_evaluates_d_a_few_times_and_the_checked_d_at_least_twice(monkeypatch):
+    calls = {"formula": 0, "slope": 0, "checked": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    # the checked D calls the formula through the module, so "formula" counts every evaluation
+    monkeypatch.setattr(attacks, "_strategy_b_d", counted("formula", attacks._strategy_b_d))
+    monkeypatch.setattr(attacks, "_strategy_b_slope", counted("slope", attacks._strategy_b_slope))
+    monkeypatch.setattr(attacks, "strategy_b_disturbance",
+                        counted("checked", attacks.strategy_b_disturbance))
+    top = attacks.STRATEGY_B_MAX_DISTURBANCE
+    rng = random.Random(20261021)
+    evaluations = []
+    for d in (rng.uniform(0.0, top) for _ in range(1_000)):
+        calls.update(formula=0, slope=0, checked=0)
+        gamma_for_disturbance(d)
+        assert calls["checked"] >= 2
+        evaluations.append(calls["formula"] + calls["slope"])
+    assert sum(evaluations) / len(evaluations) <= 16
 
 
 # -- cloning information -----------------------------------------------------

@@ -665,7 +665,7 @@ def test_crossover_best_evaluates_a_few_grid_points_and_inverts_no_angle_array(m
 
     def bisect_(f, lo, hi, xtol):
         bisections[xtol] = bisections.get(xtol, 0) + 1
-        if xtol != channel.CROSSOVER_DB_TOL / 5.0:  # an angle inversion or a band edge
+        if xtol != channel.CROSSOVER_DB_TOL / 5.0:  # a band edge
             return real_bisect(f, lo, hi, xtol)
 
         def midpoint(x):
@@ -686,8 +686,10 @@ def test_crossover_best_evaluates_a_few_grid_points_and_inverts_no_angle_array(m
     assert counts["disturbance"] * 5 < counts["scan"]
     assert len(inversions) * 10 < counts["scan"]
     # one band-edge bisection per strategy, its entry: both first points past the entries
-    # gain, so neither band exit is located; seven angle inversions and two refinements
-    assert bisections == {channel._BAND_XTOL: 2, 1e-13: 7, channel.CROSSOVER_DB_TOL / 5.0: 2}
+    # gain, so neither band exit is located; two refinements.  The seven float angle
+    # inversions replay their bisection without calling bisect.
+    assert bisections == {channel._BAND_XTOL: 2, channel.CROSSOVER_DB_TOL / 5.0: 2}
+    assert inversions == ["float"] * 7
 
 
 def test_crossover_misses_a_win_narrower_than_one_scan_step(monkeypatch):
