@@ -212,8 +212,7 @@ def _strategy_a_terms():
     """The columns kron(s, phi+), kron(sz~ s, phi-), kron(sx~ s, psi+), kron(sy~ s, psi-), read-only."""
     import numpy as np
 
-    from .linalg import _freeze
-    from .optics import _I2, PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
+    from .optics import _I2, PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, _freeze
 
     tz, tx, ty = (np.kron(sigma, _I2) + np.kron(_I2, sigma) for sigma in (SIGMA_Z, SIGMA_X, SIGMA_Y))
     return tuple(_freeze(np.kron(t, ket[:, None])) for t, ket in
@@ -291,8 +290,7 @@ def clone_a_disturbance(beta: float) -> float:
     import numpy as np
 
     from .detection import conditional_error_rate
-    from .linalg import partial_trace
-    from .optics import SIGNALS, symmetric_encode
+    from .optics import SIGNALS, partial_trace, symmetric_encode
 
     u = strategy_a_unitary(beta)
     out = np.array([u @ np.kron(symmetric_encode(signal), [1.0, 0.0, 0.0, 0.0]) for signal in SIGNALS])

@@ -21,26 +21,35 @@ bit, which is what makes them contribute error 1/2.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .linalg import Operator
-from .optics import Basis, fock_from_symmetric
+from .optics import Basis, _freeze, fock_from_symmetric
 
 
-@dataclass(frozen=True)
-class DetectorModel:
-    """Detection efficiency plus the photon-number cutoff of povm_elements."""
+class DetectorModel(namedtuple("DetectorModel", "eta_det cutoff")):
+    """Detection efficiency plus the photon-number cutoff of povm_elements, as an immutable named tuple."""
 
-    eta_det: float
-    cutoff: int = 10
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.eta_det <= 1.0:
-            raise ValueError(f"eta_det must lie in [0, 1], got {self.eta_det}")
-        if self.cutoff < 2:
-            raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
+    def __new__(cls, eta_det: float, cutoff: int = 10):
+        if not 0.0 <= eta_det <= 1.0:
+            raise ValueError(f"eta_det must lie in [0, 1], got {eta_det}")
+        if cutoff < 2:
+            raise ValueError(f"cutoff must be at least 2, got {cutoff}")
+        return super().__new__(cls, eta_det, cutoff)
+
+    @classmethod
+    def _make(cls, iterable) -> "DetectorModel":
+        # namedtuple's _make, which _replace also calls, would skip the checks
+        return cls(*iterable)
+
+
+class PovmElement(namedtuple("PovmElement", "entries")):
+    """One POVM element, as a named tuple of its matrix."""
+
+    __slots__ = ()
 
 
 class DetectionOutcome(enum.IntEnum):
@@ -60,17 +69,18 @@ def outcome_probabilities(n, m, eta_det: float) -> np.ndarray:
     return np.stack([pn * pm, (1.0 - pn) * pm, (1.0 - pm) * pn, (1.0 - pn) * (1.0 - pm)], -1)
 
 
-def povm_elements(model: DetectorModel) -> dict[DetectionOutcome, Operator]:
+def povm_elements(model: DetectorModel) -> dict[DetectionOutcome, PovmElement]:
     """The four POVM elements on the truncated two-mode Fock space.
 
     Occupations are ordered |n, m> -> n * (cutoff + 1) + m with n counting
     photons in the bit-0 mode of the measurement basis; in that ordering the
     elements are the same for every basis.  All four are diagonal and sum to
-    the identity.
+    the identity; each is a PovmElement whose .entries is a read-only
+    complex matrix.
     """
     k = model.cutoff + 1
     probs = outcome_probabilities(*np.divmod(np.arange(k * k), k), model.eta_det)
-    return {outcome: Operator(np.diag(probs[:, outcome]).astype(complex)) for outcome in DetectionOutcome}
+    return {outcome: PovmElement(_freeze(np.diag(probs[:, outcome]))) for outcome in DetectionOutcome}
 
 
 def outcome_distribution(occupations: dict, eta_det: float) -> np.ndarray:

@@ -50,8 +50,8 @@ def fuchs_information(disturbance: float) -> float:
 class TwoStateEnsemble(namedtuple("TwoStateEnsemble", "rho0 rho1")):
     """Two equiprobable states of equal dimension, as an immutable named tuple.
 
-    The states are square arrays or linalg.Operator values.  Two equal-shape
-    stacks of arrays form a stack of ensembles, pair i being (rho0[i], rho1[i]).
+    The states are square arrays.  Two equal-shape stacks of them form a
+    stack of ensembles, pair i being (rho0[i], rho1[i]).
     """
 
     __slots__ = ()
@@ -59,7 +59,7 @@ class TwoStateEnsemble(namedtuple("TwoStateEnsemble", "rho0 rho1")):
     def __new__(cls, rho0, rho1):
         import numpy as np
 
-        from .linalg import check_density
+        from .optics import check_density
 
         if np.shape(rho0) != np.shape(rho1):
             raise ValueError("ensemble states must share a dimension")

@@ -5,19 +5,67 @@ bases: rectilinear and diagonal for the PNS process and strategy A, diagonal
 and circular for strategy B.  Two-photon pulses carry both photons in the
 same polarization, so they live in the three-dimensional symmetric subspace
 of two qubits, spanned by |00>, (|01>+|10>)/sqrt(2) and |11>.
+
+Kets are read-only 1-D complex arrays and operators are square complex
+arrays or (..., d, d) stacks of them.
 """
 from __future__ import annotations
 
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .linalg import _freeze
-
 SINGLET_TOL = 1e-9
+HERMITICITY_TOL = 1e-9
+
+
+def _freeze(arr) -> np.ndarray:
+    """Read-only complex copy of an array."""
+    out = np.array(arr, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
+def partial_trace(rho, keep: str, dims: tuple[int, int]) -> np.ndarray:
+    """Trace out one factor of a bipartite operator on H_A (x) H_B.
+
+    Args:
+        rho: operator on the product space, dimension d_A * d_B, or a stack
+            of them, which gives the stack of results.
+        keep: "a" to return the operator on H_A, "b" for H_B.
+        dims: (d_A, d_B).
+    """
+    d_a, d_b = dims
+    if d_a <= 0 or d_b <= 0:
+        raise ValueError("subsystem dimensions must be positive")
+    m = np.asarray(rho)
+    if m.shape[-2:] != (d_a * d_b, d_a * d_b):
+        raise ValueError(f"operator dimension {m.shape[-1]} does not equal {d_a} * {d_b}")
+    r = m.reshape(m.shape[:-2] + (d_a, d_b, d_a, d_b))
+    if keep == "a":
+        return np.einsum("...ijkj->...ik", r)
+    if keep == "b":
+        return np.einsum("...ijik->...jk", r)
+    raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
+
+
+def check_density(op) -> bool:
+    """True iff op, or every operator in a stack, is finite, Hermitian, positive semidefinite and unit trace.
+
+    Each condition holds within HERMITICITY_TOL.
+    """
+    m = np.asarray(op)
+    if not np.all(np.isfinite(m)):  # NaN fails every comparison below
+        return False
+    if np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) > HERMITICITY_TOL:
+        return False
+    if np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)) > HERMITICITY_TOL:
+        return False
+    eigs = np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2).conj()) / 2)
+    return bool(eigs.min() >= -HERMITICITY_TOL)
 
 
 class Basis(enum.Enum):
@@ -26,16 +74,20 @@ class Basis(enum.Enum):
     CIRCULAR = "circular"
 
 
-@dataclass(frozen=True)
-class Bb84Signal:
-    """One of the four BB84 polarization signals: a basis tag plus a bit."""
+class Bb84Signal(namedtuple("Bb84Signal", "basis bit")):
+    """One of the four BB84 polarization signals: a basis tag plus a bit, as an immutable named tuple."""
 
-    basis: Basis
-    bit: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.bit}")
+    def __new__(cls, basis: Basis, bit: int):
+        if bit not in (0, 1):
+            raise ValueError(f"bit must be 0 or 1, got {bit}")
+        return super().__new__(cls, basis, bit)
+
+    @classmethod
+    def _make(cls, iterable) -> "Bb84Signal":
+        # namedtuple's _make, which _replace also calls, would skip the check
+        return cls(*iterable)
 
 
 SIGNALS = (

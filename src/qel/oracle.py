@@ -13,16 +13,15 @@ settings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
 from . import attacks, channel
 from .detection import DetectionOutcome, conditional_error_rate, outcome_distribution
-from .linalg import _freeze, partial_trace
 from .optics import (KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGNALS,
-                     STRATEGY_B_SIGNALS, Basis, Bb84Signal, basis_kets, signal_ket,
-                     singlet_weight, symmetric_encode, fock_from_symmetric)
+                     STRATEGY_B_SIGNALS, Basis, Bb84Signal, _freeze, basis_kets, partial_trace,
+                     signal_ket, singlet_weight, symmetric_encode, fock_from_symmetric)
 
 # The ordered diagonal product basis |++>, |+->, |-+>, |-->, in which the
 # strategy-B probe matrices are laid out.  Qubit blocks of the blockwise
@@ -133,7 +132,7 @@ def numeric_two_state_info_stack(rho0, rho1) -> np.ndarray:
 
 
 def numeric_two_state_info(rho0, rho1) -> float:
-    """numeric_two_state_info_stack for one pair of qubit states, arrays or Operators."""
+    """numeric_two_state_info_stack for one pair of qubit states."""
     return float(numeric_two_state_info_stack(np.asarray(rho0)[None], np.asarray(rho1)[None])[0])
 
 
@@ -177,21 +176,16 @@ def _blockwise_numeric_info(rho_plus, rho_minus, blocks) -> np.ndarray:
 # Cloner simulations
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimulationReport:
-    """Simulation-versus-closed-form comparison for one cloning machine setting.
+class SimulationReport(namedtuple("SimulationReport", "disturbance probe_plus probe_minus info_closed_form "
+                                                       "info_measurement_search deltas")):
+    """Simulation-versus-closed-form comparison for one cloning machine setting, as a named tuple.
 
     deltas holds named absolute deviations; every value is finite and the
     report is reproducible from the machine parameter and the seed.  The
     probes are the attacker's states for the diagonal signals, as arrays.
     """
 
-    disturbance: float
-    probe_plus: np.ndarray
-    probe_minus: np.ndarray
-    info_closed_form: float
-    info_measurement_search: float
-    deltas: dict = field(default_factory=dict)
+    __slots__ = ()
 
 
 def _signal_states(us: np.ndarray, kets: np.ndarray):
@@ -331,22 +325,13 @@ def simulate_strategy_b(gamma: float, *, eta_det: float, rng_seed: int) -> Simul
 # Per-pulse Monte Carlo
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonteCarloStats:
-    """Empirical per-pulse protocol statistics with binomial standard errors."""
+class MonteCarloStats(namedtuple("MonteCarloStats", "attack disturbance eta_det n_pulses seed raw_clicks "
+                                                     "sifted_bits sifted_errors double_clicks_matched "
+                                                     "double_clicks_mismatched expected_raw_click_rate "
+                                                     "expected_sifted_error_rate")):
+    """Empirical per-pulse protocol statistics with binomial standard errors, as a named tuple."""
 
-    attack: str
-    disturbance: float
-    eta_det: float
-    n_pulses: int
-    seed: int
-    raw_clicks: int
-    sifted_bits: int
-    sifted_errors: int
-    double_clicks_matched: int
-    double_clicks_mismatched: int
-    expected_raw_click_rate: float
-    expected_sifted_error_rate: float
+    __slots__ = ()
 
     @property
     def raw_click_rate(self) -> float:

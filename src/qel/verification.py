@@ -7,7 +7,7 @@ report serializes to the qel/1 JSON schema emitted by the command line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -15,36 +15,34 @@ from . import VERIFY_PULSES, VERIFY_SEED, attacks, channel, oracle
 from .infotheory import TwoStateEnsemble, levitin_information
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    tolerance: float
-    delta: float
+class CheckResult(namedtuple("CheckResult", "name tolerance delta")):
+    """One named check; tolerance and delta are converted to float."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "delta", float(self.delta))
+    __slots__ = ()
+
+    def __new__(cls, name: str, tolerance: float, delta: float):
+        return super().__new__(cls, name, float(tolerance), float(delta))
+
+    @classmethod
+    def _make(cls, iterable) -> "CheckResult":
+        # namedtuple's _make, which _replace also calls, would skip the conversion
+        return cls(*iterable)
 
     @property
     def passed(self) -> bool:
         return math.isfinite(self.delta) and self.delta <= self.tolerance
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    checks: tuple
+class SuiteResult(namedtuple("SuiteResult", "name checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    seed: int
-    n_pulses: int
-    suites: tuple
+class VerificationReport(namedtuple("VerificationReport", "seed n_pulses suites")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -20,8 +20,8 @@ from qel.attacks import (clone_a_disturbance, clone_a_params_for_disturbance,
                          strategy_b_disturbance, strategy_b_information,
                          strategy_b_probe_matrices, strategy_b_unitary)
 from qel.infotheory import DOMAIN_SLACK, fuchs_information, phi
-from qel.linalg import Operator, check_density, partial_trace
-from qel.optics import PHI_PLUS, PSI_PLUS, SIGNALS, singlet_weight, symmetric_encode
+from qel.optics import (PHI_PLUS, PSI_PLUS, SIGNALS, check_density, partial_trace, singlet_weight,
+                        symmetric_encode)
 
 
 # -- PNS ---------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_strategy_a_bob_marginal_stays_symmetric(beta):
     u = strategy_a_unitary(beta)
     for signal in SIGNALS[:2]:
         out = u @ np.kron(symmetric_encode(signal), [1, 0, 0, 0])
-        rho = Operator(np.outer(out, out.conj()))
+        rho = np.outer(out, out.conj())
         bob = partial_trace(rho, keep="a", dims=(4, 4))
         assert singlet_weight(bob) <= 1e-12
 
@@ -261,8 +261,8 @@ def test_strategy_b_probe_matrices_structure():
     assert np.allclose(m_p / 16.0, np.outer(bell, bell), atol=1e-12)
     for gamma in np.linspace(0.0, math.pi, 15):
         m_p, m_m = strategy_b_probe_matrices(float(gamma))
-        assert check_density(Operator(m_p / 16.0))
-        assert check_density(Operator(m_m / 16.0))
+        assert check_density(m_p / 16.0)
+        assert check_density(m_m / 16.0)
         assert np.allclose(m_m, m_p[::-1, ::-1], atol=1e-12)  # a<->c, d<->f swap
 
 

@@ -395,6 +395,16 @@ def test_verify_detects_tampered_coefficient(capsys, monkeypatch):
     assert "verification failed" in err
 
 
+def test_check_result_converts_tolerance_and_delta_to_float_through_every_constructor():
+    check = verification.CheckResult("c", 0, 1)
+    for made in (check, verification.CheckResult._make(("c", 0, 1)), check._replace(delta=1)):
+        assert made == ("c", 0.0, 1.0)
+        assert type(made.tolerance) is float and type(made.delta) is float
+        assert json.dumps(made._asdict()) == '{"name": "c", "tolerance": 0.0, "delta": 1.0}'
+    with pytest.raises(AttributeError):
+        check.delta = 0.0
+
+
 @pytest.mark.parametrize("module, name, argv", [
     (verification, "run_verification", ["verify", "--pulses", "1000000000000"]),
     (attacks, "information_curves", ["info-curves", "--eta-det", "0.2", "--steps", "5"]),
@@ -467,6 +477,11 @@ def test_light_commands_load_neither_numpy_nor_scipy(argv):
 @LIGHT_COMMANDS
 def test_light_commands_load_neither_dataclasses_nor_inspect(argv):
     assert loaded_by_light_command(argv, {"dataclasses", "inspect"}) == "[]"
+
+
+def test_verify_loads_no_dataclasses():
+    # every qel record is a named tuple, and numpy 2.4 loads no dataclasses either
+    assert loaded_by_light_command(["verify", "--pulses", "100000", "--seed", "7"], {"dataclasses"}) == "[]"
 
 
 def test_package_names_resolve_from_their_modules():

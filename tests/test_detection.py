@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from qel.detection import (DetectionOutcome, DetectorModel, conditional_error_rate,
                            outcome_distribution, outcome_probabilities, povm_elements)
-from qel.linalg import Operator
 from qel.optics import Basis, Bb84Signal, fock_from_symmetric, symmetric_encode
 
 
-def density(ket) -> Operator:
-    return Operator(np.outer(ket, ket.conj()))
+def density(ket) -> np.ndarray:
+    return np.outer(ket, ket.conj())
 
 
 def test_detector_model_validation():
@@ -17,6 +16,28 @@ def test_detector_model_validation():
         DetectorModel(eta_det=1.2)
     with pytest.raises(ValueError):
         DetectorModel(eta_det=0.5, cutoff=1)
+
+
+def test_detector_model_checks_its_fields_through_every_constructor():
+    model = DetectorModel(eta_det=0.3, cutoff=4)
+    assert model == (0.3, 4) and DetectorModel(0.3).cutoff == 10
+    assert model._replace(cutoff=5) == DetectorModel(0.3, 5)
+    for fields, message in (((1.2, 4), "eta_det must lie in"), ((0.3, 1), "cutoff must be at least 2")):
+        with pytest.raises(ValueError, match=message):
+            DetectorModel(*fields)
+        with pytest.raises(ValueError, match=message):
+            DetectorModel._make(fields)
+        with pytest.raises(ValueError, match=message):
+            model._replace(**dict(zip(DetectorModel._fields, fields)))
+    with pytest.raises(AttributeError):
+        model.eta_det = 0.5
+
+
+def test_povm_entries_are_read_only_complex_matrices():
+    for element in povm_elements(DetectorModel(eta_det=0.3, cutoff=4)).values():
+        assert element.entries.shape == (25, 25) and element.entries.dtype == complex
+        with pytest.raises(ValueError):
+            element.entries[0, 0] = 0.0
 
 
 def test_povm_vacuum_element_ideal_detector():

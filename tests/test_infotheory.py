@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from qel.infotheory import (DOMAIN_SLACK, TwoStateEnsemble, fuchs_information,
                              levitin_information, phi)
-from qel.linalg import Operator
 
 
-def pure(amplitudes) -> Operator:
+def pure(amplitudes) -> np.ndarray:
     v = np.asarray(amplitudes, dtype=complex)
     v = v / np.linalg.norm(v)
-    return Operator(np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
 def test_phi_endpoints_exact():
@@ -115,9 +114,9 @@ def test_ensemble_is_an_immutable_named_record():
     with pytest.raises(AttributeError):
         ens.weight = 0.5
     with pytest.raises(ValueError) as excinfo:
-        TwoStateEnsemble(rho0, Operator(np.eye(3) / 3))
+        TwoStateEnsemble(rho0, np.eye(3) / 3)
     assert str(excinfo.value) == "ensemble states must share a dimension"
-    not_density = Operator(np.diag([0.9, 0.2]))
+    not_density = np.diag([0.9, 0.2])
     with pytest.raises(ValueError) as excinfo:
         TwoStateEnsemble(not_density, rho1)
     assert str(excinfo.value) == "rho0 is not a valid density operator"
@@ -163,14 +162,14 @@ def test_levitin_pure_states_with_overlap(x):
 
 
 def test_levitin_rejects_unequal_determinants():
-    rho0 = Operator(np.diag([0.9, 0.1]))
-    rho1 = Operator(np.diag([0.5, 0.5]))
+    rho0 = np.diag([0.9, 0.1])
+    rho1 = np.diag([0.5, 0.5])
     with pytest.raises(ValueError):
         levitin_information(TwoStateEnsemble(rho0, rho1))
 
 
 def test_levitin_requires_qubits():
-    rho = Operator(np.eye(3) / 3)
+    rho = np.eye(3) / 3
     with pytest.raises(ValueError):
         levitin_information(TwoStateEnsemble(rho, rho))
 
@@ -188,11 +187,10 @@ def test_levitin_unitary_invariance(seed):
         return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
     u0, u1, u = haar(), haar(), haar()
-    rho0 = Operator(u0 @ diag @ u0.conj().T)
-    rho1 = Operator(u1 @ diag @ u1.conj().T)
+    rho0 = u0 @ diag @ u0.conj().T
+    rho1 = u1 @ diag @ u1.conj().T
     base = levitin_information(TwoStateEnsemble(rho0, rho1))
-    rotated = TwoStateEnsemble(Operator(u @ rho0.entries @ u.conj().T),
-                               Operator(u @ rho1.entries @ u.conj().T))
+    rotated = TwoStateEnsemble(u @ rho0 @ u.conj().T, u @ rho1 @ u.conj().T)
     assert levitin_information(rotated) == pytest.approx(base, abs=1e-12)
 
 

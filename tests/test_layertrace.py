@@ -22,15 +22,16 @@ def test_tracer_wraps_every_target_and_restores_the_originals(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layertrace = importlib.import_module("layertrace")
     before = _qel_namespaces()
-    post_init = vars(qel.linalg.Operator)["__post_init__"]
 
     tracer = layertrace.Tracer().install()
     try:
-        expected = set(layertrace.TARGETS)
+        # qel has no linalg module, so the tracer skips its two targets and no others
+        gone = {"linalg.partial_trace", "linalg.Operator.__post_init__"}
+        assert "qel.linalg" not in sys.modules
+        expected = set(layertrace.TARGETS) - gone
         expected |= {f"verification._suite_{suite}" for suite in layertrace.SUITES}
         assert set(tracer.stats) == expected
-        assert qel.oracle.partial_trace is not before["qel.linalg"]["partial_trace"]
-        assert vars(qel.linalg.Operator)["__post_init__"] is not post_init
+        assert not gone & set(tracer.stats)
         qel.attacks.gamma_for_disturbance(0.1)
         assert tracer.stats["attacks.gamma_for_disturbance"][0] == 1
         assert tracer.stats["attacks.strategy_b_disturbance"][0] > 1
@@ -41,4 +42,3 @@ def test_tracer_wraps_every_target_and_restores_the_originals(monkeypatch):
     for name, namespace in before.items():
         for attr, value in namespace.items():
             assert after[name][attr] is value, f"{name}.{attr} not restored"
-    assert vars(qel.linalg.Operator)["__post_init__"] is post_init

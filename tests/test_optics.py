@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qel import optics
-from qel.linalg import Operator
-from qel.optics import (SIGNALS, Basis, Bb84Signal, basis_kets, fock_from_symmetric,
-                        signal_ket, singlet_weight, symmetric_encode)
+from qel.optics import (SIGNALS, Basis, Bb84Signal, basis_kets, check_density, fock_from_symmetric,
+                        partial_trace, signal_ket, singlet_weight, symmetric_encode)
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 
-def density(ket) -> Operator:
-    return Operator(np.outer(ket, np.conj(ket)))
+def density(ket) -> np.ndarray:
+    return np.outer(ket, np.conj(ket))
 
 
 def test_signal_kets():
@@ -61,6 +60,18 @@ def test_exactly_four_signals():
         Bb84Signal(Basis.RECTILINEAR, 2)
 
 
+def test_bb84_signal_checks_its_bit_through_every_constructor():
+    signal = Bb84Signal(Basis.DIAGONAL, 0)
+    assert signal == (Basis.DIAGONAL, 0)
+    assert signal._replace(bit=1) == SIGNALS[3]
+    for make in (lambda: Bb84Signal(Basis.DIAGONAL, 2), lambda: Bb84Signal._make((Basis.DIAGONAL, 2)),
+                 lambda: signal._replace(bit=2)):
+        with pytest.raises(ValueError, match="bit must be 0 or 1, got 2"):
+            make()
+    with pytest.raises(AttributeError):
+        signal.bit = 1
+
+
 @pytest.mark.parametrize("signals", [SIGNALS, optics.STRATEGY_B_SIGNALS])
 def test_signal_i_carries_bit_i_mod_2_in_basis_i_div_2(signals):
     # The Monte Carlo's sifting masks read each signal's bit and basis from its index.
@@ -96,7 +107,7 @@ def test_fock_rectilinear_cases():
 def test_fock_of_a_mixture_is_the_mixture_of_focks():
     rho_0 = density(symmetric_encode(Bb84Signal(Basis.DIAGONAL, 1)))
     rho_1 = density(symmetric_encode(Bb84Signal(Basis.RECTILINEAR, 1)))
-    mixed = fock_from_symmetric(Operator(0.3 * rho_0.entries + 0.7 * rho_1.entries),
+    mixed = fock_from_symmetric(0.3 * rho_0 + 0.7 * rho_1,
                                 Basis.RECTILINEAR)
     occ_0 = fock_from_symmetric(rho_0, Basis.RECTILINEAR)
     occ_1 = fock_from_symmetric(rho_1, Basis.RECTILINEAR)
@@ -141,5 +152,80 @@ def test_fock_rejects_wrong_dimension():
 
 
 def test_singlet_weight_of_operator():
-    rho = Operator(np.eye(4) / 4)
+    rho = np.eye(4) / 4
     assert singlet_weight(rho) == pytest.approx(0.25, abs=1e-12)
+
+
+def random_density(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = z @ z.conj().T
+    return m / np.trace(m)
+
+
+def test_partial_trace_product_state():
+    rng = np.random.default_rng(7)
+    rho_a = random_density(rng, 3)
+    rho_b = random_density(rng, 4)
+    joint = np.kron(rho_a, rho_b)
+    back = partial_trace(joint, keep="a", dims=(3, 4))
+    assert np.max(np.abs(back - rho_a)) <= 1e-12
+    back_b = partial_trace(joint, keep="b", dims=(3, 4))
+    assert np.max(np.abs(back_b - rho_b)) <= 1e-12
+
+
+def test_partial_trace_bell_state():
+    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    rho = np.outer(bell, bell)
+    for keep in ("a", "b"):
+        red = partial_trace(rho, keep=keep, dims=(2, 2))
+        assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_partial_trace_preserves_trace(seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, 4)
+    red = partial_trace(rho, keep="a", dims=(2, 2))
+    assert abs(np.trace(red) - 1.0) <= 1e-12
+    assert check_density(red)
+
+
+def test_partial_trace_dimension_mismatch():
+    rho = random_density(np.random.default_rng(0), 4)
+    with pytest.raises(ValueError):
+        partial_trace(rho, keep="a", dims=(3, 2))
+    with pytest.raises(ValueError):
+        partial_trace(rho, keep="c", dims=(2, 2))
+
+
+def test_check_density_accepts_maximally_mixed():
+    assert check_density(np.eye(2) / 2)
+
+
+def test_check_density_rejects_negative_eigenvalue():
+    assert not check_density(np.diag([1.0, -1e-3]))
+
+
+def test_check_density_rejects_nonhermitian_and_traceless():
+    assert not check_density(np.array([[0.5, 0.3], [0.1, 0.5]]))
+    assert not check_density(np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_check_density_rejects_nonfinite_entries(bad):
+    # eigvalsh of [[nan, 0], [0, 1]] is [0, -0], and NaN fails every tolerance comparison
+    assert not check_density(np.array([[bad, 0.0], [0.0, 1.0]]))
+    assert not check_density(np.array([[0.5, bad], [np.conj(bad), 0.5]]))
+    stack = np.array([np.eye(2) / 2, [[bad, 0.0], [0.0, 1.0]]])
+    assert check_density(stack[0]) and not check_density(stack)
+
+
+def test_check_density_on_cloner_probe_states():
+    # probes constructed from the machine itself
+    from qel.oracle import simulate_strategy_a
+
+    report = simulate_strategy_a(beta=np.sqrt(0.05), eta_det=0.5, rng_seed=1)
+    assert abs(report.disturbance - 0.1) < 1e-12
+    assert check_density(report.probe_plus)
+    assert check_density(report.probe_minus)

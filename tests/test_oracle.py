@@ -11,7 +11,6 @@ from qel import VERIFY_SEED, attacks, verification
 from qel.channel import ChannelScenario
 from qel.detection import DetectionOutcome
 from qel.infotheory import TwoStateEnsemble, levitin_information, phi
-from qel.linalg import Operator
 from qel import oracle
 from qel.optics import PHI_PLUS, SIGNALS, STRATEGY_B_SIGNALS
 from qel.oracle import (monte_carlo_protocol, numeric_two_state_info,
@@ -19,10 +18,10 @@ from qel.oracle import (monte_carlo_protocol, numeric_two_state_info,
 from qel.verification import random_equal_determinant_ensemble
 
 
-def pure(amplitudes) -> Operator:
+def pure(amplitudes) -> np.ndarray:
     v = np.asarray(amplitudes, dtype=complex)
     v = v / np.linalg.norm(v)
-    return Operator(np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
 SCEN = ChannelScenario.from_loss_db(0.1, 0.2, 5.0)
@@ -53,7 +52,7 @@ def test_numeric_info_complex_states():
     rho0 = pure([1, 0.3 + 0.4j])
     rho1 = pure([1, -0.3 - 0.4j])
     got = numeric_two_state_info(rho0, rho1)
-    ov = abs(np.trace(rho0.entries @ rho1.entries))
+    ov = abs(np.trace(rho0 @ rho1))
     expected = 0.5 * phi(math.sqrt(1 - ov))
     assert got == pytest.approx(expected, abs=1e-6)
 
@@ -61,10 +60,10 @@ def test_numeric_info_complex_states():
 def test_numeric_info_collinear_bloch_vectors_fall_back_to_the_x_axis():
     # Bloch vectors (0, 0, 0.6) and (0, 0, -0.4): r0 + r1 is parallel to
     # r0 - r1 and so is the z axis, leaving x as the second frame vector.
-    rho0 = Operator(np.diag([0.8, 0.2]))
-    rho1 = Operator(np.diag([0.3, 0.7]))
-    e1, e2 = oracle._plane_frame(oracle._bloch_vector(rho0.entries),
-                                 oracle._bloch_vector(rho1.entries))
+    rho0 = np.diag([0.8, 0.2])
+    rho1 = np.diag([0.3, 0.7])
+    e1, e2 = oracle._plane_frame(oracle._bloch_vector(rho0),
+                                 oracle._bloch_vector(rho1))
     assert np.array_equal(e1, [0.0, 0.0, 1.0])
     assert np.array_equal(e2, [1.0, 0.0, 0.0])
 
@@ -92,9 +91,9 @@ def test_stacked_search_matches_the_one_pair_search():
     # in one lockstep search, in which rows converge at different steps.
     ens, _ = verification._levitin_ensembles(VERIFY_SEED)
     edge = [(pure([1, 1j]), pure([1, 1j])), (pure([1, 0]), pure([0, 1])),
-            (Operator(np.diag([0.8, 0.2])), Operator(np.diag([0.3, 0.7]))),
-            (Operator(np.eye(2) / 2), Operator(np.eye(2) / 2)),
-            (Operator(np.eye(2) / 2), pure([1, 0.3j]))]
+            (np.diag([0.8, 0.2]), np.diag([0.3, 0.7])),
+            (np.eye(2) / 2, np.eye(2) / 2),
+            (np.eye(2) / 2, pure([1, 0.3j]))]
     rho0 = np.concatenate([ens.rho0, [np.asarray(a) for a, _ in edge]])
     rho1 = np.concatenate([ens.rho1, [np.asarray(b) for _, b in edge]])
     stacked = oracle.numeric_two_state_info_stack(rho0, rho1)
@@ -194,11 +193,11 @@ BLOCKS = [[np.eye(4)[0], np.eye(4)[1]], [np.eye(4)[2], np.eye(4)[3]]]
 
 
 def test_blockwise_info_rejects_probes_with_unequal_block_weights():
-    even = Operator(np.diag([0.5, 0.0, 0.5, 0.0]))
-    assert oracle._blockwise_numeric_info(even, Operator(np.diag([0.0, 0.5, 0.0, 0.5])),
+    even = np.diag([0.5, 0.0, 0.5, 0.0])
+    assert oracle._blockwise_numeric_info(even, np.diag([0.0, 0.5, 0.0, 0.5]),
                                           BLOCKS) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(RuntimeError, match="weights differ"):
-        oracle._blockwise_numeric_info(even, Operator(np.diag([1.0, 0.0, 0.81, 0.0]) / 1.81), BLOCKS)
+        oracle._blockwise_numeric_info(even, np.diag([1.0, 0.0, 0.81, 0.0]) / 1.81, BLOCKS)
 
 
 def test_blockwise_info_rejects_coherence_between_blocks():
