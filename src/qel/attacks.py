@@ -22,8 +22,10 @@ an explicit eta_det dependence.
 
 The closed forms work on math floats, so importing this module loads no
 numpy, and information_curves stays on floats unless numpy is already
-loaded.  The unitaries, the probe matrices and the array forms of the
-inversion import it when they are called.
+loaded.  The unitaries and the probe matrices import it when they are
+called.  The inversion of D(gamma) takes a float or, once numpy is loaded,
+an array; both forms replay bisect's steps on a bracket that Newton steps
+find and D's values certify, so their angles are bit-equal.
 """
 from __future__ import annotations
 
@@ -89,58 +91,6 @@ def bisect(f, lo, hi, xtol: float):
         if f_mid == 0.0 or abs(step) < xtol + _BISECT_RTOL * abs(mid):
             return mid
     raise RuntimeError(f"bisection did not converge in {_BISECT_MAX_STEPS} steps")
-
-
-def _bisect_elementwise(f, lo, hi, xtol: float) -> np.ndarray:
-    """The steps of bisect applied to every element of an array bracket.
-
-    lo and hi are numpy arrays of brackets, broadcast together, for an f that
-    maps arrays elementwise.  They are bisected in one masked loop in which
-    every element takes the steps of bisect's float loop, so the roots are
-    bit-equal to those of one bisect call per element; the errors are raised
-    when any element fails.  f is evaluated on whole arrays; an element that
-    has stopped keeps its root while its midpoint, still inside its bracket,
-    is carried along.  f(mid) == 0 is tested at every step, but the
-    elementwise step-width test only once the smallest step, kept as one
-    float, falls below xtol + 4 eps times a bound on every |midpoint|;
-    before that it cannot stop any element.  The float loop avoids numpy's
-    per-call cost, which dominates a single bracket.
-    """
-    import numpy as np
-
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    f_lo, f_hi = f(lo), f(hi)
-    sign_lo = np.copysign(1.0, f_lo)
-    active = (f_lo != 0.0) & (f_hi != 0.0)
-    same_sign = active & (f_hi * sign_lo > 0.0)
-    if same_sign.any():
-        i = np.flatnonzero(same_sign)[0]
-        raise ValueError(f"f({lo.flat[i]}) and f({hi.flat[i]}) must have different signs")
-    root = np.where(f_lo == 0.0, lo, hi)
-    step = hi - lo
-    # Rounding is monotone, so the halved smallest |step| is exactly the
-    # smallest halved |step|; every midpoint lies in its bracket, inside
-    # 2 max(|lo|, |hi|) even after rounding.
-    min_step = float(np.abs(step).min(initial=math.inf))
-    mid_bound = 2.0 * float(np.maximum(np.abs(lo), np.abs(hi)).max(initial=0.0))
-    for _ in range(_BISECT_MAX_STEPS):
-        if not active.any():
-            return root
-        step = step * 0.5
-        min_step *= 0.5
-        mid = lo + step
-        f_mid = f(mid)
-        lo = np.where(f_mid * sign_lo >= 0.0, mid, lo)
-        done = f_mid == 0.0
-        if min_step < xtol + _BISECT_RTOL * mid_bound:
-            done |= np.abs(step) < xtol + _BISECT_RTOL * np.abs(mid)
-        done &= active
-        if done.any():
-            root[done] = mid[done]
-            active &= ~done
-    if active.any():
-        raise RuntimeError(f"bisection did not converge in {_BISECT_MAX_STEPS} steps")
-    return root
 
 
 # --------------------------------------------------------------------------
@@ -449,11 +399,11 @@ def _strategy_b_d(xp, gamma):
     return 0.5 * (1.0 - (c + 1.0 / xp.sqrt(1.0 + s * s)) / xp.sqrt(2.0 * (1.0 + c * c)))
 
 
-def _strategy_b_slope(gamma: float) -> float:
-    """dD/dgamma at a float gamma, positive on (0, pi/2]; only Newton steps use it."""
-    c, s = math.cos(gamma), math.sin(gamma)
-    r = 1.0 / math.sqrt(1.0 + s * s)
-    return s * (1.0 + c * r**3 - c * (c + r) / (1.0 + c * c)) / (2.0 * math.sqrt(2.0 * (1.0 + c * c)))
+def _strategy_b_slope(xp, gamma):
+    """dD/dgamma evaluated with the module xp (math or numpy), positive on (0, pi/2]; only Newton steps use it."""
+    c, s = xp.cos(gamma), xp.sin(gamma)
+    r = 1.0 / xp.sqrt(1.0 + s * s)
+    return s * (1.0 + c * r**3 - c * (c + r) / (1.0 + c * c)) / (2.0 * xp.sqrt(2.0 * (1.0 + c * c)))
 
 
 def strategy_b_information(gamma: float) -> float:
@@ -492,7 +442,7 @@ def _replay_inversion(d: float) -> float:
     top = math.pi / 2
     g = math.pi * math.sqrt(d)  # (pi/2) sqrt(d/D(pi/2)), since D(pi/2) = 1/4
     for _ in range(8):
-        slope = _strategy_b_slope(g)
+        slope = _strategy_b_slope(math, g)
         dg = (_strategy_b_d(math, g) - d) / slope
         g = min(max(g - dg, 0.5 * g), top)  # g stays positive, where the slope is
         if abs(dg) < 1e-9:
@@ -520,17 +470,67 @@ def _replay_inversion(d: float) -> float:
     raise RuntimeError(f"bisection did not converge in {_BISECT_MAX_STEPS} steps")
 
 
+def _replay_inversion_array(np, d):
+    """_replay_inversion of every element of an array d, each in (0, D(pi/2)), bit for bit.
+
+    All elements take the same Newton steps, until the largest correction is
+    below 1e-9, and each bracket widens until D certifies it; the replayed
+    root depends only on that certificate.  The midpoints below their
+    brackets then move lo without any evaluation of D, as long as no
+    midpoint lies inside its bracket and the step is too wide to stop any
+    element.  From there D is evaluated on the whole array at every step:
+    outside a certified bracket its sign is the replay's, so each element
+    takes bisect's steps and stops by bisect's rule.
+    """
+    top = math.pi / 2
+    g = math.pi * np.sqrt(d)
+    for _ in range(8):
+        slope = _strategy_b_slope(np, g)
+        dg = (_strategy_b_d(np, g) - d) / slope
+        g = np.minimum(np.maximum(g - dg, 0.5 * g), top)
+        if np.abs(dg).max(initial=0.0) < 1e-9:
+            break
+    a, b = g - 2.0 * _REPLAY_MARGIN / slope, g + 2.0 * _REPLAY_MARGIN / slope
+    while (wide := (a > 0.0) & (_strategy_b_d(np, a) > d - _REPLAY_MARGIN)).any():
+        a = np.where(wide, g - 4.0 * (g - a), a)
+    while (wide := (b < top) & (_strategy_b_d(np, b) < d + _REPLAY_MARGIN)).any():
+        b = np.where(wide, g + 4.0 * (b - g), b)
+    # every midpoint lies below pi, so no element stops while the step is above this
+    min_stop_step = 1e-13 + _BISECT_RTOL * math.pi
+    lo, step = np.zeros_like(d), top
+    while True:
+        step *= 0.5
+        mid = lo + step
+        below = mid < a
+        # more midpoints at or below b than below a: one lies inside its bracket
+        if step < min_stop_step or np.count_nonzero(mid <= b) > np.count_nonzero(below):
+            break
+        np.copyto(lo, mid, where=below)
+    root, active = np.empty_like(d), np.ones(d.shape, dtype=bool)
+    for _ in range(_BISECT_MAX_STEPS):
+        f_mid = _strategy_b_d(np, mid) - d
+        np.copyto(lo, mid, where=f_mid <= 0.0)
+        done = active & ((f_mid == 0.0) | (step < 1e-13 + _BISECT_RTOL * mid))
+        np.copyto(root, mid, where=done)
+        active &= ~done
+        if not active.any():
+            return root
+        step *= 0.5
+        mid = lo + step
+    raise RuntimeError(f"bisection did not converge in {_BISECT_MAX_STEPS} steps")
+
+
 def gamma_for_disturbance(disturbance):
     """Invert D(gamma) on the monotone branch gamma in [0, pi/2].
 
     Takes a float and returns a float, or takes a numpy array and returns an
-    array of the same shape from one elementwise bisection; each gamma is
-    bit-equal to the float result for its disturbance.  A float's bisection
-    is replayed, evaluating strategy_b_disturbance only near the root; the
-    array bisection, whose midpoints all lie in [0, pi/2], evaluates the
-    formula without its domain check.  Every disturbance must lie in
-    [0, D(pi/2)]; the ends map to 0 and pi/2, the rest are located by
-    bisection to |D(gamma) - D| <= 1e-10.
+    array of the same shape.  Both replay the steps of bisect on [0, pi/2],
+    evaluating D only near the root (_replay_inversion); an array replays
+    all its elements at once, about 20 evaluations of the formula on the
+    whole array for 250 points, and each of its angles is bit-equal to the
+    float result for its disturbance.  Every disturbance must lie in
+    [0, D(pi/2)]; the ends map to 0 and pi/2, the rest are located to
+    |D(gamma) - D| <= 1e-10.
     Angles beyond pi/2 reach larger disturbances but lower information; they
     are exposed only through direct evaluation at gamma.
     """
@@ -540,12 +540,10 @@ def gamma_for_disturbance(disturbance):
         outside = ~((0.0 <= disturbance) & (disturbance <= top + DOMAIN_SLACK))
         if outside.any():
             raise ValueError(f"no gamma in [0, pi/2] reaches disturbance {disturbance[outside][0]}")
-        # D(0) = 0 and D(pi/2) = top hold exactly, so bisect returns the ends
-        # as endpoint roots.
         d = np.minimum(disturbance, top)
-        edge = np.zeros(d.shape)
-        gamma = _bisect_elementwise(lambda g: _strategy_b_d(np, g) - d, edge,
-                                    edge + math.pi / 2, xtol=1e-13)
+        gamma = np.where(d < top, 0.0, math.pi / 2)
+        inner = (0.0 < d) & (d < top)
+        gamma[inner] = _replay_inversion_array(np, d[inner])
         assert np.all(np.abs(strategy_b_disturbance(gamma) - d) <= D_INVERSION_TOL)
         return gamma
     d = disturbance
@@ -568,7 +566,8 @@ def cloning_information(strategy: str, disturbances: list[float]) -> list[float 
     rounding; values are never extrapolated.  B's angles come from one array
     gamma_for_disturbance call when numpy is already loaded (looked up, not
     imported, by the rule of _numpy_if_array) and two or more points are
-    reachable, else from one float call each; the two give bit-equal angles.
+    reachable, else from one float call each; both replay the same
+    bisection and give bit-equal angles.
     A negative or NaN disturbance, or another strategy, raises ValueError.
     """
     if strategy not in ("A", "B"):

@@ -18,6 +18,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import attacks, channel
+from .channel import _INV_GOLDEN
 from .detection import DetectionOutcome, conditional_error_rate, outcome_distribution
 from .optics import (KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGNALS,
                      STRATEGY_B_SIGNALS, Basis, Bb84Signal, _freeze, basis_kets, partial_trace,
@@ -34,7 +35,6 @@ _BLOCKS_A = ((_MP, _PM), (PHI_PLUS, PSI_PLUS))
 _BLOCKS_B = ((_PP, _MM), (_PM, _MP))
 
 _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Measurement angles of the grid scan in numeric_two_state_info_stack.
 _SCAN_ANGLES = 96

@@ -326,24 +326,6 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def test_array_bisect_and_inversion_are_bit_equal_to_the_float_path():
-    top = attacks.STRATEGY_B_MAX_DISTURBANCE
-    grid = np.array(attacks.default_disturbance_grid())
-    rng = np.random.default_rng(20240901)
-    specials = [5e-324, 1e-300, 0.0, top, np.nextafter(top, 0.0)]
-    d = np.concatenate([grid[grid <= top], rng.uniform(0.0, top, 10_000), specials])
-    inner = d[(d > 0.0) & (d < top)]
-    roots = attacks._bisect_elementwise(lambda g: strategy_b_disturbance(g) - inner,
-                                        np.zeros_like(inner), np.full_like(inner, math.pi / 2),
-                                        xtol=1e-13)
-    scalar_roots = [attacks.bisect(lambda g: strategy_b_disturbance(g) - t, 0.0, math.pi / 2,
-                                   xtol=1e-13) for t in inner.tolist()]
-    assert np.array_equal(_bits(roots), _bits(scalar_roots))
-    gammas = gamma_for_disturbance(d)
-    assert gammas.shape == d.shape
-    assert np.array_equal(_bits(gammas), _bits([gamma_for_disturbance(x) for x in d.tolist()]))
-
-
 def test_strategy_b_disturbance_array_is_bit_equal_to_the_float_path():
     gammas = np.linspace(0.0, math.pi, 1001)
     assert np.array_equal(_bits(strategy_b_disturbance(gammas)),
@@ -372,54 +354,7 @@ def test_strategy_b_disturbance_float_branch_checks_its_domain_and_matches_the_a
     assert np.array_equal(_bits(floats), _bits(strategy_b_disturbance(gammas)))
 
 
-def test_array_bisect_keeps_per_element_endpoint_roots():
-    roots = attacks._bisect_elementwise(lambda x: x - np.array([1.0, 3.0, 2.0]),
-                                        np.array([1.0, 1.0, 1.0]), np.array([3.0, 3.0, 3.0]),
-                                        xtol=1e-12)
-    assert roots[0] == 1.0 and roots[1] == 3.0
-    assert roots[2] == attacks.bisect(lambda x: x - 2.0, 1.0, 3.0, xtol=1e-12)
-
-
-# (lo, hi, root) of f(x) = x - root: widths from 1e-3 to 8, brackets near 1e6 where
-# 4 eps |mid| sets the stop, a reversed bracket, an endpoint root, and roots that a
-# midpoint hits exactly (f == 0 stops those elements early)
-_MIXED_BRACKETS = [
-    (0.0, 1.0, 0.3),
-    (-2.0, 5.0, 1.7),
-    (0.0, 1e-3, 3e-4),
-    (1e6, 1e6 + 3.0, 1e6 + 1.234),
-    (1e6 - 7.5, 1e6 + 0.5, 1e6 - 2.2),
-    (0.0, 4.0, 1.0),
-    (1e6, 1e6 + 8.0, 1e6 + 5.0),
-    (2.0, -1.0, 0.25),
-    (1.0, 3.0, 3.0),
-]
-
-
-@pytest.mark.parametrize("xtol", [1e-13, 1e-9])
-def test_array_bisect_of_mixed_brackets_is_bit_equal_to_one_bisect_per_element(xtol):
-    lo, hi, r = (np.array(column) for column in zip(*_MIXED_BRACKETS))
-    expected = [attacks.bisect(lambda x: x - t, a, b, xtol=xtol) for a, b, t in _MIXED_BRACKETS]
-    assert expected[5] == 1.0 and expected[6] == 1e6 + 5.0
-    roots = attacks._bisect_elementwise(lambda x: x - r, lo, hi, xtol=xtol)
-    assert np.array_equal(_bits(roots), _bits(expected))
-    # alone, each bracket sets the smallest step and the bound on |mid| itself
-    for i, (a, b, t) in enumerate(_MIXED_BRACKETS):
-        alone = attacks._bisect_elementwise(lambda x: x - t, np.array([a]), np.array([b]),
-                                            xtol=xtol)
-        assert _bits(alone)[0] == _bits(expected[i])
-
-
-def test_array_bisect_raises_when_any_element_fails():
-    shift = np.array([0.5, -2.0])
-    with pytest.raises(ValueError):
-        attacks._bisect_elementwise(lambda x: x - shift, np.zeros(2), np.ones(2), xtol=1e-12)
-    shift = np.array([0.5, 1e-300])
-    with pytest.raises(RuntimeError):
-        attacks._bisect_elementwise(lambda x: x - shift, np.zeros(2), np.ones(2), xtol=1e-310)
-
-
-# -- float D(gamma) inversion by a certified replay of bisect -----------------
+# -- D(gamma) inversion by a certified replay of bisect ----------------------
 
 def _bisect_float_inversion(d: float) -> float:
     """The float branch of gamma_for_disturbance as a plain bisect on the checked D, every step evaluated."""
@@ -449,6 +384,40 @@ def test_float_inversion_replay_is_bit_equal_to_a_plain_bisect():
     assert _bits(got).tolist() == _bits([_bisect_float_inversion(d) for d in ds]).tolist()
 
 
+def test_array_bisect_and_inversion_are_bit_equal_to_the_float_path(monkeypatch):
+    # the array replay against the float replay, which the test above pins to a plain bisect
+    top = attacks.STRATEGY_B_MAX_DISTURBANCE
+    ds = np.array(_replay_disturbances())
+    gammas = gamma_for_disturbance(ds)
+    assert gammas.shape == ds.shape
+    assert np.array_equal(_bits(gammas), _bits([gamma_for_disturbance(d) for d in ds.tolist()]))
+    assert gamma_for_disturbance(np.array([])).shape == (0,)
+    for d in (0.0, 0.1, 5e-324, top, top + DOMAIN_SLACK):
+        gamma = gamma_for_disturbance(np.array(d))
+        assert gamma.shape == () and _bits(gamma) == _bits(gamma_for_disturbance(d))
+    # past the top by up to DOMAIN_SLACK, mixed with interior values in two dimensions
+    past_top = [top + DOMAIN_SLACK * k / 4 for k in range(1, 5)]
+    mixed = np.array(past_top + ds[:8].tolist()).reshape(3, 4)
+    assert np.array_equal(_bits(gamma_for_disturbance(mixed)),
+                          _bits([[gamma_for_disturbance(d) for d in row] for row in mixed.tolist()]))
+    assert gamma_for_disturbance(mixed)[0].tolist() == [math.pi / 2] * 4
+    # alone, an element often meets no midpoint inside its bracket before bisect's last step
+    singles = [gamma_for_disturbance(np.array([d]))[0] for d in ds[-200:]]
+    assert np.array_equal(_bits(singles), _bits(gammas[-200:]))
+    # the angles rest on the certified bracket alone: with a slope 100 times too steep or
+    # too shallow, the Newton steps end off the root and only the widening certifies it,
+    # below the root for some disturbances and above it for others
+    slope, some = attacks._strategy_b_slope, slice(None, None, 100)
+    for factor in (100.0, 0.01):
+        monkeypatch.setattr(attacks, "_strategy_b_slope", lambda xp, g, k=factor: k * slope(xp, g))
+        assert np.array_equal(_bits(gamma_for_disturbance(ds[some])), _bits(gammas[some]))
+        assert np.array_equal(_bits([gamma_for_disturbance(d) for d in ds[some].tolist()]),
+                              _bits(gammas[some]))
+        # alone, an element's unevaluated midpoints rest on its own widened bracket
+        singles = [gamma_for_disturbance(np.array([d]))[0] for d in ds[some][::4]]
+        assert np.array_equal(_bits(singles), _bits(gammas[some][::4]))
+
+
 def _taylor_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
     """cos x and sin x of a Decimal x in [0, 2] by their Taylor series, at the context's precision."""
     cos = sin = Decimal(0)
@@ -472,14 +441,18 @@ def test_float_d_error_is_within_a_quarter_of_the_replay_margin():
     # float error stays below half the margin; here it is checked against 50 digits
     rng = random.Random(20261020)
     gammas = [0.0, math.pi / 2] + [rng.uniform(0.0, math.pi / 2) for _ in range(2_000)]
-    worst = 0.0
+    # the array replay rests on numpy's D in the same way
+    array_d = attacks._strategy_b_d(np, np.array(gammas)).tolist()
+    worst = worst_array = 0.0
     with localcontext() as ctx:
         ctx.prec = 50
-        for gamma in gammas:
+        for gamma, from_array in zip(gammas, array_d):
             c, s = _taylor_cos_sin(Decimal(gamma))
             ref = (1 - (c + 1 / (1 + s * s).sqrt()) / (2 * (1 + c * c)).sqrt()) / 2
             worst = max(worst, abs(float(Decimal(attacks._strategy_b_d(math, gamma)) - ref)))
+            worst_array = max(worst_array, abs(float(Decimal(from_array) - ref)))
     assert worst <= attacks._REPLAY_MARGIN / 4
+    assert worst_array <= attacks._REPLAY_MARGIN / 4
 
 
 def test_float_inversion_evaluates_d_a_few_times_and_the_checked_d_at_least_twice(monkeypatch):
@@ -505,6 +478,32 @@ def test_float_inversion_evaluates_d_a_few_times_and_the_checked_d_at_least_twic
         assert calls["checked"] >= 2
         evaluations.append(calls["formula"] + calls["slope"])
     assert sum(evaluations) / len(evaluations) <= 16
+
+
+def test_array_inversion_evaluates_d_on_the_whole_array_a_few_times(monkeypatch):
+    # a plain bisection evaluates D on the whole array 47 times; the replay's formula and
+    # slope calls, the final check's included, stay under one bound at either size (21 and
+    # 24 here); the count rises slowly with the size, as a midpoint falls inside some
+    # element's bracket earlier
+    calls = []
+
+    def counted(fn):
+        def wrapper(xp, gamma):
+            calls.append(np.size(gamma))
+            return fn(xp, gamma)
+        return wrapper
+
+    monkeypatch.setattr(attacks, "_strategy_b_d", counted(attacks._strategy_b_d))
+    monkeypatch.setattr(attacks, "_strategy_b_slope", counted(attacks._strategy_b_slope))
+    top = attacks.STRATEGY_B_MAX_DISTURBANCE
+    grid = np.array([d for d in attacks.default_disturbance_grid() if d <= top])
+    seeded = np.random.default_rng(20261022).uniform(0.0, top, 10_000)
+    for ds in (grid, seeded):
+        calls.clear()
+        gamma_for_disturbance(ds)
+        # every call takes the whole array, less the grid's D = 0 outside the replay
+        assert min(calls) >= ds.size - 1
+        assert len(calls) <= 32
 
 
 # -- cloning information -----------------------------------------------------
