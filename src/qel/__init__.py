@@ -27,7 +27,6 @@ _EXPORTS = {
     "Bb84Signal": "optics",
     "ChannelScenario": "channel",
     "InvalidRegimeError": "channel",
-    "crossover_loss": "channel",
     "eta_t_bounds": "channel",
     "fuchs_information": "infotheory",
     "information_curves": "attacks",

@@ -381,34 +381,25 @@ def _golden_section_search(f, lo: float, hi: float, level: float, xtol: float):
     return (c, f_c) if f_c >= f_d else (d, f_d)
 
 
-def crossover_loss(mu: float, eta_det: float, observed_error: float, strategy: str):
-    """Smallest channel loss at which a cloning strategy beats the matched PNS process.
+def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dict:
+    """Smallest channel loss at which each cloning strategy beats the matched PNS process.
 
     At fixed observed error rate, increasing loss raises the disturbance that
     the attack must have caused; the cloning informations eventually overtake
-    the PNS information.  Returns the crossover loss in dB, the window's lower
-    edge when the strategy already wins there, or None when it never wins
-    inside the window.  Located to well below 0.01 dB (see
-    crossover_loss_best for how).
-
-    The result is that of a scan of the window every 0.05 dB whose first
-    sign change of the gain is refined by bisection.  So a winning interval
-    narrower than one step can be missed, and a later crossing back to the
-    PNS process is not reported.
-    """
-    if strategy not in ("A", "B"):
-        raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
-    return crossover_loss_best(mu, eta_det, observed_error)[strategy]
-
-
-def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dict:
-    """crossover_loss of both cloning strategies, and the earlier of the two.
+    the PNS information.  Returns a dict whose "A" and "B" entries hold the
+    crossover loss in dB of each strategy, the window's lower edge when it
+    already wins there, or None when it never wins inside the window; "best"
+    and "best_strategy" give the earlier of the two.  Each is located to
+    well below 0.01 dB.
 
     Each result is the one a full scan of the 0.05 dB grid of _scan_grid
     gives: the first grid point where the cloning information exceeds the
-    PNS information, refined by bisection against the point before it.  It
-    is found without the scan.  The disturbance never falls as the loss
-    grows, and each strategy gains only on its band of disturbances
+    PNS information, refined by bisection against the point before it.  So
+    a winning interval narrower than one step can be missed, and a later
+    crossing back to the PNS process is not reported.
+
+    The results are found without the scan.  The disturbance never falls as
+    the loss grows, and each strategy gains only on its band of disturbances
     (gain_band).  A binary search over the grid finds the first point at or
     past the band entry, and the gains decide from there: step down while
     the point before also gains, step up while the point does not gain and

@@ -101,7 +101,8 @@ def _grid(lo, hi, steps, what):
     if not lo < hi:
         raise UsageError(f"{what} grid needs min < max, got [{lo}, {hi}]")
     step = (hi - lo) / (steps - 1)
-    return [lo + i * step for i in range(steps)]
+    # lo + i * step can round one ulp past hi, which a domain check at hi would reject
+    return [min(lo + i * step, hi) for i in range(steps)]
 
 
 # --------------------------------------------------------------------------

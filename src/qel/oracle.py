@@ -6,9 +6,9 @@ partial-tracing, accessible informations are lower-bounded by an explicit
 search over projective measurements, and protocol statistics come from a
 seeded per-pulse Monte Carlo.
 
-The oracle works on stacks: one golden-section search runs in lockstep over
-every qubit pair of a suite, and one pass drives a whole grid of cloner
-settings.
+The oracle works on stacks: one measurement search, an angle scan and a
+fixed number of zoomed rescans, runs on every qubit pair of a suite at once,
+and one pass drives a whole grid of cloner settings.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from collections import namedtuple
 import numpy as np
 
 from . import attacks, channel
-from .channel import _INV_GOLDEN
 from .detection import DetectionOutcome, conditional_error_rate, outcome_distribution
 from .optics import (KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGNALS,
                      STRATEGY_B_SIGNALS, Basis, Bb84Signal, _freeze, basis_kets, partial_trace,
@@ -36,8 +35,11 @@ _BLOCKS_B = ((_PP, _MM), (_PM, _MP))
 
 _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
-#: Measurement angles of the grid scan in numeric_two_state_info_stack.
-_SCAN_ANGLES = 96
+#: Measurement angles of the grid scan in numeric_two_state_info_stack, the
+#: number of zoom scans after it, and how many times finer each zoom grid is.
+_SCAN_ANGLES, _ZOOMS, _ZOOM = 96, 8, 8
+#: Offsets of a zoom grid from the best angle, in units of its spacing.
+_ZOOM_OFFSETS = np.arange(-_ZOOM, _ZOOM + 1)
 
 
 # --------------------------------------------------------------------------
@@ -55,30 +57,25 @@ def _h2_array(q: np.ndarray) -> np.ndarray:
     return -(q * np.log2(np.where(q > 0.0, q, 1.0)) + p * np.log2(np.where(p > 0.0, p, 1.0)))
 
 
-def _plane_frame(r0: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (e1, e2) of a plane containing both Bloch vectors, per stack entry.
+def _plane_coordinates(r0: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (x, y) of two Bloch vectors in a plane that contains both, per stack entry.
 
-    Gram-Schmidt over r0 - r1, r0 + r1, the z axis and the x axis, skipping
-    each candidate whose remainder has norm 1e-12 or less: collinear or
-    vanishing vectors fall back to the z and then the x axis.
+    r0 lies on the first axis: x0 = |r0|, y0 = 0, x1 = r0.r1/|r0| and
+    y1 = |r0 x r1|/|r0|.  The cross product keeps y1 accurate where
+    sqrt(|r1|^2 - x1^2) would cancel.  Where r0 = 0, r1 lies on the first
+    axis.  Returns x and y with the two states along their first axis.
     """
-    r0, r1 = np.broadcast_arrays(r0, r1)
-    axes = np.broadcast_to([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], r0.shape[:-1] + (2, 3))
-    cands = np.concatenate([np.stack([r0 - r1, r0 + r1], -2), axes], -2)
-    norms = np.linalg.norm(cands, axis=-1)
-    first = np.argmax(norms > 1e-12, axis=-1)[..., None]  # the z axis always qualifies
-    e1 = np.take_along_axis(cands, first[..., None], -2)[..., 0, :] / np.take_along_axis(norms, first, -1)
-    rest = cands - np.sum(cands * e1[..., None, :], -1, keepdims=True) * e1[..., None, :]
-    norms = np.linalg.norm(rest, axis=-1)
-    second = np.argmax((norms > 1e-12) & (np.arange(4) > first), axis=-1)[..., None]
-    e2 = np.take_along_axis(rest, second[..., None], -2)[..., 0, :] / np.take_along_axis(norms, second, -1)
-    return e1, e2
+    n0 = np.linalg.norm(r0, axis=-1)
+    safe = np.where(n0 > 0.0, n0, 1.0)
+    x1 = np.where(n0 > 0.0, np.sum(r0 * r1, -1) / safe, np.linalg.norm(r1, axis=-1))
+    y1 = np.linalg.norm(np.cross(r0, r1), axis=-1) / safe
+    return np.stack([n0, x1]), np.stack([np.zeros_like(n0), y1])
 
 
 def _mutual_information(theta, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mutual information of the projective measurement along cos(theta) e1 + sin(theta) e2.
+    """Mutual information of the projective measurement along the plane direction (cos theta, sin theta).
 
-    x and y hold the frame coordinates of the two states along their first axis.
+    x and y hold the plane coordinates of the two states along their first axis.
     """
     q = np.minimum(np.maximum(0.5 * (1.0 + (np.cos(theta) * x + np.sin(theta) * y)), 0.0), 1.0)
     h = _h2_array(np.concatenate([0.5 * (q[:1] + q[1:]), q]))
@@ -91,44 +88,28 @@ def numeric_two_state_info_stack(rho0, rho1) -> np.ndarray:
     rho0 and rho1 are (..., 2, 2) stacks of qubit states; entry i of the
     result belongs to the equiprobable pair (rho0[i], rho1[i]).  The optimal
     projective measurement for such a pair lies in the plane spanned by the
-    two Bloch vectors.  Both are projected onto a frame (e1, e2) of that plane
-    once, so the measurement direction cos(theta) e1 + sin(theta) e2 sees them
-    through four numbers.  A scan of _SCAN_ANGLES angles over [0, pi) finds
-    the best grid point, and a golden-section refinement around it runs on
-    every pair in lockstep: each pair takes the steps of its own search, and a
-    converged pair keeps its values while the others go on.  Returns lower
+    two Bloch vectors (Levitin 1995), so the measurement direction
+    (cos theta, sin theta) sees them through their four plane coordinates.
+    A scan of _SCAN_ANGLES angles over [0, pi) finds the best grid point.
+    Each of _ZOOMS zoom scans then rescans one grid spacing either side of
+    the best angle on a grid _ZOOM times finer, which contains that angle,
+    so the value never decreases; the spacing ends below 2e-9.  Every pair
+    takes the same steps, with no per-pair convergence test.  Returns lower
     bounds on the accessible information, tight for equal-determinant pairs.
     """
     rho0, rho1 = np.asarray(rho0), np.asarray(rho1)
     if rho0.shape[-2:] != (2, 2) or rho1.shape[-2:] != (2, 2):
         raise ValueError("measurement search expects qubit states")
-    r = np.stack([_bloch_vector(rho0), _bloch_vector(rho1)])
-    e1, e2 = _plane_frame(r[0], r[1])
-    x, y = np.sum(e1 * r, -1), np.sum(e2 * r, -1)
-
-    thetas = np.linspace(0.0, math.pi, _SCAN_ANGLES, endpoint=False)
-    values = _mutual_information(thetas, x[..., None], y[..., None])
-    best_idx = np.argmax(values, axis=-1)
-    best = np.take_along_axis(values, best_idx[..., None], -1)[..., 0]
-
+    x, y = (c[..., None] for c in _plane_coordinates(_bloch_vector(rho0), _bloch_vector(rho1)))
+    theta = np.linspace(0.0, math.pi, _SCAN_ANGLES, endpoint=False)
     step = math.pi / _SCAN_ANGLES
-    lo, hi = thetas[best_idx] - step, thetas[best_idx] + step
-    a, b = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
-    fa, fb = _mutual_information(a, x, y), _mutual_information(b, x, y)
-    while True:
-        active = hi - lo > 1e-11
-        if not active.any():
-            return np.maximum(best, np.maximum(fa, fb))
-        left = active & (fa >= fb)  # the maximum lies in [lo, b]
-        right = active ^ left  # the maximum lies in [a, hi]
-        hi, lo = np.where(left, b, hi), np.where(right, a, lo)
-        a, b, fa, fb = (np.where(right, b, a), np.where(left, a, b),
-                        np.where(right, fb, fa), np.where(left, fa, fb))
-        width = _INV_GOLDEN * (hi - lo)
-        probe = np.where(left, hi - width, lo + width)
-        f_probe = _mutual_information(probe, x, y)
-        a, fa = np.where(left, probe, a), np.where(left, f_probe, fa)
-        b, fb = np.where(right, probe, b), np.where(right, f_probe, fb)
+    values = _mutual_information(theta, x, y)
+    for _ in range(_ZOOMS):
+        best = np.argmax(values, axis=-1)[..., None]
+        step /= _ZOOM
+        theta = np.take_along_axis(np.broadcast_to(theta, values.shape), best, -1) + step * _ZOOM_OFFSETS
+        values = _mutual_information(theta, x, y)
+    return np.max(values, axis=-1)
 
 
 def numeric_two_state_info(rho0, rho1) -> float:

@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qel import attacks, channel, verification
-from qel.channel import (ChannelScenario, InvalidRegimeError, TransmissionWindow, crossover_loss,
-                         crossover_loss_best, disturbance_for_error,
-                         error_disturbance_ratio, eta_t_bounds, eta_t_from_loss_db,
+from qel.channel import (ChannelScenario, InvalidRegimeError, TransmissionWindow, crossover_loss_best,
+                         disturbance_for_error, error_disturbance_ratio, eta_t_bounds, eta_t_from_loss_db,
                          loss_db_from_eta_t, observed_error_closed_form,
                          observed_error_from_disturbance, p_arr_multi, p_exp)
 
@@ -323,31 +322,19 @@ def test_crossover_published_number():
 
 
 def test_crossover_zero_error_strategy_a():
-    assert crossover_loss(0.1, 0.2, 0.0, "A") is None
+    assert crossover_loss_best(0.1, 0.2, 0.0)["A"] is None
 
 
 def test_crossover_large_error_wins_from_lower_edge():
     window = eta_t_bounds(0.1, 0.2)
-    loss = crossover_loss(0.1, 0.2, 0.1, "B")
+    loss = crossover_loss_best(0.1, 0.2, 0.1)["B"]
     assert loss == pytest.approx(window.loss_db_lower, abs=1e-9)
 
 
 def test_crossover_unattainable_error_raises():
     # e so large that the required disturbance exceeds 1/2 at every loss
     with pytest.raises(InvalidRegimeError):
-        crossover_loss(0.1, 0.2, 0.49, "B")
-
-
-def test_crossover_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        crossover_loss(0.1, 0.2, 0.01, "C")
-
-
-def test_crossover_rejects_an_unknown_strategy_before_scanning():
-    # e = 0.49 is unattainable at every scan point, which a scan would report first
-    with pytest.raises(ValueError, match="strategy must be 'A' or 'B', got 'C'") as raised:
-        crossover_loss(0.1, 0.2, 0.49, "C")
-    assert not isinstance(raised.value, InvalidRegimeError)
+        crossover_loss_best(0.1, 0.2, 0.49)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -356,12 +343,9 @@ def test_crossover_rejects_an_unknown_strategy_before_scanning():
     (lambda: p_exp(math.nan, 0.2, 0.5), "mean photon number must be nonnegative, got nan"),
     (lambda: disturbance_for_error(ChannelScenario(0.1, 0.2, 0.5), math.nan),
      "observed error rate must be nonnegative, got nan"),
-    (lambda: crossover_loss(0.1, 0.2, math.nan, "B"),
-     "observed error rate must be nonnegative, got nan"),
     (lambda: crossover_loss_best(0.1, 0.2, math.nan),
      "observed error rate must be nonnegative, got nan"),
-], ids=["eta_t_from_loss_db", "p_arr_multi", "p_exp", "disturbance_for_error", "crossover_loss",
-        "crossover_loss_best"])
+], ids=["eta_t_from_loss_db", "p_arr_multi", "p_exp", "disturbance_for_error", "crossover_loss_best"])
 def test_nan_is_rejected_by_the_channel_domain_checks(call, message):
     # NaN fails every comparison, so a check written as x < 0 let it through
     with pytest.raises(ValueError) as raised:
@@ -467,51 +451,33 @@ def _described(outcome) -> str:
     return f"{type(outcome).__name__}: {outcome}" if isinstance(outcome, ValueError) else repr(outcome)
 
 
-def _described_crossovers(case, best):
-    """The described outcomes of crossover_loss_best (given as best), and of crossover_loss
-    for A and for B, at a case."""
-    singles = []
-    for strategy in ("A", "B"):
-        try:
-            singles.append(crossover_loss(*case, strategy))
-        except ValueError as exc:
-            singles.append(exc)
-    return tuple(_described(o) for o in (best, *singles))
-
-
 def test_crossover_without_numpy_is_bit_equal_to_the_array_path():
-    # crossover_loss_best and crossover_loss give the results of the reference scan,
-    # exceptions included, in this process and in a fresh interpreter that never loads numpy.
+    # crossover_loss_best gives the results of the reference scan, exceptions included,
+    # in this process and in a fresh interpreter that never loads numpy.
     # The reference scan runs here, where it inverts its angles in one array call.
     cases = _seeded_crossover_scenarios()
     assert len(cases) >= 400
-    functions = "".join(inspect.getsource(f) + "\n" for f in (_described, _described_crossovers))
-    probe = ("import sys\nfrom qel.channel import crossover_loss, crossover_loss_best\n"
-             f"{functions}for case in {cases!r}:\n"
+    probe = ("import sys\nfrom qel.channel import crossover_loss_best\n"
+             f"{inspect.getsource(_described)}\nfor case in {cases!r}:\n"
              "    try:\n"
              "        best = crossover_loss_best(*case)\n"
              "    except ValueError as exc:\n"
              "        best = exc\n"
-             "    print(repr(_described_crossovers(case, best)))\n"
+             "    print(_described(best))\n"
              "print('numpy' in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     child = subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True,
                              env=env)
     outcomes = [_crossover_outcome(case) for case in cases]
-    described = [_described_crossovers(case, o) for case, o in zip(cases, outcomes)]
-    expected = []
-    for case in cases:
-        reference = _crossover_outcome(case, _reference_crossover_loss_best)
-        entries = (reference["A"], reference["B"]) if isinstance(reference, dict) else 2 * (reference,)
-        expected.append(tuple(_described(o) for o in (reference, *entries)))
+    described = [_described(o) for o in outcomes]
+    expected = [_described(_crossover_outcome(case, _reference_crossover_loss_best)) for case in cases]
     out, _ = child.communicate(timeout=120)
     assert child.returncode == 0
     *float_path, numpy_loaded = out.splitlines()
     assert numpy_loaded == "False" and "numpy" in sys.modules
     assert next(((c, d, e) for c, d, e in zip(cases, described, expected) if d != e), None) is None
     assert len(float_path) == len(expected)
-    assert next(((c, f, e) for c, f, e in zip(cases, float_path, expected) if f != repr(e)),
-                None) is None
+    assert next(((c, f, e) for c, f, e in zip(cases, float_path, expected) if f != e), None) is None
     reference, zero, lower_edge, unattainable = outcomes[:4]
     assert reference["best_strategy"] == "B" and reference["A"] == pytest.approx(12.69, abs=0.01)
     assert zero == {"A": None, "B": None, "best": None, "best_strategy": None}
@@ -520,20 +486,6 @@ def test_crossover_without_numpy_is_bit_equal_to_the_array_path():
     assert sum(isinstance(o, InvalidRegimeError) for o in outcomes) >= 10
     assert sum(isinstance(o, dict) and o["best_strategy"] == "B" for o in outcomes) >= 30
     assert sum(isinstance(o, dict) and o["best_strategy"] == "A" for o in outcomes) >= 10
-
-
-def test_crossover_loss_is_the_entry_of_crossover_loss_best():
-    for case in _seeded_crossover_scenarios()[:60]:
-        best = _crossover_outcome(case)
-        for strategy in ("A", "B"):
-            try:
-                single = crossover_loss(*case, strategy)
-            except ValueError as exc:
-                single = exc
-            if isinstance(best, dict):
-                assert repr(single) == repr(best[strategy])
-            else:
-                assert type(single) is type(best) and str(single) == str(best)
 
 
 _BAND_ETAS = sorted({0.01, 0.052, 0.9, 0.95, 0.99, 0.999, 0.9999999, 1.0,
@@ -715,11 +667,11 @@ def test_crossover_misses_a_win_narrower_than_one_scan_step(monkeypatch):
 
     monkeypatch.setattr(attacks, "strategy_a_information",
                         win_between(scan_point + 0.02, scan_point + 0.03))
-    assert crossover_loss(mu, eta, error, "A") is None
+    assert crossover_loss_best(mu, eta, error)["A"] is None
     assert _reference_crossover_loss_best(mu, eta, error)["A"] is None
     # the same band widened over the next scan point is found
     monkeypatch.setattr(attacks, "strategy_a_information",
                         win_between(scan_point + 0.02, scan_point + 0.06))
-    loss = crossover_loss(mu, eta, error, "A")
+    loss = crossover_loss_best(mu, eta, error)["A"]
     assert scan_point + 0.02 - 0.01 <= loss <= scan_point + 0.02 + 0.01
     assert loss == _reference_crossover_loss_best(mu, eta, error)["A"]

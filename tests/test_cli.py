@@ -111,6 +111,28 @@ def test_info_curves_bad_grid_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["info-curves", "--eta-det", "0.2", "--d-min", "0.1", "--d-max", "0.5", "--steps", "12"],
+    ["error-map", "--mu", "0.1", "--eta-det", "0.2", "--d-min", "0.1", "--d-max", "0.5", "--d-steps", "12"],
+], ids=["info-curves", "error-map"])
+def test_grid_whose_last_step_rounds_past_its_upper_end_ends_at_it(capsys, argv):
+    # 0.1 + 11 * (0.4 / 11) rounds to 0.5000000000000001, outside the disturbance domain
+    assert 0.1 + 11 * ((0.5 - 0.1) / 11) > 0.5
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    assert rows[-1][header.index("D")] == "0.5"
+
+
+def test_grid_points_never_pass_the_upper_end():
+    overshoots = 0
+    for lo, hi in [(0.0, 0.5), (0.1, 0.5), (0.05, 0.45), (1.0, 13.0), (0.0, math.pi)]:
+        for steps in range(2, 300):
+            overshoots += lo + (steps - 1) * ((hi - lo) / (steps - 1)) > hi
+            assert max(cli._grid(lo, hi, steps, "test")) <= hi
+    assert overshoots == 43  # of the 1495 grids, unclamped
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, ["info-curves", "--nonsense", "1"])
     assert code == 1

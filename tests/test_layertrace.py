@@ -25,9 +25,10 @@ def test_tracer_wraps_every_target_and_restores_the_originals(monkeypatch):
 
     tracer = layertrace.Tracer().install()
     try:
-        # qel has no linalg module, so the tracer skips its two targets and no others
-        gone = {"linalg.partial_trace", "linalg.Operator.__post_init__"}
-        assert "qel.linalg" not in sys.modules
+        # qel has no linalg module and no channel.crossover_loss, so the tracer skips
+        # those three targets and no others
+        gone = {"linalg.partial_trace", "linalg.Operator.__post_init__", "channel.crossover_loss"}
+        assert "qel.linalg" not in sys.modules and not hasattr(qel.channel, "crossover_loss")
         expected = set(layertrace.TARGETS) - gone
         expected |= {f"verification._suite_{suite}" for suite in layertrace.SUITES}
         assert set(tracer.stats) == expected

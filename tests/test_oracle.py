@@ -30,7 +30,8 @@ SCEN = ChannelScenario.from_loss_db(0.1, 0.2, 5.0)
 # -- measurement search ------------------------------------------------------
 
 def test_numeric_info_orthogonal_pure_states():
-    assert numeric_two_state_info(pure([1, 0]), pure([0, 1])) == pytest.approx(1.0, abs=1e-9)
+    # The optimum, theta = 0, is a scan angle, where the outcome probabilities are exactly 0 and 1.
+    assert numeric_two_state_info(pure([1, 0]), pure([0, 1])) == 1.0
 
 
 def test_numeric_info_identical_states():
@@ -58,24 +59,77 @@ def test_numeric_info_complex_states():
 
 
 def test_numeric_info_collinear_bloch_vectors_fall_back_to_the_x_axis():
-    # Bloch vectors (0, 0, 0.6) and (0, 0, -0.4): r0 + r1 is parallel to
-    # r0 - r1 and so is the z axis, leaving x as the second frame vector.
+    # Bloch vectors (0, 0, 0.6) and (0, 0, -0.4) are collinear: both lie on the first axis.
     rho0 = np.diag([0.8, 0.2])
     rho1 = np.diag([0.3, 0.7])
-    e1, e2 = oracle._plane_frame(oracle._bloch_vector(rho0),
-                                 oracle._bloch_vector(rho1))
-    assert np.array_equal(e1, [0.0, 0.0, 1.0])
-    assert np.array_equal(e2, [1.0, 0.0, 0.0])
+    x, y = oracle._plane_coordinates(oracle._bloch_vector(rho0), oracle._bloch_vector(rho1))
+    assert x == pytest.approx([0.6, -0.4], abs=1e-15)
+    assert np.array_equal(y, [0.0, 0.0])
 
     def h2(q):
         return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
     expected = h2(0.55) - (h2(0.8) + h2(0.3)) / 2.0
     assert numeric_two_state_info(rho0, rho1) == pytest.approx(expected, abs=1e-12)
+    # nearly collinear: y1 = |r0 x r1|/|r0| keeps the 4e-10, which sqrt(|r1|^2 - x1^2) would cancel
+    tilt = 1e-9
+    x, y = oracle._plane_coordinates(np.array([0.0, 0.0, 0.6]), 0.4 * np.array([math.sin(tilt), 0.0, math.cos(tilt)]))
+    assert x == pytest.approx([0.6, 0.4], abs=1e-15)
+    assert y[1] == pytest.approx(0.4 * math.sin(tilt), rel=1e-12) and y[0] == 0.0
+    # r0 = 0 puts r1 on the first axis
+    r1 = oracle._bloch_vector(pure([1, 0.3j]))
+    x, y = oracle._plane_coordinates(np.zeros(3), r1)
+    assert x == pytest.approx([0.0, np.linalg.norm(r1)], abs=1e-15)
+    assert np.array_equal(y, [0.0, 0.0])
+    # both zero: every measurement gives two fair coins
+    x, y = oracle._plane_coordinates(np.zeros(3), np.zeros(3))
+    assert np.array_equal(x, [0.0, 0.0]) and np.array_equal(y, [0.0, 0.0])
+    assert numeric_two_state_info(np.eye(2) / 2, np.eye(2) / 2) == 0.0
+
+
+def _dense_scan_info(r0, r1, angles=200_000) -> tuple[float, float]:
+    """(max, argmax) of the mutual information over angles equally spaced measurement directions.
+
+    The directions span [0, pi) in the plane of the Bloch vectors, measured
+    from r0 towards the part of r1 orthogonal to it.  Written apart from the
+    oracle, with its own frame and entropy, as the reference of the search.
+    """
+    e1 = r0 / np.linalg.norm(r0)
+    e2 = r1 - (r1 @ e1) * e1
+    e2 = e2 / np.linalg.norm(e2)
+
+    def h2(p):
+        return -sum(t * np.log2(np.where(t > 0.0, t, 1.0)) for t in (p, 1.0 - p))
+
+    best = (-math.inf, 0.0)
+    for phi in np.array_split(np.arange(angles) * (math.pi / angles), 8):
+        n = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+        p0, p1 = np.clip((1.0 + n @ r0) / 2.0, 0.0, 1.0), np.clip((1.0 + n @ r1) / 2.0, 0.0, 1.0)
+        info = h2((p0 + p1) / 2.0) - (h2(p0) + h2(p1)) / 2.0
+        i = int(np.argmax(info))
+        best = max(best, (float(info[i]), float(phi[i])))
+    return best
+
+
+def test_search_matches_a_dense_scan_on_pairs_with_unequal_determinants():
+    # Mixed pairs of unequal purity, where Levitin's closed form does not
+    # apply.  The last pair's optimum lies 0.0124 rad below pi, so the best
+    # of the 96 scan angles is 0 and the zoom scans cross theta = 0.
+    rng = np.random.default_rng(2027)
+    r = rng.normal(size=(12, 2, 3))
+    r *= rng.uniform(0.2, 1.0, size=(12, 2, 1)) / np.linalg.norm(r, axis=-1, keepdims=True)
+    r = np.concatenate([r, [[[0.0, 0.0, 0.9], [0.5 * math.sin(0.05), 0.0, -0.5 * math.cos(0.05)]]]])
+    states = (np.eye(2) + np.einsum("...k,kij->...ij", r, oracle._PAULIS)) / 2.0
+    assert np.abs(np.diff(np.linalg.det(states).real, axis=-1)).min() > 5e-3
+    search = oracle.numeric_two_state_info_stack(states[:, 0], states[:, 1])
+    for i, (r0, r1) in enumerate(r):
+        dense, at = _dense_scan_info(r0, r1)
+        assert dense - 1e-15 <= search[i] <= dense + 1e-10, i
+    assert math.pi - math.pi / 96 / 2 < at < math.pi
 
 
 def test_numeric_info_agrees_with_levitin_on_random_equal_determinant_pairs():
-    # one lockstep search over the 200 pairs, drawn in the order of the per-pair loop
+    # one search over the 200 pairs, drawn in the order of the per-pair loop
     rng = np.random.default_rng(20240901)
     ensembles = [random_equal_determinant_ensemble(rng) for _ in range(200)]
     stack = TwoStateEnsemble(np.array([e.rho0 for e in ensembles]),
@@ -88,7 +142,7 @@ def test_numeric_info_agrees_with_levitin_on_random_equal_determinant_pairs():
 def test_stacked_search_matches_the_one_pair_search():
     # The 200 pairs of the levitin suite, then edge cases: identical states,
     # orthogonal pure states, collinear and vanishing Bloch vectors.  They run
-    # in one lockstep search, in which rows converge at different steps.
+    # in one stacked search.
     ens, _ = verification._levitin_ensembles(VERIFY_SEED)
     edge = [(pure([1, 1j]), pure([1, 1j])), (pure([1, 0]), pure([0, 1])),
             (np.diag([0.8, 0.2]), np.diag([0.3, 0.7])),
@@ -186,7 +240,7 @@ def test_measurement_search_does_not_reference_the_closed_forms():
             assert ident not in forbidden, f"{name} references {ident}"
             if ident in functions:
                 todo.append(ident)
-    assert {"_bloch_vector", "_plane_frame", "_mutual_information", "_h2_array"} <= seen
+    assert {"_bloch_vector", "_plane_coordinates", "_mutual_information", "_h2_array"} <= seen
 
 
 BLOCKS = [[np.eye(4)[0], np.eye(4)[1]], [np.eye(4)[2], np.eye(4)[3]]]
