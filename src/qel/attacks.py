@@ -20,12 +20,14 @@ efficiency eta_det fixes p = 1/(2 - eta_det), after which the cloning
 informations depend only on the disturbance while the PNS information keeps
 an explicit eta_det dependence.
 
-The closed forms work on math floats, so importing this module loads no
-numpy, and information_curves stays on floats unless numpy is already
-loaded.  The unitaries and the probe matrices import it when they are
-called.  The inversion of D(gamma) takes a float or, once numpy is loaded,
-an array; both forms replay bisect's steps on a bracket that Newton steps
-find and D's values certify, so their angles are bit-equal.
+The PNS and strategy-A informations and D(gamma) take a float, evaluated
+with math, or a numpy array, evaluated element by element and bit-equal to
+the float results (see infotheory).  Importing this module loads no numpy,
+and information_curves stays on floats unless numpy is already loaded.  The
+unitaries and the probe matrices import it when they are called.  The
+inversion of D(gamma) takes a float or, once numpy is loaded, an array; both
+forms replay bisect's steps on a bracket that Newton steps find and D's
+values certify, so their angles are bit-equal.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .infotheory import DOMAIN_SLACK, fuchs_information, phi
+from .infotheory import DOMAIN_SLACK, _math_for, _numpy_if_array, fuchs_information, phi
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,16 +46,6 @@ D_INVERSION_TOL = 1e-10
 
 _BISECT_RTOL = 4.0 * sys.float_info.epsilon
 _BISECT_MAX_STEPS = 100
-
-
-def _numpy_if_array(x):
-    """The numpy module when x is a numpy array, else None.
-
-    numpy is looked up, not imported: no array exists before numpy is
-    loaded, so a float caller never pays for the import.
-    """
-    np = sys.modules.get("numpy")
-    return np if np is not None and isinstance(x, np.ndarray) else None
 
 
 # --------------------------------------------------------------------------
@@ -97,12 +89,13 @@ def bisect(f, lo, hi, xtol: float):
 # PNS process
 # --------------------------------------------------------------------------
 
-def pns_information(p: float, disturbance: float) -> float:
+def pns_information(p: float, disturbance):
     """Attacker information of the PNS process.
 
     Splitting gives full information on the fraction p; the remaining pulses
     carry the optimal single-photon attack at disturbance D:
-    p + (1-p) fuchs_information(D).
+    p + (1-p) fuchs_information(D).  A numpy array of disturbances gives the
+    array of informations, each bit-equal to the float result.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"two-photon fraction must lie in [0, 1], got {p}")
@@ -120,8 +113,8 @@ def matched_two_photon_fraction(eta_det: float) -> float:
     return 1.0 / (2.0 - eta_det)
 
 
-def pns_information_matched(eta_det: float, disturbance: float) -> float:
-    """PNS information at the rate-matched two-photon fraction 1/(2 - eta_det)."""
+def pns_information_matched(eta_det: float, disturbance):
+    """PNS information at the rate-matched two-photon fraction 1/(2 - eta_det); D may be a numpy array."""
     return pns_information(matched_two_photon_fraction(eta_det), disturbance)
 
 
@@ -169,11 +162,14 @@ def _strategy_a_terms():
                  ((np.eye(4, dtype=complex), PHI_PLUS), (tz, PHI_MINUS), (tx, PSI_PLUS), (ty, PSI_MINUS)))
 
 
-def _strategy_a_domain(disturbance: float) -> float:
-    """The disturbance clamped to 1/4, after checking it lies in [0, 1/4]."""
-    if not 0.0 <= disturbance <= 0.25 + DOMAIN_SLACK:
-        raise ValueError(f"strategy A disturbance must lie in [0, 1/4], got {disturbance}")
-    return min(disturbance, 0.25)
+def _strategy_a_domain(disturbance):
+    """(xp, the disturbance clamped to 1/4) after checking it lies in [0, 1/4].
+
+    xp is the math that evaluates it (see infotheory._math_for); an array is
+    checked and clamped element by element.
+    """
+    xp = _math_for(disturbance, 0.0, 0.25 + DOMAIN_SLACK, "strategy A disturbance must lie in [0, 1/4]")
+    return xp, xp.minimum(disturbance, 0.25)
 
 
 def strategy_a_probe_states(disturbance: float) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +187,7 @@ def strategy_a_probe_states(disturbance: float) -> tuple[np.ndarray, np.ndarray]
 
     from .optics import KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS
 
-    d = _strategy_a_domain(disturbance)
+    _, d = _strategy_a_domain(disturbance)
     if d >= 0.25:
         varphi_p, varphi_m = PSI_PLUS, -PSI_PLUS
     else:
@@ -211,21 +207,23 @@ def strategy_a_probe_states(disturbance: float) -> tuple[np.ndarray, np.ndarray]
 
 def strategy_a_probe_overlap(disturbance: float) -> float:
     """Overlap <phi_+|phi_-> = (1-6D)/(1-2D) of the nonorthogonal probe pair."""
-    d = _strategy_a_domain(disturbance)
+    _, d = _strategy_a_domain(disturbance)
     return (1.0 - 6.0 * d) / (1.0 - 2.0 * d)
 
 
-def strategy_a_information(disturbance: float) -> float:
+def strategy_a_information(disturbance):
     """Attacker information of strategy A as a function of the disturbance.
 
     2D + (1-2D) Phi(sqrt(8D(1-4D))/(1-2D))/2: the product block is read out
     perfectly, the pure pair contributes its two-state accessible information.
     By universality of the machine this is also the average over all four
-    signals.
+    signals.  A numpy array of disturbances gives the array of informations,
+    each bit-equal to the float result.
     """
-    d = _strategy_a_domain(disturbance)
-    arg = math.sqrt(max(0.0, 8.0 * d * (1.0 - 4.0 * d))) / (1.0 - 2.0 * d)
-    return 2.0 * d + (1.0 - 2.0 * d) * 0.5 * phi(min(1.0, arg))
+    xp, d = _strategy_a_domain(disturbance)
+    # 1 - 4D >= 0 holds exactly once D is clamped to 1/4, and Phi reads an
+    # argument that rounds past 1 (near D = 1/6) as 1
+    return 2.0 * d + (1.0 - 2.0 * d) * 0.5 * phi(xp.sqrt(8.0 * d * (1.0 - 4.0 * d)) / (1.0 - 2.0 * d))
 
 
 def clone_a_disturbance(beta: float) -> float:
@@ -260,7 +258,7 @@ def clone_a_params_for_disturbance(disturbance: float) -> float:
     clone_a_disturbance measures the map from the unitary; verification
     checks this inverse against it.
     """
-    return math.sqrt(_strategy_a_domain(disturbance) / 2.0)
+    return math.sqrt(_strategy_a_domain(disturbance)[1] / 2.0)
 
 
 # --------------------------------------------------------------------------
@@ -329,10 +327,15 @@ def strategy_b_coefficients(gamma: float) -> tuple[float, float, float, float, f
     the {|+->, |-+>} block.  The trace identity a + c + d + f = 16 holds for
     every gamma.
     """
+    return _strategy_b_coefficients(gamma, off_diagonal=True)
+
+
+def _strategy_b_coefficients(gamma: float, off_diagonal: bool):
+    """strategy_b_coefficients, with b and e left None unless off_diagonal."""
     if not 0.0 <= gamma <= math.pi + DOMAIN_SLACK:
         raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
     c, s = math.cos(gamma), math.sin(gamma)
-    c2g, s2g, c4g = math.cos(2 * gamma), math.sin(2 * gamma), math.cos(4 * gamma)
+    c2g, s2g = math.cos(2 * gamma), math.sin(2 * gamma)
     r3 = math.sqrt(3.0 + c2g)
     rs = math.sqrt(1.0 + s * s)
     shared_ac = 2.0 * c / rs + c * c * (8.0 / (1.0 + c * c) + 1.0 / (1.0 + s * s)) \
@@ -340,12 +343,14 @@ def strategy_b_coefficients(gamma: float) -> tuple[float, float, float, float, f
     odd_ac = 4.0 * s / r3 + 10.0 * s2g / (r3 * rs)
     a = 1.0 + odd_ac + shared_ac
     c_coef = 1.0 - odd_ac + shared_ac
-    b = 1.0 + 2.0 * c / rs + 8.0 * s * s * (9.0 + c2g) / (-17.0 + c4g) \
-        + c * c * (8.0 / (1.0 + c * c) + 1.0 / (1.0 + s * s))
     shared_df = 4.0 * s * s / (3.0 + c2g) + c * c / (1.0 + s * s) - 2.0 * c / rs
     d = 1.0 + shared_df + 4.0 * s * (-c + rs) / (r3 * rs)
-    e = 1.0 + shared_df - 8.0 * s * s / (3.0 + c2g)
     f = 1.0 + shared_df - 4.0 * s / r3 + 2.0 * s2g / (r3 * rs)
+    if not off_diagonal:
+        return a, None, c_coef, d, None, f
+    b = 1.0 + 2.0 * c / rs + 8.0 * s * s * (9.0 + c2g) / (-17.0 + math.cos(4 * gamma)) \
+        + c * c * (8.0 / (1.0 + c * c) + 1.0 / (1.0 + s * s))
+    e = 1.0 + shared_df - 8.0 * s * s / (3.0 + c2g)
     return a, b, c_coef, d, e, f
 
 
@@ -413,9 +418,9 @@ def strategy_b_information(gamma: float) -> float:
     two-state accessible information of the probe pair.  A vanishing block
     weight (d+f at gamma=0) contributes nothing.  The value stays strictly
     below 1 for every gamma: neither probe qubit ever reaches unit fidelity
-    with the input.
+    with the input.  The off-diagonal coefficients b and e do not enter.
     """
-    a, _, c, d, _, f = strategy_b_coefficients(gamma)
+    a, _, c, d, _, f = _strategy_b_coefficients(gamma, off_diagonal=False)
     out = 0.0
     if a + c > 0.0:
         out += (a + c) * phi((a - c) / (a + c)) / 32.0
@@ -563,11 +568,13 @@ def cloning_information(strategy: str, disturbances: list[float]) -> list[float 
 
     An entry is None where the strategy cannot reach the disturbance: A
     reaches D <= 1/4 and B reaches D <= D(pi/2), each with DOMAIN_SLACK of
-    rounding; values are never extrapolated.  B's angles come from one array
-    gamma_for_disturbance call when numpy is already loaded (looked up, not
-    imported, by the rule of _numpy_if_array) and two or more points are
-    reachable, else from one float call each; both replay the same
-    bisection and give bit-equal angles.
+    rounding; values are never extrapolated.  When numpy is already loaded
+    (looked up, not imported, by the rule of _numpy_if_array) and two or
+    more points are reachable, A's informations come from one array
+    strategy_a_information call and B's angles from one array
+    gamma_for_disturbance call; else each comes from one float call per
+    point.  Both forms give bit-equal values.  B's information is one
+    strategy_b_information call per reachable point either way.
     A negative or NaN disturbance, or another strategy, raises ValueError.
     """
     if strategy not in ("A", "B"):
@@ -575,16 +582,21 @@ def cloning_information(strategy: str, disturbances: list[float]) -> list[float 
     for d in disturbances:
         if not d >= 0.0:
             raise ValueError(f"disturbance must be nonnegative, got {d}")
-    if strategy == "A":
-        return [strategy_a_information(d) if d <= 0.25 + DOMAIN_SLACK else None for d in disturbances]
-    top = STRATEGY_B_MAX_DISTURBANCE + DOMAIN_SLACK
+    evaluate = strategy_a_information if strategy == "A" else gamma_for_disturbance
+    top = (0.25 if strategy == "A" else STRATEGY_B_MAX_DISTURBANCE) + DOMAIN_SLACK
     reachable = [d for d in disturbances if d <= top]
+    values = _on_array_or_floats(evaluate, reachable)
+    if strategy == "B":
+        values = map(strategy_b_information, values)
+    return [next(values) if d <= top else None for d in disturbances]
+
+
+def _on_array_or_floats(fn, xs: list[float]):
+    """An iterator over fn at each float of xs: one array call when numpy is loaded and xs holds two or more."""
     np = sys.modules.get("numpy")
-    if np is not None and len(reachable) >= 2:
-        gammas = iter(gamma_for_disturbance(np.array(reachable, dtype=float)).tolist())
-    else:
-        gammas = (gamma_for_disturbance(d) for d in reachable)
-    return [strategy_b_information(next(gammas)) if d <= top else None for d in disturbances]
+    if np is not None and len(xs) >= 2:
+        return iter(fn(np.array(xs, dtype=float)).tolist())
+    return map(fn, xs)
 
 
 # --------------------------------------------------------------------------
@@ -616,12 +628,16 @@ def information_curves(eta_det: float, d_grid=None) -> list[AttackCurvePoint]:
     """Sample the three information curves on a disturbance grid.
 
     d_grid is any iterable of disturbances in [0, 1/2], by default the
-    500-point grid; output order follows it.  Each cloning curve comes from
-    one cloning_information call.
+    500-point grid; output order follows it.  The PNS curve is one array
+    pns_information_matched call when numpy is already loaded and the grid
+    holds two or more points, else one float call per point; each cloning
+    curve comes from one cloning_information call.  Every value is
+    bit-equal whichever form computes it.
     """
     d_grid = [float(d) for d in (default_disturbance_grid() if d_grid is None else d_grid)]
     for d in d_grid:
         if not 0.0 <= d <= 0.5:
             raise ValueError(f"grid disturbances must lie in [0, 1/2], got {d}")
-    curves = zip(d_grid, cloning_information("A", d_grid), cloning_information("B", d_grid))
-    return [AttackCurvePoint(d, pns_information_matched(eta_det, d), i_a, i_b) for d, i_a, i_b in curves]
+    i_pns = _on_array_or_floats(functools.partial(pns_information_matched, eta_det), d_grid)
+    curves = zip(d_grid, i_pns, cloning_information("A", d_grid), cloning_information("B", d_grid))
+    return [AttackCurvePoint(*point) for point in curves]

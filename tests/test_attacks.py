@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -281,6 +282,20 @@ def test_strategy_b_information_values():
     assert sup < 1.0
 
 
+def test_strategy_b_information_is_the_phi_formula_of_all_six_coefficients():
+    # strategy_b_information skips the off-diagonal b and e; its diagonal coefficients must
+    # still be the public ones, bit for bit
+    rng = random.Random(20240901)
+    gammas = [0.0, math.pi / 2, math.pi] + [rng.uniform(0.0, math.pi) for _ in range(5000)]
+    for gamma in gammas:
+        a, b, c, d, e, f = strategy_b_coefficients(gamma)
+        assert b is not None and e is not None
+        expected = (a + c) * phi((a - c) / (a + c)) / 32.0
+        if d + f > 1e-300:
+            expected += (d + f) * phi((d - f) / (d + f)) / 32.0
+        assert strategy_b_information(gamma).hex() == expected.hex(), gamma
+
+
 def test_gamma_inversion_roundtrip():
     for d in np.linspace(0.0, 0.25, 26):
         gamma = gamma_for_disturbance(float(d))
@@ -352,6 +367,46 @@ def test_strategy_b_disturbance_float_branch_checks_its_domain_and_matches_the_a
     assert all(type(g) is np.float64 for g in gammas) and all(type(d) is float for d in scalars)
     assert np.array_equal(_bits(floats), _bits(scalars))
     assert np.array_equal(_bits(floats), _bits(strategy_b_disturbance(gammas)))
+
+
+# -- closed forms on arrays --------------------------------------------------
+
+def _array_forms():
+    """(name, function, domain, float edges, values outside) of each closed form that takes an array."""
+    s = DOMAIN_SLACK
+    d_edges, d_outside = [0.0, -0.0, 5e-324, 0.25, 0.25 + s, 0.5], [-1e-300, math.nextafter(0.5, 1.0)]
+    return (
+        ("phi", phi, (-1.0, 1.0), [1.0, -1.0, 1.0 + s, -1.0 - s, 0.0, -0.0], [1.0 + 2 * s, -1.0 - 2 * s]),
+        ("fuchs", fuchs_information, (0.0, 0.5), d_edges, d_outside),
+        ("pns at eta_det 1", functools.partial(pns_information_matched, 1.0), (0.0, 0.5), d_edges, d_outside),
+        ("pns at eta_det 0.052", functools.partial(pns_information_matched, 0.052), (0.0, 0.5), d_edges,
+         d_outside),
+        ("A", strategy_a_information, (0.0, 0.25), [0.0, -0.0, 5e-324, 1 / 6, 0.25, 0.25 + s],
+         [0.25 + 2 * s, -1e-300]),
+    )
+
+
+def test_array_closed_forms_are_bit_equal_to_the_float_path():
+    rng = np.random.default_rng(20240901)
+    for name, fn, (lo, hi), edges, _ in _array_forms():
+        xs = np.array(edges + rng.uniform(lo, hi, 100_000).tolist())
+        got = fn(xs)
+        assert type(got) is np.ndarray and got.shape == xs.shape, name
+        assert np.array_equal(_bits(got), _bits([fn(x) for x in xs.tolist()])), name
+        assert all(type(fn(x)) is float for x in edges), name
+
+
+def test_array_closed_forms_name_the_first_value_outside_their_domain():
+    for name, fn, _, edges, outside in _array_forms():
+        bads = [math.nan] + outside
+        for i, bad in enumerate(bads):
+            with pytest.raises(ValueError) as expected:
+                fn(bad)
+            later = bads[i + 1:] + bads[:i]  # outside too, but named only when first
+            for xs in (np.array(edges + [bad] + later), np.array([bad] + later + edges)):
+                with pytest.raises(ValueError) as got:
+                    fn(xs)
+                assert str(got.value) == str(expected.value) and "\n" not in str(got.value), name
 
 
 # -- D(gamma) inversion by a certified replay of bisect ----------------------
@@ -605,8 +660,9 @@ def test_curves_default_grid_size():
 
 
 def test_curves_invert_the_grid_once_and_evaluate_strategy_b_per_point(monkeypatch):
-    # the traced benchmark checks one strategy_b_information call per reachable point
-    calls = {"inversion": 0, "information": 0}
+    # the traced benchmark checks one strategy_b_information call per reachable point; the PNS
+    # curve and strategy A's are one array call each
+    calls = {"inversion": 0, "information": 0, "pns": 0, "A": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -614,13 +670,14 @@ def test_curves_invert_the_grid_once_and_evaluate_strategy_b_per_point(monkeypat
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(attacks, "gamma_for_disturbance",
-                        counted("inversion", attacks.gamma_for_disturbance))
-    monkeypatch.setattr(attacks, "strategy_b_information",
-                        counted("information", attacks.strategy_b_information))
+    for name, attr in (("inversion", "gamma_for_disturbance"), ("information", "strategy_b_information"),
+                       ("pns", "pns_information_matched"), ("A", "strategy_a_information")):
+        monkeypatch.setattr(attacks, attr, counted(name, getattr(attacks, attr)))
     points = information_curves(0.2)
-    assert calls == {"inversion": 1, "information": 250}
+    assert calls == {"inversion": 1, "information": 250, "pns": 1, "A": 1}
     assert sum(p.i_b is not None for p in points) == 250
+    assert sum(p.i_a is not None for p in points) == 250
+    assert all(type(value) is float for p in points for value in p if value is not None)
 
 
 def _seeded_curve_grids():
