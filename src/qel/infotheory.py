@@ -140,7 +140,8 @@ def levitin_information(ensemble: TwoStateEnsemble):
     information extractable by a measurement is Phi(sqrt(1 - r - 2d))/2.  The
     equal-determinant precondition (equal Bloch-vector lengths) is enforced
     rather than silently ignored because the closed form is only valid there.
-    A stack of ensembles gives the array of their informations.
+    A stack of ensembles gives the array of their informations, shaped like
+    the stack; one ensemble gives a float.
     """
     import numpy as np
 
@@ -153,5 +154,5 @@ def levitin_information(ensemble: TwoStateEnsemble):
         raise ValueError(f"determinants differ beyond tolerance: {d0} vs {d1}")
     r = np.real(np.trace(rho0 @ rho1, axis1=-2, axis2=-1))
     arg_sq = np.minimum(1.0, np.maximum(0.0, 1.0 - r - 2.0 * d0))
-    info = 0.5 * phi(np.sqrt(np.ravel(arg_sq)))
+    info = 0.5 * phi(np.sqrt(np.atleast_1d(arg_sq)))
     return float(info[0]) if arg_sq.ndim == 0 else info

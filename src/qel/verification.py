@@ -235,20 +235,31 @@ def _suite_double_click(seed: int, n_pulses: int) -> SuiteResult:
     return SuiteResult("double_click", tuple(checks))
 
 
+def _random_doubles(rng: np.random.Generator):
+    """The doubles of rng.random(), drawn 4096 at a time and yielded as Python floats."""
+    while True:
+        yield from rng.random(4096).tolist()
+
+
 def _suite_error_map_identity(seed: int) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    doubles = _random_doubles(np.random.default_rng(seed))
+
+    def uniform(a: float, b: float) -> float:
+        # Generator.uniform(a, b)'s own formula, so each value is the scalar draw's
+        return a + (b - a) * next(doubles)
+
     worst_rel = 0.0
     count = 0
     while count < 1000:
-        mu = rng.uniform(0.02, 0.8)
-        eta = rng.uniform(0.05, 0.95)
+        mu = uniform(0.02, 0.8)
+        eta = uniform(0.05, 0.95)
         window = channel.eta_t_bounds(mu, eta)
         if window.empty:
             continue
         lo, hi = window.loss_db_lower, window.loss_db_upper
         margin = 0.01 * (hi - lo)
-        scen = channel.ChannelScenario.from_loss_db(mu, eta, rng.uniform(lo + margin, hi - margin))
-        d = rng.uniform(0.001, 0.5)
+        scen = channel.ChannelScenario.from_loss_db(mu, eta, uniform(lo + margin, hi - margin))
+        d = uniform(0.001, 0.5)
         composed = channel.observed_error_from_disturbance(scen, d)
         closed = channel.observed_error_closed_form(scen, d)
         worst_rel = max(worst_rel, abs(closed - composed) / composed)

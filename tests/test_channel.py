@@ -3,6 +3,7 @@ import inspect
 import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -536,6 +537,63 @@ def test_each_cloning_gain_is_positive_on_at_most_one_band(strategy):
     assert entry < 1.0 / 6.0 < exit_ and exit_ - entry < 1e-4
 
 
+def test_band_edges_lie_within_xtol_of_the_sign_change_after_a_few_gain_evaluations(monkeypatch):
+    # Each band edge is an ITP root of the slack gain, within _BAND_XTOL of a 1e-13 bisection
+    # of the same function and never slower than bisection by more than one step.
+    real_root, edges = channel._itp_root, []
+
+    def root(f, a, b, xtol):
+        xs = []
+
+        def counted(x):
+            xs.append(x)
+            return f(x)
+        edge = real_root(counted, a, b, xtol)
+        n_max = math.ceil(math.log2((b - a) / (2.0 * xtol))) + 1
+        edges.append((strategy, eta, edge, attacks.bisect(f, a, b, xtol=1e-13), len(xs), n_max))
+        return edge
+
+    monkeypatch.setattr(channel, "_itp_root", root)
+    for strategy in ("A", "B"):
+        for eta in _BAND_ETAS:
+            before = len(edges)
+            band = channel.gain_band(strategy, eta)
+            assert len(edges) - before == (0 if band is None else 2), (strategy, eta)
+    searched = {(s, eta) for s, eta, *_ in edges}
+    assert ("A", 1.0) in searched  # A's sliver around D = 1/6
+    assert ("B", 0.9) not in searched and ("B", 1.0) not in searched
+    for strategy, eta, edge, fine, evaluations, n_max in edges:
+        assert abs(edge - fine) <= channel._BAND_XTOL, (strategy, eta)
+        assert evaluations <= n_max + 2, (strategy, eta)
+    assert statistics.mean(e[4] for e in edges) <= 10.0
+
+
+def test_itp_root_keeps_the_bisect_contract():
+    root = channel._itp_root
+    for same_sign in (0.25, -0.25):
+        with pytest.raises(ValueError, match="different signs"):
+            root(lambda x: same_sign, -1.0, 2.0, 1e-6)
+    # an end where f vanishes is returned as it is, also when the other end shares its sign
+    assert root(lambda x: x - 0.25, 0.25, 1.0, 1e-6) == 0.25
+    assert root(lambda x: x - 1.0, 0.25, 1.0, 1e-6) == 1.0
+    assert root(lambda x: (x - 1.0) ** 2, 0.25, 1.0, 1e-6) == 1.0
+    # the signs are normalised, not multiplied: tiny values of both signs still bracket
+    assert abs(root(lambda x: 1e-200 * (x - 1.0 / 3.0), 0.0, 1.0, 1e-9) - 1.0 / 3.0) <= 1e-9
+    assert abs(root(lambda x: 1e-200 * (1.0 / 3.0 - x), 0.0, 1.0, 1e-9) - 1.0 / 3.0) <= 1e-9
+    # a root found exactly is returned at once
+    assert root(lambda x: x - 0.5, 0.0, 1.0, 1e-6) == 0.5
+    # a tolerance below the float spacing cannot be met: n_max steps, then RuntimeError
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return math.copysign(1.0, x - 1.0 / 3.0)
+    n_max = math.ceil(math.log2(1.0 / 2e-20)) + 1
+    with pytest.raises(RuntimeError, match=f"did not converge in {n_max} steps"):
+        root(step, 0.0, 1.0, 1e-20)
+    assert len(calls) == n_max + 2
+
+
 def test_the_scan_first_gains_at_the_first_grid_point_past_the_band_entry():
     # The scan limit stated exactly: D(loss) never falls across the window, the scan's gains
     # are positive on one run of grid points, and that run starts at the first grid point at
@@ -600,7 +658,8 @@ def test_crossover_best_evaluates_a_few_grid_points_and_inverts_no_angle_array(m
     # each band entry, and at the refining midpoints, invert one float angle each.
     inversions, counts, bisections = [], {"disturbance": 0, "scan": 0, "refine": 0}, {}
     real_gamma, real_disturbance = attacks.gamma_for_disturbance, channel.disturbance_for_error
-    real_grid, real_bisect = channel._scan_grid, attacks.bisect
+    real_grid, real_bisect, real_root = channel._scan_grid, attacks.bisect, channel._itp_root
+    band_edges = []
 
     def gamma(d):
         inversions.append("array" if isinstance(d, np.ndarray) else "float")
@@ -617,18 +676,21 @@ def test_crossover_best_evaluates_a_few_grid_points_and_inverts_no_angle_array(m
 
     def bisect_(f, lo, hi, xtol):
         bisections[xtol] = bisections.get(xtol, 0) + 1
-        if xtol != channel.CROSSOVER_DB_TOL / 5.0:  # a band edge
-            return real_bisect(f, lo, hi, xtol)
 
         def midpoint(x):
             counts["refine"] += x not in (lo, hi)
             return f(x)
         return real_bisect(midpoint, lo, hi, xtol)
 
+    def band_edge(f, a, b, xtol):
+        band_edges.append(xtol)
+        return real_root(f, a, b, xtol)
+
     monkeypatch.setattr(attacks, "gamma_for_disturbance", gamma)
     monkeypatch.setattr(channel, "disturbance_for_error", disturbance)
     monkeypatch.setattr(channel, "_scan_grid", scan_grid)
     monkeypatch.setattr(attacks, "bisect", bisect_)
+    monkeypatch.setattr(channel, "_itp_root", band_edge)
     result = crossover_loss_best(0.1, 0.2, 0.01)
     assert result["A"] == pytest.approx(12.69, abs=0.01)
     assert result["B"] == pytest.approx(12.30, abs=0.01)
@@ -637,10 +699,11 @@ def test_crossover_best_evaluates_a_few_grid_points_and_inverts_no_angle_array(m
     assert counts["scan"] > 200 and counts["refine"] >= 2
     assert counts["disturbance"] * 5 < counts["scan"]
     assert len(inversions) * 10 < counts["scan"]
-    # one band-edge bisection per strategy, its entry: both first points past the entries
-    # gain, so neither band exit is located; two refinements.  The seven float angle
-    # inversions replay their bisection without calling bisect.
-    assert bisections == {channel._BAND_XTOL: 2, channel.CROSSOVER_DB_TOL / 5.0: 2}
+    # one band-edge root find per strategy, its entry: both first points past the entries
+    # gain, so neither band exit is located.  The only bisections are the two refinements;
+    # the seven float angle inversions replay their bisection without calling bisect.
+    assert band_edges == [channel._BAND_XTOL] * 2
+    assert bisections == {channel.CROSSOVER_DB_TOL / 5.0: 2}
     assert inversions == ["float"] * 7
 
 
@@ -675,3 +738,36 @@ def test_crossover_misses_a_win_narrower_than_one_scan_step(monkeypatch):
     loss = crossover_loss_best(mu, eta, error)["A"]
     assert scan_point + 0.02 - 0.01 <= loss <= scan_point + 0.02 + 0.01
     assert loss == _reference_crossover_loss_best(mu, eta, error)["A"]
+
+
+@pytest.mark.parametrize("seed", [20240901, 25, 45, 0, 7])
+def test_error_map_identity_suite_draws_the_scalar_uniforms(monkeypatch, seed):
+    # The suite reads its uniforms from bulk draws; the scenarios, disturbances and the
+    # reported delta are those of the loop of scalar rng.uniform draws.
+    seen = []
+    real_closed = channel.observed_error_closed_form
+
+    def closed(scen, d):
+        seen.append((scen, d))
+        return real_closed(scen, d)
+
+    monkeypatch.setattr(channel, "observed_error_closed_form", closed)
+    suite = verification._suite_error_map_identity(seed)
+    monkeypatch.undo()
+    rng = np.random.default_rng(seed)
+    expected, worst_rel = [], 0.0
+    while len(expected) < 1000:
+        mu, eta = rng.uniform(0.02, 0.8), rng.uniform(0.05, 0.95)
+        window = eta_t_bounds(mu, eta)
+        if window.empty:
+            continue
+        lo, hi = window.loss_db_lower, window.loss_db_upper
+        margin = 0.01 * (hi - lo)
+        scen = ChannelScenario.from_loss_db(mu, eta, rng.uniform(lo + margin, hi - margin))
+        d = rng.uniform(0.001, 0.5)
+        composed = observed_error_from_disturbance(scen, d)
+        worst_rel = max(worst_rel, abs(observed_error_closed_form(scen, d) - composed) / composed)
+        expected.append((scen, d))
+    assert all(type(x) is float for scen, d in seen for x in (*scen, d))
+    assert seen == expected
+    assert suite.checks[0].delta == worst_rel

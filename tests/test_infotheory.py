@@ -204,3 +204,19 @@ def test_blockwise_reproduces_universal_cloner_information(d):
     ens = TwoStateEnsemble(pure([1, 0]), pure([x, math.sqrt(1 - x * x)]))
     total = 2 * d + (1 - 2 * d) * levitin_information(ens)
     assert total == pytest.approx(strategy_a_information(d), abs=1e-12)
+
+
+def test_levitin_keeps_the_shape_of_a_stack_with_several_stack_axes():
+    # two (2, 3, 2, 2) stacks of states give a (2, 3) array, each entry the information of
+    # its own pair; one ensemble gives a float
+    from qel.verification import random_equal_determinant_ensemble
+
+    rng = np.random.default_rng(20240901)
+    pairs = [random_equal_determinant_ensemble(rng) for _ in range(6)]
+    stack = TwoStateEnsemble(*(np.array([p[k] for p in pairs]).reshape(2, 3, 2, 2) for k in (0, 1)))
+    info = levitin_information(stack)
+    assert isinstance(info, np.ndarray) and info.shape == (2, 3)
+    singles = [levitin_information(p) for p in pairs]
+    assert all(type(v) is float for v in singles)
+    assert info.ravel().tolist() == singles
+    assert levitin_information(TwoStateEnsemble(stack.rho0[1], stack.rho1[1])).tolist() == singles[3:]
