@@ -35,12 +35,8 @@ import functools
 import math
 import sys
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .infotheory import DOMAIN_SLACK, _math_for, _numpy_if_array, fuchs_information, phi
-
-if TYPE_CHECKING:
-    import numpy as np
 
 D_INVERSION_TOL = 1e-10
 

@@ -326,51 +326,44 @@ def gain_band(strategy: str, eta_det: float):
 def _band_search(strategy: str, eta_det: float):
     """(entry, band_exit) of gain_band, or None where the strategy never gains.
 
-    The golden-section search and the ITP root find of the entry, on
-    [0, inside], run here; each call of band_exit() finds the exit on
-    [inside, top] and returns it.
+    The searches run on the gain plus _BAND_GAIN_SLACK, in D for A and in
+    gamma for B.  The sum is positive exactly where the gain exceeds
+    -_BAND_GAIN_SLACK: rounding never flips the sign of a sum, and near 0
+    the sum is exact.  The golden-section search and the ITP root find of
+    the entry, on [0, inside], run here; each call of band_exit() finds the
+    exit on [inside, top] and returns it.
     """
     if strategy == "A":
-        top = 0.25
-
-        def gain(d):
-            return attacks.strategy_a_information(d) - attacks.pns_information_matched(eta_det, d)
+        top, info, disturbance = 0.25, attacks.strategy_a_information, lambda d: d
     elif strategy == "B":
-        top = math.pi / 2
-
-        def gain(gamma):
-            d = attacks.strategy_b_disturbance(gamma)
-            return attacks.strategy_b_information(gamma) - attacks.pns_information_matched(eta_det, d)
+        top, info, disturbance = math.pi / 2, attacks.strategy_b_information, attacks.strategy_b_disturbance
     else:
         raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
-    inside, gain_inside = _golden_section_search(gain, 0.0, top, -_BAND_GAIN_SLACK, _BAND_XTOL)
-    if not gain_inside > -_BAND_GAIN_SLACK:
+
+    def gain(x):
+        return info(x) - attacks.pns_information_matched(eta_det, disturbance(x)) + _BAND_GAIN_SLACK
+
+    inside, gain_inside = _golden_section_search(gain, 0.0, top, _BAND_XTOL)
+    if not gain_inside > 0.0:
         return None
 
-    def slack_gain(x):
-        return gain(x) + _BAND_GAIN_SLACK
-
-    def disturbance(x):
-        return attacks.strategy_b_disturbance(x) if strategy == "B" else x
-
     def band_exit():
-        return disturbance(min(top, _itp_root(slack_gain, inside, top, _BAND_XTOL) + 2.0 * _BAND_XTOL))
+        return disturbance(min(top, _itp_root(gain, inside, top, _BAND_XTOL) + 2.0 * _BAND_XTOL))
 
-    entry = max(0.0, _itp_root(slack_gain, 0.0, inside, _BAND_XTOL) - 2.0 * _BAND_XTOL)
+    entry = max(0.0, _itp_root(gain, 0.0, inside, _BAND_XTOL) - 2.0 * _BAND_XTOL)
     return disturbance(entry), band_exit
 
 
-def _golden_section_search(f, lo: float, hi: float, level: float, xtol: float):
-    """(x, f(x)) at a point of [lo, hi] where f exceeds level, or at the maximum of f.
+def _golden_section_search(f, lo: float, hi: float, xtol: float):
+    """(x, f(x)) at a point of [lo, hi] where f is positive, or at the maximum of f.
 
     A golden-section search for the maximum of an f with one maximum on
-    [lo, hi], stopped at the first point where f exceeds level.  When f
-    never does, x is the better of the last two points, within xtol of the
-    maximum.
+    [lo, hi], stopped at the first point where f > 0.  When f never is, x
+    is the better of the last two points, within xtol of the maximum.
     """
     c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
     f_c, f_d = f(c), f(d)
-    while hi - lo > xtol and max(f_c, f_d) <= level:
+    while hi - lo > xtol and max(f_c, f_d) <= 0.0:
         if f_c >= f_d:
             hi, d, f_d = d, c, f_c
             c = hi - _INV_GOLDEN * (hi - lo)
@@ -459,7 +452,9 @@ def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dic
     gains and the lower-edge and refining rules are those of the scan, so
     every result is bit-equal to the scan's.  The band edges are ITP roots
     (_itp_root) and only decide where to look; the refinement is the scan's
-    bisection, whose midpoints fix the result.
+    bisection, whose midpoints fix the result.  Disturbances and gains are
+    kept by loss, so each is computed once, the refinement's grid ends
+    included, and the PNS information only where a gain is read.
     """
     if not observed_error >= 0.0:
         raise ValueError(f"observed error rate must be nonnegative, got {observed_error}")
@@ -467,61 +462,50 @@ def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dic
     if window.empty:
         raise InvalidRegimeError(f"transmission window is empty for mu={mu}, eta_det={eta_det}")
 
-    def point_at(loss_db: float):
-        """(disturbance, PNS information) at a loss, or None where the error is unattainable."""
-        scen = ChannelScenario.from_loss_db(mu, eta_det, loss_db)
-        try:
-            d = disturbance_for_error(scen, observed_error)
-        except InvalidRegimeError:
-            return None
-        return d, attacks.pns_information_matched(eta_det, d)
+    disturbances, gains = {}, {}
 
-    def gain(strategy: str, point) -> float:
-        """Cloning minus PNS information at a point, -inf where either is missing."""
-        info = None if point is None else attacks.cloning_information(strategy, [point[0]])[0]
-        return -math.inf if info is None else info - point[1]
+    def disturbance(loss_db: float) -> float:
+        """The disturbance at a loss, inf where the error is unattainable."""
+        if loss_db not in disturbances:
+            try:
+                disturbances[loss_db] = disturbance_for_error(
+                    ChannelScenario.from_loss_db(mu, eta_det, loss_db), observed_error)
+            except InvalidRegimeError:
+                disturbances[loss_db] = math.inf
+        return disturbances[loss_db]
 
-    points, gains = {}, {}
-
-    def point_of(i: int):
-        if i not in points:
-            points[i] = point_at(grid[i])
-        return points[i]
-
-    def disturbance_of(i: int) -> float:
-        """The disturbance at grid point i, inf where the error is unattainable."""
-        point = point_of(i)
-        return math.inf if point is None else point[0]
-
-    def gain_of(strategy: str, i: int) -> float:
-        if (strategy, i) not in gains:
-            gains[strategy, i] = gain(strategy, point_of(i))
-        return gains[strategy, i]
+    def gain(strategy: str, loss_db: float) -> float:
+        """Cloning minus PNS information at a loss, -inf where either is missing."""
+        if (strategy, loss_db) not in gains:
+            d = disturbance(loss_db)
+            info = None if d == math.inf else attacks.cloning_information(strategy, [d])[0]
+            gains[strategy, loss_db] = (
+                -math.inf if info is None else info - attacks.pns_information_matched(eta_det, d))
+        return gains[strategy, loss_db]
 
     def crossover(strategy: str):
         band = _band_search(strategy, eta_det)
         if band is None:
             return None
         entry, band_exit = band
-        first = bisect.bisect_left(range(len(grid)), entry, key=disturbance_of)
-        while first > 0 and gain_of(strategy, first - 1) > 0.0:
+        first = bisect.bisect_left(grid, entry, key=disturbance)
+        while first > 0 and gain(strategy, grid[first - 1]) > 0.0:
             first -= 1
         exit_ = None
-        while first < len(grid) and gain_of(strategy, first) <= 0.0:
+        while first < len(grid) and gain(strategy, grid[first]) <= 0.0:
             if exit_ is None:
                 exit_ = band_exit()
-            if disturbance_of(first) > exit_:
+            if disturbance(grid[first]) > exit_:
                 return None
             first += 1
         if first == len(grid):
             return None
         if first == 0:
             return float(window.loss_db_lower)
-        if not math.isfinite(gain_of(strategy, first - 1)):
+        if not math.isfinite(gain(strategy, grid[first - 1])):
             return float(grid[first])
-        ends = {grid[first - 1]: gain_of(strategy, first - 1), grid[first]: gain_of(strategy, first)}
-        return float(attacks.bisect(lambda x: ends[x] if x in ends else gain(strategy, point_at(x)),
-                                    grid[first - 1], grid[first], xtol=CROSSOVER_DB_TOL / 5.0))
+        return float(attacks.bisect(lambda x: gain(strategy, x), grid[first - 1], grid[first],
+                                    xtol=CROSSOVER_DB_TOL / 5.0))
 
     lo, hi = window.loss_db_lower + 1e-9, window.loss_db_upper - 1e-9
     if hi <= lo:
@@ -529,7 +513,7 @@ def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dic
     else:
         grid = _scan_grid(lo, hi)
         # the first grid point has the smallest disturbance
-        if point_of(0) is None:
+        if disturbance(grid[0]) == math.inf:
             raise InvalidRegimeError(
                 f"observed error {observed_error} requires a disturbance above 1/2 "
                 f"everywhere inside the transmission window")

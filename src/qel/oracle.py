@@ -409,7 +409,8 @@ def _tallies(n_pulses: int, p_two: float, seed: int, tables) -> np.ndarray:
     takes one u64, and an integer below 2 or 4 the top bits of one 32-bit
     half (never rejected), low half first.  So the signal stream spans n/2
     u64s, and for odd n the basis stream opens on the high half of the u64
-    at n + n//2.
+    at n + n//2: one discarded draw below 2 spends its low half, and the
+    bit generator keeps the high half for the next 32-bit draw.
 
     A pulse's cell = (pulse type * 4 + signal) * 2 + basis indexes the 16
     rows of a flattened table, and its outcome is the number of the row's
@@ -426,11 +427,7 @@ def _tallies(n_pulses: int, p_two: float, seed: int, tables) -> np.ndarray:
     for gen, offset in zip(gens, (0, n_pulses, n_pulses + n_pulses // 2, 2 * n_pulses, 3 * n_pulses)):
         gen.bit_generator.advance(offset)
     if n_pulses % 2:
-        basis_bits = gens[2].bit_generator
-        high = int(basis_bits.random_raw()) >> 32
-        state = basis_bits.state
-        state["has_uint32"], state["uinteger"] = 1, high
-        basis_bits.state = state
+        gens[2].integers(0, 2)  # spends the low half of the u64 at n + n//2
     pulse_type, signal, basis, uniform, double_bit = gens
 
     counts = np.zeros((len(tables), 128), dtype=np.int64)

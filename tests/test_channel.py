@@ -771,3 +771,46 @@ def test_error_map_identity_suite_draws_the_scalar_uniforms(monkeypatch, seed):
     assert all(type(x) is float for scen, d in seen for x in (*scen, d))
     assert seen == expected
     assert suite.checks[0].delta == worst_rel
+
+
+def test_crossover_best_reads_each_gain_once_and_the_pns_information_only_where_it_gains(monkeypatch):
+    # The crossover's memo keys gains by loss: the PNS information is computed only where a
+    # cloning information exists to compare with, and no (strategy, disturbance) is evaluated
+    # twice, the refinement's grid ends included.  Calls made by the band search are not counted.
+    real_search, real_pns, real_cloning = (channel._band_search, attacks.pns_information_matched,
+                                           attacks.cloning_information)
+    band_depth, pns_calls, cloned = [0], [0], []
+
+    def in_band_search(fn, *args):
+        band_depth[0] += 1
+        try:
+            return fn(*args)
+        finally:
+            band_depth[0] -= 1
+
+    def band_search(strategy, eta_det):
+        band = in_band_search(real_search, strategy, eta_det)
+        if band is None:
+            return None
+        entry, band_exit = band
+        return entry, lambda: in_band_search(band_exit)
+
+    def pns(eta_det, d):
+        pns_calls[0] += band_depth[0] == 0
+        return real_pns(eta_det, d)
+
+    def cloning(strategy, disturbances):
+        infos = real_cloning(strategy, disturbances)
+        if band_depth[0] == 0:
+            cloned.extend((strategy, d) for d, info in zip(disturbances, infos) if info is not None)
+        return infos
+
+    monkeypatch.setattr(channel, "_band_search", band_search)
+    monkeypatch.setattr(attacks, "pns_information_matched", pns)
+    monkeypatch.setattr(attacks, "cloning_information", cloning)
+    result = crossover_loss_best(0.1, 0.2, 0.01)
+    assert result["A"] == pytest.approx(12.69, abs=0.01)
+    assert result["B"] == pytest.approx(12.30, abs=0.01)
+    assert {s for s, _ in cloned} == {"A", "B"}
+    assert pns_calls[0] == len(cloned)
+    assert len(set(cloned)) == len(cloned)

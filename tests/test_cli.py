@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import site
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -444,17 +445,57 @@ def test_out_of_memory_is_one_line_usage_error(capsys, monkeypatch, module, name
     assert err.startswith("usage error:") and "--steps" in err and "--pulses" not in err
 
 
-@pytest.mark.parametrize("reference, argv", [
+REFERENCE_COMMANDS = [
     ("info-curves.csv", ["info-curves", "--eta-det", "0.2"]),
     ("error-map.csv", ["error-map", "--mu", "0.1", "--eta-det", "0.2"]),
     ("bounds.json", ["bounds", "--mu", "0.1", "--eta-det", "0.2"]),
     ("crossover.json", ["crossover", "--mu", "0.1", "--eta-det", "0.2", "--error-rate", "0.01"]),
     ("coefficients.csv", ["coefficients"]),
-])
+]
+
+
+@pytest.mark.parametrize("reference, argv", REFERENCE_COMMANDS)
 def test_reference_outputs_are_byte_identical(capsys, reference, argv):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert out.encode() == (ROOT / "perfbench" / "reference" / reference).read_bytes()
+
+
+def test_reference_outputs_are_byte_identical_on_the_other_installed_interpreters():
+    # The light commands need only the standard library, so every interpreter that
+    # requires-python admits gives the reference bytes without numpy.  The interpreters
+    # are those installed next to this one (a pyenv layout); the probe stays parsable by
+    # older ones, which report themselves and are left out.
+    own = Path(sys.base_prefix).resolve()
+    pythons = sorted(p for p in own.parent.glob("*/bin/python") if p.parents[1].resolve() != own)
+    probe = ("import contextlib, io, json, sys\n"
+             "if sys.version_info < (3, 10):\n"
+             "    print(json.dumps(None))\n"
+             "    sys.exit()\n"
+             "from qel import cli\n"
+             "outputs = [sys.version]\n"
+             f"for argv in {[argv for _, argv in REFERENCE_COMMANDS]!r}:\n"
+             "    buffer = io.StringIO()\n"
+             "    with contextlib.redirect_stdout(buffer):\n"
+             "        outputs.append([cli.main(argv), buffer.getvalue()])\n"
+             "print(json.dumps(outputs))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    checked = []
+    for python in pythons:
+        result = subprocess.run([str(python), "-S", "-c", probe], capture_output=True, text=True,
+                                env=env, timeout=60)
+        assert result.returncode == 0, (python, result.stderr)
+        outputs = json.loads(result.stdout)
+        if outputs is None:
+            continue
+        version, *outputs = outputs
+        checked.append(version)
+        for (reference, argv), (code, out) in zip(REFERENCE_COMMANDS, outputs, strict=True):
+            assert code == 0, (version, argv)
+            assert out.encode() == (ROOT / "perfbench" / "reference" / reference).read_bytes(), (
+                version, argv)
+    if not checked:
+        pytest.skip("no other interpreter of Python 3.10 or later is installed next to this one")
 
 
 LIGHT_COMMANDS = pytest.mark.parametrize("argv", [
@@ -467,7 +508,7 @@ LIGHT_COMMANDS = pytest.mark.parametrize("argv", [
 ], ids=["import", "bounds", "crossover", "error-map", "coefficients", "info-curves"])
 
 
-_LIGHT_PROBED = frozenset({"numpy", "scipy", "dataclasses", "inspect"})
+_LIGHT_PROBED = frozenset({"numpy", "scipy", "dataclasses", "inspect", "typing"})
 
 
 @functools.cache
@@ -475,12 +516,14 @@ def _probed_modules_loaded_by(argv: tuple | None) -> frozenset:
     """Those of _LIGHT_PROBED that `import qel.cli` and then argv load.
 
     One fresh interpreter per command, since this one has loaded numpy for
-    other tests; both tests of a command read its one answer.
+    other tests; the tests of a command read its one answer.  The child runs
+    with -S, so no site start-up hook preloads modules; site-packages follows
+    src on its path for the commands that import numpy.
     """
     run = "" if argv is None else f"assert qel.cli.main({list(argv)!r}) == 0; "
     probe = f"import sys, qel.cli; {run}print(sorted({set(_LIGHT_PROBED)!r} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *site.getsitepackages()])}
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                             env=env, check=True, timeout=60)
     return frozenset(ast.literal_eval(result.stdout.splitlines()[-1]))
 
@@ -499,6 +542,12 @@ def test_light_commands_load_neither_numpy_nor_scipy(argv):
 @LIGHT_COMMANDS
 def test_light_commands_load_neither_dataclasses_nor_inspect(argv):
     assert loaded_by_light_command(argv, {"dataclasses", "inspect"}) == "[]"
+
+
+@LIGHT_COMMANDS
+def test_light_commands_load_no_typing(argv):
+    # qel's annotations stay unevaluated strings, so nothing on the light path needs typing
+    assert loaded_by_light_command(argv, {"typing"}) == "[]"
 
 
 def test_verify_loads_no_dataclasses():
