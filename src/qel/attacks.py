@@ -24,10 +24,11 @@ The PNS and strategy-A informations and D(gamma) take a float, evaluated
 with math, or a numpy array, evaluated element by element and bit-equal to
 the float results (see infotheory).  Importing this module loads no numpy,
 and information_curves stays on floats unless numpy is already loaded.  The
-unitaries and the probe matrices import it when they are called.  The
-inversion of D(gamma) takes a float or, once numpy is loaded, an array; both
-forms replay bisect's steps on a bracket that Newton steps find and D's
-values certify, so their angles are bit-equal.
+probe states and matrices import it when they are called; the machines
+themselves, whose partial traces check these closed forms, are built in
+oracle.  The inversion of D(gamma) takes a float or, once numpy is loaded,
+an array; both forms replay bisect's steps on a bracket that Newton steps
+find and D's values certify, so their angles are bit-equal.
 """
 from __future__ import annotations
 
@@ -118,46 +119,6 @@ def pns_information_matched(eta_det: float, disturbance):
 # Strategy A: universal asymmetric 2->3 cloner
 # --------------------------------------------------------------------------
 
-def strategy_a_unitary(beta):
-    """Isometric extension of the universal asymmetric cloner on four qubits.
-
-    beta sets the cloning asymmetry, alpha^2 + 8 beta^2 = 1.  Acting on a
-    two-qubit signal s and the probe prepared in |00>,
-
-        U |s>|00> = alpha |s>|phi+> + beta (sz~ |s>|phi-> + sx~ |s>|psi+>
-                                            + i sy~ |s>|psi->),
-
-    with sk~ = sigma_k (x) 1 + 1 (x) sigma_k.  Qubits are ordered (receiver 1,
-    receiver 2, probe 1, probe 2).  Columns whose probe part is not |00> are
-    left zero; the map is isometric on (symmetric subspace) (x) |00>.  A
-    numpy array of settings gives the stack of their unitaries.
-    """
-    import numpy as np
-
-    beta = np.asarray(beta, dtype=float)
-    if not np.all((0.0 <= 8.0 * beta**2) & (8.0 * beta**2 <= 1.0 + DOMAIN_SLACK)):
-        raise ValueError(f"beta must satisfy 0 <= 8 beta^2 <= 1, got beta={beta}")
-    terms = _strategy_a_terms()
-    alpha = np.sqrt(np.maximum(0.0, 1.0 - 8.0 * beta**2))[..., None, None]
-    beta = beta[..., None, None]
-    u = np.zeros(beta.shape[:-2] + (16, 16), dtype=complex)
-    # only the columns with probe input |00> are filled
-    u[..., ::4] = alpha * terms[0] + beta * terms[1] + beta * terms[2] + 1.0j * beta * terms[3]
-    return u
-
-
-@functools.cache
-def _strategy_a_terms():
-    """The columns kron(s, phi+), kron(sz~ s, phi-), kron(sx~ s, psi+), kron(sy~ s, psi-), read-only."""
-    import numpy as np
-
-    from .optics import _I2, PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, _freeze
-
-    tz, tx, ty = (np.kron(sigma, _I2) + np.kron(_I2, sigma) for sigma in (SIGMA_Z, SIGMA_X, SIGMA_Y))
-    return tuple(_freeze(np.kron(t, ket[:, None])) for t, ket in
-                 ((np.eye(4, dtype=complex), PHI_PLUS), (tz, PHI_MINUS), (tx, PSI_PLUS), (ty, PSI_MINUS)))
-
-
 def _strategy_a_domain(disturbance):
     """(xp, the disturbance clamped to 1/4) after checking it lies in [0, 1/4].
 
@@ -222,37 +183,12 @@ def strategy_a_information(disturbance):
     return 2.0 * d + (1.0 - 2.0 * d) * 0.5 * phi(xp.sqrt(8.0 * d * (1.0 - 4.0 * d)) / (1.0 - 2.0 * d))
 
 
-def clone_a_disturbance(beta: float) -> float:
-    """Disturbance induced by the universal cloner at beta, measured from the machine.
-
-    Builds the unitary, forwards the receiver qubits for each of the four
-    BB84 signals and evaluates the sifted error probability (wrong clicks
-    plus half the double clicks, conditioned on a click) at detector
-    efficiency 1/2.  The value is independent of the efficiency and of the
-    signal; no closed form is assumed.
-    """
-    import numpy as np
-
-    from .detection import conditional_error_rate
-    from .optics import SIGNALS, partial_trace, symmetric_encode
-
-    u = strategy_a_unitary(beta)
-    out = np.array([u @ np.kron(symmetric_encode(signal), [1.0, 0.0, 0.0, 0.0]) for signal in SIGNALS])
-    rho_bob = partial_trace(out[:, :, None] * out[:, None, :].conj(), keep="a", dims=(4, 4))
-    errors = [conditional_error_rate(rho, signal.basis, 0.5, correct_bit=signal.bit)
-              for rho, signal in zip(rho_bob, SIGNALS)]
-    spread = max(errors) - min(errors)
-    if spread > 1e-10:
-        raise RuntimeError(f"universal cloner produced signal-dependent disturbance, spread {spread}")
-    return float(np.mean(errors))
-
-
 def clone_a_params_for_disturbance(disturbance: float) -> float:
     """Machine setting beta of the universal cloner for a target disturbance.
 
     The machine-level map is D(beta) = 2 beta^2, so beta = sqrt(D/2).
-    clone_a_disturbance measures the map from the unitary; verification
-    checks this inverse against it.
+    oracle.clone_a_disturbance measures the map from the unitary;
+    verification checks this inverse against it.
     """
     return math.sqrt(_strategy_a_domain(disturbance)[1] / 2.0)
 
@@ -260,60 +196,6 @@ def clone_a_params_for_disturbance(disturbance: float) -> float:
 # --------------------------------------------------------------------------
 # Strategy B: phase-covariant 2->3 cloner
 # --------------------------------------------------------------------------
-
-def _v_images(gamma) -> dict[str, np.ndarray]:
-    """Images of the symmetric basis under the three-qubit isometry V.
-
-    Each is a (..., 8) complex amplitude vector on |000>..|111>, one per
-    angle when gamma is an array.  The amplitudes are made complex before
-    the division, which numpy rounds differently from a real one.
-    """
-    import numpy as np
-
-    c, s = np.cos(gamma), np.sin(gamma)
-    n1, n2 = np.sqrt(1.0 + c * c)[..., None], np.sqrt(1.0 + s * s)[..., None]
-    one, o = np.ones_like(c), np.zeros_like(c)
-
-    def image(*amplitudes):
-        return np.stack(amplitudes, -1).astype(complex)
-
-    return {
-        "00": image(one, o, o, o, o, o, o, o),
-        "psi+": image(o, s, c, o, c, o, o, o) / n1,
-        "11": image(o, o, o, s, o, s, c, o) / n2,
-    }
-
-
-def strategy_b_unitary(gamma):
-    """Isometric extension of the phase-covariant cloner on four qubits.
-
-    The interaction angle gamma lies in [0, pi].  The machine acts as
-    U|s>|00> = [(V|s>|0>)|0> + (V~|s>|0>)|1>]/sqrt(2) where V maps |00>|0> to
-    |000>, |psi+>|0> and |11>|0> to the gamma-weighted superpositions fixed
-    by the machine, and V~ is V conjugated by bit flips on every qubit (flip
-    the signal, apply V, flip all three outputs).  The 1/sqrt(2) makes the
-    extension isometric; the last output qubit records which branch acted.
-    Qubits are ordered (receiver 1, receiver 2, probe 1, probe 2); the singlet
-    component of the input is annihilated since the machine is only defined
-    on the symmetric subspace.  A numpy array of angles gives the stack of
-    their unitaries.
-    """
-    import numpy as np
-
-    gamma = np.asarray(gamma, dtype=float)
-    if not np.all((0.0 <= gamma) & (gamma <= math.pi + DOMAIN_SLACK)):
-        raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
-    v = _v_images(gamma)
-    v = np.stack([v["00"], v["psi+"], v["11"]], -2)
-    # Flipping all three bits maps basis index i to 7 - i, and the signal
-    # flip exchanges |00> and |11>; the branch qubit interleaves V and V~.
-    outputs = np.stack([v, v[..., ::-1, ::-1]], -1).reshape(gamma.shape + (3, 16)) / math.sqrt(2)
-    # |01> and |10> contribute only through their |psi+> component.
-    u = np.zeros(gamma.shape + (16, 16), dtype=complex)
-    u[..., ::4] = np.swapaxes(outputs[..., [0, 1, 1, 2], :], -1, -2) \
-        * np.array([1.0, 1.0 / math.sqrt(2), 1.0 / math.sqrt(2), 1.0])
-    return u
-
 
 def strategy_b_coefficients(gamma: float) -> tuple[float, float, float, float, float, float]:
     """Closed-form entries (a, b, c, d, e, f) of the strategy-B probe matrices.

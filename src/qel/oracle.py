@@ -1,10 +1,10 @@
 """Independent verification of the closed forms by explicit simulation.
 
 Nothing in this module reuses a closed-form result it is checking: probe
-states and disturbances are derived by building the cloning unitaries and
-partial-tracing, accessible informations are lower-bounded by an explicit
-search over projective measurements, and protocol statistics come from a
-seeded per-pulse Monte Carlo.
+states and disturbances are derived by building the cloning unitaries (this
+module builds them) and partial-tracing, accessible informations are
+lower-bounded by an explicit search over projective measurements, and
+protocol statistics come from a seeded per-pulse Monte Carlo.
 
 The oracle works on stacks: one measurement search, an angle scan and a
 fixed number of zoomed rescans, runs on every qubit pair of a suite at once,
@@ -19,9 +19,10 @@ import numpy as np
 
 from . import attacks, channel
 from .detection import DetectionOutcome, conditional_error_rate, outcome_distribution
-from .optics import (KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGNALS,
-                     STRATEGY_B_SIGNALS, Basis, Bb84Signal, _freeze, basis_kets, partial_trace,
-                     signal_ket, singlet_weight, symmetric_encode, fock_from_symmetric)
+from .infotheory import DOMAIN_SLACK
+from .optics import (_I2, KET_MINUS, KET_PLUS, PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, SIGMA_X, SIGMA_Y,
+                     SIGMA_Z, SIGNALS, STRATEGY_B_SIGNALS, Basis, Bb84Signal, _freeze, basis_kets,
+                     partial_trace, signal_ket, singlet_weight, symmetric_encode, fock_from_symmetric)
 
 # The ordered diagonal product basis |++>, |+->, |-+>, |-->, in which the
 # strategy-B probe matrices are laid out.  Qubit blocks of the blockwise
@@ -154,6 +155,94 @@ def _blockwise_numeric_info(rho_plus, rho_minus, blocks) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# Cloning machines
+# --------------------------------------------------------------------------
+
+#: The columns kron(s, phi+), kron(sz~ s, phi-), kron(sx~ s, psi+) and
+#: kron(sy~ s, psi-) of the universal cloner, with sk~ = sigma_k (x) 1 +
+#: 1 (x) sigma_k, read-only.
+_STRATEGY_A_TERMS = tuple(_freeze(np.kron(t, ket[:, None])) for t, ket in zip(
+    [np.eye(4, dtype=complex)] + [np.kron(sigma, _I2) + np.kron(_I2, sigma) for sigma in (SIGMA_Z, SIGMA_X, SIGMA_Y)],
+    (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)))
+
+
+def strategy_a_unitary(beta):
+    """Isometric extension of the universal asymmetric cloner on four qubits.
+
+    beta sets the cloning asymmetry, alpha^2 + 8 beta^2 = 1.  Acting on a
+    two-qubit signal s and the probe prepared in |00>,
+
+        U |s>|00> = alpha |s>|phi+> + beta (sz~ |s>|phi-> + sx~ |s>|psi+>
+                                            + i sy~ |s>|psi->),
+
+    with sk~ = sigma_k (x) 1 + 1 (x) sigma_k.  Qubits are ordered (receiver 1,
+    receiver 2, probe 1, probe 2).  Columns whose probe part is not |00> are
+    left zero; the map is isometric on (symmetric subspace) (x) |00>.  A
+    numpy array of settings gives the stack of their unitaries.
+    """
+    beta = np.asarray(beta, dtype=float)
+    if not np.all((0.0 <= 8.0 * beta**2) & (8.0 * beta**2 <= 1.0 + DOMAIN_SLACK)):
+        raise ValueError(f"beta must satisfy 0 <= 8 beta^2 <= 1, got beta={beta}")
+    terms = _STRATEGY_A_TERMS
+    alpha = np.sqrt(np.maximum(0.0, 1.0 - 8.0 * beta**2))[..., None, None]
+    beta = beta[..., None, None]
+    u = np.zeros(beta.shape[:-2] + (16, 16), dtype=complex)
+    # only the columns with probe input |00> are filled
+    u[..., ::4] = alpha * terms[0] + beta * terms[1] + beta * terms[2] + 1.0j * beta * terms[3]
+    return u
+
+
+def _v_images(gamma) -> dict[str, np.ndarray]:
+    """Images of the symmetric basis under the three-qubit isometry V.
+
+    Each is a (..., 8) complex amplitude vector on |000>..|111>, one per
+    angle when gamma is an array.  The amplitudes are made complex before
+    the division, which numpy rounds differently from a real one.
+    """
+    c, s = np.cos(gamma), np.sin(gamma)
+    n1, n2 = np.sqrt(1.0 + c * c)[..., None], np.sqrt(1.0 + s * s)[..., None]
+    one, o = np.ones_like(c), np.zeros_like(c)
+
+    def image(*amplitudes):
+        return np.stack(amplitudes, -1).astype(complex)
+
+    return {
+        "00": image(one, o, o, o, o, o, o, o),
+        "psi+": image(o, s, c, o, c, o, o, o) / n1,
+        "11": image(o, o, o, s, o, s, c, o) / n2,
+    }
+
+
+def strategy_b_unitary(gamma):
+    """Isometric extension of the phase-covariant cloner on four qubits.
+
+    The interaction angle gamma lies in [0, pi].  The machine acts as
+    U|s>|00> = [(V|s>|0>)|0> + (V~|s>|0>)|1>]/sqrt(2) where V maps |00>|0> to
+    |000>, |psi+>|0> and |11>|0> to the gamma-weighted superpositions fixed
+    by the machine, and V~ is V conjugated by bit flips on every qubit (flip
+    the signal, apply V, flip all three outputs).  The 1/sqrt(2) makes the
+    extension isometric; the last output qubit records which branch acted.
+    Qubits are ordered (receiver 1, receiver 2, probe 1, probe 2); the singlet
+    component of the input is annihilated since the machine is only defined
+    on the symmetric subspace.  A numpy array of angles gives the stack of
+    their unitaries.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if not np.all((0.0 <= gamma) & (gamma <= math.pi + DOMAIN_SLACK)):
+        raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
+    v = _v_images(gamma)
+    v = np.stack([v["00"], v["psi+"], v["11"]], -2)
+    # Flipping all three bits maps basis index i to 7 - i, and the signal
+    # flip exchanges |00> and |11>; the branch qubit interleaves V and V~.
+    outputs = np.stack([v, v[..., ::-1, ::-1]], -1).reshape(gamma.shape + (3, 16)) / math.sqrt(2)
+    # |01> and |10> contribute only through their |psi+> component.
+    u = np.zeros(gamma.shape + (16, 16), dtype=complex)
+    u[..., ::4] = np.swapaxes(outputs[..., [0, 1, 1, 2], :], -1, -2) \
+        * np.array([1.0, 1.0 / math.sqrt(2), 1.0 / math.sqrt(2), 1.0])
+    return u
+
+
+# --------------------------------------------------------------------------
 # Cloner simulations
 # --------------------------------------------------------------------------
 
@@ -183,6 +272,31 @@ def _signal_states(us: np.ndarray, kets: np.ndarray):
             np.abs(np.linalg.norm(out, axis=-1) - 1.0))
 
 
+def _sifted_errors(rho_bob: np.ndarray, signals, eta_det: float) -> np.ndarray:
+    """Sifted error rate of each receiver state; rho_bob[..., j, :, :] and result[..., j] are signals[j]'s."""
+    return np.stack([conditional_error_rate(rho_bob[..., j, :, :], signal.basis, eta_det, correct_bit=signal.bit)
+                     for j, signal in enumerate(signals)], -1)
+
+
+def clone_a_disturbance(beta):
+    """Disturbance induced by the universal cloner at beta, measured from the machine.
+
+    Sends the four BB84 signals through the unitary and evaluates the
+    sifted error probability of the receiver pair (wrong clicks plus half
+    the double clicks, conditioned on a click) at detector efficiency 1/2.
+    The value is independent of the efficiency and of the signal; no closed
+    form is assumed.  A float gives a float, a numpy array of settings the
+    array of their disturbances, each bit-equal to the float result.
+    """
+    rho_bob = _signal_states(strategy_a_unitary(beta), np.array([symmetric_encode(s) for s in SIGNALS]))[0]
+    errors = _sifted_errors(rho_bob, SIGNALS, 0.5)
+    spread = np.max(np.ptp(errors, -1))
+    if spread > 1e-10:
+        raise RuntimeError(f"universal cloner produced signal-dependent disturbance, spread {spread}")
+    d = np.mean(errors, -1)
+    return d if np.ndim(beta) else float(d)
+
+
 def _drive(us: np.ndarray, signals, eta_det: float, rng_seed: int):
     """Send each signal's two-photon encoding through a (k, 16, 16) stack of attack unitaries.
 
@@ -201,8 +315,7 @@ def _drive(us: np.ndarray, signals, eta_det: float, rng_seed: int):
     encoded = np.broadcast_to([symmetric_encode(signal) for signal in signals], (k, n, 4))
     rho_bob, rho_eve, defect = _signal_states(us, np.concatenate([encoded, sym], -2))
     rho_bob = rho_bob[:, :n]
-    errors = np.stack([conditional_error_rate(rho_bob[:, j], signal.basis, eta_det, correct_bit=signal.bit)
-                       for j, signal in enumerate(signals)], -1)
+    errors = _sifted_errors(rho_bob, signals, eta_det)
     plus, minus = (signals.index(Bb84Signal(Basis.DIAGONAL, bit)) for bit in (0, 1))
     return (errors, rho_eve[:, plus], rho_eve[:, minus], np.max(defect, -1),
             np.max(singlet_weight(rho_bob), -1))
@@ -230,7 +343,7 @@ def simulate_strategy_a_grid(betas, *, eta_det: float, rng_seed: int) -> list[Si
     search.
     """
     betas = np.asarray(betas, dtype=float)
-    errors, rho_p, rho_m, defects, singlets = _drive(attacks.strategy_a_unitary(betas), SIGNALS,
+    errors, rho_p, rho_m, defects, singlets = _drive(strategy_a_unitary(betas), SIGNALS,
                                                      eta_det, rng_seed)
     disturbance = np.mean(errors, -1)
     d = disturbance.tolist()
@@ -278,7 +391,7 @@ def simulate_strategy_b_grid(gammas, *, eta_det: float, rng_seed: int) -> list[S
     formula against a blockwise measurement search.
     """
     gammas = np.asarray(gammas, dtype=float)
-    errors, rho_p, rho_m, defects, singlets = _drive(attacks.strategy_b_unitary(gammas),
+    errors, rho_p, rho_m, defects, singlets = _drive(strategy_b_unitary(gammas),
                                                      STRATEGY_B_SIGNALS, eta_det, rng_seed)
     disturbance = np.mean(errors, -1)
     g = gammas.tolist()
@@ -381,9 +494,9 @@ def _attack_tables(attack: str, disturbance: float, eta: float) -> np.ndarray:
                                  for w in (w0, w0_attacked))
     else:
         if attack == "CloneA":
-            u = attacks.strategy_a_unitary(attacks.clone_a_params_for_disturbance(disturbance))
+            u = strategy_a_unitary(attacks.clone_a_params_for_disturbance(disturbance))
         else:
-            u = attacks.strategy_b_unitary(attacks.gamma_for_disturbance(disturbance))
+            u = strategy_b_unitary(attacks.gamma_for_disturbance(disturbance))
         single_rows = np.zeros((4, 2, len(DetectionOutcome)))
         single_rows[..., DetectionOutcome.VACUUM] = 1.0  # single photons are blocked
         rho_bob = _signal_states(u, np.array([symmetric_encode(signal) for signal in signals]))[0]

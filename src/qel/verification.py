@@ -120,10 +120,9 @@ def _suite_probe_b_coefficients(seed: int) -> SuiteResult:
 def _suite_disturbance_maps(seed: int, reports_b) -> SuiteResult:
     d_b = _worst(reports_b, "disturbance_vs_closed_form")
     # strategy A calibration roundtrip: requested disturbance -> beta -> measured
-    d_a = 0.0
-    for d_target in np.linspace(0.01, 0.24, 9):
-        beta = attacks.clone_a_params_for_disturbance(float(d_target))
-        d_a = max(d_a, abs(attacks.clone_a_disturbance(beta) - d_target))
+    d_targets = np.linspace(0.01, 0.24, 9)
+    betas = np.array([attacks.clone_a_params_for_disturbance(d) for d in d_targets.tolist()])
+    d_a = np.max(np.abs(oracle.clone_a_disturbance(betas) - d_targets))
     # strategy B curve inversion roundtrip
     d_inv = 0.0
     for d_target in np.linspace(0.0, attacks.STRATEGY_B_MAX_DISTURBANCE, 21):

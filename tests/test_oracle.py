@@ -338,6 +338,17 @@ def test_grid_drive_gives_the_deltas_of_the_per_setting_wrappers(grid_fn, one_fn
         assert np.array_equal(one.probe_minus, rep.probe_minus)
 
 
+def test_clone_a_disturbance_of_a_stack_is_the_float_results_bit_for_bit():
+    betas = np.append(np.linspace(0.0, math.sqrt(1 / 8), 33), verification._BETA_GRID)
+    singles = [oracle.clone_a_disturbance(beta) for beta in betas.tolist()]
+    assert all(type(d) is float for d in singles)
+    stack = oracle.clone_a_disturbance(betas)
+    assert stack.shape == betas.shape
+    assert np.array_equal(stack.view(np.int64), np.array(singles).view(np.int64))
+    with pytest.raises(ValueError):
+        oracle.clone_a_disturbance(np.array([0.1, 0.36, 0.2]))  # 8 * 0.36^2 > 1
+
+
 def _entropy(rho) -> float:
     p = np.linalg.eigvalsh(rho)
     p = p[p > 1e-15]
