@@ -13,6 +13,7 @@ The public names below load their module on first access (PEP 562), so
 ``import qel`` loads neither numpy nor any submodule.
 """
 import importlib
+from collections import namedtuple
 
 __version__ = "0.1.0"
 
@@ -20,6 +21,18 @@ __version__ = "0.1.0"
 #: command line reads them without loading the numpy-based verification.
 VERIFY_SEED = 20240901
 VERIFY_PULSES = 10**6
+
+
+def _checked_record(typename: str, field_names: str):
+    """A named tuple base for a record whose ``__new__`` checks or converts its fields.
+
+    namedtuple's own ``_make``, which ``_replace`` also calls, builds the
+    tuple directly; this one calls the subclass, so no path skips its checks.
+    """
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
 
 _EXPORTS = {
     "AttackCurvePoint": "attacks",

@@ -236,7 +236,7 @@ def strategy_b_probe_matrices(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Sixteen times the two strategy-B probes in the (|++>,|+->,|-+>,|-->) basis.
 
     Laid out from the closed-form coefficients; the |->|-> probe is the
-    |+>|+> probe with a <-> c and d <-> f exchanged.
+    |+>|+> probe with a <-> c and d <-> f exchanged, i.e. both axes reversed.
     """
     import numpy as np
 
@@ -247,13 +247,7 @@ def strategy_b_probe_matrices(gamma: float) -> tuple[np.ndarray, np.ndarray]:
         [0.0, e, f, 0.0],
         [b, 0.0, 0.0, c],
     ])
-    m_minus = np.array([
-        [c, 0.0, 0.0, b],
-        [0.0, f, e, 0.0],
-        [0.0, e, d, 0.0],
-        [b, 0.0, 0.0, a],
-    ])
-    return m_plus, m_minus
+    return m_plus, m_plus[::-1, ::-1].copy()
 
 
 def strategy_b_disturbance(gamma):
@@ -270,9 +264,8 @@ def strategy_b_disturbance(gamma):
     # before any array test: this function is the inner loop of
     # gamma_for_disturbance.
     xp = math if isinstance(gamma, float) else _numpy_if_array(gamma) or math
-    if not (0.0 <= gamma <= math.pi + DOMAIN_SLACK if xp is math
-            else xp.all((0.0 <= gamma) & (gamma <= math.pi + DOMAIN_SLACK))):
-        raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
+    if not (xp is math and 0.0 <= gamma <= math.pi + DOMAIN_SLACK):
+        _math_for(gamma, 0.0, math.pi + DOMAIN_SLACK, "gamma must lie in [0, pi]")
     return _strategy_b_d(xp, gamma)
 
 

@@ -22,7 +22,7 @@ import math
 import sys
 from collections import namedtuple
 
-from . import attacks
+from . import _checked_record, attacks
 
 CROSSOVER_DB_TOL = 0.01
 _SCAN_DB_STEP = 0.05
@@ -47,7 +47,7 @@ def eta_t_from_loss_db(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
-class ChannelScenario(namedtuple("ChannelScenario", "mu eta_det eta_t")):
+class ChannelScenario(_checked_record("ChannelScenario", "mu eta_det eta_t")):
     """Source mean photon number, detector efficiency and channel transmission.
 
     An immutable named tuple: it unpacks, and compares equal to a plain
@@ -66,17 +66,8 @@ class ChannelScenario(namedtuple("ChannelScenario", "mu eta_det eta_t")):
         return super().__new__(cls, mu, eta_det, eta_t)
 
     @classmethod
-    def _make(cls, iterable) -> "ChannelScenario":
-        # namedtuple's _make, which _replace also calls, would skip the checks
-        return cls(*iterable)
-
-    @classmethod
     def from_loss_db(cls, mu: float, eta_det: float, loss_db: float) -> "ChannelScenario":
         return cls(mu=mu, eta_det=eta_det, eta_t=eta_t_from_loss_db(loss_db))
-
-    @property
-    def loss_db(self) -> float:
-        return loss_db_from_eta_t(self.eta_t)
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -502,8 +493,6 @@ def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dic
             return None
         if first == 0:
             return float(window.loss_db_lower)
-        if not math.isfinite(gain(strategy, grid[first - 1])):
-            return float(grid[first])
         return float(attacks.bisect(lambda x: gain(strategy, x), grid[first - 1], grid[first],
                                     xtol=CROSSOVER_DB_TOL / 5.0))
 

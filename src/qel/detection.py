@@ -25,10 +25,11 @@ from collections import namedtuple
 
 import numpy as np
 
+from . import _checked_record
 from .optics import Basis, _freeze, fock_from_symmetric
 
 
-class DetectorModel(namedtuple("DetectorModel", "eta_det cutoff")):
+class DetectorModel(_checked_record("DetectorModel", "eta_det cutoff")):
     """Detection efficiency plus the photon-number cutoff of povm_elements, as an immutable named tuple."""
 
     __slots__ = ()
@@ -39,11 +40,6 @@ class DetectorModel(namedtuple("DetectorModel", "eta_det cutoff")):
         if cutoff < 2:
             raise ValueError(f"cutoff must be at least 2, got {cutoff}")
         return super().__new__(cls, eta_det, cutoff)
-
-    @classmethod
-    def _make(cls, iterable) -> "DetectorModel":
-        # namedtuple's _make, which _replace also calls, would skip the checks
-        return cls(*iterable)
 
 
 class PovmElement(namedtuple("PovmElement", "entries")):

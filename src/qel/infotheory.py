@@ -19,8 +19,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections import namedtuple
 from types import SimpleNamespace
+
+from . import _checked_record
 
 #: Rounding slack allowed past the closed end of a parameter domain.
 DOMAIN_SLACK = 1e-12
@@ -106,7 +107,7 @@ def fuchs_information(disturbance):
     return 0.5 * phi(2.0 * xp.sqrt(disturbance * (1.0 - disturbance)))
 
 
-class TwoStateEnsemble(namedtuple("TwoStateEnsemble", "rho0 rho1")):
+class TwoStateEnsemble(_checked_record("TwoStateEnsemble", "rho0 rho1")):
     """Two equiprobable states of equal dimension, as an immutable named tuple.
 
     The states are square arrays.  Two equal-shape stacks of them form a
@@ -126,11 +127,6 @@ class TwoStateEnsemble(namedtuple("TwoStateEnsemble", "rho0 rho1")):
             if not check_density(rho):
                 raise ValueError(f"{name} is not a valid density operator")
         return super().__new__(cls, rho0, rho1)
-
-    @classmethod
-    def _make(cls, iterable) -> "TwoStateEnsemble":
-        # namedtuple's _make, which _replace also calls, would skip the checks
-        return cls(*iterable)
 
 
 def levitin_information(ensemble: TwoStateEnsemble):

@@ -14,9 +14,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections import namedtuple
 
 import numpy as np
+
+from . import _checked_record
 
 SINGLET_TOL = 1e-9
 HERMITICITY_TOL = 1e-9
@@ -74,7 +75,7 @@ class Basis(enum.Enum):
     CIRCULAR = "circular"
 
 
-class Bb84Signal(namedtuple("Bb84Signal", "basis bit")):
+class Bb84Signal(_checked_record("Bb84Signal", "basis bit")):
     """One of the four BB84 polarization signals: a basis tag plus a bit, as an immutable named tuple."""
 
     __slots__ = ()
@@ -83,11 +84,6 @@ class Bb84Signal(namedtuple("Bb84Signal", "basis bit")):
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit}")
         return super().__new__(cls, basis, bit)
-
-    @classmethod
-    def _make(cls, iterable) -> "Bb84Signal":
-        # namedtuple's _make, which _replace also calls, would skip the check
-        return cls(*iterable)
 
 
 SIGNALS = (

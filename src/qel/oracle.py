@@ -19,7 +19,7 @@ import numpy as np
 
 from . import attacks, channel
 from .detection import DetectionOutcome, conditional_error_rate, outcome_distribution
-from .infotheory import DOMAIN_SLACK
+from .infotheory import DOMAIN_SLACK, _math_for
 from .optics import (_I2, KET_MINUS, KET_PLUS, PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, SIGMA_X, SIGMA_Y,
                      SIGMA_Z, SIGNALS, STRATEGY_B_SIGNALS, Basis, Bb84Signal, _freeze, basis_kets,
                      partial_trace, signal_ket, singlet_weight, symmetric_encode, fock_from_symmetric)
@@ -181,8 +181,9 @@ def strategy_a_unitary(beta):
     numpy array of settings gives the stack of their unitaries.
     """
     beta = np.asarray(beta, dtype=float)
-    if not np.all((0.0 <= 8.0 * beta**2) & (8.0 * beta**2 <= 1.0 + DOMAIN_SLACK)):
-        raise ValueError(f"beta must satisfy 0 <= 8 beta^2 <= 1, got beta={beta}")
+    outside = ~((0.0 <= 8.0 * beta**2) & (8.0 * beta**2 <= 1.0 + DOMAIN_SLACK))
+    if outside.any():
+        raise ValueError(f"beta must satisfy 0 <= 8 beta^2 <= 1, got beta={beta[outside][0]}")
     terms = _STRATEGY_A_TERMS
     alpha = np.sqrt(np.maximum(0.0, 1.0 - 8.0 * beta**2))[..., None, None]
     beta = beta[..., None, None]
@@ -228,8 +229,7 @@ def strategy_b_unitary(gamma):
     their unitaries.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if not np.all((0.0 <= gamma) & (gamma <= math.pi + DOMAIN_SLACK)):
-        raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
+    _math_for(gamma, 0.0, math.pi + DOMAIN_SLACK, "gamma must lie in [0, pi]")
     v = _v_images(gamma)
     v = np.stack([v["00"], v["psi+"], v["11"]], -2)
     # Flipping all three bits maps basis index i to 7 - i, and the signal
@@ -434,16 +434,6 @@ class MonteCarloStats(namedtuple("MonteCarloStats", "attack disturbance eta_det 
     @property
     def raw_click_rate_se(self) -> float:
         return _binomial_se(self.raw_click_rate, self.n_pulses)
-
-    @property
-    def sifted_error_rate(self) -> float:
-        return self.sifted_errors / self.sifted_bits if self.sifted_bits else 0.0
-
-    @property
-    def sifted_error_rate_se(self) -> float:
-        if not self.sifted_bits:
-            return 0.0
-        return _binomial_se(self.sifted_error_rate, self.sifted_bits)
 
     @property
     def double_matched_rate(self) -> float:

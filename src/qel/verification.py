@@ -11,22 +11,17 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import VERIFY_PULSES, VERIFY_SEED, attacks, channel, oracle
+from . import VERIFY_PULSES, VERIFY_SEED, _checked_record, attacks, channel, oracle
 from .infotheory import TwoStateEnsemble, levitin_information
 
 
-class CheckResult(namedtuple("CheckResult", "name tolerance delta")):
+class CheckResult(_checked_record("CheckResult", "name tolerance delta")):
     """One named check; tolerance and delta are converted to float."""
 
     __slots__ = ()
 
     def __new__(cls, name: str, tolerance: float, delta: float):
         return super().__new__(cls, name, float(tolerance), float(delta))
-
-    @classmethod
-    def _make(cls, iterable) -> "CheckResult":
-        # namedtuple's _make, which _replace also calls, would skip the conversion
-        return cls(*iterable)
 
     @property
     def passed(self) -> bool:
@@ -61,15 +56,7 @@ class VerificationReport(namedtuple("VerificationReport", "seed n_pulses suites"
                 {
                     "name": s.name,
                     "passed": s.passed,
-                    "checks": [
-                        {
-                            "name": c.name,
-                            "tolerance": c.tolerance,
-                            "delta": c.delta,
-                            "passed": c.passed,
-                        }
-                        for c in s.checks
-                    ],
+                    "checks": [{**c._asdict(), "passed": c.passed} for c in s.checks],
                 }
                 for s in self.suites
             ],

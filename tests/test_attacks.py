@@ -397,8 +397,20 @@ def test_array_closed_forms_are_bit_equal_to_the_float_path():
         assert all(type(fn(x)) is float for x in edges), name
 
 
+def _array_domain_checks():
+    """(name, function, values inside, values outside) of each function that checks an array's domain."""
+    s = DOMAIN_SLACK
+    g_edges, g_outside = [0.0, -0.0, math.pi, math.pi + s], [-1e-300, math.pi + 2 * s]
+    b_edges, b_outside = [0.0, -0.0, math.sqrt(1 / 8), -math.sqrt(1 / 8)], [0.5, -0.5]
+    return [(name, fn, edges, outside) for name, fn, _, edges, outside in _array_forms()] + [
+        ("D(gamma)", strategy_b_disturbance, g_edges, g_outside),
+        ("B unitary", strategy_b_unitary, g_edges, g_outside),
+        ("A unitary", strategy_a_unitary, b_edges, b_outside),
+    ]
+
+
 def test_array_closed_forms_name_the_first_value_outside_their_domain():
-    for name, fn, _, edges, outside in _array_forms():
+    for name, fn, edges, outside in _array_domain_checks():
         bads = [math.nan] + outside
         for i, bad in enumerate(bads):
             with pytest.raises(ValueError) as expected:

@@ -28,7 +28,7 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         ChannelScenario(mu=0.1, eta_det=0.2, eta_t=1.5)
     scen = ChannelScenario.from_loss_db(0.1, 0.2, 3.0)
-    assert scen.loss_db == pytest.approx(3.0, abs=1e-12)
+    assert loss_db_from_eta_t(scen.eta_t) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_nan_mean_photon_number_is_rejected_at_every_entry_point():
@@ -50,7 +50,7 @@ def test_scenario_is_an_immutable_named_record():
     assert scen == (mu, eta_det, eta_t) == (0.1, 0.2, 0.5)
     from_db = ChannelScenario.from_loss_db(0.1, 0.2, 10.0)
     assert type(from_db) is ChannelScenario and from_db.eta_t == eta_t_from_loss_db(10.0)
-    assert scen.loss_db == loss_db_from_eta_t(0.5)
+    assert loss_db_from_eta_t(scen.eta_t) == loss_db_from_eta_t(0.5)
     with pytest.raises(AttributeError):
         scen.mu = 0.2
     with pytest.raises(AttributeError):

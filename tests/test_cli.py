@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel import attacks, channel, cli, verification
+from qel import attacks, channel, cli, detection, infotheory, optics, verification
 
 
 def run_cli(capsys, argv):
@@ -213,7 +213,7 @@ def test_unit_transmission_is_plus_zero_db(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert {row[0] for row in rows} == {"0"}
-    loss = channel.ChannelScenario(mu=0.1, eta_det=0.2, eta_t=1.0).loss_db
+    loss = channel.loss_db_from_eta_t(channel.ChannelScenario(mu=0.1, eta_det=0.2, eta_t=1.0).eta_t)
     assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
 
 
@@ -418,6 +418,13 @@ def test_verify_detects_tampered_coefficient(capsys, monkeypatch):
     assert "verification failed" in err
 
 
+def test_validated_records_take_make_and_replace_from_one_checked_base():
+    for record in (channel.ChannelScenario, infotheory.TwoStateEnsemble, optics.Bb84Signal,
+                   detection.DetectorModel, verification.CheckResult):
+        assert "_make" not in vars(record), record
+        assert record._make.__func__.__qualname__ == "_checked_record.<locals>.<lambda>", record
+
+
 def test_check_result_converts_tolerance_and_delta_to_float_through_every_constructor():
     check = verification.CheckResult("c", 0, 1)
     for made in (check, verification.CheckResult._make(("c", 0, 1)), check._replace(delta=1)):
@@ -461,23 +468,33 @@ def test_reference_outputs_are_byte_identical(capsys, reference, argv):
     assert out.encode() == (ROOT / "perfbench" / "reference" / reference).read_bytes()
 
 
+#: (exit code, argv) of invalid light commands, each answered by one stderr line.
+INVALID_LIGHT_COMMANDS = [
+    (1, ["bounds", "--mu", "nan", "--eta-det", "0.2"]),
+    (1, ["info-curves"]),
+    (3, ["crossover", "--mu", "60", "--eta-det", "0.2", "--error-rate", "0.01"]),
+]
+
+
 def test_reference_outputs_are_byte_identical_on_the_other_installed_interpreters():
     # The light commands need only the standard library, so every interpreter that
-    # requires-python admits gives the reference bytes without numpy.  The interpreters
-    # are those installed next to this one (a pyenv layout); the probe stays parsable by
-    # older ones, which report themselves and are left out.
+    # requires-python admits gives the reference bytes, and the invalid-input answers,
+    # without numpy.  The interpreters are those installed next to this one (a pyenv
+    # layout); the probe stays parsable by older ones, which report themselves and are
+    # left out.
     own = Path(sys.base_prefix).resolve()
     pythons = sorted(p for p in own.parent.glob("*/bin/python") if p.parents[1].resolve() != own)
+    argvs = [argv for _, argv in REFERENCE_COMMANDS] + [argv for _, argv in INVALID_LIGHT_COMMANDS]
     probe = ("import contextlib, io, json, sys\n"
              "if sys.version_info < (3, 10):\n"
              "    print(json.dumps(None))\n"
              "    sys.exit()\n"
              "from qel import cli\n"
              "outputs = [sys.version]\n"
-             f"for argv in {[argv for _, argv in REFERENCE_COMMANDS]!r}:\n"
-             "    buffer = io.StringIO()\n"
-             "    with contextlib.redirect_stdout(buffer):\n"
-             "        outputs.append([cli.main(argv), buffer.getvalue()])\n"
+             f"for argv in {argvs!r}:\n"
+             "    out, err = io.StringIO(), io.StringIO()\n"
+             "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+             "        outputs.append([cli.main(argv), out.getvalue(), err.getvalue()])\n"
              "print(json.dumps(outputs))\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     checked = []
@@ -490,10 +507,13 @@ def test_reference_outputs_are_byte_identical_on_the_other_installed_interpreter
             continue
         version, *outputs = outputs
         checked.append(version)
-        for (reference, argv), (code, out) in zip(REFERENCE_COMMANDS, outputs, strict=True):
+        valid, invalid = outputs[:len(REFERENCE_COMMANDS)], outputs[len(REFERENCE_COMMANDS):]
+        for (reference, argv), (code, out, _) in zip(REFERENCE_COMMANDS, valid, strict=True):
             assert code == 0, (version, argv)
             assert out.encode() == (ROOT / "perfbench" / "reference" / reference).read_bytes(), (
                 version, argv)
+        for (expected, argv), (code, out, err) in zip(INVALID_LIGHT_COMMANDS, invalid, strict=True):
+            assert (code, out, len(err.splitlines())) == (expected, "", 1), (version, argv, err)
     if not checked:
         pytest.skip("no other interpreter of Python 3.10 or later is installed next to this one")
 

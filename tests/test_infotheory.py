@@ -125,6 +125,8 @@ def test_ensemble_is_an_immutable_named_record():
     assert str(excinfo.value) == "rho1 is not a valid density operator"
     with pytest.raises(ValueError, match="rho1 is not a valid"):
         ens._replace(rho1=not_density)
+    with pytest.raises(ValueError, match="rho1 is not a valid"):
+        TwoStateEnsemble._make((rho0, not_density))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -420,7 +420,8 @@ def test_monte_carlo_sifted_error_rates():
     d = 0.1
     stats_b = monte_carlo_protocol(SCEN, "CloneB", d, n_pulses=400_000, seed=13)
     assert stats_b.expected_sifted_error_rate == pytest.approx(d, abs=1e-12)
-    assert abs(stats_b.sifted_error_rate - d) <= 4 * stats_b.sifted_error_rate_se
+    rate = stats_b.sifted_errors / stats_b.sifted_bits
+    assert abs(rate - d) <= 4 * math.sqrt(rate * (1 - rate) / stats_b.sifted_bits)
     stats_p = monte_carlo_protocol(SCEN, "PNS", d, n_pulses=400_000, seed=13)
     p = attacks.matched_two_photon_fraction(SCEN.eta_det)
     assert stats_p.expected_sifted_error_rate == pytest.approx((1 - p) * d, abs=1e-12)
