@@ -240,6 +240,8 @@ def eta_t_bounds(mu: float, eta_det: float) -> TransmissionWindow:
     multi-photon pulse, P_exp <= eta_det P(1, mu) + P_multi.  Lower bound:
     the expected rate must exceed the multi-photon arrivals, P_exp > P_multi.
     Both conditions invert in closed form through eta_t = -ln(1 - P)/(mu eta).
+    Term by term P_multi is below the click rate at eta_t = 1, so the lower
+    edge stays below 1; an empty window is one with lower == upper.
 
     A rate P of at least 1/2 is stored next to 1 and has lost the digits of
     1 - P, so there 1 - P is summed as its own positive series instead: the
@@ -269,8 +271,6 @@ def eta_t_bounds(mu: float, eta_det: float) -> TransmissionWindow:
     p0, p1 = math.exp(-mu), mu * math.exp(-mu)
     upper = min(1.0, eta_t_at_click_rate(p1_detected + p_multi, p0 + (1.0 - eta_det) * p1))
     lower = eta_t_at_click_rate(p_multi, p0 + p1)
-    if lower >= 1.0:
-        lower = 1.0  # window empty: multi-photon clicks exceed any expected rate
     return TransmissionWindow(eta_t_lower=lower, eta_t_upper=upper)
 
 

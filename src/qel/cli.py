@@ -50,8 +50,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
     return f"{value:.12g}"
 
 

@@ -421,8 +421,7 @@ def simulate_strategy_b(gamma: float, *, eta_det: float, rng_seed: int) -> Simul
 
 class MonteCarloStats(namedtuple("MonteCarloStats", "attack disturbance eta_det n_pulses seed raw_clicks "
                                                      "sifted_bits sifted_errors double_clicks_matched "
-                                                     "double_clicks_mismatched expected_raw_click_rate "
-                                                     "expected_sifted_error_rate")):
+                                                     "double_clicks_mismatched expected_raw_click_rate")):
     """Empirical per-pulse protocol statistics with binomial standard errors, as a named tuple."""
 
     __slots__ = ()
@@ -570,10 +569,10 @@ def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, .
     16 (pulse type, signal, measured basis) cells; its uniform is compared
     with three entries of the cell's outcome CDF, and one bincount per block
     and attack counts (cell, outcome, double-click bit).  One set of
-    sifting masks over those 128 entries gives both the counts, as sums of
-    the tallies, and the expected rates, as sums of the entries' exact
-    probabilities.  The sampler's memory does not grow with n_pulses, and
-    its time grows linearly.
+    sifting masks over those 128 entries gives the counts, as sums of the
+    tallies, and the click mask also gives the expected raw click rate, as a
+    sum of the entries' exact probabilities.  The sampler's memory does not
+    grow with n_pulses, and its time grows linearly.
 
     Identical inputs and seed reproduce identical statistics.  Returns one
     MonteCarloStats per attack, in the order of names.
@@ -589,9 +588,9 @@ def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, .
     all_counts = _tallies(n_pulses, p_two, seed, tables)
 
     # The sifting rule, stated once on the 128 (cell, outcome, double-click
-    # bit) entries; signal i carries bit i % 2 in basis i // 2.  The same
-    # masks sum the tallies and each entry's exact probability: its pulse
-    # type's weight, 1/4 per signal, 1/2 per basis and per double-click bit.
+    # bit) entries; signal i carries bit i % 2 in basis i // 2.  The masks sum
+    # the tallies; the click mask sums each entry's exact probability too: its
+    # pulse type's weight, 1/4 per signal, 1/2 per basis and per double-click bit.
     pulse_type, signal, basis, outcome, double_bit = np.indices((2, 4, 2, len(DetectionOutcome), 2))
     clicked = outcome != DetectionOutcome.VACUUM
     is_double = outcome == DetectionOutcome.DOUBLE
@@ -607,12 +606,10 @@ def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, .
     for name, table, counts in zip(names, tables, all_counts):
         counts = counts.reshape(signal.shape)
         probability = cell_weight * table[..., None]
-        exp_click, exp_sift, exp_err = (float(probability[mask].sum()) for mask in (clicked, sifted, errors))
         results.append(MonteCarloStats(
             attack=name, disturbance=float(disturbance), eta_det=eta, n_pulses=n_pulses, seed=seed,
             **{field: int(counts[mask].sum()) for field, mask in masks.items()},
-            expected_raw_click_rate=exp_click,
-            expected_sifted_error_rate=exp_err / exp_sift if exp_sift > 0 else 0.0,
+            expected_raw_click_rate=float(probability[clicked].sum()),
         ))
     return tuple(results)
 

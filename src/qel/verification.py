@@ -122,8 +122,6 @@ def _suite_disturbance_maps(seed: int, reports_b) -> SuiteResult:
         mu = rng.uniform(0.05, 0.5)
         eta = rng.uniform(0.1, 0.9)
         window = channel.eta_t_bounds(mu, eta)
-        if window.empty:
-            continue
         lo, hi = window.loss_db_lower, window.loss_db_upper
         scen = channel.ChannelScenario.from_loss_db(mu, eta, rng.uniform(lo + 0.05, hi - 0.05))
         d0 = rng.uniform(0.0, 0.5)
@@ -240,8 +238,6 @@ def _suite_error_map_identity(seed: int) -> SuiteResult:
         mu = uniform(0.02, 0.8)
         eta = uniform(0.05, 0.95)
         window = channel.eta_t_bounds(mu, eta)
-        if window.empty:
-            continue
         lo, hi = window.loss_db_lower, window.loss_db_upper
         margin = 0.01 * (hi - lo)
         scen = channel.ChannelScenario.from_loss_db(mu, eta, uniform(lo + margin, hi - margin))

@@ -254,6 +254,13 @@ def test_strategy_b_trace_identity_on_grid():
         assert a + c + d + f == pytest.approx(16.0, abs=1e-12)
 
 
+def test_strategy_b_block_weight_a_plus_c_never_vanishes():
+    # strategy_b_information divides by a + c unguarded; its minimum is 8, at gamma = pi
+    gammas = np.linspace(0.0, math.pi + DOMAIN_SLACK, 20_001).tolist()
+    weights = [a + c for a, _, c, *_ in map(attacks.strategy_b_coefficients, gammas)]
+    assert min(weights) >= 8.0 - 1e-12
+
+
 def test_strategy_b_probe_matrices_structure():
     m_p, _ = strategy_b_probe_matrices(0.0)
     # at gamma = 0 both probes are the pure Bell state (|00>+|11>)/sqrt(2)
@@ -484,6 +491,19 @@ def test_array_bisect_and_inversion_are_bit_equal_to_the_float_path(monkeypatch)
         # alone, an element's unevaluated midpoints rest on its own widened bracket
         singles = [gamma_for_disturbance(np.array([d]))[0] for d in ds[some][::4]]
         assert np.array_equal(_bits(singles), _bits(gammas[some][::4]))
+
+
+def test_both_replays_stop_by_the_44th_halving_at_the_extreme_disturbances():
+    # both replays halve a step that starts at pi/2 and stop once it is below 1e-13 +
+    # 4 eps mid, so they need no cap on their passes
+    assert (math.pi / 2) * 2**-44 < 1e-13
+    top = attacks.STRATEGY_B_MAX_DISTURBANCE
+    ds = [5e-324, 1e-300, 1e-13, math.nextafter(top, 0.0)]
+    gammas = [attacks._replay_inversion(d) for d in ds]
+    from_array = attacks._replay_inversion_array(np, np.array(ds))
+    assert _bits(from_array).tolist() == _bits(gammas).tolist()
+    for d, gamma in zip(ds, gammas):
+        assert abs(strategy_b_disturbance(gamma) - d) <= attacks.D_INVERSION_TOL, d
 
 
 def _taylor_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:

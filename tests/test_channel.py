@@ -307,6 +307,35 @@ def test_window_lower_edge_of_a_bright_source_matches_a_decimal_closed_form(mu):
     assert abs(lower - reference) <= 1e-12 * reference
 
 
+def test_window_lower_edge_stays_below_one_and_an_empty_window_has_equal_edges():
+    # P_multi is below the click rate at eta_t = 1 term by term, by about P(1) eta_det,
+    # so the lower edge needs no clamp to 1; it comes closest near 1 - 1/mu at mu 708
+    lowers = [eta_t_bounds(mu, eta).eta_t_lower for mu in np.geomspace(1e-6, 708.0, 61).tolist()
+              for eta in np.geomspace(1e-9, 1.0, 61).tolist()]
+    assert max(lowers) < 0.999
+    window = eta_t_bounds(700.0, 1e-9)
+    assert window.empty
+    assert window.eta_t_lower == window.eta_t_upper < 1.0
+
+
+def test_verify_suites_sample_from_windows_at_least_3_db_wide(monkeypatch):
+    # _suite_disturbance_maps draws (mu, eta) from the first box, 50 times, and
+    # _suite_error_map_identity from the second, 1000 times; neither skips an empty window,
+    # as none is near empty there (the narrowest measured are 5.97 and 3.95 dB wide)
+    boxes = [((0.05, 0.5), (0.1, 0.9)), ((0.02, 0.8), (0.05, 0.95))]
+    asked = []
+    monkeypatch.setattr(channel, "eta_t_bounds",
+                        lambda mu, eta: asked.append((mu, eta)) or eta_t_bounds(mu, eta))
+    verification.run_verification(n_pulses=1000)
+    assert len(asked) == 1050
+    assert all(0.02 <= mu <= 0.8 and 0.05 <= eta <= 0.95 for mu, eta in asked)
+    for (mu_lo, mu_hi), (eta_lo, eta_hi) in boxes:
+        for mu in np.linspace(mu_lo, mu_hi, 41).tolist():
+            for eta in np.linspace(eta_lo, eta_hi, 41).tolist():
+                window = eta_t_bounds(mu, eta)
+                assert not window.empty and window.loss_db_upper - window.loss_db_lower >= 3.0, (mu, eta)
+
+
 def test_scan_grid_is_bit_equal_to_numpy_arange():
     rng = np.random.default_rng(20240901)
     for lo, width in zip(rng.uniform(0.0, 20.0, 20_000), rng.uniform(1e-6, 15.0, 20_000)):

@@ -475,26 +475,38 @@ INVALID_LIGHT_COMMANDS = [
     (3, ["crossover", "--mu", "60", "--eta-det", "0.2", "--error-rate", "0.01"]),
 ]
 
+# Windows whose lower edge lies next to eta_t = 1, where it comes from libm's log, log1p and
+# expm1: at mu 708 and eta_det 1 an open window, at mu 700 and eta_det 1e-9 an empty one,
+# whose edges are equal and below 1.
+WINDOW_EDGE_COMMANDS = [
+    ({"window_empty": False, "eta_t_lower": 0.9907290176178924}, ["bounds", "--mu", "708", "--eta-det", "1"]),
+    ({"window_empty": True, "eta_t_lower": 0.998571428570711, "eta_t_upper": 0.998571428570711},
+     ["bounds", "--mu", "700", "--eta-det", "1e-9"]),
+]
+
 
 def test_reference_outputs_are_byte_identical_on_the_other_installed_interpreters():
     # The light commands need only the standard library, so every interpreter that
-    # requires-python admits gives the reference bytes, and the invalid-input answers,
-    # without numpy.  The interpreters are those installed next to this one (a pyenv
-    # layout); the probe stays parsable by older ones, which report themselves and are
-    # left out.
+    # requires-python admits gives the reference bytes, the window edges next to eta_t = 1
+    # and the invalid-input answers, without numpy.  The interpreters are those installed
+    # next to this one (a pyenv layout); the probe stays parsable by older ones, which
+    # report themselves and are left out.
     own = Path(sys.base_prefix).resolve()
     pythons = sorted(p for p in own.parent.glob("*/bin/python") if p.parents[1].resolve() != own)
-    argvs = [argv for _, argv in REFERENCE_COMMANDS] + [argv for _, argv in INVALID_LIGHT_COMMANDS]
+    groups = [[argv for _, argv in listed]
+              for listed in (REFERENCE_COMMANDS, WINDOW_EDGE_COMMANDS, INVALID_LIGHT_COMMANDS)]
     probe = ("import contextlib, io, json, sys\n"
              "if sys.version_info < (3, 10):\n"
              "    print(json.dumps(None))\n"
              "    sys.exit()\n"
              "from qel import cli\n"
              "outputs = [sys.version]\n"
-             f"for argv in {argvs!r}:\n"
-             "    out, err = io.StringIO(), io.StringIO()\n"
-             "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-             "        outputs.append([cli.main(argv), out.getvalue(), err.getvalue()])\n"
+             f"for argvs in {groups!r}:\n"
+             "    outputs.append([])\n"
+             "    for argv in argvs:\n"
+             "        out, err = io.StringIO(), io.StringIO()\n"
+             "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+             "            outputs[-1].append([cli.main(argv), out.getvalue(), err.getvalue()])\n"
              "print(json.dumps(outputs))\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     checked = []
@@ -505,13 +517,15 @@ def test_reference_outputs_are_byte_identical_on_the_other_installed_interpreter
         outputs = json.loads(result.stdout)
         if outputs is None:
             continue
-        version, *outputs = outputs
+        version, valid, edges, invalid = outputs
         checked.append(version)
-        valid, invalid = outputs[:len(REFERENCE_COMMANDS)], outputs[len(REFERENCE_COMMANDS):]
         for (reference, argv), (code, out, _) in zip(REFERENCE_COMMANDS, valid, strict=True):
             assert code == 0, (version, argv)
             assert out.encode() == (ROOT / "perfbench" / "reference" / reference).read_bytes(), (
                 version, argv)
+        for (expected, argv), (code, out, _) in zip(WINDOW_EDGE_COMMANDS, edges, strict=True):
+            record = json.loads(out)
+            assert (code, {key: record[key] for key in expected}) == (0, expected), (version, argv)
         for (expected, argv), (code, out, err) in zip(INVALID_LIGHT_COMMANDS, invalid, strict=True):
             assert (code, out, len(err.splitlines())) == (expected, "", 1), (version, argv, err)
     if not checked:
