@@ -43,43 +43,112 @@ D_INVERSION_TOL = 1e-10
 
 _BISECT_RTOL = 4.0 * sys.float_info.epsilon
 _BISECT_MAX_STEPS = 100
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # --------------------------------------------------------------------------
 # Root finding
 # --------------------------------------------------------------------------
 
-def bisect(f, lo, hi, xtol: float):
-    """Root of f bracketed by [lo, hi], located by interval halving.
+def _bracket(f, a: float, b: float):
+    """(root, sign, f(a) * sign, f(b) * sign): the bracket contract of bisect and _itp_root.
 
-    lo and hi are floats.  Each step halves the step width and moves lo to
-    the midpoint whenever f there has the sign of f at the original lo.  Stops
-    when f vanishes at the midpoint or the step falls below
-    xtol + 4 eps |midpoint|, and returns the midpoint; an endpoint where f
-    vanishes is returned as it is.  Raises ValueError when f(lo) and f(hi)
-    share a sign and RuntimeError after 100 steps.  Values of f are
-    multiplied by the sign of f(lo), not by f(lo), since the product of two
-    tiny values underflows to 0.
+    a and b are floats.  An end where f vanishes is root, even if the other end
+    shares its sign.  Otherwise root is None, sign is the sign of f(b), and
+    ValueError is raised for ends of one sign.  The finders multiply by sign,
+    not by f(b): a product of two tiny values underflows to 0.
+    """
+    f_a, f_b = f(a), f(b)
+    if f_a == 0.0 or f_b == 0.0:
+        return (a if f_a == 0.0 else b), 0.0, 0.0, 0.0
+    sign = math.copysign(1.0, f_b)
+    if f_a * sign > 0.0:
+        raise ValueError(f"f({a}) and f({b}) must have different signs")
+    return None, sign, f_a * sign, f_b * sign
+
+
+def bisect(f, lo, hi, xtol: float):
+    """Root of f bracketed by [lo, hi] (see _bracket), located by interval halving.
+
+    Each step halves the step and moves lo to the midpoint where f lacks the
+    sign of f(hi).  Returns the midpoint where f vanishes or the step falls
+    below xtol + 4 eps |midpoint|; RuntimeError after 100 steps.
     """
     lo, hi = float(lo), float(hi)
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    sign_lo = math.copysign(1.0, f_lo)
-    if f_hi * sign_lo > 0.0:
-        raise ValueError(f"f({lo}) and f({hi}) must have different signs")
+    root, sign, _, _ = _bracket(f, lo, hi)
+    if root is not None:
+        return root
     step = hi - lo
     for _ in range(_BISECT_MAX_STEPS):
         step *= 0.5
         mid = lo + step
         f_mid = f(mid)
-        if f_mid * sign_lo >= 0.0:
+        if f_mid * sign <= 0.0:
             lo = mid
         if f_mid == 0.0 or abs(step) < xtol + _BISECT_RTOL * abs(mid):
             return mid
     raise RuntimeError(f"bisection did not converge in {_BISECT_MAX_STEPS} steps")
+
+
+def _itp_root(f, a: float, b: float, xtol: float) -> float:
+    """Root of f bracketed by [a, b], a < b (see _bracket), located by the ITP method.
+
+    Oliveira and Takahashi, ACM TOMS 47(1), 2020, with kappa1 = 0.2/(b - a),
+    kappa2 = 2 and n0 = 1: each step evaluates f at the regula-falsi point,
+    moved towards the midpoint by kappa1 (b - a)^2 and then into the range
+    around the midpoint that keeps the worst case within one step of
+    bisection.  Stops when b - a <= 2 xtol and returns the midpoint, within
+    xtol of the sign change; raises RuntimeError after
+    n_max = ceil(log2((b - a)/(2 xtol))) + 1 steps.
+    """
+    root, sign, y_a, y_b = _bracket(f, a, b)  # y_b > 0
+    if root is not None:
+        return root
+    kappa1 = 0.2 / (b - a)
+    n_max = math.ceil(math.log2((b - a) / (2.0 * xtol))) + 1
+    # the projection holds each interval to the bound of a tolerance 2^-20 below xtol, so that
+    # rounding cannot leave the last one an ulp wider than 2 xtol when every step is projected
+    target = xtol * (1.0 - 2.0 ** -20)
+    for step in range(n_max + 1):
+        if b - a <= 2.0 * xtol:
+            return (a + b) / 2.0
+        if step == n_max:
+            raise RuntimeError(f"ITP did not converge in {n_max} steps")
+        mid = (a + b) / 2.0
+        radius = math.ldexp(target, n_max - step) - (b - a) / 2.0
+        delta = kappa1 * (b - a) ** 2
+        x_f = (y_b * a - y_a * b) / (y_b - y_a)
+        toward_mid = math.copysign(1.0, mid - x_f)
+        x_t = x_f + toward_mid * delta if delta <= abs(mid - x_f) else mid
+        x = x_t if abs(x_t - mid) <= radius else mid - toward_mid * radius
+        y = f(x) * sign
+        if y == 0.0:
+            return x
+        if y < 0.0:
+            a, y_a = x, y
+        else:
+            b, y_b = x, y
+
+
+def _golden_section_search(f, lo: float, hi: float, xtol: float):
+    """(x, f(x)) at a point of [lo, hi] where f is positive, or at the maximum of f.
+
+    A golden-section search for the maximum of an f with one maximum on
+    [lo, hi], stopped at the first point where f > 0.  When f never is, x
+    is the better of the last two points, within xtol of the maximum.
+    """
+    c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    f_c, f_d = f(c), f(d)
+    while hi - lo > xtol and max(f_c, f_d) <= 0.0:
+        if f_c >= f_d:
+            hi, d, f_d = d, c, f_c
+            c = hi - _INV_GOLDEN * (hi - lo)
+            f_c = f(c)
+        else:
+            lo, c, f_c = c, d, f_d
+            d = lo + _INV_GOLDEN * (hi - lo)
+            f_d = f(d)
+    return (c, f_c) if f_c >= f_d else (d, f_d)
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,6 @@ CROSSOVER_DB_TOL = 0.01
 _SCAN_DB_STEP = 0.05
 _BAND_XTOL = 1e-6
 _BAND_GAIN_SLACK = 1e-8
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class InvalidRegimeError(ValueError):
@@ -296,14 +295,14 @@ def gain_band(strategy: str, eta_det: float):
     [0, 1/4]; B in its angle gamma on [0, pi/2], with the disturbance
     strategy_b_disturbance(gamma), so no angle is inverted.  A
     golden-section search for the maximum stops at the first point where
-    G > -1e-8, and one ITP root find (_itp_root) on each side of that point
-    finds the edges of G > -1e-8 to 1e-6 in D or gamma, in about 8 gain
-    evaluations each; each edge is then moved out by twice that.  So the
-    band holds every disturbance at which the gain is positive, also where
-    round-off in an inverted angle moves the gain, and its edges lie within
-    about 3e-6 of the sign changes of G.  None when the search ends within
-    1e-6 of the maximum without such a point; the slack of 1e-8 covers the
-    distance of the maximum found from the true one.
+    G > -1e-8, and one ITP root find (attacks._itp_root) on each side of
+    that point finds the edges of G > -1e-8 to 1e-6 in D or gamma, in about
+    8 gain evaluations each; each edge is then moved out by twice that.  So
+    the band holds every disturbance at which the gain is positive, also
+    where round-off in an inverted angle moves the gain, and its edges lie
+    within about 3e-6 of the sign changes of G.  None when the search ends
+    within 1e-6 of the maximum without such a point; the slack of 1e-8
+    covers the distance of the maximum found from the true one.
     Both edges are located here; the crossover search (crossover_loss_best)
     locates the exit only when it meets a grid point that does not gain.
     """
@@ -320,9 +319,9 @@ def _band_search(strategy: str, eta_det: float):
     The searches run on the gain plus _BAND_GAIN_SLACK, in D for A and in
     gamma for B.  The sum is positive exactly where the gain exceeds
     -_BAND_GAIN_SLACK: rounding never flips the sign of a sum, and near 0
-    the sum is exact.  The golden-section search and the ITP root find of
-    the entry, on [0, inside], run here; each call of band_exit() finds the
-    exit on [inside, top] and returns it.
+    the sum is exact.  attacks._golden_section_search and the
+    attacks._itp_root of the entry, on [0, inside], run here; each call of
+    band_exit() finds the exit on [inside, top] and returns it.
     """
     if strategy == "A":
         top, info, disturbance = 0.25, attacks.strategy_a_information, lambda d: d
@@ -334,86 +333,15 @@ def _band_search(strategy: str, eta_det: float):
     def gain(x):
         return info(x) - attacks.pns_information_matched(eta_det, disturbance(x)) + _BAND_GAIN_SLACK
 
-    inside, gain_inside = _golden_section_search(gain, 0.0, top, _BAND_XTOL)
+    inside, gain_inside = attacks._golden_section_search(gain, 0.0, top, _BAND_XTOL)
     if not gain_inside > 0.0:
         return None
 
     def band_exit():
-        return disturbance(min(top, _itp_root(gain, inside, top, _BAND_XTOL) + 2.0 * _BAND_XTOL))
+        return disturbance(min(top, attacks._itp_root(gain, inside, top, _BAND_XTOL) + 2.0 * _BAND_XTOL))
 
-    entry = max(0.0, _itp_root(gain, 0.0, inside, _BAND_XTOL) - 2.0 * _BAND_XTOL)
+    entry = max(0.0, attacks._itp_root(gain, 0.0, inside, _BAND_XTOL) - 2.0 * _BAND_XTOL)
     return disturbance(entry), band_exit
-
-
-def _golden_section_search(f, lo: float, hi: float, xtol: float):
-    """(x, f(x)) at a point of [lo, hi] where f is positive, or at the maximum of f.
-
-    A golden-section search for the maximum of an f with one maximum on
-    [lo, hi], stopped at the first point where f > 0.  When f never is, x
-    is the better of the last two points, within xtol of the maximum.
-    """
-    c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
-    f_c, f_d = f(c), f(d)
-    while hi - lo > xtol and max(f_c, f_d) <= 0.0:
-        if f_c >= f_d:
-            hi, d, f_d = d, c, f_c
-            c = hi - _INV_GOLDEN * (hi - lo)
-            f_c = f(c)
-        else:
-            lo, c, f_c = c, d, f_d
-            d = lo + _INV_GOLDEN * (hi - lo)
-            f_d = f(d)
-    return (c, f_c) if f_c >= f_d else (d, f_d)
-
-
-def _itp_root(f, a: float, b: float, xtol: float) -> float:
-    """Root of f bracketed by [a, b], a < b, located by the ITP method.
-
-    Oliveira and Takahashi, ACM TOMS 47(1), 2020, with kappa1 = 0.2/(b - a),
-    kappa2 = 2 and n0 = 1: each step evaluates f at the regula-falsi point,
-    moved towards the midpoint by kappa1 (b - a)^2 and then into the range
-    around the midpoint that keeps the worst case within one step of
-    bisection.  The contract is attacks.bisect's: a and b are floats, an
-    end where f vanishes is returned as it is, and ValueError is raised when
-    f(a) and f(b) share a sign.  Stops when b - a <= 2 xtol and returns the
-    midpoint, which then lies within xtol of the sign change, and raises
-    RuntimeError after n_max = ceil(log2((b - a)/(2 xtol))) + 1 steps.  Values
-    of f are multiplied by the sign of f(b), not by f(b), since the product
-    of two tiny values underflows to 0.
-    """
-    f_a, f_b = f(a), f(b)
-    if f_a == 0.0:
-        return a
-    if f_b == 0.0:
-        return b
-    sign = math.copysign(1.0, f_b)
-    y_a, y_b = f_a * sign, f_b * sign  # y_b > 0
-    if y_a > 0.0:
-        raise ValueError(f"f({a}) and f({b}) must have different signs")
-    kappa1 = 0.2 / (b - a)
-    n_max = math.ceil(math.log2((b - a) / (2.0 * xtol))) + 1
-    # the projection holds each interval to the bound of a tolerance 2^-20 below xtol, so that
-    # rounding cannot leave the last one an ulp wider than 2 xtol when every step is projected
-    target = xtol * (1.0 - 2.0 ** -20)
-    for step in itertools.count():
-        if b - a <= 2.0 * xtol:
-            return (a + b) / 2.0
-        if step == n_max:
-            raise RuntimeError(f"ITP did not converge in {n_max} steps")
-        mid = (a + b) / 2.0
-        radius = math.ldexp(target, n_max - step) - (b - a) / 2.0
-        delta = kappa1 * (b - a) ** 2
-        x_f = (y_b * a - y_a * b) / (y_b - y_a)
-        toward_mid = math.copysign(1.0, mid - x_f)
-        x_t = x_f + toward_mid * delta if delta <= abs(mid - x_f) else mid
-        x = x_t if abs(x_t - mid) <= radius else mid - toward_mid * radius
-        y = f(x) * sign
-        if y == 0.0:
-            return x
-        if y < 0.0:
-            a, y_a = x, y
-        else:
-            b, y_b = x, y
 
 
 def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dict:
@@ -442,8 +370,8 @@ def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dic
     exit, which is the scan's miss of a band narrower than one step.  The
     gains and the lower-edge and refining rules are those of the scan, so
     every result is bit-equal to the scan's.  The band edges are ITP roots
-    (_itp_root) and only decide where to look; the refinement is the scan's
-    bisection, whose midpoints fix the result.  Disturbances and gains are
+    (attacks._itp_root) and only decide where to look; the refinement is the
+    scan's bisection (attacks.bisect), whose midpoints fix the result.  Disturbances and gains are
     kept by loss, so each is computed once, the refinement's grid ends
     included, and the PNS information only where a gain is read.
     """

