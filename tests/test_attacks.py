@@ -316,28 +316,40 @@ def test_gamma_inversion_roundtrip():
     assert gamma_for_disturbance(np.array([])).shape == (0,)
 
 
-@pytest.mark.parametrize("root", [attacks.bisect, attacks._itp_root], ids=["bisect", "itp"])
-def test_root_finders_keep_one_bracket_contract(root):
-    for same_sign in (0.25, -0.25, 1e-200):
-        with pytest.raises(ValueError, match="different signs"):
-            root(lambda x: same_sign, -1.0, 2.0, 1e-6)
-    # an end where f vanishes is returned as it is, also when the other end shares its sign
-    assert root(lambda x: x - 0.25, 0.25, 1.0, 1e-6) == 0.25
-    assert root(lambda x: x - 1.0, 0.25, 1.0, 1e-6) == 1.0
-    assert root(lambda x: (x - 0.25) ** 2, 0.25, 1.0, 1e-6) == 0.25
-    assert root(lambda x: (x - 1.0) ** 2, 0.25, 1.0, 1e-6) == 1.0
+# bisect and _itp_root keep one bracket contract (attacks._bracket); each test holds both to it
+ROOT_FINDERS = (attacks.bisect, attacks._itp_root)
+
+
+def test_bisect_returns_an_endpoint_root():
+    for root in ROOT_FINDERS:
+        # an end where f vanishes is returned as it is, also when the other end shares its sign
+        assert root(lambda x: x - 0.25, 0.25, 1.0, 1e-6) == 0.25
+        assert root(lambda x: x - 1.0, 0.25, 1.0, 1e-6) == 1.0
+        assert root(lambda x: (x - 0.25) ** 2, 0.25, 1.0, 1e-6) == 0.25
+        assert root(lambda x: (x - 1.0) ** 2, 0.25, 1.0, 1e-6) == 1.0
+        # a root found exactly is returned at once, after the two ends and one point between
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 0.5 - x
+        assert root(f, 0.0, 1.0, 1e-6) == 0.5 and calls == [0.0, 1.0, 0.5], root
+
+
+def test_bisect_rejects_a_same_sign_bracket():
+    for root in ROOT_FINDERS:
+        for same_sign in (0.25, -0.25, 1e-200):
+            with pytest.raises(ValueError, match="different signs"):
+                root(lambda x: same_sign, -1.0, 2.0, 1e-6)
+
+
+def test_bisect_compares_signs_of_tiny_values():
     # f rising or falling across the bracket; the signs are normalised, not multiplied, so
     # tiny values of both signs still bracket, where f(mid) * f(lo) would underflow to 0
-    for scale in (1.0, -1.0, 1e-200, -1e-200):
-        assert abs(root(lambda x: scale * (x - 1.0 / 3.0), 0.0, 1.0, 1e-9) - 1.0 / 3.0) <= 1e-9
-        assert abs(root(lambda x: scale * (math.exp(x) - 2.0), 0.0, 3.0, 1e-9) - math.log(2.0)) <= 1e-9
-    # a root found exactly is returned at once, after the two ends and one point between
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return 0.5 - x
-    assert root(f, 0.0, 1.0, 1e-6) == 0.5 and calls == [0.0, 1.0, 0.5]
+    for root in ROOT_FINDERS:
+        for scale in (1.0, -1.0, 1e-200, -1e-200):
+            assert abs(root(lambda x: scale * (x - 1.0 / 3.0), 0.0, 1.0, 1e-9) - 1.0 / 3.0) <= 1e-9
+            assert abs(root(lambda x: scale * (math.exp(x) - 2.0), 0.0, 3.0, 1e-9) - math.log(2.0)) <= 1e-9
 
 
 @pytest.mark.parametrize("xtol", [1e-3, 1e-9, 1e-13])
