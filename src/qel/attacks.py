@@ -67,14 +67,14 @@ def _bracket(f, a: float, b: float):
     return None, sign, f_a * sign, f_b * sign
 
 
-def bisect(f, lo, hi, xtol: float):
+def bisect(f, lo: float, hi: float, xtol: float):
     """Root of f bracketed by [lo, hi] (see _bracket), located by interval halving.
 
-    Each step halves the step and moves lo to the midpoint where f lacks the
-    sign of f(hi).  Returns the midpoint where f vanishes or the step falls
-    below xtol + 4 eps |midpoint|; RuntimeError after 100 steps.
+    lo and hi are floats.  Each step halves the step and moves lo to the
+    midpoint where f lacks the sign of f(hi).  Returns the midpoint where f
+    vanishes or the step falls below xtol + 4 eps |midpoint|; RuntimeError
+    after 100 steps.
     """
-    lo, hi = float(lo), float(hi)
     root, sign, _, _ = _bracket(f, lo, hi)
     if root is not None:
         return root

@@ -381,26 +381,21 @@ def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dic
     if window.empty:
         raise InvalidRegimeError(f"transmission window is empty for mu={mu}, eta_det={eta_det}")
 
-    disturbances, gains = {}, {}
-
+    @functools.cache
     def disturbance(loss_db: float) -> float:
         """The disturbance at a loss, inf where the error is unattainable."""
-        if loss_db not in disturbances:
-            try:
-                disturbances[loss_db] = disturbance_for_error(
-                    ChannelScenario.from_loss_db(mu, eta_det, loss_db), observed_error)
-            except InvalidRegimeError:
-                disturbances[loss_db] = math.inf
-        return disturbances[loss_db]
+        try:
+            return disturbance_for_error(
+                ChannelScenario.from_loss_db(mu, eta_det, loss_db), observed_error)
+        except InvalidRegimeError:
+            return math.inf
 
+    @functools.cache
     def gain(strategy: str, loss_db: float) -> float:
         """Cloning minus PNS information at a loss, -inf where either is missing."""
-        if (strategy, loss_db) not in gains:
-            d = disturbance(loss_db)
-            info = None if d == math.inf else attacks.cloning_information(strategy, [d])[0]
-            gains[strategy, loss_db] = (
-                -math.inf if info is None else info - attacks.pns_information_matched(eta_det, d))
-        return gains[strategy, loss_db]
+        d = disturbance(loss_db)
+        info = None if d == math.inf else attacks.cloning_information(strategy, [d])[0]
+        return -math.inf if info is None else info - attacks.pns_information_matched(eta_det, d)
 
     def crossover(strategy: str):
         band = _band_search(strategy, eta_det)

@@ -37,14 +37,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _required(args: argparse.Namespace, name: str):
-    """The value of an option the subcommand cannot run without."""
-    value = getattr(args, name)
-    if value is None:
-        raise UsageError(f"missing required option --{name.replace('_', '-')}")
-    return value
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -86,7 +78,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     if not isinstance(data, dict):
         raise UsageError(f"config file {args.config} must hold a JSON object")
     # The namespace holds every destination of the chosen subcommand.
-    unknown = sorted(set(data) - (set(vars(args)) - {"command", "config", "func"}))
+    unknown = sorted(set(data) - (set(vars(args)) - {"command", "config"}))
     if unknown:
         raise UsageError(f"unknown option in config file {args.config}: {', '.join(unknown)}")
     return [f"--{name.replace('_', '-')}={value}" for name, value in data.items()
@@ -108,18 +100,16 @@ def _grid(lo, hi, steps, what):
 # --------------------------------------------------------------------------
 
 def cmd_info_curves(args: argparse.Namespace) -> int:
-    eta_det = _required(args, "eta_det")
     grid = _grid(args.d_min, args.d_max, args.steps, "disturbance")
-    points = attacks.information_curves(eta_det, grid)
+    points = attacks.information_curves(args.eta_det, grid)
     rows = [(p.disturbance, p.i_pns, p.i_a, p.i_b) for p in points]
     emit_table(("D", "i_pns", "i_a", "i_b"), rows, args.format, args.output,
-               {"kind": "info_curves", "eta_det": eta_det})
+               {"kind": "info_curves", "eta_det": args.eta_det})
     return 0
 
 
 def cmd_error_map(args: argparse.Namespace) -> int:
-    mu = _required(args, "mu")
-    eta_det = _required(args, "eta_det")
+    mu, eta_det = args.mu, args.eta_det
     if args.eta_t is not None and args.loss_db is not None:
         raise UsageError("--eta-t and --loss-db are mutually exclusive")
     if args.eta_t is not None:
@@ -146,13 +136,11 @@ def cmd_error_map(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    mu = _required(args, "mu")
-    eta_det = _required(args, "eta_det")
-    window = channel.eta_t_bounds(mu, eta_det)
+    window = channel.eta_t_bounds(args.mu, args.eta_det)
     record = {
         "kind": "bounds",
-        "mu": mu,
-        "eta_det": eta_det,
+        "mu": args.mu,
+        "eta_det": args.eta_det,
         "window_empty": window.empty,
         "eta_t_lower": window.eta_t_lower,
         "eta_t_upper": window.eta_t_upper,
@@ -164,15 +152,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_crossover(args: argparse.Namespace) -> int:
-    mu = _required(args, "mu")
-    eta_det = _required(args, "eta_det")
-    e = _required(args, "error_rate")
-    result = channel.crossover_loss_best(mu, eta_det, e)
+    result = channel.crossover_loss_best(args.mu, args.eta_det, args.error_rate)
     record = {
         "kind": "crossover",
-        "mu": mu,
-        "eta_det": eta_det,
-        "observed_error": e,
+        "mu": args.mu,
+        "eta_det": args.eta_det,
+        "observed_error": args.error_rate,
         "crossover_db_a": result["A"],
         "crossover_db_b": result["B"],
         "crossover_db_best": result["best"],
@@ -212,58 +197,49 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # Parser
 # --------------------------------------------------------------------------
 
+#: Marks an option that its subcommand cannot run without.
+REQUIRED = object()
+
+#: Each subcommand's handler, summary and options as dest -> default.  An option's
+#: type follows its default: an int parses as an int, "csv" offers csv and json, and
+#: any other default is a finite float, REQUIRED standing for a default of None.
+_COMMANDS = {
+    "info-curves": (cmd_info_curves, "information versus disturbance for all processes", {
+        "eta_det": REQUIRED, "d_min": 0.0, "d_max": 0.5,
+        "steps": attacks.DEFAULT_CURVE_GRID_POINTS, "format": "csv"}),
+    "error-map": (cmd_error_map, "observed error rate versus disturbance and loss", {
+        "mu": REQUIRED, "eta_det": REQUIRED, "eta_t": None, "loss_db": None,
+        "loss_min": 1.0, "loss_max": 13.0, "loss_steps": 13,
+        "d_min": 0.0, "d_max": 0.5, "d_steps": 11, "format": "csv"}),
+    "bounds": (cmd_bounds, "valid transmission window for the comparison", {
+        "mu": REQUIRED, "eta_det": REQUIRED}),
+    "crossover": (cmd_crossover, "loss at which cloning overtakes the PNS process", {
+        "mu": REQUIRED, "eta_det": REQUIRED, "error_rate": REQUIRED}),
+    "coefficients": (cmd_coefficients, "closed-form probe coefficients on a gamma grid", {
+        "gamma_min": 0.0, "gamma_max": math.pi, "steps": 50, "format": "csv"}),
+    "verify": (cmd_verify, "run all oracle suites and report deltas", {
+        "seed": VERIFY_SEED, "pulses": VERIFY_PULSES}),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="qel", allow_abbrev=False,
         description="BB84 eavesdropping analysis: PNS process versus two-photon cloning attacks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, summary):
+    for name, (_, summary, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="JSON file with option values; flags override")
         p.add_argument("-o", "--output", help="output path (default stdout)")
-        p.set_defaults(func=func)
-        return p
-
-    p = command("info-curves", cmd_info_curves, "information versus disturbance for all processes")
-    p.add_argument("--eta-det", type=_finite_float)
-    p.add_argument("--d-min", type=_finite_float, default=0.0)
-    p.add_argument("--d-max", type=_finite_float, default=0.5)
-    p.add_argument("--steps", type=int, default=attacks.DEFAULT_CURVE_GRID_POINTS)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = command("error-map", cmd_error_map, "observed error rate versus disturbance and loss")
-    p.add_argument("--mu", type=_finite_float)
-    p.add_argument("--eta-det", type=_finite_float)
-    p.add_argument("--eta-t", type=_finite_float)
-    p.add_argument("--loss-db", type=_finite_float)
-    p.add_argument("--loss-min", type=_finite_float, default=1.0)
-    p.add_argument("--loss-max", type=_finite_float, default=13.0)
-    p.add_argument("--loss-steps", type=int, default=13)
-    p.add_argument("--d-min", type=_finite_float, default=0.0)
-    p.add_argument("--d-max", type=_finite_float, default=0.5)
-    p.add_argument("--d-steps", type=int, default=11)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = command("bounds", cmd_bounds, "valid transmission window for the comparison")
-    p.add_argument("--mu", type=_finite_float)
-    p.add_argument("--eta-det", type=_finite_float)
-
-    p = command("crossover", cmd_crossover, "loss at which cloning overtakes the PNS process")
-    p.add_argument("--mu", type=_finite_float)
-    p.add_argument("--eta-det", type=_finite_float)
-    p.add_argument("--error-rate", type=_finite_float)
-
-    p = command("coefficients", cmd_coefficients, "closed-form probe coefficients on a gamma grid")
-    p.add_argument("--gamma-min", type=_finite_float, default=0.0)
-    p.add_argument("--gamma-max", type=_finite_float, default=math.pi)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = command("verify", cmd_verify, "run all oracle suites and report deltas")
-    p.add_argument("--seed", type=int, default=VERIFY_SEED)
-    p.add_argument("--pulses", type=int, default=VERIFY_PULSES)
-
+        for dest, default in options.items():
+            flag = f"--{dest.replace('_', '-')}"
+            if default == "csv":
+                p.add_argument(flag, choices=("csv", "json"), default=default)
+            elif isinstance(default, int):
+                p.add_argument(flag, type=int, default=default)
+            else:
+                p.add_argument(flag, type=_finite_float,
+                               default=None if default is REQUIRED else default)
     return parser
 
 
@@ -275,7 +251,11 @@ def main(argv=None) -> int:
         if args.config is not None:
             # Config values are parsed as flags; the command line's come last and win.
             args = parser.parse_args([argv[0], *_config_flags(args), *argv[1:]])
-        return args.func(args)
+        handler, _, options = _COMMANDS[args.command]
+        for dest, default in options.items():
+            if default is REQUIRED and getattr(args, dest) is None:
+                raise UsageError(f"missing required option --{dest.replace('_', '-')}")
+        return handler(args)
     except channel.InvalidRegimeError as exc:
         print(f"invalid regime: {exc}", file=sys.stderr)
         return 3

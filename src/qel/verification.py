@@ -115,16 +115,16 @@ def _suite_disturbance_maps(seed: int, reports_b) -> SuiteResult:
     for d_target in np.linspace(0.0, attacks.STRATEGY_B_MAX_DISTURBANCE, 21):
         gamma = attacks.gamma_for_disturbance(float(d_target))
         d_inv = max(d_inv, abs(attacks.strategy_b_disturbance(gamma) - d_target))
-    # observed error roundtrip on a mid-window scenario
-    rng = np.random.default_rng(seed)
+    # observed error roundtrip on a mid-window scenario; each row of doubles is one scenario,
+    # scaled by Generator.uniform's own formula a + (b - a) u, so the scalar draws' scenarios
     d_chan = 0.0
-    for _ in range(50):
-        mu = rng.uniform(0.05, 0.5)
-        eta = rng.uniform(0.1, 0.9)
+    for u_mu, u_eta, u_loss, u_d in np.random.default_rng(seed).random((50, 4)).tolist():
+        mu = 0.05 + (0.5 - 0.05) * u_mu
+        eta = 0.1 + (0.9 - 0.1) * u_eta
         window = channel.eta_t_bounds(mu, eta)
-        lo, hi = window.loss_db_lower, window.loss_db_upper
-        scen = channel.ChannelScenario.from_loss_db(mu, eta, rng.uniform(lo + 0.05, hi - 0.05))
-        d0 = rng.uniform(0.0, 0.5)
+        lo, hi = window.loss_db_lower + 0.05, window.loss_db_upper - 0.05
+        scen = channel.ChannelScenario.from_loss_db(mu, eta, lo + (hi - lo) * u_loss)
+        d0 = 0.5 * u_d
         e = channel.observed_error_from_disturbance(scen, d0)
         d_chan = max(d_chan, abs(channel.disturbance_for_error(scen, e) - d0))
     return SuiteResult("disturbance_maps", (
@@ -219,33 +219,21 @@ def _suite_double_click(seed: int, n_pulses: int) -> SuiteResult:
     return SuiteResult("double_click", tuple(checks))
 
 
-def _random_doubles(rng: np.random.Generator):
-    """The doubles of rng.random(), drawn 4096 at a time and yielded as Python floats."""
-    while True:
-        yield from rng.random(4096).tolist()
-
-
 def _suite_error_map_identity(seed: int) -> SuiteResult:
-    doubles = _random_doubles(np.random.default_rng(seed))
-
-    def uniform(a: float, b: float) -> float:
-        # Generator.uniform(a, b)'s own formula, so each value is the scalar draw's
-        return a + (b - a) * next(doubles)
-
+    # one row of doubles per scenario, scaled as in _suite_disturbance_maps
     worst_rel = 0.0
-    count = 0
-    while count < 1000:
-        mu = uniform(0.02, 0.8)
-        eta = uniform(0.05, 0.95)
+    for u_mu, u_eta, u_loss, u_d in np.random.default_rng(seed).random((1000, 4)).tolist():
+        mu = 0.02 + (0.8 - 0.02) * u_mu
+        eta = 0.05 + (0.95 - 0.05) * u_eta
         window = channel.eta_t_bounds(mu, eta)
         lo, hi = window.loss_db_lower, window.loss_db_upper
         margin = 0.01 * (hi - lo)
-        scen = channel.ChannelScenario.from_loss_db(mu, eta, uniform(lo + margin, hi - margin))
-        d = uniform(0.001, 0.5)
+        lo, hi = lo + margin, hi - margin
+        scen = channel.ChannelScenario.from_loss_db(mu, eta, lo + (hi - lo) * u_loss)
+        d = 0.001 + (0.5 - 0.001) * u_d
         composed = channel.observed_error_from_disturbance(scen, d)
         closed = channel.observed_error_closed_form(scen, d)
         worst_rel = max(worst_rel, abs(closed - composed) / composed)
-        count += 1
     return SuiteResult("error_map_identity", (
         CheckResult("closed_form_vs_composition_relative", 1e-12, worst_rel),
     ))

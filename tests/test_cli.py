@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel import attacks, channel, cli, detection, infotheory, optics, verification
+from qel import VERIFY_PULSES, VERIFY_SEED, attacks, channel, cli, detection, infotheory, optics, verification
 
 
 def run_cli(capsys, argv):
@@ -102,6 +102,40 @@ def test_missing_required_option_is_usage_error(tmp_path, capsys, command, missi
     assert code == 1
     assert out == ""
     assert err == f"usage error: missing required option --{missing.replace('_', '-')}\n"
+
+
+#: (option strings, type, default, choices) of each subcommand's options, as they were declared
+#: one by one before the options table; every subcommand opens with --config and -o/--output.
+_FINITE = cli._finite_float
+_COMMON_OPTIONS = [(["--config"], None, None, None), (["-o", "--output"], None, None, None)]
+_FORMAT_OPTION = (["--format"], None, "csv", ("csv", "json"))
+_DECLARED = {
+    "info-curves": [(["--eta-det"], _FINITE, None, None), (["--d-min"], _FINITE, 0.0, None),
+                    (["--d-max"], _FINITE, 0.5, None),
+                    (["--steps"], int, attacks.DEFAULT_CURVE_GRID_POINTS, None), _FORMAT_OPTION],
+    "error-map": [(["--mu"], _FINITE, None, None), (["--eta-det"], _FINITE, None, None),
+                  (["--eta-t"], _FINITE, None, None), (["--loss-db"], _FINITE, None, None),
+                  (["--loss-min"], _FINITE, 1.0, None), (["--loss-max"], _FINITE, 13.0, None),
+                  (["--loss-steps"], int, 13, None), (["--d-min"], _FINITE, 0.0, None),
+                  (["--d-max"], _FINITE, 0.5, None), (["--d-steps"], int, 11, None), _FORMAT_OPTION],
+    "bounds": [(["--mu"], _FINITE, None, None), (["--eta-det"], _FINITE, None, None)],
+    "crossover": [(["--mu"], _FINITE, None, None), (["--eta-det"], _FINITE, None, None),
+                  (["--error-rate"], _FINITE, None, None)],
+    "coefficients": [(["--gamma-min"], _FINITE, 0.0, None), (["--gamma-max"], _FINITE, math.pi, None),
+                     (["--steps"], int, 50, None), _FORMAT_OPTION],
+    "verify": [(["--seed"], int, VERIFY_SEED, None), (["--pulses"], int, VERIFY_PULSES, None)],
+}
+
+
+def test_each_option_takes_the_type_default_and_choices_it_was_declared_with():
+    # the type of each default too, so that a table default of 0 for 0.0 shows as an int option
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    assert list(subparsers) == list(_DECLARED)
+    for name, parser in subparsers.items():
+        got = [(a.option_strings, a.type, a.default, a.choices, type(a.default))
+               for a in parser._actions if a.dest != "help"]
+        want = [(*option, type(option[2])) for option in _COMMON_OPTIONS + _DECLARED[name]]
+        assert got == want, name
 
 
 def test_info_curves_bad_grid_is_usage_error(capsys):
@@ -472,6 +506,7 @@ def test_reference_outputs_are_byte_identical(capsys, reference, argv):
 INVALID_LIGHT_COMMANDS = [
     (1, ["bounds", "--mu", "nan", "--eta-det", "0.2"]),
     (1, ["info-curves"]),
+    (1, ["crossover", "--mu", "0.1", "--eta-det", "0.2"]),
     (3, ["crossover", "--mu", "60", "--eta-det", "0.2", "--error-rate", "0.01"]),
 ]
 
