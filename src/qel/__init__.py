@@ -7,7 +7,7 @@ the attacker can touch only the quantum channel, never the receiver's
 detectors.  It provides the closed-form information-versus-disturbance
 curves, the observed-error-rate bookkeeping that connects them to channel
 loss, and an independent simulation oracle that rederives every closed form
-from the explicit unitaries.
+from the explicit cloning isometries.
 
 The public names below load their module on first access (PEP 562), so
 ``import qel`` loads neither numpy nor any submodule.

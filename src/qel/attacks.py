@@ -256,7 +256,7 @@ def clone_a_params_for_disturbance(disturbance: float) -> float:
     """Machine setting beta of the universal cloner for a target disturbance.
 
     The machine-level map is D(beta) = 2 beta^2, so beta = sqrt(D/2).
-    oracle.clone_a_disturbance measures the map from the unitary;
+    oracle.clone_a_disturbance measures the map from the isometry;
     verification checks this inverse against it.
     """
     return math.sqrt(_strategy_a_domain(disturbance)[1] / 2.0)

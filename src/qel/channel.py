@@ -176,18 +176,15 @@ def observed_error_closed_form(scenario: ChannelScenario, disturbance: float) ->
     The linear terms mu of expm1(mu(1-eta))/(1-eta) and expm1(mu-x) cancel
     exactly, so only x and the two quadratic-and-higher remainders E are
     summed; E is evaluated as its series for small arguments, where
-    expm1(z) - z would lose digits.
+    expm1(z) - z would lose digits.  At eta = 1, E(mu(1-eta))/(1-eta) takes
+    its limit 0, since E(z) ~ z^2/2.
     """
     if not 0.0 <= disturbance <= 0.5:
         raise ValueError(f"disturbance must lie in [0, 1/2], got {disturbance}")
     mu, eta, eta_t = scenario.mu, scenario.eta_det, scenario.eta_t
-    if eta >= 1.0:
-        # No vacuum contribution from splitting; the series form handles this
-        # limit directly.
-        return observed_error_from_disturbance(scenario, disturbance)
     x = mu * eta * eta_t
-    bracket = x + _expm1_minus_identity(mu * (1.0 - eta)) / (1.0 - eta) \
-        - _expm1_minus_identity(mu - x)
+    split = _expm1_minus_identity(mu * (1.0 - eta)) / (1.0 - eta) if eta < 1.0 else 0.0
+    bracket = (x + split) - _expm1_minus_identity(mu - x)
     ratio = math.exp(-mu) * bracket / -math.expm1(-x)
     return ratio * disturbance
 

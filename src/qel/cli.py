@@ -31,7 +31,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number: reported like nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
@@ -101,9 +104,8 @@ def _grid(lo, hi, steps, what):
 
 def cmd_info_curves(args: argparse.Namespace) -> int:
     grid = _grid(args.d_min, args.d_max, args.steps, "disturbance")
-    points = attacks.information_curves(args.eta_det, grid)
-    rows = [(p.disturbance, p.i_pns, p.i_a, p.i_b) for p in points]
-    emit_table(("D", "i_pns", "i_a", "i_b"), rows, args.format, args.output,
+    points = attacks.information_curves(args.eta_det, grid)  # each point is the row (D, i_pns, i_a, i_b)
+    emit_table(("D", "i_pns", "i_a", "i_b"), points, args.format, args.output,
                {"kind": "info_curves", "eta_det": args.eta_det})
     return 0
 
@@ -123,7 +125,7 @@ def cmd_error_map(args: argparse.Namespace) -> int:
     rows = []
     for loss in losses:
         scen = channel.ChannelScenario.from_loss_db(mu, eta_det, loss)
-        in_window = (not window.empty) and window.contains_eta_t(scen.eta_t)
+        in_window = window.contains_eta_t(scen.eta_t)
         for d in d_grid:
             try:
                 e = channel.observed_error_from_disturbance(scen, d)

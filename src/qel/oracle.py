@@ -1,7 +1,7 @@
 """Independent verification of the closed forms by explicit simulation.
 
 Nothing in this module reuses a closed-form result it is checking: probe
-states and disturbances are derived by building the cloning unitaries (this
+states and disturbances are derived by building the cloning isometries (this
 module builds them) and partial-tracing, accessible informations are
 lower-bounded by an explicit search over projective measurements, and
 protocol statistics come from a seeded per-pulse Monte Carlo.
@@ -166,19 +166,19 @@ _STRATEGY_A_TERMS = tuple(_freeze(np.kron(t, ket[:, None])) for t, ket in zip(
     (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)))
 
 
-def strategy_a_unitary(beta):
-    """Isometric extension of the universal asymmetric cloner on four qubits.
+def strategy_a_isometry(beta):
+    """Universal asymmetric cloner as an isometry from the signal to four qubits.
 
     beta sets the cloning asymmetry, alpha^2 + 8 beta^2 = 1.  Acting on a
-    two-qubit signal s and the probe prepared in |00>,
+    two-qubit signal s with the probe prepared in |00>,
 
         U |s>|00> = alpha |s>|phi+> + beta (sz~ |s>|phi-> + sx~ |s>|psi+>
                                             + i sy~ |s>|psi->),
 
-    with sk~ = sigma_k (x) 1 + 1 (x) sigma_k.  Qubits are ordered (receiver 1,
-    receiver 2, probe 1, probe 2).  Columns whose probe part is not |00> are
-    left zero; the map is isometric on (symmetric subspace) (x) |00>.  A
-    numpy array of settings gives the stack of their unitaries.
+    with sk~ = sigma_k (x) 1 + 1 (x) sigma_k.  Output qubits are ordered
+    (receiver 1, receiver 2, probe 1, probe 2) and column j of the (16, 4)
+    result is the output for signal basis state j; the map is isometric on
+    the symmetric subspace.  An array of settings gives their (..., 16, 4) stack.
     """
     beta = np.asarray(beta, dtype=float)
     outside = ~((0.0 <= 8.0 * beta**2) & (8.0 * beta**2 <= 1.0 + DOMAIN_SLACK))
@@ -187,59 +187,39 @@ def strategy_a_unitary(beta):
     terms = _STRATEGY_A_TERMS
     alpha = np.sqrt(np.maximum(0.0, 1.0 - 8.0 * beta**2))[..., None, None]
     beta = beta[..., None, None]
-    u = np.zeros(beta.shape[:-2] + (16, 16), dtype=complex)
-    # only the columns with probe input |00> are filled
-    u[..., ::4] = alpha * terms[0] + beta * terms[1] + beta * terms[2] + 1.0j * beta * terms[3]
-    return u
+    return alpha * terms[0] + beta * terms[1] + beta * terms[2] + 1.0j * beta * terms[3]
 
 
-def _v_images(gamma) -> dict[str, np.ndarray]:
-    """Images of the symmetric basis under the three-qubit isometry V.
+def strategy_b_isometry(gamma):
+    """Phase-covariant cloner as an isometry from the signal to four qubits.
 
-    Each is a (..., 8) complex amplitude vector on |000>..|111>, one per
-    angle when gamma is an array.  The amplitudes are made complex before
-    the division, which numpy rounds differently from a real one.
-    """
-    c, s = np.cos(gamma), np.sin(gamma)
-    n1, n2 = np.sqrt(1.0 + c * c)[..., None], np.sqrt(1.0 + s * s)[..., None]
-    one, o = np.ones_like(c), np.zeros_like(c)
-
-    def image(*amplitudes):
-        return np.stack(amplitudes, -1).astype(complex)
-
-    return {
-        "00": image(one, o, o, o, o, o, o, o),
-        "psi+": image(o, s, c, o, c, o, o, o) / n1,
-        "11": image(o, o, o, s, o, s, c, o) / n2,
-    }
-
-
-def strategy_b_unitary(gamma):
-    """Isometric extension of the phase-covariant cloner on four qubits.
-
-    The interaction angle gamma lies in [0, pi].  The machine acts as
-    U|s>|00> = [(V|s>|0>)|0> + (V~|s>|0>)|1>]/sqrt(2) where V maps |00>|0> to
-    |000>, |psi+>|0> and |11>|0> to the gamma-weighted superpositions fixed
-    by the machine, and V~ is V conjugated by bit flips on every qubit (flip
-    the signal, apply V, flip all three outputs).  The 1/sqrt(2) makes the
-    extension isometric; the last output qubit records which branch acted.
-    Qubits are ordered (receiver 1, receiver 2, probe 1, probe 2); the singlet
-    component of the input is annihilated since the machine is only defined
-    on the symmetric subspace.  A numpy array of angles gives the stack of
-    their unitaries.
+    The interaction angle gamma lies in [0, pi].  With c = cos gamma and
+    s = sin gamma, U|s>|00> = [(V|s>|0>)|0> + (V~|s>|0>)|1>]/sqrt(2), where V
+    maps |00>|0> to |000>, |psi+>|0> to (s|001> + c|010> + c|100>)/sqrt(1+c^2)
+    and |11>|0> to (s|011> + s|101> + c|110>)/sqrt(1+s^2), and V~ is V
+    conjugated by bit flips on every qubit (flip the signal, apply V, flip
+    all three outputs).  The last output qubit records which branch acted.
+    Qubits and columns are laid out as in strategy_a_isometry; the singlet
+    component of the input is annihilated, since the machine is defined on
+    the symmetric subspace only.  A numpy array of angles gives the
+    (..., 16, 4) stack of their isometries.
     """
     gamma = np.asarray(gamma, dtype=float)
     _math_for(gamma, 0.0, math.pi + DOMAIN_SLACK, "gamma must lie in [0, pi]")
-    v = _v_images(gamma)
-    v = np.stack([v["00"], v["psi+"], v["11"]], -2)
+    c, s = np.cos(gamma), np.sin(gamma)
+    one, o = np.ones_like(c), np.zeros_like(c)
+    # V's images of |00>, |psi+> and |11> on |000>..|111>, made complex before
+    # the division by their norms, which numpy rounds differently from a real one
+    v = np.stack([np.stack(amplitudes, -1).astype(complex) / norm[..., None] for amplitudes, norm in (
+        ((one, o, o, o, o, o, o, o), one),
+        ((o, s, c, o, c, o, o, o), np.sqrt(1.0 + c * c)),
+        ((o, o, o, s, o, s, c, o), np.sqrt(1.0 + s * s)))], -2)
     # Flipping all three bits maps basis index i to 7 - i, and the signal
     # flip exchanges |00> and |11>; the branch qubit interleaves V and V~.
     outputs = np.stack([v, v[..., ::-1, ::-1]], -1).reshape(gamma.shape + (3, 16)) / math.sqrt(2)
     # |01> and |10> contribute only through their |psi+> component.
-    u = np.zeros(gamma.shape + (16, 16), dtype=complex)
-    u[..., ::4] = np.swapaxes(outputs[..., [0, 1, 1, 2], :], -1, -2) \
+    return np.swapaxes(outputs[..., [0, 1, 1, 2], :], -1, -2) \
         * np.array([1.0, 1.0 / math.sqrt(2), 1.0 / math.sqrt(2), 1.0])
-    return u
 
 
 # --------------------------------------------------------------------------
@@ -259,14 +239,13 @@ class SimulationReport(namedtuple("SimulationReport", "disturbance probe_plus pr
 
 
 def _signal_states(us: np.ndarray, kets: np.ndarray):
-    """Receiver states, probe states and norm defects of inputs sent through attack unitaries.
+    """Receiver states, probe states and norm defects of inputs sent through attack isometries.
 
-    us is a (..., 16, 16) stack of unitaries and kets a (..., n, 4) stack of
-    two-photon inputs; the probe starts in its first basis state, so only
-    every fourth column of a unitary is read.  Returns the (..., n, 4, 4)
-    receiver and probe states and the (..., n) norm defects of the outputs.
+    us is a (..., 16, 4) stack of attack isometries (see strategy_a_isometry)
+    and kets a (..., n, 4) stack of two-photon inputs.  Returns the
+    (..., n, 4, 4) receiver and probe states and the (..., n) norm defects.
     """
-    out = kets @ np.swapaxes(us[..., ::4], -1, -2)
+    out = kets @ np.swapaxes(us, -1, -2)
     rho = out[..., :, None] * out[..., None, :].conj()
     return (partial_trace(rho, keep="a", dims=(4, 4)), partial_trace(rho, keep="b", dims=(4, 4)),
             np.abs(np.linalg.norm(out, axis=-1) - 1.0))
@@ -281,14 +260,14 @@ def _sifted_errors(rho_bob: np.ndarray, signals, eta_det: float) -> np.ndarray:
 def clone_a_disturbance(beta):
     """Disturbance induced by the universal cloner at beta, measured from the machine.
 
-    Sends the four BB84 signals through the unitary and evaluates the
+    Sends the four BB84 signals through the isometry and evaluates the
     sifted error probability of the receiver pair (wrong clicks plus half
     the double clicks, conditioned on a click) at detector efficiency 1/2.
     The value is independent of the efficiency and of the signal; no closed
     form is assumed.  A float gives a float, a numpy array of settings the
     array of their disturbances, each bit-equal to the float result.
     """
-    rho_bob = _signal_states(strategy_a_unitary(beta), np.array([symmetric_encode(s) for s in SIGNALS]))[0]
+    rho_bob = _signal_states(strategy_a_isometry(beta), np.array([symmetric_encode(s) for s in SIGNALS]))[0]
     errors = _sifted_errors(rho_bob, SIGNALS, 0.5)
     spread = np.max(np.ptp(errors, -1))
     if spread > 1e-10:
@@ -298,7 +277,7 @@ def clone_a_disturbance(beta):
 
 
 def _drive(us: np.ndarray, signals, eta_det: float, rng_seed: int):
-    """Send each signal's two-photon encoding through a (k, 16, 16) stack of attack unitaries.
+    """Send each signal's two-photon encoding through a (k, 16, 4) stack of attack isometries.
 
     Setting i also sends eight random states of the symmetric subspace,
     drawn from rng_seed + i: random superpositions must be preserved, not
@@ -333,7 +312,7 @@ def _reports(disturbance, rho_p, rho_m, info_closed, info_numeric, deltas) -> li
 def simulate_strategy_a_grid(betas, *, eta_det: float, rng_seed: int) -> list[SimulationReport]:
     """Drive the universal cloner end to end at each beta and compare with the closed forms.
 
-    The unitaries of the grid are built and driven as one stack; setting i
+    The isometries of the grid are built and driven as one stack; setting i
     draws its random states from rng_seed + i.  For each BB84 signal the
     receiver pair is forwarded through the detector model to measure the
     sifted error rate, and the attacker probe is compared entry by entry
@@ -343,7 +322,7 @@ def simulate_strategy_a_grid(betas, *, eta_det: float, rng_seed: int) -> list[Si
     search.
     """
     betas = np.asarray(betas, dtype=float)
-    errors, rho_p, rho_m, defects, singlets = _drive(strategy_a_unitary(betas), SIGNALS,
+    errors, rho_p, rho_m, defects, singlets = _drive(strategy_a_isometry(betas), SIGNALS,
                                                      eta_det, rng_seed)
     disturbance = np.mean(errors, -1)
     d = disturbance.tolist()
@@ -383,7 +362,7 @@ def simulate_strategy_a(beta: float, *, eta_det: float, rng_seed: int) -> Simula
 def simulate_strategy_b_grid(gammas, *, eta_det: float, rng_seed: int) -> list[SimulationReport]:
     """Drive the phase-covariant cloner at each gamma and compare with the closed forms.
 
-    The unitaries of the grid are built and driven as one stack; setting i
+    The isometries of the grid are built and driven as one stack; setting i
     draws its random states from rng_seed + i.  Verifies the disturbance
     formula against the sifted error rate of all four equatorial signals,
     the probe matrices (times 16) against the closed-form coefficients, the
@@ -391,7 +370,7 @@ def simulate_strategy_b_grid(gammas, *, eta_det: float, rng_seed: int) -> list[S
     formula against a blockwise measurement search.
     """
     gammas = np.asarray(gammas, dtype=float)
-    errors, rho_p, rho_m, defects, singlets = _drive(strategy_b_unitary(gammas),
+    errors, rho_p, rho_m, defects, singlets = _drive(strategy_b_isometry(gammas),
                                                      STRATEGY_B_SIGNALS, eta_det, rng_seed)
     disturbance = np.mean(errors, -1)
     g = gammas.tolist()
@@ -483,9 +462,9 @@ def _attack_tables(attack: str, disturbance: float, eta: float) -> np.ndarray:
                                  for w in (w0, w0_attacked))
     else:
         if attack == "CloneA":
-            u = strategy_a_unitary(attacks.clone_a_params_for_disturbance(disturbance))
+            u = strategy_a_isometry(attacks.clone_a_params_for_disturbance(disturbance))
         else:
-            u = strategy_b_unitary(attacks.gamma_for_disturbance(disturbance))
+            u = strategy_b_isometry(attacks.gamma_for_disturbance(disturbance))
         single_rows = np.zeros((4, 2, len(DetectionOutcome)))
         single_rows[..., DetectionOutcome.VACUUM] = 1.0  # single photons are blocked
         rho_bob = _signal_states(u, np.array([symmetric_encode(signal) for signal in signals]))[0]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel import attacks, oracle
+from qel import attacks
 from qel.attacks import (clone_a_params_for_disturbance, gamma_for_disturbance,
                          information_curves, matched_two_photon_fraction,
                          pns_information, pns_information_matched,
@@ -23,7 +23,7 @@ from qel.infotheory import DOMAIN_SLACK, fuchs_information, phi
 from qel.optics import (PHI_PLUS, PSI_PLUS, SIGNALS, check_density, partial_trace, singlet_weight,
                         symmetric_encode)
 # The machines live in the oracle, which checks the closed forms here against them.
-from qel.oracle import clone_a_disturbance, strategy_a_unitary, strategy_b_unitary
+from qel.oracle import clone_a_disturbance, strategy_a_isometry, strategy_b_isometry
 
 
 # -- PNS ---------------------------------------------------------------------
@@ -69,27 +69,27 @@ def test_pns_matched_monotonicity():
 # -- strategy A --------------------------------------------------------------
 
 def test_strategy_a_unitary_no_disturbance_at_beta_zero():
-    u = strategy_a_unitary(0.0)
+    u = strategy_a_isometry(0.0)
     for signal in SIGNALS:
         pair = symmetric_encode(signal)
-        out = u @ np.kron(pair, [1, 0, 0, 0])
+        out = u @ pair
         expected = np.kron(pair, PHI_PLUS)
         assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_strategy_a_unitary_norm_preservation():
-    u = strategy_a_unitary(0.2)
+    u = strategy_a_isometry(0.2)
     for signal in SIGNALS:
-        out = u @ np.kron(symmetric_encode(signal), [1, 0, 0, 0])
+        out = u @ symmetric_encode(signal)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
 @given(st.floats(0.0, math.sqrt(1 / 8) * 0.999))
 @settings(max_examples=25, deadline=None)
 def test_strategy_a_bob_marginal_stays_symmetric(beta):
-    u = strategy_a_unitary(beta)
+    u = strategy_a_isometry(beta)
     for signal in SIGNALS[:2]:
-        out = u @ np.kron(symmetric_encode(signal), [1, 0, 0, 0])
+        out = u @ symmetric_encode(signal)
         rho = np.outer(out, out.conj())
         bob = partial_trace(rho, keep="a", dims=(4, 4))
         assert singlet_weight(bob) <= 1e-12
@@ -97,16 +97,16 @@ def test_strategy_a_bob_marginal_stays_symmetric(beta):
 
 def test_clone_a_params_validation():
     with pytest.raises(ValueError):
-        strategy_a_unitary(0.4)
+        strategy_a_isometry(0.4)
     with pytest.raises(ValueError):
         clone_a_disturbance(0.4)
     for gamma in (-0.1, 3.2):
         with pytest.raises(ValueError):
-            strategy_b_unitary(gamma)
+            strategy_b_isometry(gamma)
     # beta = 0 is the alpha = 1 machine: every signal column is |s>|phi+>
-    u = strategy_a_unitary(0.0)
+    u = strategy_a_isometry(0.0)
     for col_signal in range(4):
-        assert np.array_equal(u[:, col_signal * 4], np.kron(np.eye(4)[col_signal], PHI_PLUS))
+        assert np.array_equal(u[:, col_signal], np.kron(np.eye(4)[col_signal], PHI_PLUS))
 
 
 def test_strategy_a_probe_states_pure_at_zero():
@@ -166,27 +166,31 @@ def test_clone_a_disturbance_calibration():
 # -- strategy B --------------------------------------------------------------
 
 def test_strategy_b_unitary_gamma_zero_is_identity_channel():
-    u = strategy_b_unitary(0.0)
+    u = strategy_b_isometry(0.0)
     for vec in (np.array([1, 0, 0, 0]), np.array([0, 0, 0, 1]),
                 np.array([0, 1, 1, 0]) / math.sqrt(2)):
-        out = u @ np.kron(vec.astype(complex), [1, 0, 0, 0])
+        out = u @ vec.astype(complex)
         expected = np.kron(vec, PHI_PLUS)
         assert np.allclose(out, expected, atol=1e-12)
 
 
-def test_strategy_b_v_images_at_gamma_zero():
-    images = oracle._v_images(0.0)
-    assert np.allclose(images["00"], np.eye(8)[0])
-    expected = np.zeros(8)
-    expected[int("010", 2)] = expected[int("100", 2)] = 1 / math.sqrt(2)
-    assert np.allclose(images["psi+"], expected)
+def _images_under_v(gamma):
+    """V's images of |00>, |psi+> and |11> on |000>..|111>, from the formulas of strategy_b_isometry."""
+    c, s = math.cos(gamma), math.sin(gamma)
+    ket = {bits: np.eye(8)[int(bits, 2)] for bits in ("000", "001", "010", "011", "100", "101", "110")}
+    return {"00": ket["000"],
+            "psi+": (s * ket["001"] + c * ket["010"] + c * ket["100"]) / math.sqrt(1 + c * c),
+            "11": (s * ket["011"] + s * ket["101"] + c * ket["110"]) / math.sqrt(1 + s * s)}
 
 
 def test_strategy_b_tilde_v_is_bit_flip_conjugate():
-    # rebuild the machine from scratch using Vt = X^3 V X^2 and compare
-    gamma = 0.73
-    u = strategy_b_unitary(gamma)
-    images = oracle._v_images(gamma)
+    # at gamma = 0, V keeps |00> and sends |psi+> to the receiver pair's |psi+>
+    at_zero = _images_under_v(0.0)
+    assert np.array_equal(at_zero["00"], np.eye(8)[0])
+    expected = np.zeros(8)
+    expected[int("010", 2)] = expected[int("100", 2)] = 1 / math.sqrt(2)
+    assert np.allclose(at_zero["psi+"], expected)
+    # rebuild the machine from its formulas using Vt = X^3 V X^2 and compare
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     x3 = np.kron(np.kron(x, x), x)
     sym = {
@@ -195,23 +199,25 @@ def test_strategy_b_tilde_v_is_bit_flip_conjugate():
         "11": np.array([0, 0, 0, 1], dtype=complex),
     }
     flipped = {"00": "11", "psi+": "psi+", "11": "00"}
-    for key, vec in sym.items():
-        out = u @ np.kron(vec, [1, 0, 0, 0])
-        tilde = x3 @ images[flipped[key]]
-        expected = (np.kron(images[key], [1.0, 0.0]) + np.kron(tilde, [0.0, 1.0])) / math.sqrt(2)
-        assert np.allclose(out, expected, atol=1e-12)
+    for gamma in (0.0, 0.73):
+        u = strategy_b_isometry(gamma)
+        images = _images_under_v(gamma)
+        for key, vec in sym.items():
+            tilde = x3 @ images[flipped[key]]
+            expected = (np.kron(images[key], [1.0, 0.0]) + np.kron(tilde, [0.0, 1.0])) / math.sqrt(2)
+            assert np.allclose(u @ vec, expected, atol=1e-12), (gamma, key)
 
 
 def test_strategy_b_isometry_on_random_domain_vectors():
     rng = np.random.default_rng(5)
-    u = strategy_b_unitary(1.0)
+    u = strategy_b_isometry(1.0)
     for _ in range(20):
         amp = rng.normal(size=3) + 1j * rng.normal(size=3)
         vec = np.zeros(4, dtype=complex)
         vec[0], vec[3] = amp[0], amp[2]
         vec[1] = vec[2] = amp[1] / math.sqrt(2)
         vec /= np.linalg.norm(vec)
-        out = u @ np.kron(vec, [1, 0, 0, 0])
+        out = u @ vec
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
@@ -442,8 +448,8 @@ def _array_domain_checks():
     b_edges, b_outside = [0.0, -0.0, math.sqrt(1 / 8), -math.sqrt(1 / 8)], [0.5, -0.5]
     return [(name, fn, edges, outside) for name, fn, _, edges, outside in _array_forms()] + [
         ("D(gamma)", strategy_b_disturbance, g_edges, g_outside),
-        ("B unitary", strategy_b_unitary, g_edges, g_outside),
-        ("A unitary", strategy_a_unitary, b_edges, b_outside),
+        ("B isometry", strategy_b_isometry, g_edges, g_outside),
+        ("A isometry", strategy_a_isometry, b_edges, b_outside),
     ]
 
 

@@ -232,6 +232,20 @@ def test_closed_form_at_unit_efficiency():
         observed_error_from_disturbance(scen, 0.2), rel=1e-12)
 
 
+def test_closed_form_takes_its_own_limit_at_unit_efficiency(monkeypatch):
+    # the closed form must not fall back on the series form it is checked against
+    def refuse(*args):
+        raise AssertionError("series form called")
+
+    monkeypatch.setattr(channel, "observed_error_from_disturbance", refuse)
+    monkeypatch.setattr(channel, "error_disturbance_ratio", refuse)
+    for mu in (0.1, 0.142, 0.5, 2.0):
+        eta_t = 1.05 * eta_t_bounds(mu, 1.0).eta_t_lower
+        reference = _decimal_error_ratio(mu, 1.0, eta_t)
+        closed = observed_error_closed_form(ChannelScenario(mu=mu, eta_det=1.0, eta_t=eta_t), 0.5) / 0.5
+        assert abs(closed - reference) <= 1e-13 * reference, mu
+
+
 def test_disturbance_for_error_roundtrip():
     scen = ChannelScenario.from_loss_db(0.1, 0.2, 9.0)
     for d in (0.0, 0.05, 0.3, 0.5):

@@ -104,6 +104,18 @@ def test_missing_required_option_is_usage_error(tmp_path, capsys, command, missi
     assert err == f"usage error: missing required option --{missing.replace('_', '-')}\n"
 
 
+@pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+def test_text_that_is_not_a_number_is_named_in_the_usage_error(tmp_path, capsys, via_config):
+    # a JSON true reaches the parser as the text True
+    if via_config:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"mu": True, "eta_det": 0.2}))
+        argv, text = ["bounds", "--config", str(path)], "True"
+    else:
+        argv, text = ["bounds", "--mu", "abc", "--eta-det", "0.2"], "abc"
+    assert run_cli(capsys, argv) == (1, "", f"usage error: argument --mu: expected a finite number, got {text!r}\n")
+
+
 #: (option strings, type, default, choices) of each subcommand's options, as they were declared
 #: one by one before the options table; every subcommand opens with --config and -o/--output.
 _FINITE = cli._finite_float
@@ -505,6 +517,7 @@ def test_reference_outputs_are_byte_identical(capsys, reference, argv):
 #: (exit code, argv) of invalid light commands, each answered by one stderr line.
 INVALID_LIGHT_COMMANDS = [
     (1, ["bounds", "--mu", "nan", "--eta-det", "0.2"]),
+    (1, ["bounds", "--mu", "abc", "--eta-det", "0.2"]),
     (1, ["info-curves"]),
     (1, ["crossover", "--mu", "0.1", "--eta-det", "0.2"]),
     (3, ["crossover", "--mu", "60", "--eta-det", "0.2", "--error-rate", "0.01"]),
