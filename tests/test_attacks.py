@@ -183,13 +183,16 @@ def _images_under_v(gamma):
             "11": (s * ket["011"] + s * ket["101"] + c * ket["110"]) / math.sqrt(1 + s * s)}
 
 
-def test_strategy_b_tilde_v_is_bit_flip_conjugate():
+def test_strategy_b_v_images_at_gamma_zero():
     # at gamma = 0, V keeps |00> and sends |psi+> to the receiver pair's |psi+>
-    at_zero = _images_under_v(0.0)
-    assert np.array_equal(at_zero["00"], np.eye(8)[0])
+    images = _images_under_v(0.0)
+    assert np.array_equal(images["00"], np.eye(8)[0])
     expected = np.zeros(8)
     expected[int("010", 2)] = expected[int("100", 2)] = 1 / math.sqrt(2)
-    assert np.allclose(at_zero["psi+"], expected)
+    assert np.allclose(images["psi+"], expected)
+
+
+def test_strategy_b_tilde_v_is_bit_flip_conjugate():
     # rebuild the machine from its formulas using Vt = X^3 V X^2 and compare
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     x3 = np.kron(np.kron(x, x), x)
