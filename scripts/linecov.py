@@ -24,7 +24,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qel"
 
 INPUT_CHECK = "input check: rejects a value that no Tier-1 test passes"
-FAULT_DETECTOR = "fault detector: fires only when the machine or the arithmetic is broken"
 DIVISION_GUARD = "division guard: no valid input reaches it"
 MAIN = "__main__: runs when the module is executed as a script"
 
@@ -42,8 +41,6 @@ ALLOWED = {
     ("detection", 'raise ValueError(f"negative occupation probability {w} for {(n, m)}")'): INPUT_CHECK,
     ("detection", 'raise ValueError("conditional error rate undefined at zero efficiency")'): DIVISION_GUARD,
     ("optics", 'raise ValueError("subsystem dimensions must be positive")'): INPUT_CHECK,
-    ("oracle", 'raise RuntimeError(f"universal cloner produced signal-dependent disturbance, spread {spread}")'):
-        FAULT_DETECTOR,
     ("oracle", 'raise ValueError(f"disturbance must lie in [0, 1/2], got {disturbance}")'): INPUT_CHECK,
 }
 

@@ -43,7 +43,10 @@ def loss_db_from_eta_t(eta_t: float) -> float:
 def eta_t_from_loss_db(loss_db: float) -> float:
     if not loss_db >= 0.0:
         raise ValueError(f"loss must be nonnegative, got {loss_db} dB")
-    return 10.0 ** (-loss_db / 10.0)
+    eta_t = 10.0 ** (-loss_db / 10.0)
+    if eta_t == 0.0:
+        raise ValueError(f"loss must be below about 3236 dB, where the transmission underflows to 0, got {loss_db} dB")
+    return eta_t
 
 
 class ChannelScenario(_checked_record("ChannelScenario", "mu eta_det eta_t")):

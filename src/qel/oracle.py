@@ -251,31 +251,6 @@ def _signal_states(us: np.ndarray, kets: np.ndarray):
             np.abs(np.linalg.norm(out, axis=-1) - 1.0))
 
 
-def _sifted_errors(rho_bob: np.ndarray, signals, eta_det: float) -> np.ndarray:
-    """Sifted error rate of each receiver state; rho_bob[..., j, :, :] and result[..., j] are signals[j]'s."""
-    return np.stack([conditional_error_rate(rho_bob[..., j, :, :], signal.basis, eta_det, correct_bit=signal.bit)
-                     for j, signal in enumerate(signals)], -1)
-
-
-def clone_a_disturbance(beta):
-    """Disturbance induced by the universal cloner at beta, measured from the machine.
-
-    Sends the four BB84 signals through the isometry and evaluates the
-    sifted error probability of the receiver pair (wrong clicks plus half
-    the double clicks, conditioned on a click) at detector efficiency 1/2.
-    The value is independent of the efficiency and of the signal; no closed
-    form is assumed.  A float gives a float, a numpy array of settings the
-    array of their disturbances, each bit-equal to the float result.
-    """
-    rho_bob = _signal_states(strategy_a_isometry(beta), np.array([symmetric_encode(s) for s in SIGNALS]))[0]
-    errors = _sifted_errors(rho_bob, SIGNALS, 0.5)
-    spread = np.max(np.ptp(errors, -1))
-    if spread > 1e-10:
-        raise RuntimeError(f"universal cloner produced signal-dependent disturbance, spread {spread}")
-    d = np.mean(errors, -1)
-    return d if np.ndim(beta) else float(d)
-
-
 def _drive(us: np.ndarray, signals, eta_det: float, rng_seed: int):
     """Send each signal's two-photon encoding through a (k, 16, 4) stack of attack isometries.
 
@@ -294,7 +269,8 @@ def _drive(us: np.ndarray, signals, eta_det: float, rng_seed: int):
     encoded = np.broadcast_to([symmetric_encode(signal) for signal in signals], (k, n, 4))
     rho_bob, rho_eve, defect = _signal_states(us, np.concatenate([encoded, sym], -2))
     rho_bob = rho_bob[:, :n]
-    errors = _sifted_errors(rho_bob, signals, eta_det)
+    errors = np.stack([conditional_error_rate(rho_bob[:, j], signal.basis, eta_det, correct_bit=signal.bit)
+                       for j, signal in enumerate(signals)], -1)
     plus, minus = (signals.index(Bb84Signal(Basis.DIAGONAL, bit)) for bit in (0, 1))
     return (errors, rho_eve[:, plus], rho_eve[:, minus], np.max(defect, -1),
             np.max(singlet_weight(rho_bob), -1))
@@ -398,9 +374,9 @@ def simulate_strategy_b(gamma: float, *, eta_det: float, rng_seed: int) -> Simul
 # Per-pulse Monte Carlo
 # --------------------------------------------------------------------------
 
-class MonteCarloStats(namedtuple("MonteCarloStats", "attack disturbance eta_det n_pulses seed raw_clicks "
-                                                     "sifted_bits sifted_errors double_clicks_matched "
-                                                     "double_clicks_mismatched expected_raw_click_rate")):
+class MonteCarloStats(namedtuple("MonteCarloStats", "attack n_pulses raw_clicks sifted_bits sifted_errors "
+                                                     "double_clicks_matched double_clicks_mismatched "
+                                                     "expected_raw_click_rate")):
     """Empirical per-pulse protocol statistics with binomial standard errors, as a named tuple."""
 
     __slots__ = ()
@@ -586,7 +562,7 @@ def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, .
         counts = counts.reshape(signal.shape)
         probability = cell_weight * table[..., None]
         results.append(MonteCarloStats(
-            attack=name, disturbance=float(disturbance), eta_det=eta, n_pulses=n_pulses, seed=seed,
+            attack=name, n_pulses=n_pulses,
             **{field: int(counts[mask].sum()) for field, mask in masks.items()},
             expected_raw_click_rate=float(probability[clicked].sum()),
         ))

@@ -64,8 +64,7 @@ class VerificationReport(namedtuple("VerificationReport", "seed n_pulses suites"
 
 
 _BETA_GRID = np.linspace(0.02, 0.35, 12)
-_GAMMA_GRID_COEFF = np.linspace(0.0, math.pi, 50)
-_GAMMA_GRID_FAST = np.linspace(0.0, math.pi, 13)
+_GAMMA_GRID = np.linspace(0.0, math.pi, 50)
 
 
 def _worst(reports, key: str) -> float:
@@ -93,23 +92,21 @@ def _suite_probe_a(reports_a) -> SuiteResult:
     ))
 
 
-def _suite_probe_b_coefficients(seed: int) -> SuiteResult:
-    reports = oracle.simulate_strategy_b_grid(_GAMMA_GRID_COEFF, eta_det=0.4, rng_seed=seed)
+def _suite_probe_b_coefficients(reports_b) -> SuiteResult:
     trace_dev = max(abs(a + c + d + f - 16.0) for a, _, c, d, _, f
-                    in map(attacks.strategy_b_coefficients, _GAMMA_GRID_COEFF.tolist()))
+                    in map(attacks.strategy_b_coefficients, _GAMMA_GRID.tolist()))
     return SuiteResult("probe_b_coefficients", (
-        CheckResult("probe_entries_vs_coefficients", 1e-9, _worst(reports, "coefficients_vs_closed_form")),
-        CheckResult("plus_minus_exchange_symmetry", 1e-12, _worst(reports, "probe_exchange_symmetry")),
+        CheckResult("probe_entries_vs_coefficients", 1e-9, _worst(reports_b, "coefficients_vs_closed_form")),
+        CheckResult("plus_minus_exchange_symmetry", 1e-12, _worst(reports_b, "probe_exchange_symmetry")),
         CheckResult("coefficient_trace_identity", 1e-9, trace_dev),
     ))
 
 
-def _suite_disturbance_maps(seed: int, reports_b) -> SuiteResult:
+def _suite_disturbance_maps(seed: int, reports_a, reports_b) -> SuiteResult:
     d_b = _worst(reports_b, "disturbance_vs_closed_form")
-    # strategy A calibration roundtrip: requested disturbance -> beta -> measured
-    d_targets = np.linspace(0.01, 0.24, 9)
-    betas = np.array([attacks.clone_a_params_for_disturbance(d) for d in d_targets.tolist()])
-    d_a = np.max(np.abs(oracle.clone_a_disturbance(betas) - d_targets))
+    # strategy A calibration roundtrip: beta -> disturbance measured from the machine -> beta
+    d_a = max(abs(attacks.clone_a_params_for_disturbance(rep.disturbance) - beta)
+              for beta, rep in zip(_BETA_GRID.tolist(), reports_a))
     # strategy B curve inversion roundtrip
     d_inv = 0.0
     for d_target in np.linspace(0.0, attacks.STRATEGY_B_MAX_DISTURBANCE, 21):
@@ -242,18 +239,19 @@ def _suite_error_map_identity(seed: int) -> SuiteResult:
 def run_verification(seed: int = VERIFY_SEED, n_pulses: int = VERIFY_PULSES) -> VerificationReport:
     """Run every verification suite and collect the deltas.
 
-    Each fast grid is simulated in one stacked pass and the suites
-    that read its deltas share the report.  The isometry suite reads the
-    reports made at eta_det 0.3 (strategy A) and 0.6 (strategy B): the norm
-    defect and the singlet weight do not depend on eta_det.
+    Each cloner grid is simulated once, in one stacked pass, and every suite
+    that reads its deltas shares the reports: strategy A's beta grid at
+    eta_det 0.3 (the calibration roundtrip inverts each measured disturbance
+    back to its beta) and strategy B's angle grid at eta_det 0.6.  The norm
+    defect, the singlet weight and the probes do not depend on eta_det.
     """
     reports_a = oracle.simulate_strategy_a_grid(_BETA_GRID, eta_det=0.3, rng_seed=seed)
-    reports_b = oracle.simulate_strategy_b_grid(_GAMMA_GRID_FAST, eta_det=0.6, rng_seed=seed)
+    reports_b = oracle.simulate_strategy_b_grid(_GAMMA_GRID, eta_det=0.6, rng_seed=seed)
     suites = (
         _suite_isometry(reports_a, reports_b),
         _suite_probe_a(reports_a),
-        _suite_probe_b_coefficients(seed),
-        _suite_disturbance_maps(seed, reports_b),
+        _suite_probe_b_coefficients(reports_b),
+        _suite_disturbance_maps(seed, reports_a, reports_b),
         _suite_levitin(seed),
         _suite_double_click(seed, n_pulses),
         _suite_error_map_identity(seed),

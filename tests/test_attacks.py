@@ -23,7 +23,7 @@ from qel.infotheory import DOMAIN_SLACK, fuchs_information, phi
 from qel.optics import (PHI_PLUS, PSI_PLUS, SIGNALS, check_density, partial_trace, singlet_weight,
                         symmetric_encode)
 # The machines live in the oracle, which checks the closed forms here against them.
-from qel.oracle import clone_a_disturbance, strategy_a_isometry, strategy_b_isometry
+from qel.oracle import simulate_strategy_a_grid, strategy_a_isometry, strategy_b_isometry
 
 
 # -- PNS ---------------------------------------------------------------------
@@ -98,8 +98,6 @@ def test_strategy_a_bob_marginal_stays_symmetric(beta):
 def test_clone_a_params_validation():
     with pytest.raises(ValueError):
         strategy_a_isometry(0.4)
-    with pytest.raises(ValueError):
-        clone_a_disturbance(0.4)
     for gamma in (-0.1, 3.2):
         with pytest.raises(ValueError):
             strategy_b_isometry(gamma)
@@ -155,12 +153,12 @@ def test_strategy_a_information_values():
 
 
 def test_clone_a_disturbance_calibration():
-    # the machine-level map comes out as 2 beta^2 without being assumed
-    for beta in (0.0, 0.1, 0.25, 0.34):
-        d = clone_a_disturbance(beta)
-        assert d == pytest.approx(2 * beta**2, abs=1e-12)
-    beta = clone_a_params_for_disturbance(0.125)
-    assert clone_a_disturbance(beta) == pytest.approx(0.125, abs=1e-10)
+    # the machine-level map, measured by the oracle, comes out as 2 beta^2 without being assumed
+    betas = [0.0, 0.1, 0.25, 0.34, clone_a_params_for_disturbance(0.125)]
+    reports = simulate_strategy_a_grid(betas, eta_det=0.5, rng_seed=1)
+    for beta, rep in zip(betas[:4], reports):
+        assert rep.disturbance == pytest.approx(2 * beta**2, abs=1e-12)
+    assert reports[-1].disturbance == pytest.approx(0.125, abs=1e-10)
 
 
 # -- strategy B --------------------------------------------------------------

@@ -274,6 +274,15 @@ def test_source_whose_multi_photon_rate_underflows_is_usage_error(capsys, comman
     assert f"mu={mu}" in err
 
 
+@pytest.mark.parametrize("option, got", [(["--loss-db", "1e5"], "100000.0"), (["--loss-max", "4000"], "3333.5")],
+                         ids=["loss-db", "loss-max"])
+def test_loss_whose_transmission_underflows_is_named_in_the_usage_error(capsys, option, got):
+    code, out, err = run_cli(capsys, ["error-map", "--mu", "0.1", "--eta-det", "0.2", *option])
+    assert (code, out) == (1, "")
+    assert err == ("usage error: loss must be below about 3236 dB, where the transmission underflows to 0, "
+                   f"got {got} dB\n")
+
+
 def test_faint_source_keeps_its_lower_window_edge(capsys):
     code, out, _ = run_cli(capsys, ["bounds", "--mu", "1e-150", "--eta-det", "0.2"])
     assert code == 0
@@ -464,6 +473,16 @@ def test_verify_detects_tampered_coefficient(capsys, monkeypatch):
     assert "verification failed" in err
 
 
+def test_verify_detects_a_tampered_strategy_a_calibration(capsys, monkeypatch):
+    # The roundtrip inverts the disturbances measured on the beta grid back to beta.
+    original = attacks.clone_a_params_for_disturbance
+    monkeypatch.setattr(attacks, "clone_a_params_for_disturbance", lambda d: original(d) * (1 + 1e-8))
+    code, out, err = run_cli(capsys, ["verify", "--pulses", "20000"])
+    assert code == 2
+    assert json.loads(out)["passed"] is False
+    assert err == "verification failed: disturbance_maps/strategy_a_calibration_roundtrip\n"
+
+
 def test_validated_records_take_make_and_replace_from_one_checked_base():
     for record in (channel.ChannelScenario, infotheory.TwoStateEnsemble, optics.Bb84Signal,
                    detection.DetectorModel, verification.CheckResult):
@@ -521,6 +540,7 @@ INVALID_LIGHT_COMMANDS = [
     (1, ["info-curves"]),
     (1, ["crossover", "--mu", "0.1", "--eta-det", "0.2"]),
     (3, ["crossover", "--mu", "60", "--eta-det", "0.2", "--error-rate", "0.01"]),
+    (1, ["error-map", "--mu", "0.1", "--eta-det", "0.2", "--loss-db", "1e5"]),
 ]
 
 # Windows whose lower edge lies next to eta_t = 1, where it comes from libm's log, log1p and

@@ -167,7 +167,7 @@ def test_stacked_search_matches_the_one_pair_search():
 def test_blockwise_search_on_a_stack_matches_each_probe_pair():
     # At gamma = 0 the inner block of both strategy-B probes is empty, a
     # block under the 1e-14 weight below which the search skips it.
-    reports = oracle.simulate_strategy_b_grid(verification._GAMMA_GRID_FAST, eta_det=0.6, rng_seed=1)
+    reports = oracle.simulate_strategy_b_grid(verification._GAMMA_GRID, eta_det=0.6, rng_seed=1)
     plus = np.array([rep.probe_plus for rep in reports])
     minus = np.array([rep.probe_minus for rep in reports])
     inner = np.stack(oracle._BLOCKS_B[1], -1)
@@ -326,7 +326,7 @@ def test_simulate_strategy_b_grid(gamma):
 
 @pytest.mark.parametrize("grid_fn, one_fn, grid, eta_det", [
     (oracle.simulate_strategy_a_grid, simulate_strategy_a, verification._BETA_GRID, 0.3),
-    (oracle.simulate_strategy_b_grid, simulate_strategy_b, verification._GAMMA_GRID_COEFF, 0.4),
+    (oracle.simulate_strategy_b_grid, simulate_strategy_b, verification._GAMMA_GRID, 0.4),
 ], ids=["strategy_a", "strategy_b"])
 def test_grid_drive_gives_the_deltas_of_the_per_setting_wrappers(grid_fn, one_fn, grid, eta_det):
     reports = grid_fn(grid, eta_det=eta_det, rng_seed=5)
@@ -339,15 +339,15 @@ def test_grid_drive_gives_the_deltas_of_the_per_setting_wrappers(grid_fn, one_fn
         assert np.array_equal(one.probe_minus, rep.probe_minus)
 
 
-def test_clone_a_disturbance_of_a_stack_is_the_float_results_bit_for_bit():
-    betas = np.append(np.linspace(0.0, math.sqrt(1 / 8), 33), verification._BETA_GRID)
-    singles = [oracle.clone_a_disturbance(beta) for beta in betas.tolist()]
-    assert all(type(d) is float for d in singles)
-    stack = oracle.clone_a_disturbance(betas)
-    assert stack.shape == betas.shape
-    assert np.array_equal(stack.view(np.int64), np.array(singles).view(np.int64))
-    with pytest.raises(ValueError):
-        oracle.clone_a_disturbance(np.array([0.1, 0.36, 0.2]))  # 8 * 0.36^2 > 1
+def test_strategy_b_probes_do_not_depend_on_the_detector_efficiency():
+    # Why one eta_det 0.6 pass of the angle grid serves probe_b_coefficients,
+    # whose deltas read only the attacker's probes, as well as disturbance_maps.
+    low, high = (oracle.simulate_strategy_b_grid(verification._GAMMA_GRID, eta_det=eta_det, rng_seed=VERIFY_SEED)
+                 for eta_det in (0.4, 0.6))
+    for a, b in zip(low, high, strict=True):
+        assert np.array_equal(a.probe_plus, b.probe_plus) and np.array_equal(a.probe_minus, b.probe_minus)
+        for key in ("coefficients_vs_closed_form", "probe_exchange_symmetry"):
+            assert a.deltas[key] == b.deltas[key], key
 
 
 def _entropy(rho) -> float:
@@ -369,12 +369,12 @@ def test_strategy_informations_stay_below_the_holevo_bound_of_the_probe_pair():
         chi = _holevo_chi(rep.probe_plus, rep.probe_minus)
         assert 0.0 < attacks.strategy_a_information(rep.disturbance) <= chi + 1e-12
         assert chi <= 1.0 + 1e-12
-    for grid in (verification._GAMMA_GRID_FAST, verification._GAMMA_GRID_COEFF):
-        reports = oracle.simulate_strategy_b_grid(grid, eta_det=0.6, rng_seed=VERIFY_SEED)
-        for gamma, rep in zip(grid, reports):
-            chi = _holevo_chi(rep.probe_plus, rep.probe_minus)
-            assert attacks.strategy_b_information(float(gamma)) <= chi + 1e-12
-            assert chi <= 1.0 + 1e-12
+    grid = verification._GAMMA_GRID
+    reports = oracle.simulate_strategy_b_grid(grid, eta_det=0.6, rng_seed=VERIFY_SEED)
+    for gamma, rep in zip(grid, reports):
+        chi = _holevo_chi(rep.probe_plus, rep.probe_minus)
+        assert attacks.strategy_b_information(float(gamma)) <= chi + 1e-12
+        assert chi <= 1.0 + 1e-12
 
 
 
