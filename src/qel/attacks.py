@@ -207,21 +207,17 @@ def strategy_a_probe_states(disturbance: float) -> tuple[np.ndarray, np.ndarray]
         |phi_+-> = (sqrt(1-4D) |phi+> +- sqrt(2D) |psi+>) / sqrt(1-2D),
 
     so a weight 2D lands in a perfectly distinguishing product block and the
-    rest in a pure pair of overlap (1-6D)/(1-2D).  Requires D <= 1/4.
+    rest in a pure pair of overlap (1-6D)/(1-2D); at D = 1/4 the pair is
+    exactly psi+ and -psi+.  Takes a float D <= 1/4.
     """
     import numpy as np
 
     from .optics import KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS
 
     _, d = _strategy_a_domain(disturbance)
-    if d >= 0.25:
-        varphi_p, varphi_m = PSI_PLUS, -PSI_PLUS
-    else:
-        scale = 1.0 / math.sqrt(1.0 - 2.0 * d)
-        varphi_p = scale * (math.sqrt(1.0 - 4.0 * d) * PHI_PLUS
-                            + math.sqrt(2.0 * d) * PSI_PLUS)
-        varphi_m = scale * (math.sqrt(1.0 - 4.0 * d) * PHI_PLUS
-                            - math.sqrt(2.0 * d) * PSI_PLUS)
+    scale = 1.0 / math.sqrt(1.0 - 2.0 * d)
+    varphi_p = scale * (math.sqrt(1.0 - 4.0 * d) * PHI_PLUS + math.sqrt(2.0 * d) * PSI_PLUS)
+    varphi_m = scale * (math.sqrt(1.0 - 4.0 * d) * PHI_PLUS - math.sqrt(2.0 * d) * PSI_PLUS)
     minus_plus = np.kron(KET_MINUS, KET_PLUS)
     plus_minus = np.kron(KET_PLUS, KET_MINUS)
     rho_p = 2.0 * d * np.outer(minus_plus, minus_plus.conj()) \
@@ -231,8 +227,11 @@ def strategy_a_probe_states(disturbance: float) -> tuple[np.ndarray, np.ndarray]
     return rho_p, rho_m
 
 
-def strategy_a_probe_overlap(disturbance: float) -> float:
-    """Overlap <phi_+|phi_-> = (1-6D)/(1-2D) of the nonorthogonal probe pair."""
+def strategy_a_probe_overlap(disturbance):
+    """Overlap <phi_+|phi_-> = (1-6D)/(1-2D) of the kets of strategy_a_probe_states; D may be a numpy array.
+
+    The probe states fix each ket only up to phase, so only the square is physical.
+    """
     _, d = _strategy_a_domain(disturbance)
     return (1.0 - 6.0 * d) / (1.0 - 2.0 * d)
 

@@ -100,14 +100,12 @@ KET_MINUS = _freeze(np.array([1.0, -1.0]) / math.sqrt(2))
 KET_R = _freeze(np.array([1.0, 1.0j]) / math.sqrt(2))
 KET_L = _freeze(np.array([1.0, -1.0j]) / math.sqrt(2))
 
-#: Antisymmetric two-qubit singlet (|01> - |10>)/sqrt(2); basis independent
-#: up to phase, used to test membership in the symmetric subspace.
-SINGLET = _freeze(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2))
-
 # Bell states, computational ordering |00>, |01>, |10>, |11>.
 PHI_PLUS = _freeze(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
 PHI_MINUS = _freeze(np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2))
 PSI_PLUS = _freeze(np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2))
+#: The antisymmetric singlet (|01> - |10>)/sqrt(2); basis independent up to
+#: phase, used to test membership in the symmetric subspace.
 PSI_MINUS = _freeze(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2))
 
 #: Pauli matrices.
@@ -148,7 +146,7 @@ def signal_ket(signal: Bb84Signal) -> np.ndarray:
 
 def singlet_weight(rho):
     """Probability weight <singlet| rho |singlet> of a two-qubit density operator, or of each in a stack."""
-    return np.abs(SINGLET.conj() @ (np.asarray(rho) @ SINGLET)[..., None])[..., 0]
+    return np.abs(PSI_MINUS.conj() @ (np.asarray(rho) @ PSI_MINUS)[..., None])[..., 0]
 
 
 @functools.cache

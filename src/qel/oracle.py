@@ -291,40 +291,34 @@ def simulate_strategy_a_grid(betas, *, eta_det: float, rng_seed: int) -> list[Si
     The isometries of the grid are built and driven as one stack; setting i
     draws its random states from rng_seed + i.  For each BB84 signal the
     receiver pair is forwarded through the detector model to measure the
-    sifted error rate, and the attacker probe is compared entry by entry
-    against the disturbance-parameterized probe states.  The probe overlap
-    and the product-block weight are measured rather than assumed, and the
-    information formula is cross-checked against a blockwise measurement
-    search.
+    sifted error rate.  The attacker probes are compared entry by entry with
+    the closed-form probe states at the machine's own D = 2 beta^2, where
+    sqrt(1 - 4D) amplifies no round-off of the measured D; the probe overlap
+    is compared phase-free, as Tr(P+ P-) of the normalized {phi+, psi+}
+    blocks, and the information formula against a blockwise measurement search.
     """
     betas = np.asarray(betas, dtype=float)
     errors, rho_p, rho_m, defects, singlets = _drive(strategy_a_isometry(betas), SIGNALS,
                                                      eta_det, rng_seed)
     disturbance = np.mean(errors, -1)
-    d = disturbance.tolist()
-    closed = np.array([attacks.strategy_a_probe_states(x) for x in d])
+    closed = np.array([attacks.strategy_a_probe_states(d) for d in (2.0 * betas**2).tolist()])
 
     # Both probes in the basis of their blocks: the product block must carry
-    # weight 2D, and diagonalizing the {phi+, psi+} block gives the overlap of
-    # the nonorthogonal probe components.
+    # weight 2D, and each normalized {phi+, psi+} block is the projector onto
+    # a pure probe component, known only up to phase.
     m = _in_basis(np.stack([rho_p, rho_m]), [ket for pair in _BLOCKS_A for ket in pair])
     prod_weight = np.trace(m[0, :, :2, :2], axis1=-2, axis2=-1).real
-    pure = m[..., 2:, 2:]
-    v = np.linalg.eigh(pure / np.trace(pure, axis1=-2, axis2=-1).real[..., None, None])[1][..., -1]
-    # fix the free phase via the phi+ component, positive for D < 1/4
-    lead = v[..., :1]
-    big = np.abs(lead) > 1e-8
-    v = v / np.where(big, lead / np.where(big, np.abs(lead), 1.0), 1.0)
-    overlap_sim = np.sum(v[0].conj() * v[1], -1).real
+    pure = m[..., 2:, 2:] / np.trace(m[..., 2:, 2:], axis1=-2, axis2=-1).real[..., None, None]
+    overlap_sq = np.einsum("kij,kji->k", pure[0], pure[1]).real
 
-    info_closed = np.array([attacks.strategy_a_information(x) for x in d])
+    info_closed = attacks.strategy_a_information(disturbance)
     info_numeric = _blockwise_numeric_info(rho_p, rho_m, _BLOCKS_A)
     return _reports(disturbance, rho_p, rho_m, info_closed, info_numeric, {
         "isometry_defect": defects,
         "bob_singlet_weight": singlets,
         "error_rate_spread": np.ptp(errors, -1),
         "probe_vs_closed_form": np.max(np.abs(np.stack([rho_p, rho_m], 1) - closed), axis=(1, 2, 3)),
-        "overlap_vs_closed_form": np.abs(overlap_sim - [attacks.strategy_a_probe_overlap(x) for x in d]),
+        "overlap_vs_closed_form": np.abs(overlap_sq - attacks.strategy_a_probe_overlap(disturbance) ** 2),
         "product_block_weight_vs_2d": np.abs(prod_weight - 2.0 * disturbance),
         "information_vs_measurement_search": np.abs(info_closed - info_numeric),
     })

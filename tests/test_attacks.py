@@ -20,8 +20,8 @@ from qel.attacks import (clone_a_params_for_disturbance, gamma_for_disturbance,
                          strategy_b_disturbance, strategy_b_information,
                          strategy_b_probe_matrices)
 from qel.infotheory import DOMAIN_SLACK, fuchs_information, phi
-from qel.optics import (PHI_PLUS, PSI_PLUS, SIGNALS, check_density, partial_trace, singlet_weight,
-                        symmetric_encode)
+from qel.optics import (KET_MINUS, KET_PLUS, PHI_PLUS, PSI_PLUS, SIGNALS, check_density, partial_trace,
+                        singlet_weight, symmetric_encode)
 # The machines live in the oracle, which checks the closed forms here against them.
 from qel.oracle import simulate_strategy_a_grid, strategy_a_isometry, strategy_b_isometry
 
@@ -125,10 +125,9 @@ def test_strategy_a_overlap_vanishes_at_one_sixth():
     assert strategy_a_probe_overlap(1 / 6) == pytest.approx(0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("d", np.linspace(0.0, 0.24, 13))
+@pytest.mark.parametrize("d", np.append(np.linspace(0.0, 0.24, 13), 0.25))
 def test_strategy_a_overlap_formula_vs_inner_product(d):
-    if d == 0.0:
-        return
+    # the closed form's sign follows these kets, those of strategy_a_probe_states
     scale = 1 / math.sqrt(1 - 2 * d)
     vp = scale * (math.sqrt(1 - 4 * d) * PHI_PLUS
                   + math.sqrt(2 * d) * PSI_PLUS)
@@ -136,6 +135,15 @@ def test_strategy_a_overlap_formula_vs_inner_product(d):
                   - math.sqrt(2 * d) * PSI_PLUS)
     direct = float(np.real(np.vdot(vp, vm)))
     assert abs(direct - strategy_a_probe_overlap(d)) <= 1e-12
+
+
+def test_strategy_a_probe_states_at_one_quarter_are_the_psi_plus_projectors():
+    # sqrt(1 - 4D) is 0 and sqrt(2D) / sqrt(1 - 2D) is 1.0 at D = 1/4, so the
+    # general formula gives psi+ and -psi+ bit for bit
+    rho_p, rho_m = strategy_a_probe_states(0.25)
+    for rho, product, ket in ((rho_p, np.kron(KET_MINUS, KET_PLUS), PSI_PLUS),
+                              (rho_m, np.kron(KET_PLUS, KET_MINUS), -PSI_PLUS)):
+        assert np.array_equal(rho, 0.5 * np.outer(product, product.conj()) + 0.5 * np.outer(ket, ket.conj()))
 
 
 def test_strategy_a_probe_states_domain():

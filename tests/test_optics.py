@@ -23,7 +23,7 @@ def test_signal_kets():
 
 
 def test_kets_are_read_only_complex_vectors():
-    kets = [optics.KET_0, optics.KET_1, optics.KET_PLUS, optics.KET_MINUS, optics.SINGLET,
+    kets = [optics.KET_0, optics.KET_1, optics.KET_PLUS, optics.KET_MINUS,
             optics.PHI_PLUS, optics.PHI_MINUS, optics.PSI_PLUS, optics.PSI_MINUS,
             optics.KET_R, optics.KET_L]
     kets += [symmetric_encode(signal) for signal in SIGNALS]
@@ -143,7 +143,7 @@ def test_fock_distribution_normalized_and_basis_covariant(seed):
 
 def test_fock_rejects_antisymmetric_component():
     with pytest.raises(ValueError):
-        fock_from_symmetric(density(optics.SINGLET), Basis.RECTILINEAR)
+        fock_from_symmetric(density(optics.PSI_MINUS), Basis.RECTILINEAR)
 
 
 def test_fock_rejects_wrong_dimension():

@@ -350,6 +350,28 @@ def test_strategy_b_probes_do_not_depend_on_the_detector_efficiency():
             assert a.deltas[key] == b.deltas[key], key
 
 
+#: Each report delta with the tolerance of the qel verify check that reads it:
+#: the isometry suite, probe_a, probe_b_coefficients and disturbance_maps.
+_VERIFY_TOLERANCES = {
+    "isometry_defect": 1e-12, "bob_singlet_weight": 1e-12, "error_rate_spread": 1e-10,
+    "probe_vs_closed_form": 1e-9, "overlap_vs_closed_form": 1e-9, "product_block_weight_vs_2d": 1e-9,
+    "information_vs_measurement_search": 1e-6, "coefficients_vs_closed_form": 1e-9,
+    "probe_exchange_symmetry": 1e-12, "disturbance_vs_closed_form": 1e-9,
+}
+
+
+@pytest.mark.parametrize("grid_fn, grid", [
+    (oracle.simulate_strategy_a_grid, np.linspace(0.0, math.sqrt(1 / 8), 41)),
+    (oracle.simulate_strategy_b_grid, np.linspace(0.0, math.pi, 41)),
+], ids=["strategy_a", "strategy_b"])
+def test_oracle_holds_over_each_machine_domain_ends_included(grid_fn, grid):
+    # beta = sqrt(1/8) is the universal cloner's end, D = 1/4, where the phi+
+    # component of the probes vanishes and sqrt(1 - 4D) is steepest
+    for x, rep in zip(grid.tolist(), grid_fn(grid, eta_det=0.3, rng_seed=VERIFY_SEED), strict=True):
+        for key, delta in rep.deltas.items():
+            assert delta <= _VERIFY_TOLERANCES[key], (x, key, delta)
+
+
 def _entropy(rho) -> float:
     p = np.linalg.eigvalsh(rho)
     p = p[p > 1e-15]
