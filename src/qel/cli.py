@@ -76,8 +76,11 @@ def emit_record(record: dict, output):
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
     """The values of the config file as flags of the chosen subcommand."""
-    with open(args.config) as fh:
-        data = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {args.config} must hold a JSON object")
     # The namespace holds every destination of the chosen subcommand.

@@ -32,6 +32,10 @@ def test_pns_information_limits():
     assert pns_information(0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
     assert pns_information(1.0, 0.37) == pytest.approx(1.0, abs=1e-15)
     assert pns_information(0.0, 0.2) == pytest.approx(fuchs_information(0.2), abs=1e-15)
+    for p in (-0.1, 1.5):
+        with pytest.raises(ValueError) as raised:
+            pns_information(p, 0.1)
+        assert (type(raised.value), str(raised.value)) == (ValueError, f"two-photon fraction must lie in [0, 1], got {p}")
 
 
 def test_matched_fraction_values():

@@ -253,6 +253,34 @@ def test_disturbance_for_error_roundtrip():
         assert disturbance_for_error(scen, e) == pytest.approx(d, abs=1e-12)
 
 
+_SCEN = ChannelScenario(0.1, 0.2, 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: p_arr_multi(0.1, 1.5), "eta_det must lie in [0, 1], got 1.5"),
+    (lambda: p_exp(0.1, 0.2, 1.5), "efficiencies must lie in [0, 1]"),
+    (lambda: observed_error_from_disturbance(_SCEN, 0.6), "disturbance must lie in [0, 1/2], got 0.6"),
+    (lambda: observed_error_closed_form(_SCEN, -0.1), "disturbance must lie in [0, 1/2], got -0.1"),
+    (lambda: channel.gain_band("C", 0.2), "strategy must be 'A' or 'B', got 'C'"),
+], ids=["p_arr_multi", "p_exp", "observed_error", "closed_form", "gain_band"])
+def test_input_checks_raise_their_exact_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert (type(raised.value), str(raised.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.2, 0.5])
+@pytest.mark.parametrize("mu", [0.1, 0.2, 0.5, 1.0])
+def test_no_single_photon_signal_reaches_the_receiver_at_the_lower_window_edge(mu, eta):
+    # there the expected click rate is the split pulses' alone, so e/D is exactly 0
+    scen = ChannelScenario(mu, eta, eta_t_bounds(mu, eta).eta_t_lower)
+    assert error_disturbance_ratio(scen) == 0.0
+    with pytest.raises(InvalidRegimeError) as raised:
+        disturbance_for_error(scen, 0.01)
+    assert (type(raised.value), str(raised.value)) == (
+        InvalidRegimeError, "no single-photon signals reach the receiver in this scenario")
+
+
 def test_disturbance_for_error_edge_cases():
     scen = ChannelScenario.from_loss_db(0.1, 0.2, 9.0)
     assert disturbance_for_error(scen, 0.0) == 0.0

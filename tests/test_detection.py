@@ -116,6 +116,18 @@ def test_outcome_distribution_rejects_efficiency_above_one():
         outcome_distribution({(1, 0): 1.0}, 1.2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: outcome_distribution({(1, 0): 0.5}, 0.5), "occupation probabilities sum to 0.5, expected 1"),
+    (lambda: outcome_distribution({(1, 0): 1.5, (0, 1): -0.5}, 0.5), "negative occupation probability -0.5 for (0, 1)"),
+    (lambda: conditional_error_rate(np.eye(3) / 3, Basis.RECTILINEAR, 0.0),
+     "conditional error rate undefined at zero efficiency"),
+], ids=["sum", "negative", "zero-efficiency"])
+def test_invalid_occupations_and_zero_efficiency_raise_their_exact_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert (type(raised.value), str(raised.value)) == (ValueError, message)
+
+
 @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
 @settings(max_examples=30, deadline=None)
 def test_outcome_distribution_affine_in_mixtures(seed, lam):

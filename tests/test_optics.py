@@ -197,6 +197,9 @@ def test_partial_trace_dimension_mismatch():
         partial_trace(rho, keep="a", dims=(3, 2))
     with pytest.raises(ValueError):
         partial_trace(rho, keep="c", dims=(2, 2))
+    with pytest.raises(ValueError) as raised:
+        partial_trace(rho, keep="a", dims=(0, 4))
+    assert (type(raised.value), str(raised.value)) == (ValueError, "subsystem dimensions must be positive")
 
 
 def test_check_density_accepts_maximally_mixed():

@@ -524,6 +524,9 @@ def test_monte_carlo_argument_validation():
         monte_carlo_protocol(SCEN, "Unknown", 0.1, n_pulses=10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_protocol(SCEN, "PNS", 0.1, n_pulses=0, seed=0)
+    with pytest.raises(ValueError) as raised:
+        monte_carlo_protocol(SCEN, "PNS", 0.6, n_pulses=10, seed=0)
+    assert (type(raised.value), str(raised.value)) == (ValueError, "disturbance must lie in [0, 1/2], got 0.6")
 
 
 @pytest.mark.parametrize("attack, top", [
