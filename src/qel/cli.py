@@ -79,7 +79,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     try:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {args.config} must hold a JSON object")

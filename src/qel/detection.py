@@ -15,8 +15,8 @@ with eta_bar = 1 - eta_det.  Dark counts are excluded: they are independent
 of the signal, so the analysis operates on the reduced channel error rate
 after the dark-count contribution has been subtracted.
 
-Double clicks are never discarded: sifting assigns them a uniformly random
-bit, which is what makes them contribute error 1/2.
+Double clicks are never discarded: sifting, which oracle states once, assigns
+them a uniformly random bit, which is what makes them contribute error 1/2.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import _checked_record
-from .optics import Basis, _freeze, fock_from_symmetric
+from .optics import _freeze
 
 
 class DetectorModel(_checked_record("DetectorModel", "eta_det cutoff")):
@@ -104,20 +104,3 @@ def outcome_distribution(occupations: dict, eta_det: float) -> np.ndarray:
         out = out + np.asarray(w)[..., None] * outcome_probabilities(n, m, eta_det)
     return out
 
-
-def conditional_error_rate(rho, basis: Basis, eta_det: float, correct_bit: int = 0):
-    """Sifted error probability of a two-photon density operator, given a click.
-
-    Wrong-detector clicks count as errors and double clicks contribute 1/2.
-    For total photon number two the click probability is 1 - (1-eta)^2
-    regardless of the occupation split, which makes this quantity independent
-    of eta_det; the explicit model is kept for cross-checks.  A stack of
-    operators gives the stack of their error probabilities.
-    """
-    if eta_det <= 0.0:
-        raise ValueError("conditional error rate undefined at zero efficiency")
-    dist = outcome_distribution(fock_from_symmetric(rho, basis), eta_det)
-    p_click = 1.0 - dist[..., DetectionOutcome.VACUUM]
-    wrong = DetectionOutcome.CLICK1 if correct_bit == 0 else DetectionOutcome.CLICK0
-    p_err = dist[..., wrong] + 0.5 * dist[..., DetectionOutcome.DOUBLE]
-    return p_err / p_click

@@ -18,7 +18,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import attacks, channel
-from .detection import DetectionOutcome, conditional_error_rate, outcome_distribution
+from .detection import DetectionOutcome, outcome_distribution
 from .infotheory import DOMAIN_SLACK, _math_for
 from .optics import (_I2, KET_MINUS, KET_PLUS, PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, SIGMA_X, SIGMA_Y,
                      SIGMA_Z, SIGNALS, STRATEGY_B_SIGNALS, Basis, Bb84Signal, _freeze, basis_kets,
@@ -226,6 +226,31 @@ def strategy_b_isometry(gamma):
 # Cloner simulations
 # --------------------------------------------------------------------------
 
+def _sifting_masks() -> dict[str, np.ndarray]:
+    """The BB84 sifting rule as masks over (signal, basis, outcome, double-click bit), by the count each sums.
+
+    Signal i carries bit i % 2 in basis i // 2; a double click reads as its
+    double-click bit, so a sifted one is an error half the time.
+    """
+    signal, basis, outcome, double_bit = np.indices((4, 2, len(DetectionOutcome), 2))
+    clicked = outcome != DetectionOutcome.VACUUM
+    is_double = outcome == DetectionOutcome.DOUBLE
+    measured_bit = np.where(is_double, double_bit, outcome == DetectionOutcome.CLICK1)
+    matched = signal // 2 == basis
+    sifted = matched & clicked
+    return {"raw_clicks": clicked, "sifted_bits": sifted, "sifted_errors": sifted & (measured_bit != signal % 2),
+            "double_clicks_matched": is_double & matched, "double_clicks_mismatched": is_double & ~matched}
+
+
+_SIFTING_MASKS = _sifting_masks()
+
+
+def _receiver_table(rho_bob, signals, eta_det: float) -> np.ndarray:
+    """(..., signal, basis, 4) outcome table of a (..., signal, 4, 4) receiver stack, in each basis of signals."""
+    bases = dict.fromkeys(signal.basis for signal in signals)
+    return np.stack([outcome_distribution(fock_from_symmetric(rho_bob, basis), eta_det) for basis in bases], -2)
+
+
 class SimulationReport(namedtuple("SimulationReport", "disturbance probe_plus probe_minus info_closed_form "
                                                        "info_measurement_search deltas")):
     """Simulation-versus-closed-form comparison for one cloning machine setting, as a named tuple.
@@ -256,11 +281,15 @@ def _drive(us: np.ndarray, signals, eta_det: float, rng_seed: int):
 
     Setting i also sends eight random states of the symmetric subspace,
     drawn from rng_seed + i: random superpositions must be preserved, not
-    only the four BB84 signals.  Returns, per setting, the sifted error rate
-    of the receiver pair for each signal, the attacker probes of the diagonal
-    bit-0 and bit-1 signals, the largest norm defect (over the signals and
-    the random states) and the largest singlet weight of a receiver state.
+    only the four BB84 signals.  Returns, per setting, each signal's sifted
+    error rate, the weight of the error mask over that of the sifted mask in
+    its receiver table split evenly over the double-click bit (signals laid
+    out as in _sifting_masks), the attacker probes of the diagonal bit-0 and
+    bit-1 signals, the largest norm defect (over the signals and the random
+    states) and the largest singlet weight of a receiver state.
     """
+    if eta_det <= 0.0:
+        raise ValueError("sifted error rate undefined at zero efficiency")
     k, n = len(us), len(signals)
     draws = np.stack([np.random.default_rng(rng_seed + i).normal(size=(8, 2, 3)) for i in range(k)])
     amp = draws[..., 0, :] + 1j * draws[..., 1, :]
@@ -269,10 +298,10 @@ def _drive(us: np.ndarray, signals, eta_det: float, rng_seed: int):
     encoded = np.broadcast_to([symmetric_encode(signal) for signal in signals], (k, n, 4))
     rho_bob, rho_eve, defect = _signal_states(us, np.concatenate([encoded, sym], -2))
     rho_bob = rho_bob[:, :n]
-    errors = np.stack([conditional_error_rate(rho_bob[:, j], signal.basis, eta_det, correct_bit=signal.bit)
-                       for j, signal in enumerate(signals)], -1)
+    p = 0.5 * _receiver_table(rho_bob, signals, eta_det)[..., None]
+    errors, sifted = (np.sum(p * _SIFTING_MASKS[mask], axis=(-3, -2, -1)) for mask in ("sifted_errors", "sifted_bits"))
     plus, minus = (signals.index(Bb84Signal(Basis.DIAGONAL, bit)) for bit in (0, 1))
-    return (errors, rho_eve[:, plus], rho_eve[:, minus], np.max(defect, -1),
+    return (errors / sifted, rho_eve[:, plus], rho_eve[:, minus], np.max(defect, -1),
             np.max(singlet_weight(rho_bob), -1))
 
 
@@ -411,23 +440,21 @@ def _attack_tables(attack: str, disturbance: float, eta: float) -> np.ndarray:
     table[pulse type, signal, basis] is the outcome distribution of a single
     (pulse type 0) or two-photon (pulse type 1) pulse.  The PNS process and
     strategy A use the rectilinear and diagonal signals, strategy B the
-    diagonal and circular ones; in both sets signal i carries bit i % 2 in
-    the basis at index i // 2.
+    diagonal and circular ones, both laid out as in _sifting_masks.
     """
     if attack not in ("PNS", "CloneA", "CloneB"):
         raise ValueError(f"attack must be 'PNS', 'CloneA' or 'CloneB', got {attack!r}")
     signals = STRATEGY_B_SIGNALS if attack == "CloneB" else SIGNALS
-    bases = list(dict.fromkeys(s.basis for s in signals))
 
     if attack == "PNS":
         # split pulse: one untouched photon forwarded.  Single photons meet
         # the optimal single-photon attack, which flips the bit with
         # probability D in the matching basis and randomizes it otherwise.
         w0 = np.array([[abs(np.vdot(basis_kets(basis)[0], signal_ket(signal))) ** 2
-                        for basis in bases] for signal in signals])
+                        for basis in dict.fromkeys(s.basis for s in signals)] for signal in signals])
         signal = np.arange(4)
         w0_matched = np.where(signal % 2 == 0, 1.0 - disturbance, disturbance)
-        w0_attacked = np.where(np.equal.outer(signal // 2, range(len(bases))), w0_matched[:, None], 0.5)
+        w0_attacked = np.where(np.equal.outer(signal // 2, range(2)), w0_matched[:, None], 0.5)
         two_rows, single_rows = (outcome_distribution({(1, 0): w, (0, 1): 1.0 - w}, eta)
                                  for w in (w0, w0_attacked))
     else:
@@ -438,7 +465,7 @@ def _attack_tables(attack: str, disturbance: float, eta: float) -> np.ndarray:
         single_rows = np.zeros((4, 2, len(DetectionOutcome)))
         single_rows[..., DetectionOutcome.VACUUM] = 1.0  # single photons are blocked
         rho_bob = _signal_states(u, np.array([symmetric_encode(signal) for signal in signals]))[0]
-        two_rows = np.stack([outcome_distribution(fock_from_symmetric(rho_bob, basis), eta) for basis in bases], 1)
+        two_rows = _receiver_table(rho_bob, signals, eta)
     # Round-off leaves entries near -1e-17 where an outcome cannot occur
     # (strategy A at eta_det 1); _tallies needs every entry nonnegative.
     return np.maximum(np.stack([single_rows, two_rows]), 0.0)
@@ -517,11 +544,11 @@ def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, .
     monte_carlo_protocol call at the same seed.  Each pulse falls in one of
     16 (pulse type, signal, measured basis) cells; its uniform is compared
     with three entries of the cell's outcome CDF, and one bincount per block
-    and attack counts (cell, outcome, double-click bit).  One set of
-    sifting masks over those 128 entries gives the counts, as sums of the
-    tallies, and the click mask also gives the expected raw click rate, as a
-    sum of the entries' exact probabilities.  The sampler's memory does not
-    grow with n_pulses, and its time grows linearly.
+    and attack counts (cell, outcome, double-click bit).  The masks of
+    _sifting_masks, with a pulse-type axis, sum the 128 tallies to the
+    counts, and the click mask sums the entries' exact probabilities to the
+    expected raw click rate.  The sampler's memory does not grow with
+    n_pulses, and its time grows linearly.
 
     Identical inputs and seed reproduce identical statistics.  Returns one
     MonteCarloStats per attack, in the order of names.
@@ -536,29 +563,18 @@ def monte_carlo_protocols(scenario: channel.ChannelScenario, names: tuple[str, .
     tables = [_attack_tables(name, disturbance, eta) for name in names]
     all_counts = _tallies(n_pulses, p_two, seed, tables)
 
-    # The sifting rule, stated once on the 128 (cell, outcome, double-click
-    # bit) entries; signal i carries bit i % 2 in basis i // 2.  The masks sum
-    # the tallies; the click mask sums each entry's exact probability too: its
-    # pulse type's weight, 1/4 per signal, 1/2 per basis and per double-click bit.
-    pulse_type, signal, basis, outcome, double_bit = np.indices((2, 4, 2, len(DetectionOutcome), 2))
-    clicked = outcome != DetectionOutcome.VACUUM
-    is_double = outcome == DetectionOutcome.DOUBLE
-    measured_bit = np.where(is_double, double_bit, outcome == DetectionOutcome.CLICK1)
-    matched = signal // 2 == basis
-    sifted = matched & clicked
-    errors = sifted & (measured_bit != signal % 2)
-    masks = {"raw_clicks": clicked, "sifted_bits": sifted, "sifted_errors": errors,
-             "double_clicks_matched": is_double & matched, "double_clicks_mismatched": is_double & ~matched}
-    cell_weight = np.where(pulse_type == 0, 1.0 - p_two, p_two) / 16
+    # an entry's exact probability: its pulse type's weight, 1/4 per signal, 1/2 per basis and per bit
+    cell_weight = np.array([1.0 - p_two, p_two])[:, None, None, None, None] / 16
+    masks = {field: np.broadcast_to(mask, (2, *mask.shape)) for field, mask in _SIFTING_MASKS.items()}
 
     results = []
     for name, table, counts in zip(names, tables, all_counts):
-        counts = counts.reshape(signal.shape)
-        probability = cell_weight * table[..., None]
+        counts = counts.reshape(masks["raw_clicks"].shape)
+        probability = np.broadcast_to(cell_weight * table[..., None], counts.shape)
         results.append(MonteCarloStats(
             attack=name, n_pulses=n_pulses,
             **{field: int(counts[mask].sum()) for field, mask in masks.items()},
-            expected_raw_click_rate=float(probability[clicked].sum()),
+            expected_raw_click_rate=float(probability[masks["raw_clicks"]].sum()),
         ))
     return tuple(results)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel import attacks
+from qel import attacks, cli
 from qel.attacks import (clone_a_params_for_disturbance, gamma_for_disturbance,
                          information_curves, matched_two_photon_fraction,
                          pns_information, pns_information_matched,
@@ -764,7 +764,7 @@ def test_curves_invert_the_grid_once_and_evaluate_strategy_b_per_point(monkeypat
 
 
 def _seeded_curve_grids():
-    """(eta_det, grid) cases: 20 seeded grids with odd step counts, then edge grids."""
+    """(eta_det, grid) cases: 20 seeded grids with odd step counts, the CLI's default grid, then edge grids."""
     rng = random.Random(20240901)
     cases = []
     for _ in range(20):
@@ -774,6 +774,8 @@ def _seeded_curve_grids():
         steps = 2 * rng.randrange(1, 60) + 1
         step = (hi - lo) / (steps - 1)
         cases.append((eta_det, [lo + i * step for i in range(steps)]))
+    # the points of `qel info-curves --eta-det 0.052`, whose JSON output carries them in full
+    cases.append((0.052, cli._grid(0.0, 0.5, attacks.DEFAULT_CURVE_GRID_POINTS, "disturbance")))
     top = attacks.STRATEGY_B_MAX_DISTURBANCE
     cases.append((0.2, [0.0, 5e-324, top, math.nextafter(top, 0.0), top + DOMAIN_SLACK / 2,
                         top + DOMAIN_SLACK, 0.5]))

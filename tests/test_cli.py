@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel import VERIFY_PULSES, VERIFY_SEED, attacks, channel, cli, detection, infotheory, optics, verification
+from qel import (VERIFY_PULSES, VERIFY_SEED, attacks, channel, cli, detection, infotheory, optics, oracle,
+                 verification)
 
 
 def run_cli(capsys, argv):
@@ -354,7 +355,9 @@ def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
     (b"", "is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
     (b"\xff{}", "is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     (b"[1]", "must hold a JSON object"),
-], ids=["malformed", "undecodable", "not-an-object"])
+    (b"[" * 100_000, "is not valid JSON: maximum recursion depth exceeded while decoding a JSON array "
+                     "from a unicode string"),
+], ids=["malformed", "undecodable", "not-an-object", "too-deep"])
 def test_config_file_without_a_json_object_is_named_in_the_usage_error(tmp_path, capsys, content, message):
     path = tmp_path / "run.json"
     path.write_bytes(content)
@@ -488,6 +491,20 @@ def test_verify_detects_a_tampered_strategy_a_calibration(capsys, monkeypatch):
     assert code == 2
     assert json.loads(out)["passed"] is False
     assert err == "verification failed: disturbance_maps/strategy_a_calibration_roundtrip\n"
+
+
+def test_verify_detects_a_sifting_mask_that_counts_double_clicks_as_no_error(capsys, monkeypatch):
+    # The Monte Carlo and the cloner drive read one set of sifting masks, so a double click
+    # that never errs moves every measured error rate off its closed form.
+    errors = oracle._SIFTING_MASKS["sifted_errors"].copy()
+    errors[:, :, detection.DetectionOutcome.DOUBLE] = False
+    monkeypatch.setitem(oracle._SIFTING_MASKS, "sifted_errors", errors)
+    code, out, err = run_cli(capsys, ["verify", "--pulses", "20000"])
+    assert code == 2
+    assert json.loads(out)["passed"] is False
+    assert err == ("verification failed: probe_a/probe_overlap_vs_closed_form, probe_a/product_block_weight_vs_2d, "
+                   "probe_a/information_vs_measurement_search, disturbance_maps/strategy_b_disturbance_vs_simulation, "
+                   "disturbance_maps/strategy_a_calibration_roundtrip\n")
 
 
 def test_validated_records_take_make_and_replace_from_one_checked_base():

@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel.detection import (DetectionOutcome, DetectorModel, conditional_error_rate,
-                           outcome_distribution, outcome_probabilities, povm_elements)
-from qel.optics import Basis, Bb84Signal, fock_from_symmetric, symmetric_encode
+from qel import oracle
+from qel.detection import (DetectionOutcome, DetectorModel, outcome_distribution, outcome_probabilities,
+                           povm_elements)
+from qel.optics import (PSI_MINUS, SIGMA_X, SIGNALS, STRATEGY_B_SIGNALS, Basis, Bb84Signal, fock_from_symmetric,
+                        symmetric_encode)
 
 
 def density(ket) -> np.ndarray:
     return np.outer(ket, ket.conj())
+
+
+def forwarding(m) -> np.ndarray:
+    """The (..., 16, 4) attack isometry that applies m to the signal and leaves the probe in |00>."""
+    return np.kron(m, np.eye(4)[:, :1])
 
 
 def test_detector_model_validation():
@@ -119,8 +126,8 @@ def test_outcome_distribution_rejects_efficiency_above_one():
 @pytest.mark.parametrize("call, message", [
     (lambda: outcome_distribution({(1, 0): 0.5}, 0.5), "occupation probabilities sum to 0.5, expected 1"),
     (lambda: outcome_distribution({(1, 0): 1.5, (0, 1): -0.5}, 0.5), "negative occupation probability -0.5 for (0, 1)"),
-    (lambda: conditional_error_rate(np.eye(3) / 3, Basis.RECTILINEAR, 0.0),
-     "conditional error rate undefined at zero efficiency"),
+    (lambda: oracle._drive(forwarding(np.eye(4))[None], SIGNALS, 0.0, 0),
+     "sifted error rate undefined at zero efficiency"),
 ], ids=["sum", "negative", "zero-efficiency"])
 def test_invalid_occupations_and_zero_efficiency_raise_their_exact_messages(call, message):
     with pytest.raises(ValueError) as raised:
@@ -153,12 +160,19 @@ def test_outcome_probabilities_complete_for_any_occupation():
             assert abs(probs.sum() - 1.0) < 1e-12
 
 
-def test_conditional_error_rate_is_eta_independent():
-    state = symmetric_encode(Bb84Signal(Basis.DIAGONAL, 0))
-    rates = [conditional_error_rate(density(state), Basis.RECTILINEAR, eta) for eta in (0.1, 0.5, 0.9)]
-    assert max(rates) - min(rates) < 1e-12
-    # (1/4, 1/2, 1/4) occupations give error 1/2 * 1/2 + 1/4 = 1/2
-    assert rates[0] == pytest.approx(0.5, abs=1e-12)
+def test_drive_error_rates_are_eta_independent():
+    # Two photons click with probability 1 - (1-eta)^2 whatever their occupation split, so the
+    # sifted error rate of a two-photon receiver state does not depend on eta_det.
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    basis_change = forwarding(np.kron(hadamard, hadamard))[None]
+    for us, signals in ((basis_change, SIGNALS),
+                        (oracle.strategy_a_isometry([0.0, 0.1, 0.2, np.sqrt(1 / 8)]), SIGNALS),
+                        (oracle.strategy_b_isometry([0.0, 0.7, 1.5, np.pi]), STRATEGY_B_SIGNALS)):
+        rates = np.stack([oracle._drive(us, signals, eta, 0)[0] for eta in (0.1, 0.5, 0.9, 1.0)])
+        assert np.max(np.ptp(rates, axis=0)) <= 1e-15
+    # the basis change gives every signal (1/4, 1/2, 1/4) occupations: error 1/2 * 1/2 + 1/4 = 1/2
+    rates = oracle._drive(basis_change, SIGNALS, 0.1, 0)[0]
+    assert np.max(np.abs(rates - 0.5)) <= 1e-12
 
 
 def test_outcome_distribution_on_a_stack_matches_each_element():
@@ -179,18 +193,19 @@ def test_outcome_distribution_on_a_stack_matches_each_element():
     assert dist.tolist() == pytest.approx(expected, abs=1e-15)
 
 
-def test_conditional_error_rate_for_bit_one_on_a_stack():
+def test_drive_error_rates_for_bit_one_on_a_stack():
+    # random unitaries of the symmetric subspace, which keep the receiver states free of singlet weight
     rng = np.random.default_rng(5)
-    amp = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-    kets = np.stack([amp[:, 0], amp[:, 1] / np.sqrt(2), amp[:, 1] / np.sqrt(2), amp[:, 2]], -1)
-    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
-    rhos = kets[:, :, None] * kets[:, None, :].conj()
-    for basis in (Basis.RECTILINEAR, Basis.DIAGONAL):
-        stacked = conditional_error_rate(rhos, basis, 0.3, correct_bit=1)
-        assert stacked.shape == (6,)
-        for rho, rate in zip(rhos, stacked):
-            assert rate == conditional_error_rate(rho, basis, 0.3, correct_bit=1)
-    # a bit-1 signal forwarded in its own basis is never wrong; read as bit 0 it always is
-    state = density(symmetric_encode(Bb84Signal(Basis.DIAGONAL, 1)))
-    assert conditional_error_rate(state, Basis.DIAGONAL, 0.3, correct_bit=1) == pytest.approx(0.0, abs=1e-12)
-    assert conditional_error_rate(state, Basis.DIAGONAL, 0.3, correct_bit=0) == pytest.approx(1.0, abs=1e-12)
+    sym = np.stack([[1, 0, 0, 0], [0, 1, 1, 0] / np.sqrt(2), [0, 0, 0, 1]], -1)
+    q = np.linalg.qr(rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3)))[0]
+    us = forwarding(sym @ q @ sym.T + density(PSI_MINUS))
+    for signals in (SIGNALS, STRATEGY_B_SIGNALS):
+        stacked = oracle._drive(us, signals, 0.3, 0)[0]
+        assert stacked.shape == (6, 4)
+        for i in range(6):
+            assert np.array_equal(stacked[i], oracle._drive(us[i:i + 1], signals, 0.3, i)[0][0])
+    # signals (H0, H1, +0, +1): a bit-1 signal forwarded in its own basis is never wrong, and the
+    # bit flip on both photons, which fixes the diagonal signals, makes every rectilinear one wrong
+    flips = forwarding(np.stack([np.eye(4), np.kron(SIGMA_X, SIGMA_X)]))
+    rates = oracle._drive(flips, SIGNALS, 0.3, 0)[0]
+    assert np.max(np.abs(rates - [[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])) <= 1e-12

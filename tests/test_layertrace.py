@@ -29,12 +29,14 @@ def test_tracer_wraps_every_target_and_restores_the_originals(monkeypatch):
 
     tracer = layertrace.Tracer().install()
     try:
-        # qel has no linalg module and no channel.crossover_loss, and the cloning machines
-        # are built in oracle, so the tracer skips those six targets and no others
+        # qel has no linalg module, no channel.crossover_loss and no detection.conditional_error_rate
+        # (oracle sifts through its masks), and the cloning machines are built in oracle, so the
+        # tracer skips those seven targets and no others
         machines = ("strategy_a_unitary", "strategy_b_unitary", "clone_a_disturbance")
         gone = {"linalg.partial_trace", "linalg.Operator.__post_init__", "channel.crossover_loss",
-                *(f"attacks.{name}" for name in machines)}
+                "detection.conditional_error_rate", *(f"attacks.{name}" for name in machines)}
         assert "qel.linalg" not in sys.modules and not hasattr(qel.channel, "crossover_loss")
+        assert not hasattr(qel.detection, "conditional_error_rate")
         assert not any(hasattr(qel.attacks, name) for name in machines)
         expected = set(layertrace.TARGETS) - gone
         expected |= {f"verification._suite_{suite}" for suite in layertrace.SUITES}
