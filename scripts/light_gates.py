@@ -32,7 +32,7 @@ JSON_KEY_COMMANDS = [
     ({"crossover_db_b": None, "best_strategy": "A"}, "crossover --mu 0.1 --eta-det 0.9 --error-rate 0.01".split()),
     ({"crossover_db_a": None, "crossover_db_b": None}, "crossover --mu 0.1 --eta-det 1.0 --error-rate 0.01".split()),
 ]
-# 0.1 + 11 * (0.4 / 11) rounds to 0.5000000000000001; the CLI clamps each grid point to its upper end.
+# 0.1 + 11 * (0.4 / 11) rounds to 0.5000000000000001; a grid's last point is its upper end itself, not that sum.
 CLAMPED_GRID_COMMANDS = [
     ("0.5", "info-curves --eta-det 0.2 --d-min 0.1 --d-max 0.5 --steps 12".split()),
     ("0.5", "error-map --mu 0.1 --eta-det 0.2 --d-min 0.1 --d-max 0.5 --d-steps 12".split()),

@@ -549,10 +549,14 @@ class AttackCurvePoint(namedtuple("AttackCurvePoint", "disturbance i_pns i_a i_b
 DEFAULT_CURVE_GRID_POINTS = 500
 
 
-def default_disturbance_grid() -> list[float]:
-    """The floats of np.linspace(0, 1/2, DEFAULT_CURVE_GRID_POINTS), built without numpy."""
-    n = DEFAULT_CURVE_GRID_POINTS - 1
-    return [i * (0.5 / n) for i in range(n)] + [0.5]
+def linear_grid(lo: float, hi: float, steps: int, what: str) -> list[float]:
+    """The floats of np.linspace(lo, hi, steps), built without numpy; the last is hi itself."""
+    if steps < 2:
+        raise ValueError(f"{what} grid needs at least 2 steps, got {steps}")
+    if not lo < hi:
+        raise ValueError(f"{what} grid needs min < max, got [{lo}, {hi}]")
+    step = (hi - lo) / (steps - 1)
+    return [lo + i * step for i in range(steps - 1)] + [hi]
 
 
 def information_curves(eta_det: float, d_grid=None) -> list[AttackCurvePoint]:
@@ -565,7 +569,8 @@ def information_curves(eta_det: float, d_grid=None) -> list[AttackCurvePoint]:
     curve comes from one cloning_information call.  Every value is
     bit-equal whichever form computes it.
     """
-    d_grid = [float(d) for d in (default_disturbance_grid() if d_grid is None else d_grid)]
+    d_grid = linear_grid(0.0, 0.5, DEFAULT_CURVE_GRID_POINTS, "disturbance") if d_grid is None else d_grid
+    d_grid = [float(d) for d in d_grid]
     for d in d_grid:
         if not 0.0 <= d <= 0.5:
             raise ValueError(f"grid disturbances must lie in [0, 1/2], got {d}")

@@ -91,22 +91,12 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
             if value is not None]
 
 
-def _grid(lo, hi, steps, what):
-    if steps < 2:
-        raise UsageError(f"{what} grid needs at least 2 steps, got {steps}")
-    if not lo < hi:
-        raise UsageError(f"{what} grid needs min < max, got [{lo}, {hi}]")
-    step = (hi - lo) / (steps - 1)
-    # lo + i * step can round one ulp past hi, which a domain check at hi would reject
-    return [min(lo + i * step, hi) for i in range(steps)]
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
 
 def cmd_info_curves(args: argparse.Namespace) -> int:
-    grid = _grid(args.d_min, args.d_max, args.steps, "disturbance")
+    grid = attacks.linear_grid(args.d_min, args.d_max, args.steps, "disturbance")
     points = attacks.information_curves(args.eta_det, grid)  # each point is the row (D, i_pns, i_a, i_b)
     emit_table(("D", "i_pns", "i_a", "i_b"), points, args.format, args.output,
                {"kind": "info_curves", "eta_det": args.eta_det})
@@ -122,8 +112,8 @@ def cmd_error_map(args: argparse.Namespace) -> int:
     elif args.loss_db is not None:
         losses = [args.loss_db]
     else:
-        losses = _grid(args.loss_min, args.loss_max, args.loss_steps, "loss")
-    d_grid = _grid(args.d_min, args.d_max, args.d_steps, "disturbance")
+        losses = attacks.linear_grid(args.loss_min, args.loss_max, args.loss_steps, "loss")
+    d_grid = attacks.linear_grid(args.d_min, args.d_max, args.d_steps, "disturbance")
     window = channel.eta_t_bounds(mu, eta_det)
     rows = []
     for loss in losses:
@@ -174,7 +164,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
 
 def cmd_coefficients(args: argparse.Namespace) -> int:
     rows = []
-    for gamma in _grid(args.gamma_min, args.gamma_max, args.steps, "gamma"):
+    for gamma in attacks.linear_grid(args.gamma_min, args.gamma_max, args.steps, "gamma"):
         a, b, c, d, e, f = attacks.strategy_b_coefficients(gamma)
         rows.append((gamma, a, b, c, d, e, f))
     emit_table(("gamma", "a", "b", "c", "d", "e", "f"), rows, args.format, args.output,

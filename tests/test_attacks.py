@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qel import attacks, cli
+from qel import attacks
 from qel.attacks import (clone_a_params_for_disturbance, gamma_for_disturbance,
                          information_curves, matched_two_photon_fraction,
                          pns_information, pns_information_matched,
@@ -491,6 +491,11 @@ def _bisect_float_inversion(d: float) -> float:
     return float(attacks.bisect(lambda g: strategy_b_disturbance(g) - d, 0.0, math.pi / 2, xtol=1e-13))
 
 
+def _default_grid() -> list[float]:
+    """The disturbances of `qel info-curves` and of information_curves at their defaults."""
+    return attacks.linear_grid(0.0, 0.5, attacks.DEFAULT_CURVE_GRID_POINTS, "disturbance")
+
+
 def _replay_disturbances() -> list[float]:
     """10,000 seeded uniforms, 1,000 below 1e-6, tiny and near-top specials, and the curve grid."""
     top = attacks.STRATEGY_B_MAX_DISTURBANCE
@@ -498,7 +503,7 @@ def _replay_disturbances() -> list[float]:
     ds = [rng.uniform(0.0, top) for _ in range(10_000)] + [rng.uniform(0.0, 1e-6) for _ in range(1_000)]
     ds += [5e-324, 1e-300] + [10.0**-k for k in range(1, 296)]
     ds += [top * (1.0 - 10.0**-k) for k in range(1, 17)] + [math.nextafter(top, 0.0), 0.0, top]
-    return ds + [d for d in attacks.default_disturbance_grid() if d <= top]
+    return ds + [d for d in _default_grid() if d <= top]
 
 
 def test_float_inversion_replay_is_bit_equal_to_a_plain_bisect():
@@ -634,7 +639,7 @@ def test_array_inversion_evaluates_d_on_the_whole_array_a_few_times(monkeypatch)
     monkeypatch.setattr(attacks, "_strategy_b_d", counted(attacks._strategy_b_d))
     monkeypatch.setattr(attacks, "_strategy_b_slope", counted(attacks._strategy_b_slope))
     top = attacks.STRATEGY_B_MAX_DISTURBANCE
-    grid = np.array([d for d in attacks.default_disturbance_grid() if d <= top])
+    grid = np.array([d for d in _default_grid() if d <= top])
     seeded = np.random.default_rng(20261022).uniform(0.0, top, 10_000)
     for ds in (grid, seeded):
         calls.clear()
@@ -775,7 +780,7 @@ def _seeded_curve_grids():
         step = (hi - lo) / (steps - 1)
         cases.append((eta_det, [lo + i * step for i in range(steps)]))
     # the points of `qel info-curves --eta-det 0.052`, whose JSON output carries them in full
-    cases.append((0.052, cli._grid(0.0, 0.5, attacks.DEFAULT_CURVE_GRID_POINTS, "disturbance")))
+    cases.append((0.052, _default_grid()))
     top = attacks.STRATEGY_B_MAX_DISTURBANCE
     cases.append((0.2, [0.0, 5e-324, top, math.nextafter(top, 0.0), top + DOMAIN_SLACK / 2,
                         top + DOMAIN_SLACK, 0.5]))
@@ -816,7 +821,7 @@ def test_default_grid_loads_no_numpy_and_is_bit_equal_to_linspace():
     assert numpy_loaded == "False"
     linspace = np.linspace(0.0, 0.5, attacks.DEFAULT_CURVE_GRID_POINTS)
     assert grid == repr(linspace.tolist())
-    assert np.array_equal(_bits(attacks.default_disturbance_grid()), _bits(linspace))
+    assert np.array_equal(_bits(_default_grid()), _bits(linspace))
 
 
 def test_curve_point_is_an_immutable_named_record():

@@ -5,12 +5,15 @@ import io
 import json
 import math
 import os
+import random
+import runpy
 import site
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,6 +67,13 @@ def test_info_curves_json_format(capsys):
     assert record["columns"] == ["D", "i_pns", "i_a", "i_b"]
     assert len(record["rows"]) == 5
     assert record["rows"][-1][2] is None
+
+
+def test_info_curves_json_ends_at_the_upper_end_of_its_grid(capsys):
+    # full floats: the last point is d_max itself, where the matched PNS information is exactly 1
+    code, out, _ = run_cli(capsys, ["info-curves", "--eta-det", "0.2", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["rows"][-1] == [0.5, 1.0, None, None]
 
 
 def test_info_curves_byte_identical(capsys):
@@ -168,13 +178,34 @@ def test_grid_whose_last_step_rounds_past_its_upper_end_ends_at_it(capsys, last_
     assert light_gates.ends_at(last_d, *run_cli(capsys, argv))
 
 
+#: (lo, hi, steps) of 1,490 grids on the CLI's default ranges and on two narrower ones
+_CLI_GRIDS = [(lo, hi, steps) for lo, hi in [(0.0, 0.5), (0.1, 0.5), (0.05, 0.45), (1.0, 13.0), (0.0, math.pi)]
+              for steps in range(2, 300)]
+
+
 def test_grid_points_never_pass_the_upper_end():
     overshoots = 0
-    for lo, hi in [(0.0, 0.5), (0.1, 0.5), (0.05, 0.45), (1.0, 13.0), (0.0, math.pi)]:
-        for steps in range(2, 300):
-            overshoots += lo + (steps - 1) * ((hi - lo) / (steps - 1)) > hi
-            assert max(cli._grid(lo, hi, steps, "test")) <= hi
-    assert overshoots == 43  # of the 1495 grids, unclamped
+    for lo, hi, steps in _CLI_GRIDS:
+        overshoots += lo + (steps - 1) * ((hi - lo) / (steps - 1)) > hi
+        grid = attacks.linear_grid(lo, hi, steps, "test")
+        assert max(grid) <= hi == grid[-1]
+    assert overshoots == 43  # of the 1490 grids, where lo + i * step would pass hi
+
+
+def test_linear_grid_is_bit_equal_to_numpy_linspace():
+    # the CLI grids, then seeded ones of every sign, width and length; the last point is hi itself,
+    # which lo + (steps - 1) * step falls an ulp short of on 34 and 503 of them
+    rng = random.Random(1)
+    grids = list(_CLI_GRIDS)
+    for _ in range(20_000):
+        lo = rng.uniform(-10.0, 10.0)
+        grids.append((lo, lo + rng.uniform(1e-6, 20.0), rng.randint(2, 600)))
+    short = 0
+    for lo, hi, steps in grids:
+        short += lo + (steps - 1) * ((hi - lo) / (steps - 1)) < hi
+        got = np.array(attacks.linear_grid(lo, hi, steps, "test"))
+        assert got.tobytes() == np.linspace(lo, hi, steps).tobytes(), (lo, hi, steps)
+    assert short == 34 + 503
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -395,18 +426,18 @@ def test_invalid_input_is_one_line_usage_error(tmp_path, capsys, argv, config):
 _ANY_FLOAT = st.floats() | st.floats(0.0, 1.0) | st.floats(0.0, 20.0)
 _STEPS = st.integers(-3, 50)
 _FORMAT = st.sampled_from(["csv", "json", "xml"])
-_FLAGS = {
-    "info-curves": {"--eta-det": _ANY_FLOAT, "--d-min": _ANY_FLOAT, "--d-max": _ANY_FLOAT,
-                    "--steps": _STEPS, "--format": _FORMAT},
-    "error-map": {"--mu": _ANY_FLOAT, "--eta-det": _ANY_FLOAT, "--eta-t": _ANY_FLOAT,
-                  "--loss-db": _ANY_FLOAT, "--loss-min": _ANY_FLOAT, "--loss-max": _ANY_FLOAT,
-                  "--loss-steps": _STEPS, "--d-min": _ANY_FLOAT, "--d-max": _ANY_FLOAT,
-                  "--d-steps": _STEPS, "--format": _FORMAT},
-    "bounds": {"--mu": _ANY_FLOAT, "--eta-det": _ANY_FLOAT},
-    "crossover": {"--mu": _ANY_FLOAT, "--eta-det": _ANY_FLOAT, "--error-rate": _ANY_FLOAT},
-    "coefficients": {"--gamma-min": _ANY_FLOAT, "--gamma-max": _ANY_FLOAT,
-                     "--steps": _STEPS, "--format": _FORMAT},
-}
+
+
+def _fuzzed_values(default):
+    """The values an option is fuzzed with, by the type that its table default gives it."""
+    if default == "csv":
+        return _FORMAT
+    return _STEPS if isinstance(default, int) else _ANY_FLOAT
+
+
+#: every flag of each light subcommand, read from the options table
+_FLAGS = {name: {f"--{dest.replace('_', '-')}": _fuzzed_values(default) for dest, default in options.items()}
+          for name, (_, _, options) in cli._COMMANDS.items() if name != "verify"}
 
 
 @pytest.mark.parametrize("command", sorted(_FLAGS))
@@ -439,8 +470,11 @@ def test_output_file_writing(tmp_path, capsys):
     assert record["schema"] == "qel/1"
 
 
-def test_verify_passes_and_reports_suites(capsys):
-    code, out, _ = run_cli(capsys, ["verify", "--pulses", "100000", "--seed", "7"])
+# an odd --pulses opens oracle._tallies' basis stream on the high half of a u64
+@pytest.mark.parametrize("argv", ["--pulses 100000 --seed 7", "--pulses 1000001 --seed 5"],
+                         ids=["even-pulses", "odd-pulses"])
+def test_verify_passes_and_reports_suites(capsys, argv):
+    code, out, _ = run_cli(capsys, ["verify", *argv.split()])
     assert code == 0
     record = json.loads(out)
     assert record["schema"] == "qel/1"
@@ -452,6 +486,21 @@ def test_verify_passes_and_reports_suites(capsys):
     for suite in record["suites"]:
         for check in suite["checks"]:
             assert {"name", "tolerance", "delta", "passed"} <= set(check)
+
+
+@pytest.mark.parametrize("check, expected, argv", [
+    (light_gates.same_bytes, "bounds.json", "bounds --mu 0.1 --eta-det 0.2"),
+    (light_gates.one_line_error, 1, "bounds --mu nan --eta-det 0.2"),
+    (light_gates.one_line_error, 3, "crossover --mu 60 --eta-det 0.2 --error-rate 0.01"),
+], ids=["success", "usage-error", "invalid-regime"])
+@pytest.mark.filterwarnings("ignore:'qel.cli' found in sys.modules:RuntimeWarning")
+def test_module_run_as_a_script_exits_with_the_command_code(capsys, monkeypatch, check, expected, argv):
+    # `python -m qel.cli`: the module's last line hands main's code to SystemExit
+    monkeypatch.setattr(sys, "argv", ["qel", *argv.split()])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("qel.cli", run_name="__main__")
+    captured = capsys.readouterr()
+    assert check(expected, stop.value.code, captured.out, captured.err)
 
 
 def test_verify_report_layout_matches_the_benchmark_reference(capsys):

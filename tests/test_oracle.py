@@ -652,6 +652,36 @@ def test_shared_draw_counts_are_pinned():
     ]
 
 
+def _chi2_upper_tail(statistic: float, dof: int) -> float:
+    """P(X > statistic) for X chi-squared on dof degrees of freedom, by Wilson and Hilferty's cube root."""
+    s = 2.0 / (9.0 * dof)
+    z = ((statistic / dof) ** (1.0 / 3.0) - (1.0 - s)) / math.sqrt(s)
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def test_monte_carlo_tallies_fit_their_tables():
+    # Pearson's chi-squared of each attack's 128 counts against n times the entries' exact probabilities:
+    # the pulse type's weight, 1/4 per signal, 1/2 per basis and per double-click bit, times the table
+    # entry.  An entry that cannot occur (eta_det 1 has some) must count 0.  Each statistic is tested on
+    # its own, though the attacks of one call share their draws; a correct sampler fails about once in 1e6.
+    names, faults, call = ("PNS", "CloneA", "CloneB"), [], 0
+    for eta_det, disturbance in [(0.2, 0.1), (0.6, 0.05), (1.0, 0.2)]:
+        p_two = attacks.matched_two_photon_fraction(eta_det)
+        tables = [oracle._attack_tables(attack, disturbance, eta_det) for attack in names]
+        weight = np.array([1.0 - p_two, p_two])[:, None, None, None, None] / 16
+        for n_pulses in (_B - 1, _B + 1, 2 * _B + 1, 200_001):
+            call += 1
+            counts = oracle._tallies(n_pulses, p_two, 20261022 + call, tables)
+            for attack, table, count in zip(names, tables, counts):
+                expected = n_pulses * np.broadcast_to(weight * table[..., None], (2, 4, 2, 4, 2)).ravel()
+                possible = expected > 0.0
+                statistic = float(np.sum((count[possible] - expected[possible]) ** 2 / expected[possible]))
+                tail = _chi2_upper_tail(statistic, int(possible.sum()) - 1)
+                if tail < 1e-6 or count[~possible].any() or count.sum() != n_pulses:
+                    faults.append((eta_det, n_pulses, attack, statistic, tail, count[~possible].sum()))
+    assert faults == []
+
+
 def test_monte_carlo_memory_does_not_grow_with_the_pulse_count():
     # One whole draw of 2e6 pulses held about 65 MB; blocks hold about 2 MB.
     tracemalloc.start()
