@@ -28,7 +28,10 @@ probe states and matrices import it when they are called; the machines
 themselves, whose partial traces check these closed forms, are built in
 oracle.  The inversion of D(gamma) takes a float or, once numpy is loaded,
 an array; both forms replay bisect's steps on a bracket that Newton steps
-find and D's values certify, so their angles are bit-equal.
+find and D's values certify, so their angles are bit-equal.  Each Newton
+step takes D and its slope from one cos, one sin and two square roots
+(_strategy_b_newton).  cloning_information takes a list of disturbances or
+one float, the form the crossover's gains read.
 """
 from __future__ import annotations
 
@@ -343,11 +346,16 @@ def _strategy_b_d(xp, gamma):
     return 0.5 * (1.0 - (c + 1.0 / xp.sqrt(1.0 + s * s)) / xp.sqrt(2.0 * (1.0 + c * c)))
 
 
-def _strategy_b_slope(xp, gamma):
-    """dD/dgamma evaluated with the module xp (math or numpy), positive on (0, pi/2]; only Newton steps use it."""
+def _strategy_b_newton(xp, gamma, d):
+    """(step, slope) of a Newton step from gamma towards D = d, with the module xp (math or numpy), unchecked.
+
+    slope is dD/dgamma, positive on (0, pi/2], and step is (D(gamma) - d)/slope;
+    D is _strategy_b_d's formula, evaluated on the same cos, sin and square roots.
+    """
     c, s = xp.cos(gamma), xp.sin(gamma)
-    r = 1.0 / xp.sqrt(1.0 + s * s)
-    return s * (1.0 + c * r**3 - c * (c + r) / (1.0 + c * c)) / (2.0 * xp.sqrt(2.0 * (1.0 + c * c)))
+    r, q = 1.0 / xp.sqrt(1.0 + s * s), xp.sqrt(2.0 * (1.0 + c * c))
+    slope = s * (1.0 + c * r**3 - c * (c + r) / (1.0 + c * c)) / (2.0 * q)
+    return (0.5 * (1.0 - (c + r) / q) - d) / slope, slope
 
 
 def strategy_b_information(gamma: float) -> float:
@@ -371,6 +379,8 @@ STRATEGY_B_MAX_DISTURBANCE = strategy_b_disturbance(math.pi / 2)
 
 #: Clearance of d that certifies a replay bracket; more than twice the float error of D.
 _REPLAY_MARGIN = 4e-15
+#: A replay step at or above this stops no midpoint, since every midpoint lies below pi.
+_MIN_STOP_STEP = 1e-13 + _BISECT_RTOL * math.pi
 
 
 def _replay_inversion(d: float) -> float:
@@ -384,8 +394,7 @@ def _replay_inversion(d: float) -> float:
     top = math.pi / 2
     g = math.pi * math.sqrt(d)  # (pi/2) sqrt(d/D(pi/2)), since D(pi/2) = 1/4
     for _ in range(8):
-        slope = _strategy_b_slope(math, g)
-        dg = (_strategy_b_d(math, g) - d) / slope
+        dg, slope = _strategy_b_newton(math, g, d)
         g = min(max(g - dg, 0.5 * g), top)  # g stays positive, where the slope is
         if abs(dg) < 1e-9:
             break
@@ -407,7 +416,7 @@ def _replay_inversion(d: float) -> float:
                 lo = mid
             if f_mid == 0.0:
                 return mid
-        if step < 1e-13 + _BISECT_RTOL * mid:
+        if step < _MIN_STOP_STEP and step < 1e-13 + _BISECT_RTOL * mid:
             return mid
 
 
@@ -426,8 +435,7 @@ def _replay_inversion_array(np, d):
     top = math.pi / 2
     g = math.pi * np.sqrt(d)
     for _ in range(8):
-        slope = _strategy_b_slope(np, g)
-        dg = (_strategy_b_d(np, g) - d) / slope
+        dg, slope = _strategy_b_newton(np, g, d)
         g = np.minimum(np.maximum(g - dg, 0.5 * g), top)
         if np.abs(dg).max(initial=0.0) < 1e-9:
             break
@@ -436,15 +444,13 @@ def _replay_inversion_array(np, d):
         a = np.where(wide, g - 4.0 * (g - a), a)
     while (wide := (b < top) & (_strategy_b_d(np, b) < d + _REPLAY_MARGIN)).any():
         b = np.where(wide, g + 4.0 * (b - g), b)
-    # every midpoint lies below pi, so no element stops while the step is above this
-    min_stop_step = 1e-13 + _BISECT_RTOL * math.pi
     lo, step = np.zeros_like(d), top
     while True:
         step *= 0.5
         mid = lo + step
         below = mid < a
         # more midpoints at or below b than below a: one lies inside its bracket
-        if step < min_stop_step or np.count_nonzero(mid <= b) > np.count_nonzero(below):
+        if step < _MIN_STOP_STEP or np.count_nonzero(mid <= b) > np.count_nonzero(below):
             break
         np.copyto(lo, mid, where=below)
     root, active = np.empty_like(d), np.ones(d.shape, dtype=bool)
@@ -494,8 +500,8 @@ def gamma_for_disturbance(disturbance):
     return gamma
 
 
-def cloning_information(strategy: str, disturbances: list[float]) -> list[float | None]:
-    """Information of cloning strategy "A" or "B" at each disturbance, in order.
+def cloning_information(strategy: str, disturbances: list[float] | float) -> list[float | None] | float | None:
+    """Information of cloning strategy "A" or "B" at each disturbance of a list, in order.
 
     An entry is None where the strategy cannot reach the disturbance: A
     reaches D <= 1/4 and B reaches D <= D(pi/2), each with DOMAIN_SLACK of
@@ -506,15 +512,24 @@ def cloning_information(strategy: str, disturbances: list[float]) -> list[float 
     gamma_for_disturbance call; else each comes from one float call per
     point.  Both forms give bit-equal values.  B's information is one
     strategy_b_information call per reachable point either way.
+    A float disturbance in place of the list gives its one information, or
+    None, by the same float calls: the crossover's gains read it so.
     A negative or NaN disturbance, or another strategy, raises ValueError.
     """
     if strategy not in ("A", "B"):
         raise ValueError(f"strategy must be 'A' or 'B', got {strategy!r}")
-    for d in disturbances:
+    one = isinstance(disturbances, float)
+    for d in (disturbances,) if one else disturbances:
         if not d >= 0.0:
             raise ValueError(f"disturbance must be nonnegative, got {d}")
-    evaluate = strategy_a_information if strategy == "A" else gamma_for_disturbance
     top = (0.25 if strategy == "A" else STRATEGY_B_MAX_DISTURBANCE) + DOMAIN_SLACK
+    if one:
+        if disturbances > top:
+            return None
+        if strategy == "A":
+            return strategy_a_information(disturbances)
+        return strategy_b_information(gamma_for_disturbance(disturbances))
+    evaluate = strategy_a_information if strategy == "A" else gamma_for_disturbance
     reachable = [d for d in disturbances if d <= top]
     values = _on_array_or_floats(evaluate, reachable)
     if strategy == "B":

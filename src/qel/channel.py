@@ -373,7 +373,9 @@ def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dic
     (attacks._itp_root) and only decide where to look; the refinement is the
     scan's bisection (attacks.bisect), whose midpoints fix the result.  Disturbances and gains are
     kept by loss, so each is computed once, the refinement's grid ends
-    included, and the PNS information only where a gain is read.
+    included, and the PNS information only where a gain is read.  A gain
+    reads its cloning information from attacks.cloning_information's float
+    form: for B, one float inversion of D(gamma).
     """
     if not observed_error >= 0.0:
         raise ValueError(f"observed error rate must be nonnegative, got {observed_error}")
@@ -394,7 +396,7 @@ def crossover_loss_best(mu: float, eta_det: float, observed_error: float) -> dic
     def gain(strategy: str, loss_db: float) -> float:
         """Cloning minus PNS information at a loss, -inf where either is missing."""
         d = disturbance(loss_db)
-        info = None if d == math.inf else attacks.cloning_information(strategy, [d])[0]
+        info = attacks.cloning_information(strategy, d)
         return -math.inf if info is None else info - attacks.pns_information_matched(eta_det, d)
 
     def crossover(strategy: str):

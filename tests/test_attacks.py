@@ -535,11 +535,19 @@ def test_array_bisect_and_inversion_are_bit_equal_to_the_float_path(monkeypatch)
     singles = [gamma_for_disturbance(np.array([d]))[0] for d in ds[-200:]]
     assert np.array_equal(_bits(singles), _bits(gammas[-200:]))
     # the angles rest on the certified bracket alone: with a slope 100 times too steep or
-    # too shallow, the Newton steps end off the root and only the widening certifies it,
-    # below the root for some disturbances and above it for others
-    slope, some = attacks._strategy_b_slope, slice(None, None, 100)
+    # too shallow, and so a step that much too short or too long, the Newton steps end off
+    # the root and only the widening certifies it, below the root for some disturbances
+    # and above it for others
+    newton, some = attacks._strategy_b_newton, slice(None, None, 100)
+
+    def scaled_newton(k):
+        def scaled(xp, g, d):
+            step, slope = newton(xp, g, d)
+            return step / k, k * slope
+        return scaled
+
     for factor in (100.0, 0.01):
-        monkeypatch.setattr(attacks, "_strategy_b_slope", lambda xp, g, k=factor: k * slope(xp, g))
+        monkeypatch.setattr(attacks, "_strategy_b_newton", scaled_newton(factor))
         assert np.array_equal(_bits(gamma_for_disturbance(ds[some])), _bits(gammas[some]))
         assert np.array_equal(_bits([gamma_for_disturbance(d) for d in ds[some].tolist()]),
                               _bits(gammas[some]))
@@ -599,7 +607,7 @@ def test_float_d_error_is_within_a_quarter_of_the_replay_margin():
 
 
 def test_float_inversion_evaluates_d_a_few_times_and_the_checked_d_at_least_twice(monkeypatch):
-    calls = {"formula": 0, "slope": 0, "checked": 0}
+    calls = {"formula": 0, "newton": 0, "checked": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -609,35 +617,36 @@ def test_float_inversion_evaluates_d_a_few_times_and_the_checked_d_at_least_twic
 
     # the checked D calls the formula through the module, so "formula" counts every evaluation
     monkeypatch.setattr(attacks, "_strategy_b_d", counted("formula", attacks._strategy_b_d))
-    monkeypatch.setattr(attacks, "_strategy_b_slope", counted("slope", attacks._strategy_b_slope))
+    monkeypatch.setattr(attacks, "_strategy_b_newton", counted("newton", attacks._strategy_b_newton))
     monkeypatch.setattr(attacks, "strategy_b_disturbance",
                         counted("checked", attacks.strategy_b_disturbance))
     top = attacks.STRATEGY_B_MAX_DISTURBANCE
     rng = random.Random(20261021)
     evaluations = []
     for d in (rng.uniform(0.0, top) for _ in range(1_000)):
-        calls.update(formula=0, slope=0, checked=0)
+        calls.update(formula=0, newton=0, checked=0)
         gamma_for_disturbance(d)
         assert calls["checked"] >= 2
-        evaluations.append(calls["formula"] + calls["slope"])
-    assert sum(evaluations) / len(evaluations) <= 16
+        evaluations.append(calls["formula"] + calls["newton"])
+    # one formula or Newton-helper call per evaluation: 7.84 on average here, 11 at most
+    assert sum(evaluations) / len(evaluations) <= 8
 
 
 def test_array_inversion_evaluates_d_on_the_whole_array_a_few_times(monkeypatch):
     # a plain bisection evaluates D on the whole array 47 times; the replay's formula and
-    # slope calls, the final check's included, stay under one bound at either size (21 and
-    # 24 here); the count rises slowly with the size, as a midpoint falls inside some
-    # element's bracket earlier
+    # Newton-helper calls, the final check's included, stay under one bound at either size
+    # (17 and 20 here); the count rises slowly with the size, as a midpoint falls inside
+    # some element's bracket earlier
     calls = []
 
     def counted(fn):
-        def wrapper(xp, gamma):
+        def wrapper(xp, gamma, *d):
             calls.append(np.size(gamma))
-            return fn(xp, gamma)
+            return fn(xp, gamma, *d)
         return wrapper
 
     monkeypatch.setattr(attacks, "_strategy_b_d", counted(attacks._strategy_b_d))
-    monkeypatch.setattr(attacks, "_strategy_b_slope", counted(attacks._strategy_b_slope))
+    monkeypatch.setattr(attacks, "_strategy_b_newton", counted(attacks._strategy_b_newton))
     top = attacks.STRATEGY_B_MAX_DISTURBANCE
     grid = np.array([d for d in _default_grid() if d <= top])
     seeded = np.random.default_rng(20261022).uniform(0.0, top, 10_000)
@@ -646,7 +655,7 @@ def test_array_inversion_evaluates_d_on_the_whole_array_a_few_times(monkeypatch)
         gamma_for_disturbance(ds)
         # every call takes the whole array, less the grid's D = 0 outside the replay
         assert min(calls) >= ds.size - 1
-        assert len(calls) <= 32
+        assert len(calls) <= 21
 
 
 # -- cloning information -----------------------------------------------------
@@ -697,6 +706,51 @@ def test_cloning_information_array_and_float_angle_paths_are_bit_equal(monkeypat
         == [d > top + DOMAIN_SLACK for d in ds]
     assert np.array_equal(_bits([x for x in together if x is not None]),
                           _bits([x for x in one_by_one if x is not None]))
+
+
+_FLOAT_FORM_PROBE = """
+import math, random
+from qel import attacks
+
+
+def outcome(call):
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+rng = random.Random(20261023)
+DS = [rng.uniform(0.0, 0.3) for _ in range(10_000)]
+for edge in (0.25, attacks.STRATEGY_B_MAX_DISTURBANCE):
+    DS += [edge, edge + 5e-13, edge + 1e-11]
+DS += [0.5, math.inf, -1.0, math.nan]
+FORMS = {s: [(outcome(lambda: attacks.cloning_information(s, d)),
+              outcome(lambda: attacks.cloning_information(s, [d])[0])) for d in DS] for s in "AB"}
+"""
+
+
+def test_cloning_information_float_form_is_the_one_point_list_form():
+    # the float form against a one-point list, in a fresh interpreter without numpy and here
+    # with it (repr round-trips a float, so equal reprs are equal bits), and against the
+    # array path of the whole list here
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    probe = _FLOAT_FORM_PROBE + "import sys\nprint(repr(FORMS))\nprint('numpy' in sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True, timeout=60)
+    without_numpy, numpy_loaded = result.stdout.splitlines()
+    assert numpy_loaded == "False" and "numpy" in sys.modules
+    here = {}
+    exec(_FLOAT_FORM_PROBE, here)
+    assert repr(here["FORMS"]) == without_numpy
+    for strategy, forms in here["FORMS"].items():
+        assert all(float_form == one_point for float_form, one_point in forms)
+        assert forms[-2:] == [("ValueError: disturbance must be nonnegative, got -1.0",) * 2,
+                              ("ValueError: disturbance must be nonnegative, got nan",) * 2]
+        reachable = [info for info, _ in forms[:-2] if info != "None"]
+        assert 8_000 < len(reachable) < 10_000
+        together = attacks.cloning_information(strategy, here["DS"][:-2])
+        assert repr(together) == f"[{', '.join(info for info, _ in forms[:-2])}]"
 
 
 # -- curves ------------------------------------------------------------------

@@ -844,11 +844,13 @@ def test_crossover_best_reads_each_gain_once_and_the_pns_information_only_where_
         pns_calls[0] += band_depth[0] == 0
         return real_pns(eta_det, d)
 
-    def cloning(strategy, disturbances):
-        infos = real_cloning(strategy, disturbances)
-        if band_depth[0] == 0:
-            cloned.extend((strategy, d) for d, info in zip(disturbances, infos) if info is not None)
-        return infos
+    def cloning(strategy, d):
+        # each gain reads one float disturbance through the float form
+        assert type(d) is float
+        info = real_cloning(strategy, d)
+        if band_depth[0] == 0 and info is not None:
+            cloned.append((strategy, d))
+        return info
 
     monkeypatch.setattr(channel, "_band_search", band_search)
     monkeypatch.setattr(attacks, "pns_information_matched", pns)
